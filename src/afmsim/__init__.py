@@ -39,7 +39,6 @@ from .engine import (
     step,
 )
 from .oracle import (
-    FrameEvent,
     Mismatch,
     OccupancyTrack,
     ReplayResult,
@@ -80,7 +79,6 @@ __all__ = [
     "ControllerSpec",
     "DomainError",
     "FatalEvent",
-    "FrameEvent",
     "Link",
     "Mismatch",
     "OccupancyTrack",

@@ -289,8 +289,14 @@ def load_config(text: str) -> ScenarioConfig:
                 r.bad("missing_field", f"{path}latency", "each direction needs a latency")
                 continue
             shared_gear = r.gearbox(edge, "gearbox", path)
-            gear_ab = r.gearbox(edge, "gearbox_ab", path) or shared_gear or Fraction(1)
-            gear_ba = r.gearbox(edge, "gearbox_ba", path) or shared_gear or Fraction(1)
+            if shared_gear is None:
+                shared_gear = Fraction(1)
+            gear_ab = r.gearbox(edge, "gearbox_ab", path)
+            gear_ba = r.gearbox(edge, "gearbox_ba", path)
+            if gear_ab is None:
+                gear_ab = shared_gear
+            if gear_ba is None:
+                gear_ba = shared_gear
             shared_b0 = r.integer(edge, "beta0", path, required=False)
             b0_ab = r.integer(edge, "beta0_ab", path, default=None, required=False)
             b0_ba = r.integer(edge, "beta0_ba", path, default=None, required=False)
@@ -337,7 +343,7 @@ def load_config(text: str) -> ScenarioConfig:
         omega_init2 = r.per_node(
             par_raw, "omega_init2", "params.", n_nodes, default=omega_init1
         )
-        if theta0 is not None and omega_u is not None and omega_init1 and omega_init2:
+        if None not in (theta0, omega_u, omega_init1, omega_init2):
             params = SystemParams(
                 p=p,
                 d=d,
@@ -406,7 +412,8 @@ def load_config(text: str) -> ScenarioConfig:
 
     if r.violations:
         raise ValidationError(r.violations)
-    assert params is not None and controller is not None
+    if params is None or controller is None:
+        raise RuntimeError("config sections left unparsed without a recorded violation")
     topology = Topology(n_nodes=n_nodes, links=links, buffer_capacity=capacity)
     scenario = validate(topology, params)  # raises with constraint violations
     return ScenarioConfig(scenario=scenario, controller=controller, run=run)

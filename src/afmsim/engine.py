@@ -104,15 +104,19 @@ class SampleRecord:
 
 @dataclass
 class SystemState:
-    """Everything the loop reads and writes while extending trajectories."""
+    """Everything the loop reads and writes while extending trajectories.
+
+    ``incoming[i]`` holds ``(j, lam, latency, gearbox)`` for every link
+    (j, i) into node i, in ascending ``j``; it is fixed at ``init_state``.
+    """
 
     scenario: Scenario
     trajectories: dict[int, ClockTrajectory]
     controllers: dict[int, Controller]
     lam: dict[tuple[int, int], int]
     steps: dict[int, int]
+    incoming: dict[int, tuple[tuple[int, int, float, Gearbox], ...]]
     samples: list[SampleRecord] = field(default_factory=list)
-    history: dict[int, list[tuple[tuple[int, int], ...]]] = field(default_factory=dict)
     fatal_candidates: list[FatalEvent] = field(default_factory=list)
     tie_break: str = "min"
 
@@ -165,15 +169,21 @@ def init_state(
         ctrl = dict(controllers)
     else:
         ctrl = {i: c for i, c in enumerate(controllers, start=1)}
-    if sorted(ctrl) != list(scenario.topology.nodes()):
+    topo = scenario.topology
+    if sorted(ctrl) != list(topo.nodes()):
         raise ValueError("need exactly one controller per node")
+    lam = compute_lambdas(scenario, trajectories)
+    incoming: dict[int, list[tuple[int, int, float, Gearbox]]] = {i: [] for i in topo.nodes()}
+    for (j, i) in topo.directed_links():  # sorted, so each list is in ascending j
+        link = topo.links[(j, i)]
+        incoming[i].append((j, lam[(j, i)], link.latency, link.gearbox))
     return SystemState(
         scenario=scenario,
         trajectories=trajectories,
         controllers=ctrl,
-        lam=compute_lambdas(scenario, trajectories),
-        steps={i: 0 for i in scenario.topology.nodes()},
-        history={i: [] for i in scenario.topology.nodes()},
+        lam=lam,
+        steps={i: 0 for i in topo.nodes()},
+        incoming={i: tuple(links) for i, links in incoming.items()},
         tie_break=tie_break,
     )
 
@@ -195,16 +205,12 @@ def measure(state: SystemState, i: int, t: float) -> tuple[tuple[int, int], ...]
     A domain error here means the scheduling order was violated; the epoch
     constraint guarantees in-domain lookups for a correct loop.
     """
-    topo = state.scenario.topology
-    traj_i = state.trajectories[i]
-    out = []
-    for j in topo.neighbors(i):
-        link = topo.links[(j, i)]
-        occ = buffer_occupancy(
-            state.trajectories[j], traj_i, state.lam[(j, i)], link.latency, t, link.gearbox
-        )
-        out.append((j, occ))
-    return tuple(out)
+    trajectories = state.trajectories
+    traj_i = trajectories[i]
+    return tuple(
+        (j, buffer_occupancy(trajectories[j], traj_i, lam, latency, t, gearbox))
+        for j, lam, latency, gearbox in state.incoming[i]
+    )
 
 
 def _record_bound_violations(
@@ -255,7 +261,6 @@ def _step_node(state: SystemState, i: int) -> SampleRecord:
         frequency=frequency,
     )
     state.samples.append(record)
-    state.history[i].append(y)
     return record
 
 
@@ -308,17 +313,19 @@ def build_trace(state: SystemState, t_max: float, grid_dt: float) -> Trace:
         omega[i] = [traj.slope_at(t) for t in grid]
     beta: dict[tuple[int, int], list[int]] = {}
     gamma: dict[tuple[int, int], list[int]] = {}
+    # The same floors as buffer_occupancy and link_occupancy, with the
+    # endpoint phases taken from the theta series above: one eval per point.
     for (a, b) in topo.directed_links():
         link = topo.links[(a, b)]
-        lam = state.lam[(a, b)]
+        g, latency, lam = link.gearbox, link.latency, state.lam[(a, b)]
+        src = state.trajectories[a]
         bseries = []
         gseries = []
-        for t in grid:
-            occ = buffer_occupancy(
-                state.trajectories[a], state.trajectories[b], lam, link.latency, t, link.gearbox
-            )
+        for t, phase_a, phase_b in zip(grid, theta[a], theta[b]):
+            sent = scaled_floor(g, src.eval(t - latency))
+            occ = sent - scaled_floor(g, phase_b) + lam
             bseries.append(occ)
-            gseries.append(link_occupancy(state.trajectories[a], t, link.latency, link.gearbox))
+            gseries.append(scaled_floor(g, phase_a) - sent)
             _record_bound_violations(state, t, (a, b), occ)
         beta[(a, b)] = bseries
         gamma[(a, b)] = gseries

@@ -29,14 +29,6 @@ from .topology import Scenario
 from .trajectory import ClockTrajectory
 
 
-@dataclass(frozen=True)
-class FrameEvent:
-    kind: str  # "send" | "arrive" | "consume"
-    link: tuple[int, int]
-    t: float
-    seq: int  # integer (scaled) phase index of the crossing
-
-
 @dataclass
 class OccupancyTrack:
     """Right-continuous integer step function: value at t includes every
@@ -111,14 +103,12 @@ class ReplayResult:
     links: dict[tuple[int, int], LinkReplay]
     violations: list[FatalEvent]
     horizon: float
-    events: list[FrameEvent] | None = None
 
 
 def replay(
     trajectories: dict[int, ClockTrajectory],
     scenario: Scenario,
     horizon: float,
-    keep_events: bool = False,
 ) -> ReplayResult:
     """Track every frame through every link and buffer up to ``horizon``.
 
@@ -134,7 +124,6 @@ def replay(
     cap = topo.buffer_capacity
     links: dict[tuple[int, int], LinkReplay] = {}
     violations: list[FatalEvent] = []
-    all_events: list[FrameEvent] | None = [] if keep_events else None
 
     for (a, b) in topo.directed_links():
         link = topo.links[(a, b)]
@@ -183,22 +172,8 @@ def replay(
             consume_times=[t for t, _ in consumes],
             consume_seqs=[m for _, m in consumes],
         )
-        if all_events is not None:
-            all_events.extend(
-                FrameEvent("send", (a, b), t, m) for t, m in sends
-            )
-            all_events.extend(
-                FrameEvent("arrive", (a, b), t, m)
-                for t, m in zip(arrival_times, arrival_seqs)
-                if t <= horizon
-            )
-            all_events.extend(FrameEvent("consume", (a, b), t, m) for t, m in consumes)
-
-    if all_events is not None:
-        rank = {"arrive": 0, "consume": 1, "send": 2}
-        all_events.sort(key=lambda ev: (ev.t, rank[ev.kind], ev.link, ev.seq))
     violations.sort(key=lambda ev: (ev.t, ev.link, ev.kind))
-    return ReplayResult(links=links, violations=violations, horizon=horizon, events=all_events)
+    return ReplayResult(links=links, violations=violations, horizon=horizon)
 
 
 @dataclass(frozen=True)
@@ -271,7 +246,6 @@ def verify_scenario(
     *,
     grid_dt: float = 0.5,
     tie_break: str = "min",
-    keep_events: bool = False,
 ) -> VerifyReport:
     """Run the engine, replay the frames, and compare the two end to end."""
     trace = engine.simulate(
@@ -279,7 +253,7 @@ def verify_scenario(
     )
     trajectories = rebuild_trajectories(trace, scenario)
     horizon = min(trajectories[i].max_dom() for i in scenario.topology.nodes())
-    result = replay(trajectories, scenario, horizon, keep_events=keep_events)
+    result = replay(trajectories, scenario, horizon)
     mismatches = compare(result, trace, scenario, trajectories)
     return VerifyReport(
         trace=trace,

@@ -43,12 +43,6 @@ class Topology:
     def nodes(self) -> range:
         return range(1, self.n_nodes + 1)
 
-    def neighbors(self, i: int) -> list[int]:
-        """Neighbor ids of node ``i`` in ascending order (stable across runs)."""
-        if not 1 <= i <= self.n_nodes:
-            raise ValueError(f"unknown node {i}")
-        return sorted(b for (a, b) in self.links if a == i)
-
     def directed_links(self) -> list[tuple[int, int]]:
         return sorted(self.links)
 

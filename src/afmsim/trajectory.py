@@ -201,25 +201,6 @@ class ClockTrajectory:
         dup._hint = 0
         return dup
 
-    def compacted(self, slope_tol: float = 0.0) -> "ClockTrajectory":
-        """Copy with collinear interior knots merged.
-
-        Off the hot path by design: merging can shift interpolated values by
-        an ulp, so the engine never compacts and traces stay reproducible.
-        """
-        times, phases = self.times, self.phases
-        if len(times) < 3:
-            return self.copy()
-        kept = [(times[0], phases[0])]
-        for i in range(1, len(times) - 1):
-            t0, p0 = kept[-1]
-            s_in = (phases[i] - p0) / (times[i] - t0)
-            s_out = (phases[i + 1] - phases[i]) / (times[i + 1] - times[i])
-            if abs(s_out - s_in) > slope_tol:
-                kept.append((times[i], phases[i]))
-        kept.append((times[-1], phases[-1]))
-        return ClockTrajectory(kept, min_slope=self.min_slope)
-
     def __len__(self) -> int:
         return len(self.times)
 

@@ -1,7 +1,10 @@
 """End-to-end CLI tests (in-process through cli.main)."""
 
+import hashlib
 import json
 from pathlib import Path
+
+import pytest
 
 from afmsim.cli import main
 
@@ -99,6 +102,37 @@ def test_fatal_run_exits_one(tmp_path, capsys):
     assert "FATAL" in captured.out
     events = (out / "events.csv").read_text().splitlines()
     assert len(events) > 1
+
+
+def test_run_output_digests_pinned(tmp_path):
+    out = tmp_path / "trace"
+    assert main(["run", "--config", BUNDLED, "--t-max", "200", "--out", str(out)]) == 0
+    expected = {
+        "nodes.csv": "49f738210bea4c4e1a6cc8bec94e18aa983253fdf29c04c3980722a6361134ed",
+        "buffers.csv": "b0251e27e1ee1eac5419fcd7cb6d74efd2cc527d66b7c5509b902c6957109f8f",
+        "events.csv": "23a6c07d0189eec819e5e5d5b09cb38a9390d2db2894e4a5baf939e63b022f81",
+        "meta.json": "d625dc7fc8d8a1a77e874d348c243a3753f948775e053bd9c26f71c66415f35c",
+    }
+    for name, digest in expected.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("n_nodes", [0, -2])
+def test_nonpositive_node_count_exits_two(tmp_path, capsys, n_nodes):
+    cfg = {
+        "topology": {"n_nodes": n_nodes, "edges": []},
+        "params": {
+            "p": 10, "d": 2, "omega_min": 0.1, "epoch": -25.0,
+            "theta0": 0.5, "omega_u": 1.0, "beta0": 7,
+        },
+        "controller": {"kind": "zero"},
+    }
+    bad = tmp_path / "empty.json"
+    bad.write_text(json.dumps(cfg))
+    code = main(["verify", "--config", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "node_count_nonpositive" in captured.err
 
 
 def test_run_twice_byte_identical(tmp_path):

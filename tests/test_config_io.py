@@ -129,6 +129,19 @@ def test_gearbox_forms_accepted():
         assert cfg.scenario.topology.links[(2, 1)].gearbox == 1
 
 
+@pytest.mark.parametrize("fields", ['"gearbox": 0', '"gearbox_ab": [0, 3]'])
+def test_zero_gearbox_rejected(fields):
+    text = MINIMAL.replace(
+        '{"a": 1, "b": 2, "latency": 1.0}',
+        '{"a": 1, "b": 2, "latency": 1.0, %s}' % fields,
+    )
+    with pytest.raises(ValidationError) as err:
+        load_config(text)
+    assert any(
+        v.name == "gearbox_nonpositive" and v.subject == "link (1,2)" for v in err.value.violations
+    )
+
+
 def test_per_edge_beta0_without_params_default():
     text = MINIMAL.replace(
         '{"a": 1, "b": 2, "latency": 1.0}',

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from afmsim.controllers import ControllerSpec, make_controllers
+from afmsim.scenarios import gearbox_pair, random_scenario, triangle3
 from afmsim.engine import (
     buffer_occupancy,
     compute_lambdas,
@@ -304,6 +305,28 @@ def test_omega_series_right_continuous(triangle_cfg):
     for i in (1, 2, 3):
         for idx, t in enumerate(trace.grid):
             assert trace.omega[i][idx] == trajs[i].slope_at(t)
+
+
+@pytest.mark.parametrize(
+    "make_cfg",
+    [triangle3, gearbox_pair]
+    + [lambda seed=seed: random_scenario(random.Random(seed)) for seed in (1, 2, 3)],
+    ids=["triangle3", "gearbox_pair", "random1", "random2", "random3"],
+)
+def test_resampled_series_match_occupancy_functions(make_cfg):
+    cfg = make_cfg()
+    sc = cfg.scenario
+    trace = simulate(sc, cfg.controller, 60.0)
+    trajs = {i: ClockTrajectory(trace.knots[i], sc.params.omega_min) for i in sc.topology.nodes()}
+    lam = compute_lambdas(sc, trajs)
+    for (a, b), link in sc.topology.links.items():
+        for idx, t in enumerate(trace.grid):
+            assert trace.beta[(a, b)][idx] == buffer_occupancy(
+                trajs[a], trajs[b], lam[(a, b)], link.latency, t, link.gearbox
+            )
+            assert trace.gamma[(a, b)][idx] == link_occupancy(
+                trajs[a], t, link.latency, link.gearbox
+            )
 
 
 def test_simulate_argument_validation(triangle_cfg):

@@ -163,23 +163,6 @@ def test_overflow_reported_with_capacity(zero_spec):
     assert over[0].occupancy == 6
 
 
-def test_event_log_ordering():
-    cfg = triangle3()
-    sc = cfg.scenario
-    state = run_state(sc, cfg.controller, 20.0)
-    result = replay(state.trajectories, sc, 20.0, keep_events=True)
-    assert result.events is not None
-    rank = {"arrive": 0, "consume": 1, "send": 2}
-    keys = [(ev.t, rank[ev.kind], ev.link, ev.seq) for ev in result.events]
-    assert keys == sorted(keys)
-    # arrivals are sends shifted by the latency
-    sends = {(ev.link, ev.seq): ev.t for ev in result.events if ev.kind == "send"}
-    for ev in result.events:
-        if ev.kind == "arrive" and (ev.link, ev.seq) in sends:
-            lat = sc.topology.links[ev.link].latency
-            assert ev.t == pytest.approx(sends[(ev.link, ev.seq)] + lat, rel=1e-12)
-
-
 # -- engine equivalence ------------------------------------------------------------
 
 def test_reference_triangle_equivalence():
@@ -226,7 +209,14 @@ def test_received_count_matches_oracle_arrivals():
     rng = random.Random(23)
     for (a, b) in sc.topology.directed_links():
         lat = sc.topology.links[(a, b)].latency
-        arrivals = result.links[(a, b)].arrival_times
+        lr = result.links[(a, b)]
+        arrivals = lr.arrival_times
+        assert arrivals == sorted(arrivals)
+        # arrivals are sends shifted by the latency
+        sends = dict(zip(lr.send_seqs, lr.send_times))
+        for t, m in zip(arrivals, lr.arrival_seqs):
+            if m in sends:
+                assert t == pytest.approx(sends[m] + lat, rel=1e-12)
         for _ in range(50):
             s = rng.uniform(0.0, 38.0)
             t = rng.uniform(s, 39.0)

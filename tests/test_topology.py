@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from afmsim.controllers import ControllerSpec, make_controllers
+from afmsim.engine import init_state, measure
 from afmsim.topology import (
     Link,
     SystemParams,
@@ -146,22 +148,24 @@ def test_check_is_pure():
 
 
 def test_neighbors_ordering():
-    assert triangle_topology().neighbors(1) == [2, 3]
+    # measure reports incoming buffers by ascending neighbor id, whatever the
+    # link insertion order; at t=0 each occupancy is the link's beta0
+    def first_measurements(topology, beta0):
+        scenario = validate(topology, triangle_params(beta0=beta0))
+        state = init_state(scenario, make_controllers(ControllerSpec(kind="zero"), 3))
+        return {i: measure(state, i, 0.0) for i in topology.nodes()}
+
+    tri = triangle_topology()
+    assert first_measurements(tri, {k: 50 for k in tri.links})[1] == ((2, 50), (3, 50))
     path_links = {
-        (1, 2): Link(1.0), (2, 1): Link(1.0),
-        (2, 3): Link(1.0), (3, 2): Link(1.0),
+        (3, 2): Link(1.0), (2, 3): Link(1.0),
+        (2, 1): Link(1.0), (1, 2): Link(1.0),
     }
-    path = Topology(3, path_links)
-    assert path.neighbors(2) == [1, 3]
-    assert path.neighbors(1) == [2]
-    assert path.neighbors(3) == [2]
-
-
-def test_neighbors_unknown_node():
-    with pytest.raises(ValueError):
-        triangle_topology().neighbors(4)
-    with pytest.raises(ValueError):
-        triangle_topology().neighbors(0)
+    beta0 = {(3, 2): 32, (2, 3): 23, (2, 1): 21, (1, 2): 12}
+    got = first_measurements(Topology(3, path_links), beta0)
+    assert got[2] == ((1, 12), (3, 32))
+    assert got[1] == ((2, 21),)
+    assert got[3] == ((2, 23),)
 
 
 def test_scenario_is_frozen():

@@ -193,16 +193,3 @@ def test_copy_is_independent():
     assert len(traj) == 2
     assert len(dup) == 3
 
-
-def test_compacted_merges_collinear_knots_only():
-    traj = make([(0.0, 0.0), (1.0, 2.0), (2.0, 4.0), (3.0, 5.0)])
-    slim = traj.compacted()
-    assert slim.knots() == [(0.0, 0.0), (2.0, 4.0), (3.0, 5.0)]
-    assert len(traj) == 4  # original untouched
-    for t in (0.0, 0.5, 1.0, 1.7, 2.5, 3.0):
-        assert slim.eval(t) == traj.eval(t)
-
-
-def test_compacted_preserves_non_collinear():
-    traj = make([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)])
-    assert traj.compacted().knots() == traj.knots()
