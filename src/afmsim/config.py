@@ -431,21 +431,11 @@ def run_config(
     cfg: ScenarioConfig,
     t_max: float | None = None,
     grid_dt: float | None = None,
-    *,
-    tie_break: str = "min",
-    check_admissibility: bool = True,
 ) -> engine.Trace:
     """Simulate a loaded config and stamp the trace with its fingerprint."""
     t = cfg.run.t_max if t_max is None else t_max
     g = cfg.run.output_grid if grid_dt is None else grid_dt
-    trace = engine.simulate(
-        cfg.scenario,
-        cfg.controller,
-        t,
-        grid_dt=g,
-        tie_break=tie_break,
-        check_admissibility=check_admissibility,
-    )
+    trace = engine.simulate(cfg.scenario, cfg.controller, t, grid_dt=g)
     trace.fingerprint = cfg.fingerprint()
     trace.meta = {"config": cfg.to_dict(), "t_max": t, "grid_dt": g}
     return trace

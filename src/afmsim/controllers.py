@@ -83,9 +83,6 @@ class AdmissibilityCheck:
     ok: bool
     witness: str
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def is_admissible(
     spec: ControllerSpec, omega_u: Sequence[float], omega_min: float

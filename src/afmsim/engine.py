@@ -12,8 +12,9 @@ path; this is what makes beta(0) == beta0 and the cross-checks integer-exact.
 
 The loop always extends the trajectory whose domain ends earliest: sample at
 the phase ``k*p`` ticks past theta0, apply the correction ``d`` ticks later,
-append one knot per step. Tie-breaking cannot change the result; it is
-configurable only so tests can demonstrate that.
+append one knot per step. Ties go to the smallest node id; the solution is
+unique, so the choice cannot matter, and a test that breaks ties the other
+way shows it.
 """
 
 from __future__ import annotations
@@ -117,8 +118,6 @@ class SystemState:
     steps: dict[int, int]
     incoming: dict[int, tuple[tuple[int, int, float, Gearbox], ...]]
     samples: list[SampleRecord] = field(default_factory=list)
-    fatal_candidates: list[FatalEvent] = field(default_factory=list)
-    tie_break: str = "min"
 
 
 def compute_lambdas(
@@ -144,15 +143,9 @@ def compute_lambdas(
     return lam
 
 
-def init_state(
-    scenario: Scenario,
-    controllers: list[Controller] | dict[int, Controller],
-    tie_break: str = "min",
-) -> SystemState:
+def init_state(scenario: Scenario, controllers: list[Controller]) -> SystemState:
     """Fresh state at the epoch: three-knot trajectories, conserved link
-    constants, zeroed step counters."""
-    if tie_break not in ("min", "max"):
-        raise ValueError(f"tie_break must be 'min' or 'max', got {tie_break!r}")
+    constants, zeroed step counters. ``controllers[i - 1]`` drives node i."""
     par = scenario.params
     trajectories = {
         i: ClockTrajectory.from_initial_conditions(
@@ -165,12 +158,8 @@ def init_state(
         )
         for i in scenario.topology.nodes()
     }
-    if isinstance(controllers, dict):
-        ctrl = dict(controllers)
-    else:
-        ctrl = {i: c for i, c in enumerate(controllers, start=1)}
     topo = scenario.topology
-    if sorted(ctrl) != list(topo.nodes()):
+    if len(controllers) != topo.n_nodes:
         raise ValueError("need exactly one controller per node")
     lam = compute_lambdas(scenario, trajectories)
     incoming: dict[int, list[tuple[int, int, float, Gearbox]]] = {i: [] for i in topo.nodes()}
@@ -180,22 +169,17 @@ def init_state(
     return SystemState(
         scenario=scenario,
         trajectories=trajectories,
-        controllers=ctrl,
+        controllers=dict(enumerate(controllers, start=1)),
         lam=lam,
         steps={i: 0 for i in topo.nodes()},
         incoming={i: tuple(links) for i, links in incoming.items()},
-        tie_break=tie_break,
     )
 
 
 def select_node(state: SystemState) -> int:
-    """The node whose trajectory ends earliest; ties go to the smallest id
-    (largest under the alternate rule, which provably cannot matter)."""
-    if state.tie_break == "min":
-        key = lambda i: (state.trajectories[i].max_dom(), i)
-    else:
-        key = lambda i: (state.trajectories[i].max_dom(), -i)
-    return min(state.trajectories, key=key)
+    """The node whose trajectory ends earliest; ties go to the smallest id."""
+    trajectories = state.trajectories
+    return min(trajectories, key=lambda i: (trajectories[i].max_dom(), i))
 
 
 def measure(state: SystemState, i: int, t: float) -> tuple[tuple[int, int], ...]:
@@ -213,16 +197,6 @@ def measure(state: SystemState, i: int, t: float) -> tuple[tuple[int, int], ...]
     )
 
 
-def _record_bound_violations(
-    state: SystemState, t: float, link: tuple[int, int], occ: int
-) -> None:
-    cap = state.scenario.topology.buffer_capacity
-    if occ < 0:
-        state.fatal_candidates.append(FatalEvent("underflow", link, t, occ))
-    elif cap is not None and occ > cap:
-        state.fatal_candidates.append(FatalEvent("overflow", link, t, occ))
-
-
 def step(state: SystemState) -> SampleRecord:
     """One loop iteration: pick the least-advanced node and extend it."""
     return _step_node(state, select_node(state))
@@ -236,8 +210,6 @@ def _step_node(state: SystemState, i: int) -> SampleRecord:
     phase_s = traj.eval(s)  # knot lookup: exactly theta0 + k*p + d
     t_sample = traj.inverse(phase_s - par.d)
     y = measure(state, i, t_sample)
-    for j, occ in y:
-        _record_bound_violations(state, t_sample, (j, i), occ)
     correction = state.controllers[i].update(y)
     frequency = correction + par.omega_u[i - 1]
     if frequency <= par.omega_min:
@@ -289,16 +261,41 @@ class Trace:
         return self.fatal_events[0] if self.fatal_events else None
 
 
-def _dedupe_fatal(candidates: list[FatalEvent]) -> list[FatalEvent]:
-    """Earliest event per (kind, link), ordered by time."""
+def _fatal_events(
+    state: SystemState, grid: list[float], beta: dict[tuple[int, int], list[int]]
+) -> list[FatalEvent]:
+    """Earliest bound violation per (kind, link), ordered by (t, link, kind).
+
+    Judged on the occupancies the run already holds: each controller sample's
+    measurement at its sample time, and the beta series on the output grid.
+    """
+    cap = state.scenario.topology.buffer_capacity
     first: dict[tuple[str, tuple[int, int]], FatalEvent] = {}
-    for ev in sorted(candidates, key=lambda e: (e.t, e.kind, e.link)):
-        first.setdefault((ev.kind, ev.link), ev)
+
+    def note(kind: str, link: tuple[int, int], t: float, occ: int) -> None:
+        ev = first.get((kind, link))
+        if ev is None or t < ev.t:
+            first[(kind, link)] = FatalEvent(kind, link, t, occ)
+
+    for rec in state.samples:
+        for j, occ in rec.measurement:
+            if occ < 0:
+                note("underflow", (j, rec.node), rec.t_sample, occ)
+            elif cap is not None and occ > cap:
+                note("overflow", (j, rec.node), rec.t_sample, occ)
+    for link, series in beta.items():
+        if min(series, default=0) < 0:
+            k = next(k for k, occ in enumerate(series) if occ < 0)
+            note("underflow", link, grid[k], series[k])
+        if cap is not None and max(series, default=0) > cap:
+            k = next(k for k, occ in enumerate(series) if occ > cap)
+            note("overflow", link, grid[k], series[k])
     return sorted(first.values(), key=lambda e: (e.t, e.link, e.kind))
 
 
 def build_trace(state: SystemState, t_max: float, grid_dt: float) -> Trace:
-    """Resample the finished state onto the output grid and collect events."""
+    """Resample the finished state onto the output grid and collect fatal
+    events; reads ``state`` without changing it."""
     topo = state.scenario.topology
     grid: list[float] = []
     k = 0
@@ -326,7 +323,6 @@ def build_trace(state: SystemState, t_max: float, grid_dt: float) -> Trace:
             occ = sent - scaled_floor(g, phase_b) + lam
             bseries.append(occ)
             gseries.append(scaled_floor(g, phase_a) - sent)
-            _record_bound_violations(state, t, (a, b), occ)
         beta[(a, b)] = bseries
         gamma[(a, b)] = gseries
     return Trace(
@@ -337,43 +333,34 @@ def build_trace(state: SystemState, t_max: float, grid_dt: float) -> Trace:
         omega=omega,
         beta=beta,
         gamma=gamma,
-        fatal_events=_dedupe_fatal(state.fatal_candidates),
+        fatal_events=_fatal_events(state, grid, beta),
     )
 
 
 def simulate(
     scenario: Scenario,
-    controller: ControllerSpec | list[Controller] | dict[int, Controller],
+    controller: ControllerSpec,
     t_max: float,
     *,
     grid_dt: float = 0.5,
-    tie_break: str = "min",
-    check_admissibility: bool = True,
 ) -> Trace:
     """Run until every trajectory covers [epoch, t_max]; return the trace.
 
-    With ``check_admissibility`` the controller spec is statically vetted
-    before the run; pass False to force a run and rely on the per-step check,
-    which halts with AdmissibilityError on the first violating step. Buffer
+    The controller spec is statically vetted before the run. To force an
+    unvetted run, drive ``init_state`` and ``step`` directly; the per-step
+    check halts with AdmissibilityError on the first violating step. Buffer
     bound violations do not halt the run: they are recorded as fatal events
     and the trace is delivered to t_max regardless.
     """
-    if t_max <= 0.0:
-        raise ValueError(f"t_max must be positive, got {t_max!r}")
-    if grid_dt <= 0.0:
-        raise ValueError(f"grid_dt must be positive, got {grid_dt!r}")
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
+    if not (math.isfinite(grid_dt) and grid_dt > 0.0):
+        raise ValueError(f"grid_dt must be positive and finite, got {grid_dt!r}")
     par = scenario.params
-    if isinstance(controller, ControllerSpec):
-        if check_admissibility:
-            verdict = is_admissible(controller, par.omega_u, par.omega_min)
-            if not verdict.ok:
-                raise AdmissibilityError(f"controller rejected: {verdict.witness}")
-        controllers: list[Controller] | dict[int, Controller] = make_controllers(
-            controller, scenario.topology.n_nodes
-        )
-    else:
-        controllers = controller
-    state = init_state(scenario, controllers, tie_break=tie_break)
+    verdict = is_admissible(controller, par.omega_u, par.omega_min)
+    if not verdict.ok:
+        raise AdmissibilityError(f"controller rejected: {verdict.witness}")
+    state = init_state(scenario, make_controllers(controller, scenario.topology.n_nodes))
     while True:
         i = select_node(state)
         if state.trajectories[i].max_dom() >= t_max:

@@ -89,7 +89,6 @@ class LinkReplay:
     arrival_times: list[float]  # includes frames already in flight at time zero
     arrival_seqs: list[int]
     consume_times: list[float]
-    consume_seqs: list[int]
 
     def in_flight(self, t: float) -> int:
         """Frames on the link at time t, counted from arrival bookkeeping."""
@@ -170,7 +169,6 @@ def replay(
             arrival_times=arrival_times,
             arrival_seqs=arrival_seqs,
             consume_times=[t for t, _ in consumes],
-            consume_seqs=[m for _, m in consumes],
         )
     violations.sort(key=lambda ev: (ev.t, ev.link, ev.kind))
     return ReplayResult(links=links, violations=violations, horizon=horizon)
@@ -245,12 +243,9 @@ def verify_scenario(
     t_max: float,
     *,
     grid_dt: float = 0.5,
-    tie_break: str = "min",
 ) -> VerifyReport:
     """Run the engine, replay the frames, and compare the two end to end."""
-    trace = engine.simulate(
-        scenario, controller, t_max, grid_dt=grid_dt, tie_break=tie_break
-    )
+    trace = engine.simulate(scenario, controller, t_max, grid_dt=grid_dt)
     trajectories = rebuild_trajectories(trace, scenario)
     horizon = min(trajectories[i].max_dom() for i in scenario.topology.nodes())
     result = replay(trajectories, scenario, horizon)

@@ -193,14 +193,6 @@ class ClockTrajectory:
         for i in range(len(times) - 1):
             yield times[i], phases[i], times[i + 1], phases[i + 1]
 
-    def copy(self) -> "ClockTrajectory":
-        dup = ClockTrajectory.__new__(ClockTrajectory)
-        dup.times = list(self.times)
-        dup.phases = list(self.phases)
-        dup.min_slope = self.min_slope
-        dup._hint = 0
-        return dup
-
     def __len__(self) -> int:
         return len(self.times)
 

@@ -4,11 +4,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 The randomized scenarios are seeded, so a green suite stays green.
 """
 
+import dataclasses
 import random
 import time
 
 import pytest
 
+from afmsim import engine
 from afmsim.cli import main as cli_main
 from afmsim.controllers import ControllerSpec, is_admissible, make_controllers
 from afmsim.engine import (
@@ -18,6 +20,7 @@ from afmsim.engine import (
     link_occupancy,
     scaled_floor,
     simulate,
+    step,
 )
 from afmsim.oracle import rebuild_trajectories, verify_scenario
 from afmsim.scenarios import gearbox_pair, random_scenario, triangle3
@@ -132,11 +135,40 @@ def _relabeled(cfg, perm: dict[int, int]):
     )
 
 
-def test_criterion_4_order_independence():
-    cfg = triangle3()
+def _max_id_selector():
+    """``select_node`` with ties sent to the largest id; counts the tied steps."""
+    ties = []
+
+    def select(state):
+        ends = {i: traj.max_dom() for i, traj in state.trajectories.items()}
+        earliest = min(ends.values())
+        tied = [i for i, end in ends.items() if end == earliest]
+        ties.append(len(tied) > 1)
+        return max(tied)
+
+    return select, ties
+
+
+def test_criterion_4_order_independence(monkeypatch):
+    # Nodes 1 and 2 run at the same free-running frequency, so their
+    # trajectories end together on many steps and the tie rule decides.
+    omega = (1.4, 1.4, 2.0)
+    base_cfg = triangle3()
+    params = dataclasses.replace(
+        base_cfg.scenario.params, omega_u=omega, omega_init1=omega, omega_init2=omega
+    )
+    cfg = dataclasses.replace(
+        base_cfg, scenario=validate(base_cfg.scenario.topology, params)
+    )
     t_run = 200.0
-    base = simulate(cfg.scenario, cfg.controller, t_run, tie_break="min")
-    alt = simulate(cfg.scenario, cfg.controller, t_run, tie_break="max")
+    base = simulate(cfg.scenario, cfg.controller, t_run)
+    with monkeypatch.context() as patch:
+        select, ties = _max_id_selector()
+        patch.setattr(engine, "select_node", select)
+        alt = simulate(cfg.scenario, cfg.controller, t_run)
+    assert sum(ties) > 0
+    assert [r.node for r in base.samples] != [r.node for r in alt.samples]
+    assert base.knots == alt.knots
     rng = random.Random(SEED + 3)
     ids = [1, 2, 3]
     shuffled = ids[:]
@@ -152,8 +184,8 @@ def test_criterion_4_order_independence():
     verdict(
         4,
         worst <= 1e-9,
-        f"min/max tie-break and relabeling {perm} give identical knots "
-        f"(worst delta {worst:.2e})",
+        f"min/max tie-break ({sum(ties)} of {len(ties)} selections tied) and "
+        f"relabeling {perm} give identical knots (worst delta {worst:.2e})",
     )
 
 
@@ -219,8 +251,9 @@ def test_criterion_7_admissibility_enforcement():
     with pytest.raises(AdmissibilityError):
         simulate(sc, forced, 50.0)  # static gate
     halted_at_first_step = False
+    state = init_state(sc, make_controllers(forced, sc.topology.n_nodes))  # unvetted
     try:
-        simulate(sc, forced, 50.0, check_admissibility=False)
+        step(state)
     except AdmissibilityError as exc:
         halted_at_first_step = exc.step == 0
     verdict(

@@ -104,6 +104,45 @@ def test_fatal_run_exits_one(tmp_path, capsys):
     assert len(events) > 1
 
 
+@pytest.mark.parametrize(
+    "capacity, beta0, k_p, digest",
+    [
+        # underflows and overflows, some first seen at sample times off the grid
+        (6, 2, 0.01, "3cf5cd6265cad5b33e66740c55f02d8aaa5dd226b96bb0be98974027016e7786"),
+        # an underflow and an overflow tied at t=6
+        (10, 5, 0.001, "06128a98b8a9316b9af568cf4be9f7787c7e31b555a47cfebd93517e90f0613e"),
+    ],
+)
+def test_fatal_events_digests_pinned(tmp_path, capacity, beta0, k_p, digest):
+    cfg = json.loads(Path(BUNDLED).read_text())
+    cfg["topology"]["buffer_capacity"] = capacity
+    for edge in cfg["topology"]["edges"]:
+        edge["beta0_ab"] = edge["beta0_ba"] = beta0
+    cfg["controller"]["k_p"] = k_p
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "trace"
+    assert main(["run", "--config", str(path), "--t-max", "60", "--out", str(out)]) == 1
+    assert hashlib.sha256((out / "events.csv").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-5", "0"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [("run", "--t-max"), ("run", "--grid"), ("verify", "--t-max")],
+)
+def test_bad_horizon_or_grid_exits_two(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    argv = [command, "--config", BUNDLED, flag, value]
+    if command == "run":
+        argv += ["--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_output_digests_pinned(tmp_path):
     out = tmp_path / "trace"
     assert main(["run", "--config", BUNDLED, "--t-max", "200", "--out", str(out)]) == 0

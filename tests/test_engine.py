@@ -1,13 +1,16 @@
 """Engine tests: frame counters, initialization, the loop, and its invariants."""
 
+import dataclasses
 import random
 
 import pytest
 
+from afmsim import engine
 from afmsim.controllers import ControllerSpec, make_controllers
 from afmsim.scenarios import gearbox_pair, random_scenario, triangle3
 from afmsim.engine import (
     buffer_occupancy,
+    build_trace,
     compute_lambdas,
     frames_received,
     frames_sent,
@@ -192,8 +195,9 @@ def test_admissibility_halt_on_first_violating_step():
     sc = two_node_scenario(omega_u=(1.1, 1.1))
     # forced correction of -2 drives frequency to -0.9 <= 0.1
     spec = ControllerSpec(kind="zero", clamp=(-2.0, -2.0))
+    state = init_state(sc, make_controllers(spec, 2))  # unvetted: no static check
     with pytest.raises(AdmissibilityError) as err:
-        simulate(sc, spec, 50.0, check_admissibility=False)
+        step(state)
     assert err.value.step == 0
     assert err.value.node is not None
     assert err.value.frequency == pytest.approx(-0.9)
@@ -292,9 +296,43 @@ def test_overflow_recorded_with_bounded_capacity(zero_spec):
     assert ("overflow", (2, 1)) in kinds  # slow node's buffer fills
 
 
-def test_tie_break_rules_agree(triangle_cfg):
-    a = simulate(triangle_cfg.scenario, triangle_cfg.controller, 60.0, tie_break="min")
-    b = simulate(triangle_cfg.scenario, triangle_cfg.controller, 60.0, tie_break="max")
+def _snapshot(state):
+    """Every ``SystemState`` field as a detached, comparable value."""
+    assert [f.name for f in dataclasses.fields(state)] == [
+        "scenario", "trajectories", "controllers", "lam", "steps", "incoming", "samples"
+    ]
+    return (
+        state.scenario,
+        {i: traj.knots() for i, traj in state.trajectories.items()},
+        {i: (c.spec, c.state) for i, c in state.controllers.items()},
+        dict(state.lam),
+        dict(state.steps),
+        dict(state.incoming),
+        list(state.samples),
+    )
+
+
+def test_build_trace_leaves_state_unchanged(zero_spec):
+    sc = two_node_scenario(omega_u=(1.0, 2.0), beta0=3, capacity=5)
+    state = init_state(sc, make_controllers(zero_spec, 2))
+    while state.trajectories[select_node(state)].max_dom() < 40.0:
+        step(state)
+    before = _snapshot(state)
+    first = build_trace(state, 40.0, 0.5)
+    second = build_trace(state, 40.0, 0.5)
+    assert first.fatal_events and first.fatal_events == second.fatal_events
+    assert _snapshot(state) == before
+
+
+def test_tie_break_rules_agree(triangle_cfg, monkeypatch):
+    a = simulate(triangle_cfg.scenario, triangle_cfg.controller, 60.0)
+
+    def select_max_id(state):
+        ends = {i: traj.max_dom() for i, traj in state.trajectories.items()}
+        return max(i for i, end in ends.items() if end == min(ends.values()))
+
+    monkeypatch.setattr(engine, "select_node", select_max_id)
+    b = simulate(triangle_cfg.scenario, triangle_cfg.controller, 60.0)
     assert a.knots == b.knots
 
 
@@ -330,9 +368,8 @@ def test_resampled_series_match_occupancy_functions(make_cfg):
 
 
 def test_simulate_argument_validation(triangle_cfg):
-    with pytest.raises(ValueError):
-        simulate(triangle_cfg.scenario, triangle_cfg.controller, 0.0)
-    with pytest.raises(ValueError):
-        simulate(triangle_cfg.scenario, triangle_cfg.controller, 10.0, grid_dt=0.0)
-    with pytest.raises(ValueError):
-        simulate(triangle_cfg.scenario, triangle_cfg.controller, 10.0, tie_break="random")
+    for bad in (0.0, -5.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="t_max"):
+            simulate(triangle_cfg.scenario, triangle_cfg.controller, bad)
+        with pytest.raises(ValueError, match="grid_dt"):
+            simulate(triangle_cfg.scenario, triangle_cfg.controller, 10.0, grid_dt=bad)

@@ -186,10 +186,3 @@ def test_eval_knots_exact_property(traj):
         assert traj.inverse(ph) == t
 
 
-def test_copy_is_independent():
-    traj = make([(0, 0), (1, 1)])
-    dup = traj.copy()
-    dup.append(2.0, 3.0)
-    assert len(traj) == 2
-    assert len(dup) == 3
-
