@@ -19,7 +19,7 @@ from .traceio import emit_plot_script, fmt_num, format_summary, read_trace, summ
 from .trajectory import AdmissibilityError
 
 
-def _positive_finite(text: str) -> float:
+def positive_finite(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
@@ -36,9 +36,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate a scenario and write its trace")
     p_run.add_argument("--config", required=True, help="scenario config (JSON)")
-    p_run.add_argument("--t-max", type=_positive_finite, default=None, help="override run.t_max")
+    p_run.add_argument("--t-max", type=positive_finite, default=None, help="override run.t_max")
     p_run.add_argument(
-        "--grid", type=_positive_finite, default=None, help="override run.output_grid"
+        "--grid", type=positive_finite, default=None, help="override run.output_grid"
     )
     p_run.add_argument("--out", required=True, help="output directory for the trace")
 
@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="cross-check closed-form occupancies against the frame-level replay"
     )
     p_verify.add_argument("--config", required=True)
-    p_verify.add_argument("--t-max", type=_positive_finite, default=None)
+    p_verify.add_argument("--t-max", type=positive_finite, default=None)
 
     p_sum = sub.add_parser("summarize", help="print headline statistics of a written trace")
     p_sum.add_argument("--trace", required=True, help="trace directory")

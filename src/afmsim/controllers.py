@@ -11,6 +11,7 @@ admissible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -92,7 +93,14 @@ def is_admissible(
     Conservative: a True verdict guarantees every reachable correction keeps
     omega above omega_min; False only means the bound cannot be shown from
     the declaration alone (the engine still enforces it at every step).
+    A non-finite gain, setpoint or clamp bound is never admissible.
     """
+    numbers = {"k_p": spec.k_p, "beta_ref": spec.beta_ref}
+    if spec.clamp is not None:
+        numbers["clamp lower bound"], numbers["clamp upper bound"] = spec.clamp
+    for name, value in numbers.items():
+        if not math.isfinite(value):
+            return AdmissibilityCheck(False, f"{name} {value!r} is not finite")
     if spec.clamp is not None:
         lo, hi = spec.clamp
         if lo > hi:

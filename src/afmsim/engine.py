@@ -210,18 +210,25 @@ def _step_node(state: SystemState, i: int) -> SampleRecord:
     phase_s = traj.eval(s)  # knot lookup: exactly theta0 + k*p + d
     t_sample = traj.inverse(phase_s - par.d)
     y = measure(state, i, t_sample)
-    correction = state.controllers[i].update(y)
-    frequency = correction + par.omega_u[i - 1]
-    if frequency <= par.omega_min:
-        raise AdmissibilityError(
-            f"admissibility violated at node {i} step {k}: correction {correction!r}"
-            f" + omega_u {par.omega_u[i - 1]!r} = {frequency!r}"
-            f" <= omega_min {par.omega_min!r}",
-            node=i,
-            step=k,
-            frequency=frequency,
-        )
-    traj.append(s + par.p / frequency, phase_s + par.p)
+    # A step that raises leaves the state as it found it, controller included.
+    controller = state.controllers[i]
+    saved = controller.state
+    try:
+        correction = controller.update(y)
+        frequency = correction + par.omega_u[i - 1]
+        if not frequency > par.omega_min:  # a NaN frequency fails too
+            raise AdmissibilityError(
+                f"admissibility violated at node {i} step {k}: correction {correction!r}"
+                f" + omega_u {par.omega_u[i - 1]!r} = {frequency!r}"
+                f" <= omega_min {par.omega_min!r}",
+                node=i,
+                step=k,
+                frequency=frequency,
+            )
+        traj.append(s + par.p / frequency, phase_s + par.p)
+    except Exception:
+        controller.state = saved
+        raise
     state.steps[i] = k + 1
     record = SampleRecord(
         node=i,

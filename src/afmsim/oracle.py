@@ -194,13 +194,11 @@ def compare(
     result: ReplayResult,
     trace: Trace,
     scenario: Scenario,
-    trajectories: dict[int, ClockTrajectory] | None = None,
+    trajectories: dict[int, ClockTrajectory],
 ) -> list[Mismatch]:
     """Frame-level occupancies vs closed-form occupancies at every controller
     sample time, every link. Empty list means exact agreement."""
     topo = scenario.topology
-    if trajectories is None:
-        trajectories = rebuild_trajectories(trace, scenario)
     lam = engine.compute_lambdas(scenario, trajectories)
     link_list = topo.directed_links()
     mismatches: list[Mismatch] = []

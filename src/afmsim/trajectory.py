@@ -37,13 +37,13 @@ class AdmissibilityError(RuntimeError):
 class ClockTrajectory:
     """Clock phase as a piecewise-linear, strictly increasing function of time.
 
-    Knot times and phases are kept in parallel sorted lists. Lookups keep a
-    cursor hint so the near-sequential access pattern of the simulation loop
-    costs O(1) amortized; cold lookups fall back to binary search.
-    Evaluation at a knot returns the stored knot value exactly.
+    Knot times and phases are kept in parallel sorted lists. A lookup is one
+    binary search over the knots and writes nothing, so every read is a pure
+    function of the knots. Evaluation at a knot returns the stored knot value
+    exactly.
     """
 
-    __slots__ = ("times", "phases", "min_slope", "_hint")
+    __slots__ = ("times", "phases", "min_slope")
 
     def __init__(self, knots: Iterable[tuple[float, float]], min_slope: float = 0.0):
         times: list[float] = []
@@ -67,7 +67,6 @@ class ClockTrajectory:
         self.times = times
         self.phases = phases
         self.min_slope = min_slope
-        self._hint = 0
 
     @classmethod
     def from_initial_conditions(
@@ -96,50 +95,28 @@ class ClockTrajectory:
 
     # -- lookups -----------------------------------------------------------
 
-    def _segment(self, xs: list[float], x: float) -> int:
-        n = len(xs)
-        i = self._hint
-        if i > n - 2:
-            i = n - 2
-        if not (xs[i] <= x <= xs[i + 1]):
-            i = bisect_right(xs, x) - 1
-            if i > n - 2:
-                i = n - 2
-            elif i < 0:
-                i = 0
-        self._hint = i
-        return i
-
     def eval(self, t: float) -> float:
         """Phase at wall time ``t`` by linear interpolation between knots."""
         times = self.times
-        if t < times[0] or t > times[-1]:
+        if not times[0] <= t <= times[-1]:
             raise DomainError(f"time {t!r} outside domain [{times[0]!r}, {times[-1]!r}]")
         phases = self.phases
-        if len(times) == 1:
-            return phases[0]
-        i = self._segment(times, t)
+        i = bisect_right(times, t) - 1
         if t == times[i]:
             return phases[i]
-        if t == times[i + 1]:
-            return phases[i + 1]
         return phases[i] + (t - times[i]) * (phases[i + 1] - phases[i]) / (times[i + 1] - times[i])
 
     def inverse(self, phase: float) -> float:
         """The unique wall time at which the clock shows ``phase``."""
         phases = self.phases
-        if phase < phases[0] or phase > phases[-1]:
+        if not phases[0] <= phase <= phases[-1]:
             raise DomainError(
                 f"phase {phase!r} outside range [{phases[0]!r}, {phases[-1]!r}]"
             )
         times = self.times
-        if len(times) == 1:
-            return times[0]
-        i = self._segment(phases, phase)
+        i = bisect_right(phases, phase) - 1
         if phase == phases[i]:
             return times[i]
-        if phase == phases[i + 1]:
-            return times[i + 1]
         return times[i] + (phase - phases[i]) * (times[i + 1] - times[i]) / (phases[i + 1] - phases[i])
 
     def slope_at(self, t: float) -> float:
@@ -181,9 +158,6 @@ class ClockTrajectory:
         """Latest wall time at which the trajectory is defined."""
         return self.times[-1]
 
-    def min_dom(self) -> float:
-        return self.times[0]
-
     def knots(self) -> list[tuple[float, float]]:
         return list(zip(self.times, self.phases))
 
@@ -192,9 +166,6 @@ class ClockTrajectory:
         times, phases = self.times, self.phases
         for i in range(len(times) - 1):
             yield times[i], phases[i], times[i + 1], phases[i + 1]
-
-    def __len__(self) -> int:
-        return len(self.times)
 
     def __repr__(self) -> str:
         return (

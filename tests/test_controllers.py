@@ -1,5 +1,7 @@
 """Controller behavior and admissibility checks."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -153,3 +155,24 @@ def test_beta_ref_lower_bound_checked():
 def test_empty_clamp_interval_rejected():
     verdict = is_admissible(ControllerSpec(kind="zero", clamp=(0.5, -0.5)), (1.0,), 0.1)
     assert not verdict.ok
+
+
+@pytest.mark.parametrize(
+    "changes, field",
+    [
+        ({"k_p": math.nan}, "k_p"),
+        ({"k_p": math.inf}, "k_p"),
+        ({"beta_ref": math.nan}, "beta_ref"),
+        ({"clamp": (math.nan, 0.5)}, "clamp lower bound"),
+        ({"clamp": (-0.5, math.inf)}, "clamp upper bound"),
+        ({"clamp": (-math.inf, 0.5)}, "clamp lower bound"),
+    ],
+    ids=[
+        "k_p-nan", "k_p-inf", "beta_ref-nan", "clamp-lo-nan", "clamp-hi-inf", "clamp-lo-minus-inf"
+    ],
+)
+def test_non_finite_spec_rejected_naming_the_field(changes, field):
+    spec = ControllerSpec(**{"kind": "proportional", "k_p": 0.01, **changes})
+    verdict = is_admissible(spec, (1.1, 1.4, 2.0), 0.1)
+    assert not verdict.ok
+    assert verdict.witness.startswith(f"{field} ") and "not finite" in verdict.witness

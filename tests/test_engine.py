@@ -1,6 +1,8 @@
 """Engine tests: frame counters, initialization, the loop, and its invariants."""
 
+import copy
 import dataclasses
+import math
 import random
 
 import pytest
@@ -109,8 +111,8 @@ def test_initial_conditions_shape(triangle_cfg):
     state = init_state(sc, make_controllers(triangle_cfg.controller, 3))
     for i in (1, 2, 3):
         traj = state.trajectories[i]
-        assert len(traj) == 3
-        assert traj.min_dom() == sc.params.epoch
+        assert len(traj.times) == 3
+        assert traj.times[0] == sc.params.epoch
         assert traj.eval(0.0) == sc.params.theta0[i - 1]
         w1 = sc.params.omega_init1[i - 1]
         assert traj.max_dom() == sc.params.d / w1
@@ -201,6 +203,29 @@ def test_admissibility_halt_on_first_violating_step():
     assert err.value.step == 0
     assert err.value.node is not None
     assert err.value.frequency == pytest.approx(-0.9)
+
+
+@pytest.mark.parametrize(
+    "output, error",
+    [(-5.0, AdmissibilityError), (math.nan, AdmissibilityError), (1e300, ValueError)],
+    ids=["below-floor", "nan", "knot-time-stalls"],
+)
+def test_halted_step_leaves_controllers_unchanged(triangle_cfg, output, error):
+    # A counting controller; its correction either sinks the frequency to or
+    # below omega_min, or is so large that the next knot time does not advance.
+    spec = ControllerSpec(
+        kind="custom",
+        init_state=0,
+        state_fn=lambda count, y: count + 1,
+        output_fn=lambda count, y: output,
+    )
+    sc = triangle_cfg.scenario
+    state = init_state(sc, make_controllers(spec, sc.topology.n_nodes))  # unvetted
+    with pytest.raises(error):
+        step(state)
+    assert {i: c.state for i, c in state.controllers.items()} == {1: 0, 2: 0, 3: 0}
+    assert state.steps == {1: 0, 2: 0, 3: 0}
+    assert state.samples == []
 
 
 def test_static_admissibility_check_blocks_run():
@@ -303,7 +328,10 @@ def _snapshot(state):
     ]
     return (
         state.scenario,
-        {i: traj.knots() for i, traj in state.trajectories.items()},
+        {
+            i: [copy.copy(getattr(traj, name)) for name in ClockTrajectory.__slots__]
+            for i, traj in state.trajectories.items()
+        },
         {i: (c.spec, c.state) for i, c in state.controllers.items()},
         dict(state.lam),
         dict(state.steps),

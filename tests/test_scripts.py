@@ -1,9 +1,12 @@
-"""Smoke tests: each script under ``scripts/`` runs end to end on a short horizon."""
+"""Each script under ``scripts/`` runs end to end on a short horizon and turns
+bad arguments into a usage error."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -22,14 +25,6 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_run_triangle(tmp_path):
-    out = tmp_path / "triangle3"
-    proc = run_script("run_triangle.py", "--t-max", "20", "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0].startswith("fingerprint ")
-    assert (out / "events.csv").exists() and (out / "plot_trace.py").exists()
-
-
 def test_gain_sweep():
     proc = run_script("gain_sweep.py", "--t-max", "20")
     assert proc.returncode == 0, proc.stderr
@@ -38,3 +33,15 @@ def test_gain_sweep():
         "k_p", "spread", "spread", "%", "mean", "omega", "beta", "range", "fatal"
     ]
     assert len(lines) == 1 + 6  # one row per default gain
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("--t-max", "nan"), ("--t-max", "-5"), ("--gains", "-1"), ("--gains", "nan")],
+    ids=["t-max-nan", "t-max-negative", "gain-negative", "gain-nan"],
+)
+def test_gain_sweep_bad_arguments_exit_two(args):
+    proc = run_script("gain_sweep.py", "--t-max", "20", *args)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
