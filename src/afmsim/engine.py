@@ -12,13 +12,15 @@ path; this is what makes beta(0) == beta0 and the cross-checks integer-exact.
 
 The loop always extends the trajectory whose domain ends earliest: sample at
 the phase ``k*p`` ticks past theta0, apply the correction ``d`` ticks later,
-append one knot per step. Ties go to the smallest node id; the solution is
-unique, so the choice cannot matter, and a test that breaks ties the other
-way shows it.
+append one knot per step. A binary heap keyed on ``(max_dom, id)`` picks that
+trajectory in O(log N) per step. Ties go to the smallest node id; the solution
+is unique, so the choice cannot matter, and a test that relabels the nodes in
+reverse order (so ties fall the other way) shows it.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -109,6 +111,8 @@ class SystemState:
 
     ``incoming[i]`` holds ``(j, lam, latency, gearbox)`` for every link
     (j, i) into node i, in ascending ``j``; it is fixed at ``init_state``.
+    ``queue`` is a binary heap with one ``(max_dom, i)`` entry per node; the
+    trajectories grow only through ``step``, which keeps it in sync.
     """
 
     scenario: Scenario
@@ -117,6 +121,7 @@ class SystemState:
     lam: dict[tuple[int, int], int]
     steps: dict[int, int]
     incoming: dict[int, tuple[tuple[int, int, float, Gearbox], ...]]
+    queue: list[tuple[float, int]]
     samples: list[SampleRecord] = field(default_factory=list)
 
 
@@ -173,13 +178,16 @@ def init_state(scenario: Scenario, controllers: list[Controller]) -> SystemState
         lam=lam,
         steps={i: 0 for i in topo.nodes()},
         incoming={i: tuple(links) for i, links in incoming.items()},
+        queue=sorted((traj.max_dom(), i) for i, traj in trajectories.items()),
     )
 
 
 def select_node(state: SystemState) -> int:
-    """The node whose trajectory ends earliest; ties go to the smallest id."""
-    trajectories = state.trajectories
-    return min(trajectories, key=lambda i: (trajectories[i].max_dom(), i))
+    """The node whose trajectory ends earliest; ties go to the smallest id.
+
+    The top of the ``(max_dom, id)`` heap, so a pure O(1) read.
+    """
+    return state.queue[0][1]
 
 
 def measure(state: SystemState, i: int, t: float) -> tuple[tuple[int, int], ...]:
@@ -198,11 +206,8 @@ def measure(state: SystemState, i: int, t: float) -> tuple[tuple[int, int], ...]
 
 
 def step(state: SystemState) -> SampleRecord:
-    """One loop iteration: pick the least-advanced node and extend it."""
-    return _step_node(state, select_node(state))
-
-
-def _step_node(state: SystemState, i: int) -> SampleRecord:
+    """One loop iteration: extend the least-advanced node by one knot."""
+    i = select_node(state)
     par = state.scenario.params
     traj = state.trajectories[i]
     k = state.steps[i]
@@ -229,6 +234,7 @@ def _step_node(state: SystemState, i: int) -> SampleRecord:
     except Exception:
         controller.state = saved
         raise
+    heapq.heapreplace(state.queue, (traj.times[-1], i))
     state.steps[i] = k + 1
     record = SampleRecord(
         node=i,
@@ -368,9 +374,6 @@ def simulate(
     if not verdict.ok:
         raise AdmissibilityError(f"controller rejected: {verdict.witness}")
     state = init_state(scenario, make_controllers(controller, scenario.topology.n_nodes))
-    while True:
-        i = select_node(state)
-        if state.trajectories[i].max_dom() >= t_max:
-            break
-        _step_node(state, i)
+    while state.queue[0][0] < t_max:
+        step(state)
     return build_trace(state, t_max, grid_dt)

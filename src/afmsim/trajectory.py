@@ -53,14 +53,15 @@ class ClockTrajectory:
             phases.append(float(ph))
         if not times:
             raise ValueError("a trajectory needs at least one knot")
+        # Every check is a negated ``>`` so that a NaN fails it.
         for i in range(len(times) - 1):
             dt = times[i + 1] - times[i]
             dph = phases[i + 1] - phases[i]
-            if dt <= 0.0:
+            if not dt > 0.0:
                 raise ValueError(f"knot times must be strictly increasing (index {i + 1})")
-            if dph <= 0.0:
+            if not dph > 0.0:
                 raise ValueError(f"knot phases must be strictly increasing (index {i + 1})")
-            if dph / dt <= min_slope:
+            if not dph / dt > min_slope:
                 raise AdmissibilityError(
                     f"segment slope {dph / dt!r} is not above the minimum {min_slope!r}"
                 )
@@ -122,7 +123,7 @@ class ClockTrajectory:
     def slope_at(self, t: float) -> float:
         """Instantaneous frequency at ``t``, right-continuous at knots."""
         times = self.times
-        if t < times[0] or t > times[-1]:
+        if not times[0] <= t <= times[-1]:
             raise DomainError(f"time {t!r} outside domain [{times[0]!r}, {times[-1]!r}]")
         if len(times) == 1:
             raise DomainError("slope undefined for a single-knot trajectory")
@@ -136,15 +137,15 @@ class ClockTrajectory:
 
     def append(self, t_next: float, phase_next: float) -> None:
         """Add a knot at the end; rejects non-monotone input and slopes at or
-        below the minimum."""
+        below the minimum; a NaN fails every check."""
         last_t = self.times[-1]
         last_ph = self.phases[-1]
-        if t_next <= last_t:
+        if not t_next > last_t:
             raise ValueError(f"new knot time {t_next!r} must exceed {last_t!r}")
-        if phase_next <= last_ph:
+        if not phase_next > last_ph:
             raise ValueError(f"new knot phase {phase_next!r} must exceed {last_ph!r}")
         slope = (phase_next - last_ph) / (t_next - last_t)
-        if slope <= self.min_slope:
+        if not slope > self.min_slope:
             raise AdmissibilityError(
                 f"appended slope {slope!r} is not above the minimum {self.min_slope!r}",
                 frequency=slope,

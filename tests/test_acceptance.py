@@ -4,13 +4,11 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 The randomized scenarios are seeded, so a green suite stays green.
 """
 
-import dataclasses
 import random
 import time
 
 import pytest
 
-from afmsim import engine
 from afmsim.cli import main as cli_main
 from afmsim.controllers import ControllerSpec, is_admissible, make_controllers
 from afmsim.engine import (
@@ -24,8 +22,9 @@ from afmsim.engine import (
 )
 from afmsim.oracle import rebuild_trajectories, verify_scenario
 from afmsim.scenarios import gearbox_pair, random_scenario, triangle3
-from afmsim.topology import SystemParams, Topology, validate
 from afmsim.trajectory import AdmissibilityError
+
+from conftest import relabeled, tied_triangle
 
 SEED = 20260808
 RANDOM_SCENARIOS = 20
@@ -112,79 +111,37 @@ def test_criterion_3_lambda_invariance(scenario_set, equivalence_reports):
     verdict(3, True, f"lambda recomputation exact at {checked} random times")
 
 
-def _relabeled(cfg, perm: dict[int, int]):
-    sc = cfg.scenario
-    n = sc.topology.n_nodes
-    inv = {v: k for k, v in perm.items()}
-    links = {(perm[a], perm[b]): lk for (a, b), lk in sc.topology.links.items()}
-    beta0 = {(perm[a], perm[b]): v for (a, b), v in sc.params.beta0.items()}
-    re_tuple = lambda tup: tuple(tup[inv[j] - 1] for j in range(1, n + 1))
-    return validate(
-        Topology(n_nodes=n, links=links, buffer_capacity=sc.topology.buffer_capacity),
-        SystemParams(
-            p=sc.params.p,
-            d=sc.params.d,
-            omega_min=sc.params.omega_min,
-            epoch=sc.params.epoch,
-            theta0=re_tuple(sc.params.theta0),
-            omega_u=re_tuple(sc.params.omega_u),
-            omega_init1=re_tuple(sc.params.omega_init1),
-            omega_init2=re_tuple(sc.params.omega_init2),
-            beta0=beta0,
-        ),
-    )
-
-
-def _max_id_selector():
-    """``select_node`` with ties sent to the largest id; counts the tied steps."""
-    ties = []
-
-    def select(state):
-        ends = {i: traj.max_dom() for i, traj in state.trajectories.items()}
-        earliest = min(ends.values())
-        tied = [i for i, end in ends.items() if end == earliest]
-        ties.append(len(tied) > 1)
-        return max(tied)
-
-    return select, ties
-
-
-def test_criterion_4_order_independence(monkeypatch):
-    # Nodes 1 and 2 run at the same free-running frequency, so their
-    # trajectories end together on many steps and the tie rule decides.
-    omega = (1.4, 1.4, 2.0)
-    base_cfg = triangle3()
-    params = dataclasses.replace(
-        base_cfg.scenario.params, omega_u=omega, omega_init1=omega, omega_init2=omega
-    )
-    cfg = dataclasses.replace(
-        base_cfg, scenario=validate(base_cfg.scenario.topology, params)
-    )
+def test_criterion_4_order_independence():
+    cfg = tied_triangle()
     t_run = 200.0
     base = simulate(cfg.scenario, cfg.controller, t_run)
-    with monkeypatch.context() as patch:
-        select, ties = _max_id_selector()
-        patch.setattr(engine, "select_node", select)
-        alt = simulate(cfg.scenario, cfg.controller, t_run)
-    assert sum(ties) > 0
-    assert [r.node for r in base.samples] != [r.node for r in alt.samples]
-    assert base.knots == alt.knots
-    rng = random.Random(SEED + 3)
     ids = [1, 2, 3]
+    # Ties go to the smallest id; on reversed labels that is the largest
+    # original id, so this run breaks every tie the other way.
+    rev = {i: len(ids) + 1 - i for i in ids}
+    alt = simulate(relabeled(cfg.scenario, rev), cfg.controller, t_run)
+    tied_at = {}
+    for rec in base.samples:
+        tied_at.setdefault(rec.t_apply, set()).add(rec.node)
+    ties = sum(len(nodes) > 1 for nodes in tied_at.values())
+    assert ties > 0
+    assert [r.node for r in base.samples] != [rev[r.node] for r in alt.samples]
+    assert base.knots == {i: alt.knots[rev[i]] for i in ids}
+    rng = random.Random(SEED + 3)
     shuffled = ids[:]
     rng.shuffle(shuffled)
     perm = dict(zip(ids, shuffled))
-    relabeled = simulate(_relabeled(cfg, perm), cfg.controller, t_run)
+    shuffled_run = simulate(relabeled(cfg.scenario, perm), cfg.controller, t_run)
     worst = 0.0
     for i in ids:
-        for other_knots in (alt.knots[i], relabeled.knots[perm[i]]):
-            assert len(base.knots[i]) == len(other_knots)
-            for (t1, p1), (t2, p2) in zip(base.knots[i], other_knots):
-                worst = max(worst, abs(t1 - t2), abs(p1 - p2))
+        other_knots = shuffled_run.knots[perm[i]]
+        assert len(base.knots[i]) == len(other_knots)
+        for (t1, p1), (t2, p2) in zip(base.knots[i], other_knots):
+            worst = max(worst, abs(t1 - t2), abs(p1 - p2))
     verdict(
         4,
         worst <= 1e-9,
-        f"min/max tie-break ({sum(ties)} of {len(ties)} selections tied) and "
+        f"ties broken both ways ({ties} tied steps of {len(base.samples)}) and "
         f"relabeling {perm} give identical knots (worst delta {worst:.2e})",
     )
 

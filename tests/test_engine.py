@@ -7,7 +7,6 @@ import random
 
 import pytest
 
-from afmsim import engine
 from afmsim.controllers import ControllerSpec, make_controllers
 from afmsim.scenarios import gearbox_pair, random_scenario, triangle3
 from afmsim.engine import (
@@ -25,7 +24,7 @@ from afmsim.engine import (
 )
 from afmsim.trajectory import AdmissibilityError, ClockTrajectory, DomainError
 
-from conftest import two_node_scenario
+from conftest import relabeled, tied_triangle, two_node_scenario
 
 
 def line(slope, intercept, t_lo=-30.0, t_hi=30.0):
@@ -221,8 +220,10 @@ def test_halted_step_leaves_controllers_unchanged(triangle_cfg, output, error):
     )
     sc = triangle_cfg.scenario
     state = init_state(sc, make_controllers(spec, sc.topology.n_nodes))  # unvetted
+    queue = list(state.queue)
     with pytest.raises(error):
         step(state)
+    assert state.queue == queue
     assert {i: c.state for i, c in state.controllers.items()} == {1: 0, 2: 0, 3: 0}
     assert state.steps == {1: 0, 2: 0, 3: 0}
     assert state.samples == []
@@ -324,7 +325,8 @@ def test_overflow_recorded_with_bounded_capacity(zero_spec):
 def _snapshot(state):
     """Every ``SystemState`` field as a detached, comparable value."""
     assert [f.name for f in dataclasses.fields(state)] == [
-        "scenario", "trajectories", "controllers", "lam", "steps", "incoming", "samples"
+        "scenario", "trajectories", "controllers", "lam", "steps", "incoming", "queue",
+        "samples",
     ]
     return (
         state.scenario,
@@ -336,6 +338,7 @@ def _snapshot(state):
         dict(state.lam),
         dict(state.steps),
         dict(state.incoming),
+        list(state.queue),
         list(state.samples),
     )
 
@@ -352,16 +355,32 @@ def test_build_trace_leaves_state_unchanged(zero_spec):
     assert _snapshot(state) == before
 
 
-def test_tie_break_rules_agree(triangle_cfg, monkeypatch):
-    a = simulate(triangle_cfg.scenario, triangle_cfg.controller, 60.0)
+def test_tie_break_rules_agree(triangle_cfg):
+    # Smallest id first on reversed labels is largest id first on the originals.
+    sc = triangle_cfg.scenario
+    rev = {1: 3, 2: 2, 3: 1}
+    a = simulate(sc, triangle_cfg.controller, 60.0)
+    b = simulate(relabeled(sc, rev), triangle_cfg.controller, 60.0)
+    assert a.knots == {i: b.knots[rev[i]] for i in (1, 2, 3)}
 
-    def select_max_id(state):
-        ends = {i: traj.max_dom() for i, traj in state.trajectories.items()}
-        return max(i for i, end in ends.items() if end == min(ends.values()))
 
-    monkeypatch.setattr(engine, "select_node", select_max_id)
-    b = simulate(triangle_cfg.scenario, triangle_cfg.controller, 60.0)
-    assert a.knots == b.knots
+@pytest.mark.parametrize(
+    "make_cfg",
+    [tied_triangle, gearbox_pair]
+    + [lambda seed=seed: random_scenario(random.Random(seed)) for seed in (1, 2, 3)],
+    ids=["tied_triangle", "gearbox_pair", "random1", "random2", "random3"],
+)
+def test_queue_tracks_trajectory_ends(make_cfg):
+    cfg = make_cfg()
+    state = init_state(cfg.scenario, make_controllers(cfg.controller, cfg.scenario.topology.n_nodes))
+    trajectories = state.trajectories
+    for _ in range(300):
+        step(state)
+        queue = state.queue
+        assert all(queue[(k - 1) // 2] <= queue[k] for k in range(1, len(queue)))
+        assert sorted(queue) == sorted((traj.max_dom(), i) for i, traj in trajectories.items())
+        # The reference rule the heap replaces: a scan over every node.
+        assert select_node(state) == min(trajectories, key=lambda i: (trajectories[i].max_dom(), i))
 
 
 def test_omega_series_right_continuous(triangle_cfg):

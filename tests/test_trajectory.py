@@ -58,6 +58,13 @@ def test_eval_out_of_domain():
         traj.eval(math.nan)
 
 
+def test_slope_at_out_of_domain():
+    traj = make([(0, 0), (1, 1), (2, 3)])
+    for t in (-0.001, 2.001, math.nan):
+        with pytest.raises(DomainError):
+            traj.slope_at(t)
+
+
 def test_eval_at_every_knot_is_exact():
     knots = [(0.0, 0.1), (1.7, 3.3), (2.9, 7.123), (10.0, 22.0)]
     traj = make(knots)
@@ -118,6 +125,11 @@ def test_append_rejects_nonincreasing():
         traj.append(1.0, 2.0)
     with pytest.raises(ValueError):
         traj.append(2.0, 1.0)
+    with pytest.raises(ValueError):
+        traj.append(math.nan, 2.0)
+    with pytest.raises(ValueError):
+        traj.append(2.0, math.nan)
+    assert traj.knots() == [(0.0, 0.0), (1.0, 1.0)]
 
 
 def test_append_prefix_stability():
@@ -148,6 +160,12 @@ def test_constructor_rejects_bad_knots():
         make([(0, 1), (1, 1)])
     with pytest.raises(AdmissibilityError):
         make([(0, 0), (1, 0.3)], min_slope=0.5)
+    with pytest.raises(ValueError):
+        make([(0, 0), (math.nan, 1)])
+    with pytest.raises(ValueError):
+        make([(0, 0), (1, math.nan)])
+    with pytest.raises(ValueError):
+        make([(math.nan, 0), (1, 1)])
 
 
 def test_slope_at_is_right_continuous():
