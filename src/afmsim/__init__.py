@@ -40,7 +40,6 @@ from .engine import (
 )
 from .oracle import (
     Mismatch,
-    OccupancyTrack,
     ReplayResult,
     VerifyReport,
     compare,
@@ -81,7 +80,6 @@ __all__ = [
     "FatalEvent",
     "Link",
     "Mismatch",
-    "OccupancyTrack",
     "ReplayResult",
     "RunSettings",
     "SampleRecord",

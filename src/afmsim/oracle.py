@@ -2,14 +2,17 @@
 
 Every individual frame is tracked through its send, link traversal, and
 consumption, using only the integer crossings of the (gearbox-scaled) clock
-phases. Occupancy comes out as an exact integer step function of wall time,
+phases. Each link keeps three sorted time lists: sends, arrivals (send time
+plus latency) and consumptions. A buffer's occupancy is then a plain count,
+the initial fill plus the arrivals so far minus the consumptions so far,
 built without the closed-form counters, so agreement between the two is a
 real test and not a tautology.
 
 The replay consumes trajectories that the engine already produced; it never
-re-runs control. Boundary conventions: a frame arriving at exactly time t is
-already in the buffer at t, so arrivals apply before consumptions when event
-times tie, and occupancy step functions are right-continuous.
+re-runs control. Tie rule: occupancy at time t counts every arrival and
+every consumption at exactly t, so it is a right-continuous integer step
+function, and a frame that arrives at the same instant as another is
+consumed leaves it unchanged rather than making a one-instant excursion.
 
 This is a test fixture for desk-scale runs, not a performance path.
 """
@@ -18,8 +21,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from itertools import groupby
+from dataclasses import dataclass
 from typing import Iterator
 
 from . import engine
@@ -27,20 +29,6 @@ from .controllers import ControllerSpec
 from .engine import FatalEvent, Trace, scaled_floor
 from .topology import Scenario
 from .trajectory import ClockTrajectory
-
-
-@dataclass
-class OccupancyTrack:
-    """Right-continuous integer step function: value at t includes every
-    event at exactly t."""
-
-    initial: int
-    times: list[float] = field(default_factory=list)
-    values: list[int] = field(default_factory=list)
-
-    def at(self, t: float) -> int:
-        i = bisect_right(self.times, t)
-        return self.initial if i == 0 else self.values[i - 1]
 
 
 def integer_crossings(
@@ -55,45 +43,41 @@ def integer_crossings(
     """
     if phase_hi < phase_lo:
         raise ValueError(f"phase_hi {phase_hi!r} below phase_lo {phase_lo!r}")
-    plain = gearbox == 1
-    if not plain:
-        num, den = gearbox.numerator, gearbox.denominator
+    num, den = gearbox.numerator, gearbox.denominator
     lo_floor = scaled_floor(gearbox, phase_lo)
     hi_floor = scaled_floor(gearbox, phase_hi)
     if hi_floor <= lo_floor:
         return
     for t0, p0, t1, p1 in traj.segments():
-        if plain:
-            sp0, sp1 = p0, p1
-        else:
-            sp0 = p0 * num / den
-            sp1 = p1 * num / den
-        m_start = max(math.floor(sp0), lo_floor) + 1
-        m_end = min(math.floor(sp1), hi_floor)
+        m_start = max(math.floor(p0 * num / den), lo_floor) + 1
+        m_end = min(math.floor(p1 * num / den), hi_floor)
         if m_end < m_start:
             continue
         dt_dp = (t1 - t0) / (p1 - p0)
         for m in range(m_start, m_end + 1):
-            unscaled = float(m) if plain else m * den / num
-            yield t0 + (unscaled - p0) * dt_dp, m
+            yield t0 + (m * den / num - p0) * dt_dp, m
 
 
 @dataclass
 class LinkReplay:
-    """Per-link replay products: the occupancy track plus the raw event times."""
+    """Per-link replay products: the initial fill and the sorted frame times."""
 
-    latency: float
-    track: OccupancyTrack
+    initial: int
     send_times: list[float]  # sends in (0, horizon]
-    send_seqs: list[int]
-    arrival_times: list[float]  # includes frames already in flight at time zero
-    arrival_seqs: list[int]
+    # Arrivals of the frames in flight at time zero, then of every send, so
+    # the list runs past the horizon by up to one latency.
+    arrival_times: list[float]
     consume_times: list[float]
 
-    def in_flight(self, t: float) -> int:
-        """Frames on the link at time t, counted from arrival bookkeeping."""
-        return bisect_right(self.arrival_times, t + self.latency) - bisect_right(
-            self.arrival_times, t
+    def occupancy(self, t: float) -> int:
+        """Frames in the buffer at time t, counting every event at exactly t.
+
+        Meaningful up to the replay horizon: consumptions past it are not
+        replayed."""
+        return (
+            self.initial
+            + bisect_right(self.arrival_times, t)
+            - bisect_right(self.consume_times, t)
         )
 
 
@@ -114,9 +98,13 @@ def replay(
     Calibration anchors at time zero: each buffer starts at its configured
     initial occupancy, and the frames already in flight are exactly the sends
     of the preceding latency window.
+
+    Occupancy falls only at a consumption and rises only at an arrival, and
+    the initial fill lies within the bounds, so the first underflow is at the
+    first consumption that leaves it negative, and the first overflow at the
+    first arrival up to ``horizon`` that leaves it above capacity.
     """
     topo = scenario.topology
-    par = scenario.params
     cover = min(trajectories[i].max_dom() for i in topo.nodes())
     if horizon > cover:
         raise ValueError(f"horizon {horizon!r} beyond trajectory coverage {cover!r}")
@@ -131,45 +119,30 @@ def replay(
         th_a = trajectories[a]
         th_b = trajectories[b]
         # Frames in flight at time zero: sent in (-latency, 0], arriving in (0, latency].
-        preflight = list(integer_crossings(th_a, g, th_a.eval(-lat), th_a.eval(0.0)))
-        sends = list(integer_crossings(th_a, g, th_a.eval(0.0), th_a.eval(horizon)))
-        consumes = list(integer_crossings(th_b, g, th_b.eval(0.0), th_b.eval(horizon)))
-
-        arrival_times = [t + lat for t, _ in preflight] + [t + lat for t, _ in sends]
-        arrival_seqs = [m for _, m in preflight] + [m for _, m in sends]
-
-        merged = sorted(
-            [(t, 0, m) for t, m in zip(arrival_times, arrival_seqs) if t <= horizon]
-            + [(t, 1, m) for t, m in consumes]
+        preflight = integer_crossings(th_a, g, th_a.eval(-lat), th_a.eval(0.0))
+        sends = [t for t, _ in integer_crossings(th_a, g, th_a.eval(0.0), th_a.eval(horizon))]
+        lr = LinkReplay(
+            initial=scenario.params.beta0[(a, b)],
+            send_times=sends,
+            arrival_times=[t + lat for t, _ in preflight] + [t + lat for t in sends],
+            consume_times=[
+                t for t, _ in integer_crossings(th_b, g, th_b.eval(0.0), th_b.eval(horizon))
+            ],
         )
-        occ = par.beta0[(a, b)]
-        times: list[float] = []
-        values: list[int] = []
-        seen_underflow = False
-        seen_overflow = False
-        for t, group in groupby(merged, key=lambda ev: ev[0]):
-            for _, rank, _ in group:
-                occ = occ + 1 if rank == 0 else occ - 1
-            times.append(t)
-            values.append(occ)
-            # Judge bounds on the settled value at each instant: simultaneous
-            # arrive+consume is one frame replacing another, not an excursion.
-            if occ < 0 and not seen_underflow:
+        links[(a, b)] = lr
+        for t in lr.consume_times:
+            occ = lr.occupancy(t)
+            if occ < 0:
                 violations.append(FatalEvent("underflow", (a, b), t, occ))
-                seen_underflow = True
-            elif cap is not None and occ > cap and not seen_overflow:
-                violations.append(FatalEvent("overflow", (a, b), t, occ))
-                seen_overflow = True
-
-        links[(a, b)] = LinkReplay(
-            latency=lat,
-            track=OccupancyTrack(initial=par.beta0[(a, b)], times=times, values=values),
-            send_times=[t for t, _ in sends],
-            send_seqs=[m for _, m in sends],
-            arrival_times=arrival_times,
-            arrival_seqs=arrival_seqs,
-            consume_times=[t for t, _ in consumes],
-        )
+                break
+        if cap is not None:
+            for t in lr.arrival_times:
+                if t > horizon:
+                    break
+                occ = lr.occupancy(t)
+                if occ > cap:
+                    violations.append(FatalEvent("overflow", (a, b), t, occ))
+                    break
     violations.sort(key=lambda ev: (ev.t, ev.link, ev.kind))
     return ReplayResult(links=links, violations=violations, horizon=horizon)
 
@@ -211,7 +184,7 @@ def compare(
             formula = engine.buffer_occupancy(
                 trajectories[a], trajectories[b], lam[(a, b)], link.latency, t, link.gearbox
             )
-            oracle_occ = result.links[(a, b)].track.at(t)
+            oracle_occ = result.links[(a, b)].occupancy(t)
             if oracle_occ != formula:
                 mismatches.append(Mismatch(t, (a, b), oracle_occ, formula))
     mismatches.sort(key=lambda m: (m.t, m.link))

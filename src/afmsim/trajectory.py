@@ -9,6 +9,7 @@ out Zeno behavior in the loop that extends these trajectories.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 
@@ -53,6 +54,8 @@ class ClockTrajectory:
             phases.append(float(ph))
         if not times:
             raise ValueError("a trajectory needs at least one knot")
+        if not all(map(math.isfinite, times)) or not all(map(math.isfinite, phases)):
+            raise ValueError("knot times and phases must be finite")
         # Every check is a negated ``>`` so that a NaN fails it.
         for i in range(len(times) - 1):
             dt = times[i + 1] - times[i]
@@ -136,14 +139,17 @@ class ClockTrajectory:
     # -- growth ------------------------------------------------------------
 
     def append(self, t_next: float, phase_next: float) -> None:
-        """Add a knot at the end; rejects non-monotone input and slopes at or
-        below the minimum; a NaN fails every check."""
+        """Add a knot at the end; rejects non-monotone or non-finite input and
+        slopes at or below the minimum; a NaN fails every check."""
         last_t = self.times[-1]
         last_ph = self.phases[-1]
-        if not t_next > last_t:
-            raise ValueError(f"new knot time {t_next!r} must exceed {last_t!r}")
-        if not phase_next > last_ph:
-            raise ValueError(f"new knot phase {phase_next!r} must exceed {last_ph!r}")
+        # The stored knots are finite, so the lower bounds also reject -inf.
+        if not last_t < t_next < math.inf:
+            raise ValueError(f"new knot time {t_next!r} must be finite and exceed {last_t!r}")
+        if not last_ph < phase_next < math.inf:
+            raise ValueError(
+                f"new knot phase {phase_next!r} must be finite and exceed {last_ph!r}"
+            )
         slope = (phase_next - last_ph) / (t_next - last_t)
         if not slope > self.min_slope:
             raise AdmissibilityError(

@@ -129,6 +129,12 @@ def test_append_rejects_nonincreasing():
         traj.append(math.nan, 2.0)
     with pytest.raises(ValueError):
         traj.append(2.0, math.nan)
+    with pytest.raises(ValueError):
+        traj.append(2.0, math.inf)
+    with pytest.raises(ValueError):
+        traj.append(math.inf, 2.0)
+    with pytest.raises(ValueError):
+        make([(0, 0), (1, 1)], min_slope=-1).append(math.inf, 2.0)
     assert traj.knots() == [(0.0, 0.0), (1.0, 1.0)]
 
 
@@ -166,6 +172,16 @@ def test_constructor_rejects_bad_knots():
         make([(0, 0), (1, math.nan)])
     with pytest.raises(ValueError):
         make([(math.nan, 0), (1, 1)])
+    with pytest.raises(ValueError):
+        ClockTrajectory([(math.nan, 0.0)])
+    with pytest.raises(ValueError):
+        ClockTrajectory([(0.0, math.inf)])
+    with pytest.raises(ValueError):
+        make([(0, 0), (1, math.inf)])
+    with pytest.raises(ValueError):
+        make([(-math.inf, 0.0), (0.0, 1.0)], min_slope=-1)
+    with pytest.raises(ValueError):
+        make([(0.0, -math.inf), (1.0, 0.0)])
 
 
 def test_slope_at_is_right_continuous():
