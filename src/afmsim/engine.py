@@ -6,9 +6,11 @@ Frame counts are pure functions of the clock trajectories. A directed link
     beta_ij(t) = floor(g * theta_i(t - l_ij)) - floor(g * theta_j(t)) + lam_ij
 
 with the conserved integer ``lam_ij`` fixed by the initial conditions. All
-floors go through ``scaled_floor`` so that every consumer (initialization,
-occupancy queries, the frame-level oracle's calibration) shares one rounding
-path; this is what makes beta(0) == beta0 and the cross-checks integer-exact.
+floors go through ``scaled_floor``, or ``scaled_floors`` for a whole list with
+the same expression, so that every consumer (initialization, occupancy
+queries, resampling, the frame-level oracle's calibration and compare) shares
+one rounding path; this is what makes beta(0) == beta0 and the cross-checks
+integer-exact.
 
 The loop always extends the trajectory whose domain ends earliest: sample at
 the phase ``k*p`` ticks past theta0, apply the correction ``d`` ticks later,
@@ -27,7 +29,7 @@ from fractions import Fraction
 
 from .controllers import Controller, ControllerSpec, is_admissible, make_controllers
 from .topology import Scenario
-from .trajectory import AdmissibilityError, ClockTrajectory
+from .trajectory import AdmissibilityError, ClockTrajectory, sweep_eval, sweep_slope
 
 Gearbox = Fraction | int
 
@@ -37,6 +39,16 @@ def scaled_floor(gearbox: Gearbox, phase: float) -> int:
     if gearbox == 1:
         return math.floor(phase)
     return math.floor(phase * gearbox.numerator / gearbox.denominator)
+
+
+def scaled_floors(gearbox: Gearbox, phases: list[float]) -> list[int]:
+    """``[scaled_floor(gearbox, p) for p in phases]``, with the gearbox test
+    and its numerator and denominator read once for the whole list."""
+    if gearbox == 1:
+        return list(map(math.floor, phases))
+    num, den = gearbox.numerator, gearbox.denominator
+    floor = math.floor
+    return [floor(p * num / den) for p in phases]
 
 
 def frames_sent(traj: ClockTrajectory, s: float, t: float, gearbox: Gearbox = 1) -> int:
@@ -308,7 +320,15 @@ def _fatal_events(
 
 def build_trace(state: SystemState, t_max: float, grid_dt: float) -> Trace:
     """Resample the finished state onto the output grid and collect fatal
-    events; reads ``state`` without changing it."""
+    events; reads ``state`` without changing it.
+
+    Each trajectory is swept once over the ascending grid (``sweep_eval``,
+    ``sweep_slope``), and each link's delayed source phases once over the
+    grid shifted by its latency. The phases are floored as whole lists by
+    ``scaled_floors``, one list per (node, gearbox), and beta and gamma are
+    elementwise differences of those integer lists: the same floors as
+    ``buffer_occupancy`` and ``link_occupancy``.
+    """
     topo = state.scenario.topology
     grid: list[float] = []
     k = 0
@@ -319,25 +339,20 @@ def build_trace(state: SystemState, t_max: float, grid_dt: float) -> Trace:
     omega = {}
     for i in topo.nodes():
         traj = state.trajectories[i]
-        theta[i] = [traj.eval(t) for t in grid]
-        omega[i] = [traj.slope_at(t) for t in grid]
+        theta[i] = sweep_eval(traj, grid)
+        omega[i] = sweep_slope(traj, grid)
+    ends = {(i, link.gearbox) for ab, link in topo.links.items() for i in ab}
+    floors = {(i, g): scaled_floors(g, theta[i]) for i, g in ends}
     beta: dict[tuple[int, int], list[int]] = {}
     gamma: dict[tuple[int, int], list[int]] = {}
-    # The same floors as buffer_occupancy and link_occupancy, with the
-    # endpoint phases taken from the theta series above: one eval per point.
     for (a, b) in topo.directed_links():
         link = topo.links[(a, b)]
         g, latency, lam = link.gearbox, link.latency, state.lam[(a, b)]
-        src = state.trajectories[a]
-        bseries = []
-        gseries = []
-        for t, phase_a, phase_b in zip(grid, theta[a], theta[b]):
-            sent = scaled_floor(g, src.eval(t - latency))
-            occ = sent - scaled_floor(g, phase_b) + lam
-            bseries.append(occ)
-            gseries.append(scaled_floor(g, phase_a) - sent)
-        beta[(a, b)] = bseries
-        gamma[(a, b)] = gseries
+        sent = scaled_floors(
+            g, sweep_eval(state.trajectories[a], [t - latency for t in grid])
+        )
+        beta[(a, b)] = [s - c + lam for s, c in zip(sent, floors[(b, g)])]
+        gamma[(a, b)] = [f - s for f, s in zip(floors[(a, g)], sent)]
     return Trace(
         knots={i: state.trajectories[i].knots() for i in topo.nodes()},
         samples=list(state.samples),

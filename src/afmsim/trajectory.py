@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
+from operator import le
 
 
 class DomainError(ValueError):
@@ -179,3 +180,71 @@ class ClockTrajectory:
             f"ClockTrajectory({len(self.times)} knots, "
             f"dom=[{self.times[0]!r}, {self.times[-1]!r}], min_slope={self.min_slope!r})"
         )
+
+
+# -- sweeps ----------------------------------------------------------------
+#
+# A sweep reads a trajectory at many ascending times in one pass over the
+# knots: it bisects only when a time passes the end of the current segment,
+# to find the segment that holds it, instead of once per time. The values
+# are exactly those of ``eval`` and ``slope_at`` (same float expressions,
+# stored knot values at knots, ``DomainError`` out of domain), and nothing is
+# written to the trajectory.
+
+
+def _check_sweep(traj: ClockTrajectory, ts: list[float]) -> None:
+    """Raise unless the non-empty ``ts`` is ascending and inside the domain."""
+    times = traj.times
+    # The pairwise order test fails on a NaN anywhere in ``ts``.
+    if times[0] <= ts[0] and ts[-1] <= times[-1] and all(map(le, ts, ts[1:])):
+        return
+    for t in ts:
+        if not times[0] <= t <= times[-1]:
+            raise DomainError(f"time {t!r} outside domain [{times[0]!r}, {times[-1]!r}]")
+    raise ValueError("sweep times must be in ascending order")
+
+
+def sweep_eval(traj: ClockTrajectory, ts: list[float]) -> list[float]:
+    """``[traj.eval(t) for t in ts]`` for ascending ``ts``, in one pass."""
+    if not ts:
+        return []
+    _check_sweep(traj, ts)
+    times, phases = traj.times, traj.phases
+    last = len(times) - 1
+    out: list[float] = []
+    append = out.append
+    i = 0
+    t1 = times[0]  # end of the current segment; the first time moves past it
+    for t in ts:
+        if t >= t1:
+            i = bisect_right(times, t, i) - 1
+            t0, p0 = times[i], phases[i]
+            if i < last:
+                t1 = times[i + 1]
+                dp, dt = phases[i + 1] - p0, t1 - t0
+            else:  # t is the last knot
+                t1 = math.inf
+        append(p0 if t == t0 else p0 + (t - t0) * dp / dt)
+    return out
+
+
+def sweep_slope(traj: ClockTrajectory, ts: list[float]) -> list[float]:
+    """``[traj.slope_at(t) for t in ts]`` for ascending ``ts``, in one pass."""
+    if not ts:
+        return []
+    _check_sweep(traj, ts)
+    times, phases = traj.times, traj.phases
+    last = len(times) - 2  # index of the last segment
+    if last < 0:
+        raise DomainError("slope undefined for a single-knot trajectory")
+    out: list[float] = []
+    append = out.append
+    i = 0
+    t1 = times[0]
+    for t in ts:
+        if t >= t1:
+            i = min(bisect_right(times, t, i) - 1, last)
+            t1 = times[i + 1] if i < last else math.inf
+            slope = (phases[i + 1] - phases[i]) / (times[i + 1] - times[i])
+        append(slope)
+    return out

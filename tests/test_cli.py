@@ -156,6 +156,28 @@ def test_run_output_digests_pinned(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+def test_geared_run_output_digests_pinned(tmp_path):
+    # triangle3 with gear ratios 3/2, 1/2 and 2/1, so every non-unit floor
+    # branch is in the output; capacity 80 makes link 3->1 overflow at t=24
+    cfg = json.loads(Path(BUNDLED).read_text())
+    cfg["topology"]["buffer_capacity"] = 80
+    e12, e13, _ = cfg["topology"]["edges"]
+    e12["gearbox_ab"] = e12["gearbox_ba"] = [3, 2]
+    e13["gearbox_ab"] = [1, 2]
+    e13["gearbox_ba"] = [2, 1]
+    path = tmp_path / "geared.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "trace"
+    assert main(["run", "--config", str(path), "--t-max", "200", "--out", str(out)]) == 1
+    expected = {
+        "nodes.csv": "811bfeb12510abb265711e5ba25483a91542c325dce7d5602643df32b3753ce4",
+        "buffers.csv": "f0d19b9a0db941c47192aa6f58b9e5d636c2857d3c848c0b8e8f9256212b0c8a",
+        "events.csv": "bdd9003063cd6da30ae0c44fba1a7bba511d680e2c492775289254e0328984b4",
+    }
+    for name, digest in expected.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 @pytest.mark.parametrize("n_nodes", [0, -2])
 def test_nonpositive_node_count_exits_two(tmp_path, capsys, n_nodes):
     cfg = {

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,8 @@ from afmsim.engine import (
     init_state,
     link_occupancy,
     measure,
+    scaled_floor,
+    scaled_floors,
     select_node,
     simulate,
     step,
@@ -32,6 +35,23 @@ def line(slope, intercept, t_lo=-30.0, t_hi=30.0):
     return ClockTrajectory(
         [(t_lo, intercept + slope * t_lo), (t_hi, intercept + slope * t_hi)]
     )
+
+
+# -- floors --------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "gearbox", [1, Fraction(2), Fraction(3, 2), Fraction(1, 2), Fraction(2, 3), Fraction(7, 5)]
+)
+def test_scaled_floors_agree_with_scaled_floor(gearbox):
+    rng = random.Random(3)
+    phases = [-7.0, -2.5, -1.0, -0.0, 0.0, 1.0, 3.0, 2.0 / 3.0, 4.0 / 3.0, 1e15 + 1.0]
+    for m in range(-12, 13):
+        # integers and one step either side, unscaled and scaled back
+        for x in (float(m), m * gearbox.denominator / gearbox.numerator):
+            phases += [math.nextafter(x, -math.inf), float(x), math.nextafter(x, math.inf)]
+    phases += [rng.uniform(-100.0, 100.0) for _ in range(500)]
+    assert scaled_floors(gearbox, phases) == [scaled_floor(gearbox, p) for p in phases]
+    assert scaled_floors(gearbox, []) == []
 
 
 # -- frame counters ------------------------------------------------------------
@@ -282,8 +302,6 @@ def test_conservation_and_lambda_invariance_at_random_times(triangle_cfg):
     while min(t.max_dom() for t in state.trajectories.values()) < 120.0:
         step(state)
     rng = random.Random(99)
-    from afmsim.engine import scaled_floor
-
     for (a, b) in sc.topology.edges():
         lat_ab = sc.topology.links[(a, b)].latency
         lat_ba = sc.topology.links[(b, a)].latency

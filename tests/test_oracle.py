@@ -1,27 +1,36 @@
 """Frame-level replay tests: the oracle against hand counts and the engine."""
 
+import dataclasses
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from afmsim.controllers import ControllerSpec, make_controllers
-from afmsim.engine import buffer_occupancy, frames_received, init_state, simulate, step
+from afmsim.engine import (
+    buffer_occupancy,
+    compute_lambdas,
+    frames_received,
+    init_state,
+    simulate,
+    step,
+)
 from afmsim.oracle import (
+    Mismatch,
     compare,
     integer_crossings,
     rebuild_trajectories,
     replay,
     verify_scenario,
 )
-from afmsim.scenarios import gearbox_pair, triangle3
+from afmsim.scenarios import gearbox_pair, random_scenario, triangle3
 from afmsim.topology import Link, SystemParams, Topology, validate
 from afmsim.trajectory import ClockTrajectory
 
-from conftest import two_node_scenario
+from conftest import tied_triangle, two_node_scenario
 
 
 def in_flight(lr, t, lat):
@@ -228,6 +237,112 @@ def test_compare_flags_injected_disagreement():
     assert first.link == (1, 2)
     assert first.oracle == first.formula + 1
     assert mismatches == sorted(mismatches, key=lambda m: (m.t, m.link))
+
+
+def reference_compare(result, trace, scenario, trajectories):
+    """The per-sample form of ``compare``: ``buffer_occupancy`` and
+    ``LinkReplay.occupancy`` at each sample time and link, one at a time."""
+    topo = scenario.topology
+    lam = compute_lambdas(scenario, trajectories)
+    mismatches = []
+    for rec in trace.samples:
+        t = rec.t_sample
+        if t > result.horizon:
+            continue
+        for (a, b) in topo.directed_links():
+            link = topo.links[(a, b)]
+            formula = buffer_occupancy(
+                trajectories[a], trajectories[b], lam[(a, b)], link.latency, t, link.gearbox
+            )
+            oracle_occ = result.links[(a, b)].occupancy(t)
+            if oracle_occ != formula:
+                mismatches.append(Mismatch(t, (a, b), oracle_occ, formula))
+    mismatches.sort(key=lambda m: (m.t, m.link))
+    return mismatches
+
+
+def both_compares(scenario, controller, t_max, tamper=None):
+    """``compare`` and ``reference_compare`` on one run; ``tamper(result,
+    trace)`` may edit the replay first."""
+    trace = simulate(scenario, controller, t_max)
+    trajs = rebuild_trajectories(trace, scenario)
+    horizon = min(t.max_dom() for t in trajs.values())
+    result = replay(trajs, scenario, horizon)
+    if tamper is not None:
+        tamper(result, trace)
+    return (
+        compare(result, trace, scenario, trajs),
+        reference_compare(result, trace, scenario, trajs),
+    )
+
+
+def geared_triangle():
+    """``triangle3`` with edge 1--2 geared 3/2 both ways and edge 1--3 geared
+    1/2 forward and 2/1 back."""
+    sc = triangle3().scenario
+    gears = {
+        (1, 2): Fraction(3, 2),
+        (2, 1): Fraction(3, 2),
+        (1, 3): Fraction(1, 2),
+        (3, 1): Fraction(2),
+    }
+    links = {
+        ab: dataclasses.replace(lk, gearbox=gears.get(ab, lk.gearbox))
+        for ab, lk in sc.topology.links.items()
+    }
+    return validate(dataclasses.replace(sc.topology, links=links), sc.params)
+
+
+@pytest.mark.parametrize("k_p", [0.01, 0.001])
+def test_compare_equals_per_sample_reference(k_p):
+    # At k_p=0.001, triangle3 and its geared variant each hold two mismatches
+    # at t=4.8095...: the crossing-time defect pinned below, seen by both forms.
+    spec = ControllerSpec(kind="proportional", k_p=k_p)
+    scenarios = [triangle3().scenario, gearbox_pair().scenario, geared_triangle()]
+    scenarios += [random_scenario(random.Random(seed)).scenario for seed in range(10)]
+    for sc in scenarios:
+        swept, reference = both_compares(sc, spec, 100.0)
+        assert swept == reference
+
+
+def test_compare_equals_per_sample_reference_on_mismatches():
+    # Every sample disagrees on the sabotaged link. In the tied triangle,
+    # nodes 1 and 2 run identical clocks, so sample times repeat.
+    def sabotage(result, trace):
+        result.links[(3, 1)].initial += 1
+
+    cfg = tied_triangle()
+    tied = both_compares(cfg.scenario, cfg.controller, 30.0, sabotage)
+    geared = both_compares(geared_triangle(), cfg.controller, 30.0, sabotage)
+    for swept, reference in (tied, geared):
+        assert swept == reference
+        assert swept and all(m.link == (3, 1) for m in swept)
+    assert len({m.t for m in tied[0]}) < len(tied[0])
+
+
+def test_compare_counts_events_at_a_sample_time():
+    # Replayed events never fall exactly on a sample time by themselves, so
+    # insert some: an arrival on link (1, 2) and a consumption on link (2, 1)
+    # at every other sample time. Both count at exactly t, as in occupancy.
+    def insert_events(result, trace):
+        for rec in trace.samples[::2]:
+            insort(result.links[(1, 2)].arrival_times, rec.t_sample)
+            insort(result.links[(2, 1)].consume_times, rec.t_sample)
+
+    cfg = triangle3()
+    swept, reference = both_compares(cfg.scenario, cfg.controller, 30.0, insert_events)
+    assert swept == reference
+    assert {m.link for m in swept} == {(1, 2), (2, 1)}
+
+
+def test_compare_keeps_the_crossing_ulp_mismatch():
+    # The integer_crossings reproducer: node 2's tick 10 is at t=10 exactly,
+    # and the oracle's crossing time rounds one ulp past it. Both forms of
+    # compare see the same single mismatch. Defining the crossing through
+    # ClockTrajectory.eval (ROADMAP item 1) will turn this into [].
+    sc = two_node_scenario(omega_u=(1.0, 0.95), beta0=5, epoch=-23.0)
+    swept, reference = both_compares(sc, ControllerSpec(kind="zero"), 30.0)
+    assert swept == reference == [Mismatch(t=10.0, link=(1, 2), oracle=6, formula=5)]
 
 
 def test_received_count_matches_oracle_arrivals():

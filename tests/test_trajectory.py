@@ -1,12 +1,19 @@
 """Clock trajectory unit and property tests."""
 
+import copy
 import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from afmsim.trajectory import AdmissibilityError, ClockTrajectory, DomainError
+from afmsim.trajectory import (
+    AdmissibilityError,
+    ClockTrajectory,
+    DomainError,
+    sweep_eval,
+    sweep_slope,
+)
 
 
 def make(knots, min_slope=0.0):
@@ -226,3 +233,68 @@ def test_eval_knots_exact_property(traj):
         assert traj.inverse(ph) == t
 
 
+
+
+# -- sweeps --------------------------------------------------------------------
+
+@given(trajectories(), st.data())
+def test_sweeps_equal_pointwise_lookups(traj, data):
+    lo, hi = traj.times[0], traj.max_dom()
+    ts = data.draw(st.lists(st.floats(lo, hi), max_size=40))
+    # knots, the first and last knot among them, several times over
+    ts += data.draw(st.lists(st.sampled_from(traj.times), max_size=8))
+    ts += [lo, hi, hi]
+    ts.sort()
+    # bit for bit: float.hex tells -0.0 from 0.0
+    assert [v.hex() for v in sweep_eval(traj, ts)] == [traj.eval(t).hex() for t in ts]
+    assert [v.hex() for v in sweep_slope(traj, ts)] == [traj.slope_at(t).hex() for t in ts]
+
+
+def test_sweeps_of_no_times_are_empty():
+    assert sweep_eval(make([(0, 0), (1, 1)]), []) == []
+    assert sweep_slope(make([(0, 0), (1, 1)]), []) == []
+    assert sweep_slope(make([(0, 0)]), []) == []
+
+
+def test_sweeps_on_a_single_knot():
+    traj = make([(2.0, 5.0)])
+    assert sweep_eval(traj, [2.0, 2.0]) == [traj.eval(2.0)] * 2 == [5.0, 5.0]
+    with pytest.raises(DomainError):
+        traj.slope_at(2.0)
+    with pytest.raises(DomainError):
+        sweep_slope(traj, [2.0])
+
+
+@pytest.mark.parametrize(
+    "ts",
+    [
+        [-0.001, 1.0],
+        [1.0, 2.001],
+        [math.nan],
+        [math.nan, 1.0],
+        [0.5, math.nan],
+        [0.5, math.nan, 1.5],
+        [-math.inf, 1.0],
+    ],
+)
+def test_sweeps_out_of_domain(ts):
+    traj = make([(0, 0), (1, 1), (2, 3)])
+    with pytest.raises(DomainError):
+        sweep_eval(traj, ts)
+    with pytest.raises(DomainError):
+        sweep_slope(traj, ts)
+
+
+def test_sweeps_reject_descending_times():
+    traj = make([(0, 0), (1, 1), (2, 3)])
+    for sweep in (sweep_eval, sweep_slope):
+        with pytest.raises(ValueError, match="ascending"):
+            sweep(traj, [1.5, 0.5])
+
+
+def test_sweeps_write_nothing():
+    traj = make([(0, 0), (1, 1), (2, 3)])
+    before = {name: copy.deepcopy(getattr(traj, name)) for name in ClockTrajectory.__slots__}
+    sweep_eval(traj, [0.0, 0.5, 1.0, 2.0])
+    sweep_slope(traj, [0.0, 0.5, 1.0, 2.0])
+    assert {name: getattr(traj, name) for name in ClockTrajectory.__slots__} == before
