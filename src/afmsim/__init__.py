@@ -43,7 +43,6 @@ from .oracle import (
     ReplayResult,
     VerifyReport,
     compare,
-    integer_crossings,
     replay,
     verify_scenario,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "frames_received",
     "frames_sent",
     "init_state",
-    "integer_crossings",
     "is_admissible",
     "link_occupancy",
     "load_config",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -196,11 +197,10 @@ class _Reader:
         if _is_int(val):
             return Fraction(val)
         if isinstance(val, str):
-            parts = val.split("/")
-            if len(parts) == 2 and parts[0].strip().lstrip("-").isdigit() and parts[1].strip().isdigit():
-                den = int(parts[1])
-                if den != 0:
-                    return Fraction(int(parts[0]), den)
+            # ASCII digits only: str.isdigit also passes '²', which int() rejects.
+            match = re.fullmatch(r"\s*(-?[0-9]+)\s*/\s*([0-9]+)\s*", val)
+            if match and int(match[2]) != 0:
+                return Fraction(int(match[1]), int(match[2]))
             self.bad("wrong_type", f"{path}{key}", f"expected 'num/den', got {val!r}")
             return None
         if isinstance(val, list) and len(val) == 2 and all(_is_int(x) for x in val):

@@ -2,11 +2,14 @@
 
 Every individual frame is tracked through its send, link traversal, and
 consumption, using only the integer crossings of the (gearbox-scaled) clock
-phases. Each link keeps three sorted time lists: sends, arrivals (send time
-plus latency) and consumptions. A buffer's occupancy is then a plain count,
-the initial fill plus the arrivals so far minus the consumptions so far,
-built without the closed-form counters, so agreement between the two is a
-real test and not a tautology.
+phases. Every frame time is a tick of some clock, so ``tick_times`` lists
+the ticks of each (node, gearbox) clock once, and each link cuts three
+sorted time lists out of those: sends and consumptions (source and
+destination ticks in (0, horizon]) and arrivals (source ticks from one
+latency before zero, plus the latency). A buffer's occupancy is then a
+plain count, the initial fill plus the arrivals so far minus the
+consumptions so far, built without the closed-form counters, so agreement
+between the two is a real test and not a tautology.
 
 The replay consumes trajectories that the engine already produced; it never
 re-runs control. Tie rule: occupancy at time t counts every arrival and
@@ -24,43 +27,32 @@ This is a test fixture for desk-scale runs, not a performance path.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator
 
 from . import engine
 from .controllers import ControllerSpec
-from .engine import FatalEvent, Trace, scaled_floor, scaled_floors
+from .engine import FatalEvent, Gearbox, Trace, scaled_floor, scaled_floors
 from .topology import Scenario
 from .trajectory import ClockTrajectory, sweep_eval
 
 
-def integer_crossings(
-    traj: ClockTrajectory, gearbox, phase_lo: float, phase_hi: float
-) -> Iterator[tuple[float, int]]:
-    """(time, m) for every integer m the scaled phase crosses in (lo, hi].
+def tick_times(traj: ClockTrajectory, gearbox: Gearbox) -> tuple[int, list[float]]:
+    """``(m0, times)``: ``times[k]`` is when the gearbox-scaled phase reaches
+    ``m0 + k``, for every integer the trajectory crosses. This is the one
+    place where a crossing time is defined.
 
-    ``phase_lo``/``phase_hi`` are unscaled phases inside the trajectory's
-    range. The scaled bounds share the multiplication path of
-    ``scaled_floor``, so the number of crossings emitted always equals the
-    difference of the corresponding scaled floors.
+    A segment holds the integers in ``(scaled_floor(g, p0), scaled_floor(g,
+    p1)]``, so the ticks in a time window (s, t] are those of the integers in
+    ``(scaled_floor(g, eval(s)), scaled_floor(g, eval(t))]``.
     """
-    if phase_hi < phase_lo:
-        raise ValueError(f"phase_hi {phase_hi!r} below phase_lo {phase_lo!r}")
     num, den = gearbox.numerator, gearbox.denominator
-    lo_floor = scaled_floor(gearbox, phase_lo)
-    hi_floor = scaled_floor(gearbox, phase_hi)
-    if hi_floor <= lo_floor:
-        return
-    for t0, p0, t1, p1 in traj.segments():
-        m_start = max(math.floor(p0 * num / den), lo_floor) + 1
-        m_end = min(math.floor(p1 * num / den), hi_floor)
-        if m_end < m_start:
-            continue
+    floors = scaled_floors(gearbox, traj.phases)
+    times: list[float] = []
+    for (t0, p0, t1, p1), m_lo, m_hi in zip(traj.segments(), floors, floors[1:]):
         dt_dp = (t1 - t0) / (p1 - p0)
-        for m in range(m_start, m_end + 1):
-            yield t0 + (m * den / num - p0) * dt_dp, m
+        times += [t0 + (m * den / num - p0) * dt_dp for m in range(m_lo + 1, m_hi + 1)]
+    return floors[0] + 1, times
 
 
 @dataclass
@@ -111,28 +103,34 @@ def replay(
     """
     topo = scenario.topology
     cover = min(trajectories[i].max_dom() for i in topo.nodes())
-    if horizon > cover:
-        raise ValueError(f"horizon {horizon!r} beyond trajectory coverage {cover!r}")
+    if not 0.0 <= horizon <= cover:
+        raise ValueError(f"horizon {horizon!r} outside [0, trajectory coverage {cover!r}]")
     cap = topo.buffer_capacity
     links: dict[tuple[int, int], LinkReplay] = {}
     violations: list[FatalEvent] = []
+    ticks: dict[tuple[int, Gearbox], tuple[int, list[float]]] = {}
+
+    def window(node: int, g: Gearbox, s: float, t: float) -> list[float]:
+        """The ticks of ``node``'s ``g``-scaled clock in (s, t]."""
+        traj = trajectories[node]
+        if (node, g) not in ticks:
+            ticks[(node, g)] = tick_times(traj, g)
+        m0, times = ticks[(node, g)]
+        # eval never falls below the first knot phase, so lo is not negative.
+        lo = scaled_floor(g, traj.eval(s)) + 1 - m0
+        hi = scaled_floor(g, traj.eval(t)) + 1 - m0
+        return times[lo:hi]
 
     for (a, b) in topo.directed_links():
         link = topo.links[(a, b)]
         g = link.gearbox
         lat = link.latency
-        th_a = trajectories[a]
-        th_b = trajectories[b]
-        # Frames in flight at time zero: sent in (-latency, 0], arriving in (0, latency].
-        preflight = integer_crossings(th_a, g, th_a.eval(-lat), th_a.eval(0.0))
-        sends = [t for t, _ in integer_crossings(th_a, g, th_a.eval(0.0), th_a.eval(horizon))]
+        # The window from -latency takes in the frames in flight at time zero.
         lr = LinkReplay(
             initial=scenario.params.beta0[(a, b)],
-            send_times=sends,
-            arrival_times=[t + lat for t, _ in preflight] + [t + lat for t in sends],
-            consume_times=[
-                t for t, _ in integer_crossings(th_b, g, th_b.eval(0.0), th_b.eval(horizon))
-            ],
+            send_times=window(a, g, 0.0, horizon),
+            arrival_times=[t + lat for t in window(a, g, -lat, horizon)],
+            consume_times=window(b, g, 0.0, horizon),
         )
         links[(a, b)] = lr
         for t in lr.consume_times:

@@ -64,6 +64,18 @@ def test_invalid_config_exits_two(tmp_path, capsys):
     assert "epoch_too_late" in captured.err
 
 
+def test_malformed_gearbox_string_exits_two(tmp_path, capsys):
+    cfg = json.loads(Path(BUNDLED).read_text())
+    cfg["topology"]["edges"][0]["gearbox"] = "--3/2"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    code = main(["verify", "--config", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "wrong_type" in captured.err
+    assert "topology.edges[0].gearbox" in captured.err
+
+
 def test_malformed_json_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -129,6 +129,21 @@ def test_gearbox_forms_accepted():
         assert cfg.scenario.topology.links[(2, 1)].gearbox == 1
 
 
+@pytest.mark.parametrize("form", ["--3/2", "\u00b2/1", "3/\u00b2"])
+def test_malformed_gearbox_string_rejected(form):
+    # each passes a sign strip and str.isdigit but not int()
+    text = MINIMAL.replace(
+        '{"a": 1, "b": 2, "latency": 1.0}',
+        '{"a": 1, "b": 2, "latency": 1.0, "gearbox": "%s"}' % form,
+    )
+    with pytest.raises(ValidationError) as err:
+        load_config(text)
+    assert any(
+        v.name == "wrong_type" and v.subject == "topology.edges[0].gearbox"
+        for v in err.value.violations
+    )
+
+
 @pytest.mark.parametrize("fields", ['"gearbox": 0', '"gearbox_ab": [0, 3]'])
 def test_zero_gearbox_rejected(fields):
     text = MINIMAL.replace(

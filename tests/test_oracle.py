@@ -11,19 +11,23 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from afmsim.controllers import ControllerSpec, make_controllers
 from afmsim.engine import (
+    FatalEvent,
     buffer_occupancy,
     compute_lambdas,
     frames_received,
     init_state,
+    link_occupancy,
+    scaled_floor,
     simulate,
     step,
 )
 from afmsim.oracle import (
+    LinkReplay,
     Mismatch,
     compare,
-    integer_crossings,
     rebuild_trajectories,
     replay,
+    tick_times,
     verify_scenario,
 )
 from afmsim.scenarios import gearbox_pair, random_scenario, triangle3
@@ -49,29 +53,31 @@ def run_state(scenario, spec, horizon):
     return state
 
 
-# -- integer crossings ----------------------------------------------------------
+# -- tick times ------------------------------------------------------------------
 
-def test_crossing_count_matches_floor_difference():
+def test_tick_slice_count_matches_floor_difference():
     traj = ClockTrajectory([(-5.0, -4.5), (0.0, 0.5), (3.0, 7.3), (9.0, 11.0)])
+    m0, times = tick_times(traj, 1)
     rng = random.Random(3)
     for _ in range(50):
         lo = rng.uniform(-4.5, 11.0)
         hi = rng.uniform(lo, 11.0)
-        crossings = list(integer_crossings(traj, 1, lo, hi))
-        assert len(crossings) == math.floor(hi) - math.floor(lo)
-        for t, m in crossings:
+        ticks = times[math.floor(lo) + 1 - m0 : math.floor(hi) + 1 - m0]
+        assert len(ticks) == math.floor(hi) - math.floor(lo)
+        for m, t in enumerate(ticks, start=math.floor(lo) + 1):
             assert traj.eval(t) == pytest.approx(m, abs=1e-9)
 
 
-def test_crossing_times_monotone_with_gearbox():
+def test_tick_times_consecutive_with_gearbox():
     traj = ClockTrajectory([(0.0, 0.1), (4.0, 2.7), (10.0, 11.3)])
-    crossings = list(integer_crossings(traj, Fraction(3, 2), 0.1, 11.3))
-    times = [t for t, _ in crossings]
-    seqs = [m for _, m in crossings]
+    m0, times = tick_times(traj, Fraction(3, 2))
     assert times == sorted(times)
-    assert seqs == list(range(seqs[0], seqs[0] + len(seqs)))
+    # times[k] is the crossing of m0 + k: floor(1.5 * 0.1) + 1
+    assert m0 == 1
+    for k, t in enumerate(times):
+        assert traj.eval(t) * 3 / 2 == pytest.approx(m0 + k, abs=1e-9)
     # scaled floor difference: floor(1.5*11.3) - floor(1.5*0.1) = 16 - 0
-    assert len(crossings) == 16
+    assert len(times) == 16
 
 
 # -- replay basics ----------------------------------------------------------------
@@ -120,11 +126,22 @@ def test_single_link_hand_count():
 
 
 def test_replay_requires_coverage(zero_spec):
-    sc = two_node_scenario()
+    sc = two_node_scenario(omega_u=(2.0, 1.0), latency=1.5)
     state = run_state(sc, zero_spec, 20.0)
     horizon = min(t.max_dom() for t in state.trajectories.values())
-    with pytest.raises(ValueError):
-        replay(state.trajectories, sc, horizon + 1.0)
+    for bad in (horizon + 1.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            replay(state.trajectories, sc, bad)
+    # at horizon zero only the frames in flight at time zero are left
+    zero = replay(state.trajectories, sc, 0.0)
+    full = replay(state.trajectories, sc, horizon)
+    for (a, b), lr in zero.links.items():
+        lat = sc.topology.links[(a, b)].latency
+        assert lr.send_times == [] and lr.consume_times == []
+        in_flight_at_zero = link_occupancy(state.trajectories[a], 0.0, lat)
+        assert len(lr.arrival_times) == in_flight_at_zero > 0
+        assert all(0.0 < t <= lat for t in lr.arrival_times)
+        assert lr.arrival_times == full.links[(a, b)].arrival_times[:in_flight_at_zero]
 
 
 def test_fifo_arrival_order_preserves_send_order():
@@ -343,6 +360,94 @@ def test_compare_keeps_the_crossing_ulp_mismatch():
     sc = two_node_scenario(omega_u=(1.0, 0.95), beta0=5, epoch=-23.0)
     swept, reference = both_compares(sc, ControllerSpec(kind="zero"), 30.0)
     assert swept == reference == [Mismatch(t=10.0, link=(1, 2), oracle=6, formula=5)]
+
+
+def reference_crossings(traj, gearbox, phase_lo, phase_hi):
+    """Crossing times of every integer the scaled phase passes in
+    (phase_lo, phase_hi], computed per window over every segment."""
+    num, den = gearbox.numerator, gearbox.denominator
+    lo_floor = scaled_floor(gearbox, phase_lo)
+    hi_floor = scaled_floor(gearbox, phase_hi)
+    times = []
+    for t0, p0, t1, p1 in traj.segments():
+        m_start = max(math.floor(p0 * num / den), lo_floor) + 1
+        m_end = min(math.floor(p1 * num / den), hi_floor)
+        dt_dp = (t1 - t0) / (p1 - p0)
+        times += [t0 + (m * den / num - p0) * dt_dp for m in range(m_start, m_end + 1)]
+    return times
+
+
+def reference_replay(trajectories, scenario, horizon):
+    """The per-link form of ``replay``: three windowed crossing runs per link
+    (in flight at time zero, sends, consumes), then the same bound scans."""
+    topo = scenario.topology
+    links = {}
+    violations = []
+    for (a, b) in topo.directed_links():
+        link = topo.links[(a, b)]
+        g, lat = link.gearbox, link.latency
+        th_a, th_b = trajectories[a], trajectories[b]
+        preflight = reference_crossings(th_a, g, th_a.eval(-lat), th_a.eval(0.0))
+        sends = reference_crossings(th_a, g, th_a.eval(0.0), th_a.eval(horizon))
+        lr = LinkReplay(
+            initial=scenario.params.beta0[(a, b)],
+            send_times=sends,
+            arrival_times=[t + lat for t in preflight + sends],
+            consume_times=reference_crossings(th_b, g, th_b.eval(0.0), th_b.eval(horizon)),
+        )
+        links[(a, b)] = lr
+        for t in lr.consume_times:
+            if lr.occupancy(t) < 0:
+                violations.append(FatalEvent("underflow", (a, b), t, lr.occupancy(t)))
+                break
+        for t in lr.arrival_times:
+            if topo.buffer_capacity is None or t > horizon:
+                break
+            if lr.occupancy(t) > topo.buffer_capacity:
+                violations.append(FatalEvent("overflow", (a, b), t, lr.occupancy(t)))
+                break
+    violations.sort(key=lambda ev: (ev.t, ev.link, ev.kind))
+    return links, violations
+
+
+def replay_horizons(trajectories):
+    """The coverage, a knot of node 1 half way there, and a time between that
+    knot and the next."""
+    cover = min(t.max_dom() for t in trajectories.values())
+    times = trajectories[1].times
+    i = bisect_right(times, cover / 2)
+    return [cover, times[i], (times[i] + times[i + 1]) / 2]
+
+
+def test_replay_equals_per_link_reference():
+    capped = validate(
+        dataclasses.replace(geared_triangle().topology, buffer_capacity=80),
+        triangle3().scenario.params,
+    )
+    runs = [(capped, triangle3().controller)]
+    for k_p in (0.01, 0.001):
+        spec = ControllerSpec(kind="proportional", k_p=k_p)
+        scenarios = [triangle3().scenario, gearbox_pair().scenario, geared_triangle()]
+        scenarios += [random_scenario(random.Random(seed)).scenario for seed in range(10)]
+        runs += [(sc, spec) for sc in scenarios]
+    kinds = set()
+    for sc, spec in runs:
+        trajs = rebuild_trajectories(simulate(sc, spec, 100.0), sc)
+        for horizon in replay_horizons(trajs):
+            got = replay(trajs, sc, horizon)
+            links, violations = reference_replay(trajs, sc, horizon)
+            assert got.links.keys() == links.keys()
+            for ab, want in links.items():
+                lr = got.links[ab]
+                assert lr.initial == want.initial
+                for name in ("send_times", "arrival_times", "consume_times"):
+                    assert list(map(float.hex, getattr(lr, name))) == list(
+                        map(float.hex, getattr(want, name))
+                    ), (ab, name, horizon)
+            assert got.violations == violations
+            kinds |= {ev.kind for ev in violations}
+    # the capped run overflows, and some random runs underflow
+    assert kinds == {"overflow", "underflow"}
 
 
 def test_received_count_matches_oracle_arrivals():
