@@ -109,17 +109,42 @@ class ScenarioConfig:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _is_number(x) -> bool:
-    # json.loads accepts NaN/Infinity literals; neither is a usable parameter
-    return (
-        isinstance(x, (int, float))
-        and not isinstance(x, bool)
-        and math.isfinite(x)
-    )
+def _as_float(x) -> float | None:
+    """A JSON number as a finite float, else None. json.loads accepts NaN,
+    Infinity and integers too large for binary64; none is a usable value."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return None
+    try:
+        x = float(x)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+def _as_int(x) -> int | None:
+    return x if isinstance(x, int) and not isinstance(x, bool) else None
+
+
+def _as_gearbox(x) -> Fraction | None:
+    """Accepts 2, [2, 1], or "2/1"; canonical form is the two-element list."""
+    if isinstance(x, str):
+        # ASCII digits only: str.isdigit also passes '²', which int() rejects.
+        match = re.fullmatch(r"\s*(-?[0-9]+)\s*/\s*([0-9]+)\s*", x)
+        try:
+            x = [int(match[1]), int(match[2])] if match else None
+        except ValueError:  # more digits than int() converts
+            return None
+    elif _as_int(x) is not None:
+        x = [x, 1]
+    if isinstance(x, list) and len(x) == 2 and None not in map(_as_int, x) and x[1] != 0:
+        return Fraction(x[0], x[1])
+    return None
+
+
+# What a field must hold, and the function that reads it (None if it does not).
+_NUMBER = ("a number", _as_float)
+_INTEGER = ("an integer", _as_int)
+_GEARBOX = ("an integer, [num, den], or 'num/den' with a nonzero den", _as_gearbox)
 
 
 class _Reader:
@@ -142,27 +167,26 @@ class _Reader:
             return None
         return val
 
-    def number(self, raw: dict, key: str, path: str, default=None, required=True):
+    def value(self, raw: dict, key: str, path: str, kind, default=None, required=True):
+        """The field read as ``kind``, or ``default`` if it is absent or wrong."""
         if key not in raw:
             if required:
-                self.bad("missing_field", f"{path}{key}", "required number")
+                self.bad("missing_field", f"{path}{key}", f"required: {kind[0]}")
             return default
-        val = raw[key]
-        if not _is_number(val):
-            self.bad("wrong_type", f"{path}{key}", f"expected a number, got {val!r}")
+        val = kind[1](raw[key])
+        if val is None:
+            self.bad("wrong_type", f"{path}{key}", f"expected {kind[0]}, got {raw[key]!r}")
             return default
         return val
 
-    def integer(self, raw: dict, key: str, path: str, default=None, required=True):
-        if key not in raw:
-            if required:
-                self.bad("missing_field", f"{path}{key}", "required integer")
-            return default
-        val = raw[key]
-        if not _is_int(val):
-            self.bad("wrong_type", f"{path}{key}", f"expected an integer, got {val!r}")
-            return default
-        return val
+    def per_direction(self, edge: dict, key: str, path: str, kind, default=None) -> tuple:
+        """(a->b, b->a) values: ``key_ab`` and ``key_ba``, each falling back to
+        the shared ``key``, which falls back to ``default``."""
+        shared = self.value(edge, key, path, kind, default, False)
+        return (
+            self.value(edge, key + "_ab", path, kind, shared, False),
+            self.value(edge, key + "_ba", path, kind, shared, False),
+        )
 
     def check_keys(self, raw: dict, allowed: set[str], path: str) -> None:
         for key in raw:
@@ -177,40 +201,16 @@ class _Reader:
                 return None
             return default
         val = raw[key]
-        if _is_number(val):
-            return [float(val)] * n
+        one = _as_float(val)
+        if one is not None:
+            return [one] * n
         if isinstance(val, list):
-            if len(val) != n or not all(_is_number(x) for x in val):
-                self.bad(
-                    "wrong_type", f"{path}{key}", f"expected {n} numbers, got {val!r}"
-                )
-                return None
-            return [float(x) for x in val]
+            vals = [_as_float(x) for x in val]
+            if len(vals) == n and None not in vals:
+                return vals
+            self.bad("wrong_type", f"{path}{key}", f"expected {n} numbers, got {val!r}")
+            return None
         self.bad("wrong_type", f"{path}{key}", f"expected number or list, got {val!r}")
-        return None
-
-    def gearbox(self, raw: dict, key: str, path: str) -> Fraction | None:
-        """Accepts 2, [2, 1], or "2/1"; canonical form is the two-element list."""
-        if key not in raw:
-            return None
-        val = raw[key]
-        if _is_int(val):
-            return Fraction(val)
-        if isinstance(val, str):
-            # ASCII digits only: str.isdigit also passes '²', which int() rejects.
-            match = re.fullmatch(r"\s*(-?[0-9]+)\s*/\s*([0-9]+)\s*", val)
-            if match and int(match[2]) != 0:
-                return Fraction(int(match[1]), int(match[2]))
-            self.bad("wrong_type", f"{path}{key}", f"expected 'num/den', got {val!r}")
-            return None
-        if isinstance(val, list) and len(val) == 2 and all(_is_int(x) for x in val):
-            if val[1] == 0:
-                self.bad("wrong_type", f"{path}{key}", "zero denominator")
-                return None
-            return Fraction(val[0], val[1])
-        self.bad(
-            "wrong_type", f"{path}{key}", f"expected integer, [num, den], or 'num/den', got {val!r}"
-        )
         return None
 
 
@@ -242,6 +242,8 @@ def load_config(text: str) -> ScenarioConfig:
         raise ConfigError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal with more digits than Python converts
+        raise ConfigError(f"parse error: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("top level must be a JSON object")
 
@@ -259,51 +261,35 @@ def load_config(text: str) -> ScenarioConfig:
     capacity = None
     if topo_raw is not None:
         r.check_keys(topo_raw, {"n_nodes", "buffer_capacity", "edges"}, "topology.")
-        n_nodes = r.integer(topo_raw, "n_nodes", "topology.", default=0) or 0
-        if "buffer_capacity" in topo_raw and topo_raw["buffer_capacity"] is not None:
-            capacity = r.integer(topo_raw, "buffer_capacity", "topology.")
+        n_nodes = r.value(topo_raw, "n_nodes", "topology.", _INTEGER, default=0)
+        if topo_raw.get("buffer_capacity") is not None:
+            capacity = r.value(topo_raw, "buffer_capacity", "topology.", _INTEGER)
         edges_raw = topo_raw.get("edges")
         if not isinstance(edges_raw, list):
             r.bad("wrong_type", "topology.edges", "expected a list of edge objects")
             edges_raw = []
         default_beta0 = None
-        if par_raw is not None and "beta0" in par_raw:
-            default_beta0 = r.integer(par_raw, "beta0", "params.", required=False)
+        if par_raw is not None:
+            default_beta0 = r.value(par_raw, "beta0", "params.", _INTEGER, required=False)
         for idx, edge in enumerate(edges_raw):
             path = f"topology.edges[{idx}]."
             if not isinstance(edge, dict):
                 r.bad("wrong_type", path[:-1], "expected an edge object")
                 continue
             r.check_keys(edge, _EDGE_KEYS, path)
-            a = r.integer(edge, "a", path)
-            b = r.integer(edge, "b", path)
+            a = r.value(edge, "a", path, _INTEGER)
+            b = r.value(edge, "b", path, _INTEGER)
             if a is None or b is None:
                 continue
             if (a, b) in links or (b, a) in links:
                 r.bad("duplicate_edge", path[:-1], f"edge ({a},{b}) already defined")
                 continue
-            shared_lat = r.number(edge, "latency", path, required=False)
-            lat_ab = r.number(edge, "latency_ab", path, default=shared_lat, required=False)
-            lat_ba = r.number(edge, "latency_ba", path, default=shared_lat, required=False)
+            lat_ab, lat_ba = r.per_direction(edge, "latency", path, _NUMBER)
             if lat_ab is None or lat_ba is None:
                 r.bad("missing_field", f"{path}latency", "each direction needs a latency")
                 continue
-            shared_gear = r.gearbox(edge, "gearbox", path)
-            if shared_gear is None:
-                shared_gear = Fraction(1)
-            gear_ab = r.gearbox(edge, "gearbox_ab", path)
-            gear_ba = r.gearbox(edge, "gearbox_ba", path)
-            if gear_ab is None:
-                gear_ab = shared_gear
-            if gear_ba is None:
-                gear_ba = shared_gear
-            shared_b0 = r.integer(edge, "beta0", path, required=False)
-            b0_ab = r.integer(edge, "beta0_ab", path, default=None, required=False)
-            b0_ba = r.integer(edge, "beta0_ba", path, default=None, required=False)
-            if b0_ab is None:
-                b0_ab = shared_b0 if shared_b0 is not None else default_beta0
-            if b0_ba is None:
-                b0_ba = shared_b0 if shared_b0 is not None else default_beta0
+            gear_ab, gear_ba = r.per_direction(edge, "gearbox", path, _GEARBOX, Fraction(1))
+            b0_ab, b0_ba = r.per_direction(edge, "beta0", path, _INTEGER, default_beta0)
             if b0_ab is None or b0_ba is None:
                 r.bad(
                     "beta0_missing",
@@ -311,8 +297,8 @@ def load_config(text: str) -> ScenarioConfig:
                     "no initial occupancy given and no params.beta0 default",
                 )
                 continue
-            links[(a, b)] = Link(latency=float(lat_ab), gearbox=gear_ab)
-            links[(b, a)] = Link(latency=float(lat_ba), gearbox=gear_ba)
+            links[(a, b)] = Link(latency=lat_ab, gearbox=gear_ab)
+            links[(b, a)] = Link(latency=lat_ba, gearbox=gear_ba)
             beta0[(a, b)] = b0_ab
             beta0[(b, a)] = b0_ba
 
@@ -333,10 +319,10 @@ def load_config(text: str) -> ScenarioConfig:
             },
             "params.",
         )
-        p = r.integer(par_raw, "p", "params.", default=0)
-        d = r.integer(par_raw, "d", "params.", default=0)
-        omega_min = r.number(par_raw, "omega_min", "params.", default=0.0)
-        epoch = r.number(par_raw, "epoch", "params.", default=0.0)
+        p = r.value(par_raw, "p", "params.", _INTEGER, default=0)
+        d = r.value(par_raw, "d", "params.", _INTEGER, default=0)
+        omega_min = r.value(par_raw, "omega_min", "params.", _NUMBER, default=0.0)
+        epoch = r.value(par_raw, "epoch", "params.", _NUMBER, default=0.0)
         theta0 = r.per_node(par_raw, "theta0", "params.", n_nodes)
         omega_u = r.per_node(par_raw, "omega_u", "params.", n_nodes)
         omega_init1 = r.per_node(par_raw, "omega_init1", "params.", n_nodes, default=omega_u)
@@ -347,8 +333,8 @@ def load_config(text: str) -> ScenarioConfig:
             params = SystemParams(
                 p=p,
                 d=d,
-                omega_min=float(omega_min),
-                epoch=float(epoch),
+                omega_min=omega_min,
+                epoch=epoch,
                 theta0=tuple(theta0),
                 omega_u=tuple(omega_u),
                 omega_init1=tuple(omega_init1),
@@ -367,48 +353,44 @@ def load_config(text: str) -> ScenarioConfig:
                 f"expected 'zero' or 'proportional', got {kind!r}",
             )
         else:
-            k_p = r.number(
-                ctrl_raw, "k_p", "controller.", default=0.0, required=(kind == "proportional")
+            k_p = r.value(
+                ctrl_raw,
+                "k_p",
+                "controller.",
+                _NUMBER,
+                default=0.0,
+                required=(kind == "proportional"),
             )
-            beta_ref = r.number(ctrl_raw, "beta_ref", "controller.", default=0.0, required=False)
+            beta_ref = r.value(
+                ctrl_raw, "beta_ref", "controller.", _NUMBER, default=0.0, required=False
+            )
             clamp = None
-            if ctrl_raw.get("clamp") is not None:
-                cl = ctrl_raw["clamp"]
-                if (
-                    isinstance(cl, list)
-                    and len(cl) == 2
-                    and all(_is_number(x) for x in cl)
-                    and cl[0] <= cl[1]
-                ):
-                    clamp = (float(cl[0]), float(cl[1]))
+            cl = ctrl_raw.get("clamp")
+            if cl is not None:
+                bounds = [_as_float(x) for x in cl] if isinstance(cl, list) else []
+                if len(bounds) == 2 and None not in bounds and bounds[0] <= bounds[1]:
+                    clamp = (bounds[0], bounds[1])
                 else:
                     r.bad(
                         "wrong_type",
                         "controller.clamp",
                         f"expected [low, high] with low <= high, got {cl!r}",
                     )
-            if k_p is not None and beta_ref is not None:
-                controller = ControllerSpec(
-                    kind=kind, k_p=float(k_p), beta_ref=float(beta_ref), clamp=clamp
-                )
+            controller = ControllerSpec(kind=kind, k_p=k_p, beta_ref=beta_ref, clamp=clamp)
 
     run = RunSettings()
     if run_raw is not None:
         r.check_keys(run_raw, {"t_max", "output_grid", "seed"}, "run.")
-        t_max = r.number(run_raw, "t_max", "run.", default=100.0, required=False)
-        grid = r.number(run_raw, "output_grid", "run.", default=0.5, required=False)
+        t_max = r.value(run_raw, "t_max", "run.", _NUMBER, default=100.0, required=False)
+        grid = r.value(run_raw, "output_grid", "run.", _NUMBER, default=0.5, required=False)
         seed = None
         if run_raw.get("seed") is not None:
-            seed = r.integer(run_raw, "seed", "run.")
-        if t_max is not None and t_max <= 0:
+            seed = r.value(run_raw, "seed", "run.", _INTEGER)
+        if t_max <= 0:
             r.bad("run_t_max_nonpositive", "run.t_max", f"t_max={t_max!r}")
-        if grid is not None and grid <= 0:
+        if grid <= 0:
             r.bad("run_grid_nonpositive", "run.output_grid", f"output_grid={grid!r}")
-        run = RunSettings(
-            t_max=float(t_max if t_max else 100.0),
-            output_grid=float(grid if grid else 0.5),
-            seed=seed,
-        )
+        run = RunSettings(t_max=t_max, output_grid=grid, seed=seed)
 
     if r.violations:
         raise ValidationError(r.violations)

@@ -17,6 +17,10 @@ from typing import Mapping
 # floor computations are never decided by rounding noise.
 FRACTIONAL_GUARD = 1e-6
 
+# Integer parameters meet binary64 arithmetic (d / omega_min, phase * num /
+# den, occupancies); a float holds every integer exactly only up to 2**53.
+MAX_EXACT_INT = 2**53
+
 
 @dataclass(frozen=True)
 class Link:
@@ -108,6 +112,14 @@ def _fractional_violation(value: float) -> str | None:
     return None
 
 
+def _exact(x: int) -> bool:
+    """Whether float arithmetic on the integer ``x`` neither rounds nor overflows."""
+    return -MAX_EXACT_INT <= x <= MAX_EXACT_INT
+
+
+_INEXACT = "magnitude above 2**53: not exact as a float"
+
+
 def check(topology: Topology, params: SystemParams) -> list[Violation]:
     """Collect every violated constraint of the model's well-posedness rules.
 
@@ -119,23 +131,23 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
         v.append(Violation("node_count_nonpositive", "topology", f"n_nodes={n}"))
 
     # NaN/inf poison every downstream comparison and floor; refuse them up
-    # front and skip the value checks they would corrupt.
-    finite = True
+    # front and skip the value checks they would corrupt. Only the values that
+    # fail get a subject string.
     scalars = [("params.omega_min", params.omega_min), ("params.epoch", params.epoch)]
-    scalars += [
+    not_finite = [(subject, val) for subject, val in scalars if not math.isfinite(val)]
+    not_finite += [
         (f"params.{name}[{i}]", val)
         for name in ("theta0", "omega_u", "omega_init1", "omega_init2")
         for i, val in enumerate(getattr(params, name))
+        if not math.isfinite(val)
     ]
-    scalars += [
-        (f"link ({a},{b}) latency", lk.latency) for (a, b), lk in sorted(topology.links.items())
+    not_finite += [
+        (f"link ({a},{b}) latency", lk.latency)
+        for (a, b), lk in sorted(topology.links.items())
+        if not math.isfinite(lk.latency)
     ]
-    for subject, val in scalars:
-        if not math.isfinite(val):
-            v.append(Violation("value_not_finite", subject, f"{val!r}"))
-            finite = False
-    if not finite:
-        return v
+    if not_finite:
+        return v + [Violation("value_not_finite", s, f"{val!r}") for s, val in not_finite]
 
     links = topology.links
     for (a, b) in sorted(links):
@@ -168,6 +180,9 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
                 "delay_not_less_than_period", "params", f"d={params.d} must be < p={params.p}"
             )
         )
+    for subject, val in (("params.p", params.p), ("params.d", params.d)):
+        if not _exact(val):
+            v.append(Violation("value_out_of_range", subject, _INEXACT))
     if params.omega_min <= 0.0:
         v.append(Violation("omega_min_nonpositive", "params.omega_min", f"{params.omega_min!r}"))
     if params.epoch >= 0.0:
@@ -189,6 +204,16 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
         subject = f"node {i}"
         if th <= 0.0:
             v.append(Violation("initial_phase_nonpositive", subject, f"theta0={th!r}"))
+        # Finite inputs can still give a non-finite phase where the history starts.
+        start = th + params.omega_init2[i - 1] * params.epoch
+        if not math.isfinite(start):
+            v.append(
+                Violation(
+                    "value_out_of_range",
+                    subject,
+                    f"history-start phase theta0 + omega_init2 * epoch = {start!r}",
+                )
+            )
         kind = _fractional_violation(th)
         if kind == "integral":
             v.append(Violation("initial_phase_integral", subject, f"theta0={th!r} is an integer"))
@@ -215,7 +240,7 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
                     )
                 )
 
-    if params.omega_min > 0.0:
+    if params.omega_min > 0.0 and _exact(params.d):
         for (a, b) in sorted(links):
             if not (1 <= a <= n and 1 <= b <= n) or a == b:
                 continue
@@ -246,6 +271,8 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
             subject = f"link ({a},{b})"
             if b0 < 0:
                 v.append(Violation("beta0_negative", subject, f"beta0={b0}"))
+            if not _exact(b0):
+                v.append(Violation("value_out_of_range", f"{subject} beta0", _INEXACT))
             if cap is not None and b0 > cap:
                 v.append(
                     Violation("beta0_exceeds_capacity", subject, f"beta0={b0} > capacity={cap}")
@@ -257,9 +284,20 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
         g = links[(a, b)].gearbox
         if g == 1 or g <= 0 or not (1 <= a <= n and 1 <= b <= n):
             continue
+        if not (_exact(g.numerator) and _exact(g.denominator)):
+            v.append(Violation("value_out_of_range", f"link ({a},{b}) gearbox", _INEXACT))
+            continue
         for node in (a, b):
             scaled = params.theta0[node - 1] * g.numerator / g.denominator
-            if _fractional_violation(scaled) is not None:
+            if not math.isfinite(scaled):
+                v.append(
+                    Violation(
+                        "value_out_of_range",
+                        f"link ({a},{b})",
+                        f"gearbox {g} scales node {node} theta0 to {scaled!r}",
+                    )
+                )
+            elif _fractional_violation(scaled) is not None:
                 v.append(
                     Violation(
                         "gearbox_phase_boundary",

@@ -48,30 +48,19 @@ class ClockTrajectory:
     __slots__ = ("times", "phases", "min_slope")
 
     def __init__(self, knots: Iterable[tuple[float, float]], min_slope: float = 0.0):
-        times: list[float] = []
-        phases: list[float] = []
-        for t, ph in knots:
-            times.append(float(t))
-            phases.append(float(ph))
-        if not times:
+        knots = iter(knots)
+        first = next(knots, None)
+        if first is None:
             raise ValueError("a trajectory needs at least one knot")
-        if not all(map(math.isfinite, times)) or not all(map(math.isfinite, phases)):
+        t, ph = map(float, first)
+        if not (math.isfinite(t) and math.isfinite(ph)):
             raise ValueError("knot times and phases must be finite")
-        # Every check is a negated ``>`` so that a NaN fails it.
-        for i in range(len(times) - 1):
-            dt = times[i + 1] - times[i]
-            dph = phases[i + 1] - phases[i]
-            if not dt > 0.0:
-                raise ValueError(f"knot times must be strictly increasing (index {i + 1})")
-            if not dph > 0.0:
-                raise ValueError(f"knot phases must be strictly increasing (index {i + 1})")
-            if not dph / dt > min_slope:
-                raise AdmissibilityError(
-                    f"segment slope {dph / dt!r} is not above the minimum {min_slope!r}"
-                )
-        self.times = times
-        self.phases = phases
+        self.times = [t]
+        self.phases = [ph]
         self.min_slope = min_slope
+        # Every later knot goes through ``append``, the one home of the knot rules.
+        for t, ph in knots:
+            self.append(float(t), float(ph))
 
     @classmethod
     def from_initial_conditions(

@@ -1,6 +1,9 @@
 """Shared scenario builders for the test suite."""
 
 import dataclasses
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +36,81 @@ def two_node_scenario(
             beta0={(1, 2): beta0, (2, 1): beta0},
         ),
     )
+
+
+BUNDLED = Path(__file__).resolve().parent.parent / "scenarios" / "triangle3.json"
+BIG = 10**400  # an integer no float holds
+
+
+def set_field(doc, path, value):
+    """Set the field at ``path`` (object keys and list indices) of a JSON document."""
+    *parents, key = path
+    for step in parents:
+        doc = doc[step]
+    doc[key] = value
+
+
+def bundled_with(*edits):
+    """The bundled ``triangle3`` config text with each (path, value) edit made."""
+    doc = json.loads(BUNDLED.read_text())
+    for path, value in edits:
+        set_field(doc, path, value)
+    return json.dumps(doc)
+
+
+_EDGE0 = ("topology", "edges", 0)
+
+# Inputs that binary64 cannot hold or that overflow in the float arithmetic
+# of the model, each with the violation that must reject it.
+OVERSIZE_CONFIGS = {
+    "omega_min": (bundled_with((("params", "omega_min"), BIG)), "wrong_type", "params.omega_min"),
+    "theta0_entry": (
+        bundled_with((("params", "theta0"), [BIG, 0.1, 0.1])), "wrong_type", "params.theta0"
+    ),
+    "latency_ab": (
+        bundled_with(((*_EDGE0, "latency_ab"), BIG)),
+        "wrong_type",
+        "topology.edges[0].latency_ab",
+    ),
+    "clamp": (
+        bundled_with((("controller", "clamp"), [-BIG, 1.0])), "wrong_type", "controller.clamp"
+    ),
+    "gearbox_5000_digit_string": (
+        bundled_with(((*_EDGE0, "gearbox"), "1" * 5000 + "/1")),
+        "wrong_type",
+        "topology.edges[0].gearbox",
+    ),
+    "gearbox_numerator": (
+        bundled_with(((*_EDGE0, "gearbox_ab"), [BIG, 1])),
+        "value_out_of_range",
+        "link (1,2) gearbox",
+    ),
+    "gearbox_inexact": (
+        bundled_with(((*_EDGE0, "gearbox_ab"), [2**60 + 1, 2**60])),
+        "value_out_of_range",
+        "link (1,2) gearbox",
+    ),
+    "d": (bundled_with((("params", "d"), BIG)), "value_out_of_range", "params.d"),
+    "p": (bundled_with((("params", "p"), BIG)), "value_out_of_range", "params.p"),
+    "beta0_ab": (
+        bundled_with(((*_EDGE0, "beta0_ab"), BIG)), "value_out_of_range", "link (1,2) beta0"
+    ),
+    "scaled_theta0": (
+        bundled_with((("params", "theta0"), [1e308, 0.1, 0.1]), ((*_EDGE0, "gearbox_ab"), [2, 1])),
+        "value_out_of_range",
+        "link (1,2)",
+    ),
+    "history_start_phase": (
+        bundled_with((("params", "epoch"), -1e308)), "value_out_of_range", "node 3"
+    ),
+}
+
+# An integer literal with more digits than Python converts (4300).
+HUGE_LITERAL_CONFIG = BUNDLED.read_text().replace('"p": 10,', '"p": 1' + "0" * 5000 + ",")
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this interpreter converts integers of any length",
+)
 
 
 def tied_triangle():

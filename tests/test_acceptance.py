@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 The randomized scenarios are seeded, so a green suite stays green.
 """
 
+import math
 import random
 import time
 
@@ -244,3 +245,40 @@ def test_criterion_9_run_determinism(tmp_path):
         for name in ("nodes.csv", "buffers.csv", "events.csv", "meta.json")
     )
     verdict(9, identical, "consecutive run invocations byte-identical across all outputs")
+
+
+# -- precision gates ------------------------------------------------------------
+#
+# A crossing search that corrects the oracle's crossing times with
+# math.nextafter needs every floor of a phase to be non-decreasing in time.
+# Raw eval is not: one ulp before the t=0 knot it can read above theta0,
+# because the history segment starts from the rounded theta0 + omega_init2 *
+# epoch. The floors must still never drop.
+
+
+def test_scaled_floors_never_drop_across_a_knot(scenario_set, equivalence_reports):
+    reports, _ = equivalence_reports
+    checked = 0
+    for cfg, report in zip(scenario_set, reports):
+        sc = cfg.scenario
+        for i, traj in rebuild_trajectories(report.trace, sc).items():
+            gearboxes = {lk.gearbox for (a, b), lk in sc.topology.links.items() if i in (a, b)}
+            first, last = traj.times[0], traj.times[-1]
+            for tk in traj.times:
+                around = (math.nextafter(tk, -math.inf), tk, math.nextafter(tk, math.inf))
+                phases = [traj.eval(t) for t in around if first <= t <= last]
+                for g in gearboxes:
+                    floors = [scaled_floor(g, ph) for ph in phases]
+                    assert floors == sorted(floors), (i, tk, g, phases)
+                    checked += 1
+    assert checked > 5000  # 5109 (knot, gearbox) pairs on this set
+
+
+def test_triangle3_calibration_phase_is_pinned():
+    # Ideally -1.0, a frame boundary; the float phase sits just above it, and
+    # the calibration floor reads it as frame -1.
+    cfg = triangle3()
+    state = init_state(cfg.scenario, make_controllers(cfg.controller, 3))
+    phase = state.trajectories[1].eval(-1.0)
+    assert phase == -0.9999999999999964
+    assert math.floor(phase) == -1

@@ -8,6 +8,8 @@ import pytest
 
 from afmsim.cli import main
 
+from conftest import HUGE_LITERAL_CONFIG, OVERSIZE_CONFIGS, needs_digit_limit
+
 REPO = Path(__file__).resolve().parent.parent
 BUNDLED = str(REPO / "scenarios" / "triangle3.json")
 
@@ -74,6 +76,26 @@ def test_malformed_gearbox_string_exits_two(tmp_path, capsys):
     assert code == 2
     assert "wrong_type" in captured.err
     assert "topology.edges[0].gearbox" in captured.err
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize(
+    "case", sorted(OVERSIZE_CONFIGS) + [pytest.param("huge_literal", marks=needs_digit_limit)]
+)
+def test_oversize_input_exits_two(tmp_path, capsys, command, case):
+    if case == "huge_literal":
+        text, expected = HUGE_LITERAL_CONFIG, "config error"
+    else:
+        text, name, subject = OVERSIZE_CONFIGS[case]
+        expected = f"{name} @ {subject}:"
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    args = ["--config", str(bad), "--t-max", "5"]
+    if command == "run":
+        args += ["--out", str(tmp_path / "out")]
+    code = main([command, *args])
+    assert code == 2
+    assert expected in capsys.readouterr().err
 
 
 def test_malformed_json_exits_two(tmp_path, capsys):

@@ -6,8 +6,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from afmsim.config import ConfigError, load_config, load_config_file, run_config
+from afmsim.config import (
+    ConfigError,
+    ScenarioConfig,
+    load_config,
+    load_config_file,
+    run_config,
+)
 from afmsim.scenarios import triangle3
 from afmsim.topology import ValidationError
 from afmsim.traceio import (
@@ -19,7 +27,13 @@ from afmsim.traceio import (
     write_trace,
 )
 
-from conftest import two_node_scenario
+from conftest import (
+    HUGE_LITERAL_CONFIG,
+    OVERSIZE_CONFIGS,
+    needs_digit_limit,
+    set_field,
+    two_node_scenario,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 BUNDLED = REPO / "scenarios" / "triangle3.json"
@@ -182,6 +196,100 @@ def test_duplicate_edge_rejected():
     with pytest.raises(ValidationError) as err:
         load_config(bad)
     assert any(v.name == "duplicate_edge" for v in err.value.violations)
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZE_CONFIGS))
+def test_oversize_values_are_named_violations(case):
+    text, name, subject = OVERSIZE_CONFIGS[case]
+    with pytest.raises(ValidationError) as err:
+        load_config(text)
+    assert (name, subject) in [(v.name, v.subject) for v in err.value.violations]
+
+
+@needs_digit_limit
+def test_integer_literal_beyond_conversion_limit_is_a_config_error():
+    with pytest.raises(ConfigError):
+        load_config(HUGE_LITERAL_CONFIG)
+
+
+# -- hostile documents: every key of the schema, hostile leaves ---------------------
+
+_LEAF = st.one_of(
+    st.integers(-3, 60),
+    st.integers(-(10**400), 10**400),
+    st.sampled_from([2**53, 2**53 + 1, 1e308, -1e308, 5e-324]),
+    st.floats(-30.0, 30.0),
+    st.floats(),  # NaN and infinities become NaN/Infinity literals
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["--3/2", "3/2", " 7 / 5 ", "1/0", "\u00b2/1", "2", "", "zero"]),
+)
+_VALUE = st.recursive(
+    _LEAF,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["a", "p", "k_p"]), inner, max_size=2),
+    max_leaves=8,
+)
+
+
+_EDGE_KEYS = (
+    "a", "b", "latency", "latency_ab", "latency_ba", "gearbox", "gearbox_ab", "gearbox_ba",
+    "beta0", "beta0_ab", "beta0_ba",
+)
+# Every field of the schema, and the sections and edge list as wholes.
+_PATHS = (
+    [("topology",), ("params",), ("controller",), ("run",), ("extra",)]
+    + [("topology", key) for key in ("buffer_capacity", "edges")]
+    + [("topology", "edges", i) for i in (0, 1)]
+    + [("topology", "edges", i, key) for i in (0, 1) for key in _EDGE_KEYS]
+    + [
+        ("params", key)
+        for key in (
+            "p", "d", "omega_min", "epoch", "theta0", "omega_u", "omega_init1",
+            "omega_init2", "beta0",
+        )
+    ]
+    + [("controller", key) for key in ("kind", "k_p", "beta_ref", "clamp")]
+    + [("run", key) for key in ("t_max", "output_grid", "seed")]
+)
+
+
+@st.composite
+def _hostile_documents(draw):
+    """A valid document with up to three fields replaced by hostile values."""
+    doc = {
+        "topology": {
+            # Per-node shorthands allocate n_nodes entries, so keep it small.
+            "n_nodes": draw(
+                st.just(3) | st.sampled_from([0, 1, 2, 4, 5, 6, None, True, 2.5, "3"])
+            ),
+            "edges": [{"a": 1, "b": 2, "latency": 1.0}, {"a": 2, "b": 3, "latency": 2.0}],
+        },
+        "params": {
+            "p": 10, "d": 2, "omega_min": 0.1, "epoch": -25.0,
+            "theta0": 0.3, "omega_u": 1.0, "beta0": 7,
+        },
+        "controller": {"kind": "proportional", "k_p": 0.01},
+        "run": {"t_max": 10.0},
+    }
+    for path in draw(st.lists(st.sampled_from(_PATHS), max_size=3)):
+        try:
+            set_field(doc, path, draw(_VALUE))
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier edit replaced a container on this path
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_hostile_documents())
+@example(text=HUGE_LITERAL_CONFIG)
+def test_hostile_documents_load_or_raise_input_errors(text):
+    try:
+        cfg = load_config(text)
+    except (ConfigError, ValidationError):
+        return
+    assert isinstance(cfg, ScenarioConfig)
+    assert load_config(cfg.to_json()).fingerprint() == cfg.fingerprint()
 
 
 # -- trace writing ------------------------------------------------------------------

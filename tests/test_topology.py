@@ -180,3 +180,66 @@ def test_edges_and_directed_links_order():
     topo = triangle_topology()
     assert topo.edges() == [(1, 2), (1, 3), (2, 3)]
     assert topo.directed_links() == [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
+
+
+def out_of_range(violations):
+    return [v.subject for v in violations if v.name == "value_out_of_range"]
+
+
+@pytest.mark.parametrize(
+    "field, value, subject",
+    [
+        ("p", 2**53 + 1, "params.p"),
+        ("p", -(10**400), "params.p"),
+        ("d", 10**400, "params.d"),
+        ("beta0", 2**53 + 1, "link (1,2) beta0"),
+        ("beta0", 10**400, "link (1,2) beta0"),
+    ],
+    ids=["p=2**53+1", "p=-10**400", "d=10**400", "beta0=2**53+1", "beta0=10**400"],
+)
+def test_integers_beyond_binary64_are_out_of_range(field, value, subject):
+    if field == "beta0":
+        value = {k: (value if k == (1, 2) else 50) for k in triangle_topology().links}
+    got = check(triangle_topology(), triangle_params(**{field: value}))
+    assert out_of_range(got) == [subject]
+
+
+@pytest.mark.parametrize(
+    "gearbox",
+    [Fraction(10**400), Fraction(2**60 + 1, 2**60), Fraction(1, 2**53 + 1)],
+    ids=["10**400", "(2**60+1)/2**60", "1/(2**53+1)"],
+)
+def test_gearbox_beyond_binary64_is_out_of_range(gearbox):
+    links = dict(triangle_topology().links)
+    links[(1, 2)] = Link(latency=1.0, gearbox=gearbox)
+    got = check(Topology(3, links), triangle_params())
+    assert out_of_range(got) == ["link (1,2) gearbox"]
+
+
+def test_largest_exact_integers_are_in_range():
+    links = dict(triangle_topology().links)
+    links[(1, 2)] = Link(latency=1.0, gearbox=Fraction(2**53, 2**53 - 1))
+    beta0 = {k: 2**53 for k in links}
+    assert check(Topology(3, links), triangle_params(p=2**53, beta0=beta0)) == []
+
+
+def test_non_finite_history_start_phase_is_out_of_range():
+    # theta0 + omega_init2 * epoch is -inf for node 3 (omega 2.0) only
+    got = check(triangle_topology(), triangle_params(epoch=-1e308))
+    assert out_of_range(got) == ["node 3"]
+
+
+def test_non_finite_scaled_phase_is_out_of_range():
+    links = dict(triangle_topology().links)
+    links[(1, 2)] = Link(latency=1.0, gearbox=Fraction(2))
+    got = check(Topology(3, links), triangle_params(theta0=(1e308, 0.1, 0.1)))
+    assert out_of_range(got) == ["link (1,2)"]
+    assert "initial_phase_integral" in names(got)
+
+
+def test_out_of_range_values_keep_the_other_violations():
+    params = triangle_params(d=10**400, epoch=-1.0, theta0=(1.0, 0.1, 0.1))
+    got = names(check(triangle_topology(), params))
+    assert "value_out_of_range" in got
+    assert "delay_not_less_than_period" in got
+    assert "initial_phase_integral" in got

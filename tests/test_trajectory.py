@@ -191,6 +191,35 @@ def test_constructor_rejects_bad_knots():
         make([(0.0, -math.inf), (1.0, 0.0)])
 
 
+@pytest.mark.parametrize(
+    "knots",
+    [
+        [(0, 0), (1, 1), (1, 2)],
+        [(0, 0), (1, 1), (2, 1)],
+        [(0, 0), (1, 1), (2, 1.3)],
+        [(0, 0), (1, 1), (math.nan, 2)],
+        [(0, 0), (1, 1), (2, math.inf)],
+    ],
+)
+def test_constructor_applies_the_append_rules(knots):
+    # Knots after the first are added by append, so both raise alike.
+    def outcome(build):
+        try:
+            return build().knots()
+        except (ValueError, AdmissibilityError) as exc:
+            return type(exc), str(exc), getattr(exc, "frequency", None)
+
+    def by_append():
+        traj = make(knots[:1], min_slope=0.5)
+        for t, ph in knots[1:]:
+            traj.append(float(t), float(ph))
+        return traj
+
+    expected = outcome(by_append)
+    assert isinstance(expected, tuple)
+    assert outcome(lambda: make(knots, min_slope=0.5)) == expected
+
+
 def test_slope_at_is_right_continuous():
     traj = make([(0, 0), (1, 2), (3, 3)])
     assert traj.slope_at(0.5) == 2.0
