@@ -1,8 +1,8 @@
 """Command-line surface: run, verify, summarize, plot.
 
 Exit codes: 0 success; 1 fatal buffer events or verification mismatch;
-2 unusable input (malformed or invalid config, missing files, statically
-inadmissible controller).
+2 unusable input (malformed or invalid config, missing files, an unreadable
+trace directory, statically inadmissible controller).
 """
 
 from __future__ import annotations
@@ -15,7 +15,15 @@ from pathlib import Path
 from .config import ConfigError, load_config_file, run_config
 from .oracle import verify_scenario
 from .topology import ValidationError
-from .traceio import emit_plot_script, fmt_num, format_summary, read_trace, summarize, write_trace
+from .traceio import (
+    TraceError,
+    emit_plot_script,
+    fmt_num,
+    format_summary,
+    read_trace,
+    summarize,
+    write_trace,
+)
 from .trajectory import AdmissibilityError
 
 
@@ -129,6 +137,9 @@ def main(argv: list[str] | None = None) -> int:
         print("invalid scenario:", file=sys.stderr)
         for violation in exc.violations:
             print(f"  {violation}", file=sys.stderr)
+        return 2
+    except TraceError as exc:
+        print(f"invalid trace: {exc}", file=sys.stderr)
         return 2
     except AdmissibilityError as exc:
         print(f"admissibility error: {exc}", file=sys.stderr)

@@ -1,12 +1,14 @@
 """JSON scenario configs: parsing, normalization, fingerprinting.
 
 A config document has four sections: ``topology``, ``params``,
-``controller``, and optional ``run``. Loading broadcasts scalar shorthands
-(per-node and per-link values may be given once), resolves per-direction
-link fields, and then applies every well-posedness check; all schema and
-constraint violations are reported together, each with the path of the
-offending field. The canonical form emitted by ``to_dict`` is fully
-resolved, so two configs that mean the same scenario fingerprint the same.
+``controller``, and optional ``run``. Every field is read by one reader,
+under one rule: an explicit null is the same as an absent key. Loading
+broadcasts scalar shorthands (per-node and per-link values may be given
+once), resolves per-direction link fields, and then applies every
+well-posedness check; all schema and constraint violations are reported
+together, each with the path of the offending field. The canonical form
+emitted by ``to_dict`` is fully resolved, so two configs that mean the same
+scenario fingerprint the same.
 """
 
 from __future__ import annotations
@@ -141,10 +143,41 @@ def _as_gearbox(x) -> Fraction | None:
     return None
 
 
+def _as_clamp(x) -> tuple[float, float] | None:
+    bounds = tuple(map(_as_float, x)) if isinstance(x, list) else ()
+    if len(bounds) == 2 and None not in bounds and bounds[0] <= bounds[1]:
+        return bounds
+    return None
+
+
 # What a field must hold, and the function that reads it (None if it does not).
 _NUMBER = ("a number", _as_float)
 _INTEGER = ("an integer", _as_int)
 _GEARBOX = ("an integer, [num, den], or 'num/den' with a nonzero den", _as_gearbox)
+_CLAMP = ("[low, high] with low <= high", _as_clamp)
+_OBJECT = ("an object", lambda x: x if isinstance(x, dict) else None)
+
+
+def _per_node(n: int):
+    """The kind of a per-node field: one number for all ``n`` nodes, or a list
+    of ``n`` numbers."""
+
+    def read(x) -> tuple[float, ...] | None:
+        one = _as_float(x)
+        if one is not None:
+            return (one,) * n
+        if not isinstance(x, list) or len(x) != n:  # a dict is wrong even when n is 0
+            return None
+        vals = tuple(map(_as_float, x))
+        return None if None in vals else vals
+
+    return (f"a number or a list of {n} numbers", read)
+
+
+_DIRECTIONS = ("_ab", "_ba")
+_EDGE_KEYS = {"a", "b"} | {
+    key + suffix for key in ("latency", "gearbox", "beta0") for suffix in ("", *_DIRECTIONS)
+}
 
 
 class _Reader:
@@ -156,20 +189,10 @@ class _Reader:
     def bad(self, name: str, path: str, detail: str) -> None:
         self.violations.append(Violation(name, path, detail))
 
-    def section(self, raw: dict, key: str, path: str, required: bool = True) -> dict | None:
-        val = raw.get(key)
-        if val is None:
-            if required:
-                self.bad("missing_field", f"{path}{key}", "required section")
-            return None
-        if not isinstance(val, dict):
-            self.bad("wrong_type", f"{path}{key}", "expected an object")
-            return None
-        return val
-
     def value(self, raw: dict, key: str, path: str, kind, default=None, required=True):
-        """The field read as ``kind``, or ``default`` if it is absent or wrong."""
-        if key not in raw:
+        """The field read as ``kind``, or ``default`` if it is absent, null or
+        wrong."""
+        if key not in raw or raw[key] is None:
             if required:
                 self.bad("missing_field", f"{path}{key}", f"required: {kind[0]}")
             return default
@@ -179,54 +202,27 @@ class _Reader:
             return default
         return val
 
+    def section(self, raw: dict, key: str, path: str, keys: set[str], required=True):
+        """The object at ``key``, its keys checked against ``keys``."""
+        val = self.value(raw, key, path, _OBJECT, required=required)
+        if val is not None:
+            self.check_keys(val, keys, f"{path}{key}.")
+        return val
+
     def per_direction(self, edge: dict, key: str, path: str, kind, default=None) -> tuple:
         """(a->b, b->a) values: ``key_ab`` and ``key_ba``, each falling back to
         the shared ``key``, which falls back to ``default``."""
         shared = self.value(edge, key, path, kind, default, False)
+        ab, ba = _DIRECTIONS
         return (
-            self.value(edge, key + "_ab", path, kind, shared, False),
-            self.value(edge, key + "_ba", path, kind, shared, False),
+            self.value(edge, key + ab, path, kind, shared, False),
+            self.value(edge, key + ba, path, kind, shared, False),
         )
 
     def check_keys(self, raw: dict, allowed: set[str], path: str) -> None:
         for key in raw:
             if key not in allowed:
                 self.bad("unknown_field", f"{path}{key}", "not part of the schema")
-
-    def per_node(self, raw: dict, key: str, path: str, n: int, default=None):
-        """A scalar broadcast to all nodes, or a list of n numbers."""
-        if key not in raw:
-            if default is None:
-                self.bad("missing_field", f"{path}{key}", "required per-node value")
-                return None
-            return default
-        val = raw[key]
-        one = _as_float(val)
-        if one is not None:
-            return [one] * n
-        if isinstance(val, list):
-            vals = [_as_float(x) for x in val]
-            if len(vals) == n and None not in vals:
-                return vals
-            self.bad("wrong_type", f"{path}{key}", f"expected {n} numbers, got {val!r}")
-            return None
-        self.bad("wrong_type", f"{path}{key}", f"expected number or list, got {val!r}")
-        return None
-
-
-_EDGE_KEYS = {
-    "a",
-    "b",
-    "latency",
-    "latency_ab",
-    "latency_ba",
-    "gearbox",
-    "gearbox_ab",
-    "gearbox_ba",
-    "beta0",
-    "beta0_ab",
-    "beta0_ba",
-}
 
 
 def load_config(text: str) -> ScenarioConfig:
@@ -249,28 +245,24 @@ def load_config(text: str) -> ScenarioConfig:
 
     r = _Reader()
     r.check_keys(raw, {"topology", "params", "controller", "run"}, "")
-
-    topo_raw = r.section(raw, "topology", "")
-    par_raw = r.section(raw, "params", "")
-    ctrl_raw = r.section(raw, "controller", "")
-    run_raw = r.section(raw, "run", "", required=False)
+    topo_raw = r.section(raw, "topology", "", {"n_nodes", "buffer_capacity", "edges"})
+    par_keys = "p d omega_min epoch theta0 omega_u omega_init1 omega_init2 beta0"
+    par_raw = r.section(raw, "params", "", set(par_keys.split()))
+    ctrl_raw = r.section(raw, "controller", "", {"kind", "k_p", "beta_ref", "clamp"})
+    run_raw = r.section(raw, "run", "", {"t_max", "output_grid", "seed"}, required=False)
 
     n_nodes = 0
     links: dict[tuple[int, int], Link] = {}
     beta0: dict[tuple[int, int], int] = {}
     capacity = None
     if topo_raw is not None:
-        r.check_keys(topo_raw, {"n_nodes", "buffer_capacity", "edges"}, "topology.")
         n_nodes = r.value(topo_raw, "n_nodes", "topology.", _INTEGER, default=0)
-        if topo_raw.get("buffer_capacity") is not None:
-            capacity = r.value(topo_raw, "buffer_capacity", "topology.", _INTEGER)
+        capacity = r.value(topo_raw, "buffer_capacity", "topology.", _INTEGER, required=False)
         edges_raw = topo_raw.get("edges")
         if not isinstance(edges_raw, list):
             r.bad("wrong_type", "topology.edges", "expected a list of edge objects")
             edges_raw = []
-        default_beta0 = None
-        if par_raw is not None:
-            default_beta0 = r.value(par_raw, "beta0", "params.", _INTEGER, required=False)
+        default_beta0 = r.value(par_raw or {}, "beta0", "params.", _INTEGER, required=False)
         for idx, edge in enumerate(edges_raw):
             path = f"topology.edges[{idx}]."
             if not isinstance(edge, dict):
@@ -304,47 +296,30 @@ def load_config(text: str) -> ScenarioConfig:
 
     params = None
     if par_raw is not None:
-        r.check_keys(
-            par_raw,
-            {
-                "p",
-                "d",
-                "omega_min",
-                "epoch",
-                "theta0",
-                "omega_u",
-                "omega_init1",
-                "omega_init2",
-                "beta0",
-            },
-            "params.",
-        )
         p = r.value(par_raw, "p", "params.", _INTEGER, default=0)
         d = r.value(par_raw, "d", "params.", _INTEGER, default=0)
         omega_min = r.value(par_raw, "omega_min", "params.", _NUMBER, default=0.0)
         epoch = r.value(par_raw, "epoch", "params.", _NUMBER, default=0.0)
-        theta0 = r.per_node(par_raw, "theta0", "params.", n_nodes)
-        omega_u = r.per_node(par_raw, "omega_u", "params.", n_nodes)
-        omega_init1 = r.per_node(par_raw, "omega_init1", "params.", n_nodes, default=omega_u)
-        omega_init2 = r.per_node(
-            par_raw, "omega_init2", "params.", n_nodes, default=omega_init1
-        )
+        per_node = _per_node(n_nodes)
+        theta0 = r.value(par_raw, "theta0", "params.", per_node)
+        omega_u = r.value(par_raw, "omega_u", "params.", per_node)
+        omega_init1 = r.value(par_raw, "omega_init1", "params.", per_node, omega_u, False)
+        omega_init2 = r.value(par_raw, "omega_init2", "params.", per_node, omega_init1, False)
         if None not in (theta0, omega_u, omega_init1, omega_init2):
             params = SystemParams(
                 p=p,
                 d=d,
                 omega_min=omega_min,
                 epoch=epoch,
-                theta0=tuple(theta0),
-                omega_u=tuple(omega_u),
-                omega_init1=tuple(omega_init1),
-                omega_init2=tuple(omega_init2),
+                theta0=theta0,
+                omega_u=omega_u,
+                omega_init1=omega_init1,
+                omega_init2=omega_init2,
                 beta0=beta0,
             )
 
     controller = None
     if ctrl_raw is not None:
-        r.check_keys(ctrl_raw, {"kind", "k_p", "beta_ref", "clamp"}, "controller.")
         kind = ctrl_raw.get("kind")
         if kind not in ("zero", "proportional"):
             r.bad(
@@ -353,44 +328,22 @@ def load_config(text: str) -> ScenarioConfig:
                 f"expected 'zero' or 'proportional', got {kind!r}",
             )
         else:
-            k_p = r.value(
-                ctrl_raw,
-                "k_p",
-                "controller.",
-                _NUMBER,
-                default=0.0,
-                required=(kind == "proportional"),
+            controller = ControllerSpec(
+                kind=kind,
+                k_p=r.value(ctrl_raw, "k_p", "controller.", _NUMBER, 0.0, kind == "proportional"),
+                beta_ref=r.value(ctrl_raw, "beta_ref", "controller.", _NUMBER, 0.0, False),
+                clamp=r.value(ctrl_raw, "clamp", "controller.", _CLAMP, required=False),
             )
-            beta_ref = r.value(
-                ctrl_raw, "beta_ref", "controller.", _NUMBER, default=0.0, required=False
-            )
-            clamp = None
-            cl = ctrl_raw.get("clamp")
-            if cl is not None:
-                bounds = [_as_float(x) for x in cl] if isinstance(cl, list) else []
-                if len(bounds) == 2 and None not in bounds and bounds[0] <= bounds[1]:
-                    clamp = (bounds[0], bounds[1])
-                else:
-                    r.bad(
-                        "wrong_type",
-                        "controller.clamp",
-                        f"expected [low, high] with low <= high, got {cl!r}",
-                    )
-            controller = ControllerSpec(kind=kind, k_p=k_p, beta_ref=beta_ref, clamp=clamp)
 
-    run = RunSettings()
-    if run_raw is not None:
-        r.check_keys(run_raw, {"t_max", "output_grid", "seed"}, "run.")
-        t_max = r.value(run_raw, "t_max", "run.", _NUMBER, default=100.0, required=False)
-        grid = r.value(run_raw, "output_grid", "run.", _NUMBER, default=0.5, required=False)
-        seed = None
-        if run_raw.get("seed") is not None:
-            seed = r.value(run_raw, "seed", "run.", _INTEGER)
-        if t_max <= 0:
-            r.bad("run_t_max_nonpositive", "run.t_max", f"t_max={t_max!r}")
-        if grid <= 0:
-            r.bad("run_grid_nonpositive", "run.output_grid", f"output_grid={grid!r}")
-        run = RunSettings(t_max=t_max, output_grid=grid, seed=seed)
+    run_raw = run_raw or {}
+    t_max = r.value(run_raw, "t_max", "run.", _NUMBER, RunSettings.t_max, False)
+    grid = r.value(run_raw, "output_grid", "run.", _NUMBER, RunSettings.output_grid, False)
+    seed = r.value(run_raw, "seed", "run.", _INTEGER, required=False)
+    if t_max <= 0:
+        r.bad("run_t_max_nonpositive", "run.t_max", f"t_max={t_max!r}")
+    if grid <= 0:
+        r.bad("run_grid_nonpositive", "run.output_grid", f"output_grid={grid!r}")
+    run = RunSettings(t_max=t_max, output_grid=grid, seed=seed)
 
     if r.violations:
         raise ValidationError(r.violations)

@@ -3,8 +3,9 @@
 Every individual frame is tracked through its send, link traversal, and
 consumption, using only the integer crossings of the (gearbox-scaled) clock
 phases. Every frame time is a tick of some clock, so ``tick_times`` lists
-the ticks of each (node, gearbox) clock once, and each link cuts three
-sorted time lists out of those: sends and consumptions (source and
+the ticks of each (node, gearbox) clock once, from the longest link latency
+before zero (so the work does not grow with the epoch), and each link cuts
+three sorted time lists out of those: sends and consumptions (source and
 destination ticks in (0, horizon]) and arrivals (source ticks from one
 latency before zero, plus the latency). A buffer's occupancy is then a
 plain count, the initial fill plus the arrivals so far minus the
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 
 from . import engine
 from .controllers import ControllerSpec
@@ -37,22 +39,31 @@ from .topology import Scenario
 from .trajectory import ClockTrajectory, sweep_eval
 
 
-def tick_times(traj: ClockTrajectory, gearbox: Gearbox) -> tuple[int, list[float]]:
+def tick_times(
+    traj: ClockTrajectory, gearbox: Gearbox, start: float
+) -> tuple[int, list[float]]:
     """``(m0, times)``: ``times[k]`` is when the gearbox-scaled phase reaches
-    ``m0 + k``, for every integer the trajectory crosses. This is the one
-    place where a crossing time is defined.
+    ``m0 + k``, for every integer the trajectory crosses after ``start``, so
+    ``m0 = scaled_floor(g, eval(start)) + 1``. This is the one place where a
+    crossing time is defined.
 
     A segment holds the integers in ``(scaled_floor(g, p0), scaled_floor(g,
-    p1)]``, so the ticks in a time window (s, t] are those of the integers in
-    ``(scaled_floor(g, eval(s)), scaled_floor(g, eval(t))]``.
+    p1)]``, so the ticks in a time window (s, t] with ``start <= s`` are those
+    of the integers in ``(scaled_floor(g, eval(s)), scaled_floor(g,
+    eval(t))]``. The list starts at the segment that holds ``start``, so its
+    length does not grow with the history before it.
     """
     num, den = gearbox.numerator, gearbox.denominator
-    floors = scaled_floors(gearbox, traj.phases)
+    m_start = scaled_floor(gearbox, traj.eval(start))
+    first = bisect_right(traj.times, start) - 1  # the segment that holds start
+    floors = scaled_floors(gearbox, traj.phases[first:])
     times: list[float] = []
-    for (t0, p0, t1, p1), m_lo, m_hi in zip(traj.segments(), floors, floors[1:]):
+    segments = islice(traj.segments(), first, None)
+    for (t0, p0, t1, p1), m_lo, m_hi in zip(segments, floors, floors[1:]):
         dt_dp = (t1 - t0) / (p1 - p0)
+        m_lo = max(m_lo, m_start)
         times += [t0 + (m * den / num - p0) * dt_dp for m in range(m_lo + 1, m_hi + 1)]
-    return floors[0] + 1, times
+    return m_start + 1, times
 
 
 @dataclass
@@ -109,14 +120,17 @@ def replay(
     links: dict[tuple[int, int], LinkReplay] = {}
     violations: list[FatalEvent] = []
     ticks: dict[tuple[int, Gearbox], tuple[int, list[float]]] = {}
+    # No window starts before the longest latency.
+    start = -max((link.latency for link in topo.links.values()), default=0.0)
 
     def window(node: int, g: Gearbox, s: float, t: float) -> list[float]:
-        """The ticks of ``node``'s ``g``-scaled clock in (s, t]."""
+        """The ticks of ``node``'s ``g``-scaled clock in (s, t], for s >= start."""
         traj = trajectories[node]
         if (node, g) not in ticks:
-            ticks[(node, g)] = tick_times(traj, g)
+            ticks[(node, g)] = tick_times(traj, g, start)
         m0, times = ticks[(node, g)]
-        # eval never falls below the first knot phase, so lo is not negative.
+        # start <= s <= 0 lie on the history segment, where scaled floors never
+        # drop, so lo is not negative.
         lo = scaled_floor(g, traj.eval(s)) + 1 - m0
         hi = scaled_floor(g, traj.eval(t)) + 1 - m0
         return times[lo:hi]

@@ -16,6 +16,7 @@ frequencies round-trip only to the printed precision.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,42 +69,66 @@ def write_trace(trace: Trace, out_dir: str | Path) -> dict[str, Path]:
     return paths
 
 
+class TraceError(ValueError):
+    """A trace file that does not parse; the message names the file."""
+
+
+@contextmanager
+def _parsing(path: Path):
+    """Re-raise a ``ValueError`` from reading or parsing ``path`` (bad UTF-8, a
+    short row, bad JSON) as a ``TraceError`` that names the file."""
+    try:
+        yield
+    except ValueError as exc:
+        raise TraceError(f"{path}: {exc}") from exc
+
+
 def read_trace(trace_dir: str | Path) -> Trace:
     """Rebuild a reporting view of a trace from its directory.
 
     Knot lists and per-sample records are not serialized, so the result has
     the resampled series and events only; floats carry the printed precision.
+    Raises ``TraceError`` for a file that does not parse and for a
+    ``nodes.csv`` without rows.
     """
     d = Path(trace_dir)
     theta: dict[int, list[float]] = {}
     omega: dict[int, list[float]] = {}
     grid: list[float] = []
     last_t = None
-    for line in (d / "nodes.csv").read_text(encoding="utf-8").splitlines()[1:]:
-        ts, node_s, th, om = line.split(",")
-        t = float(ts)
-        if t != last_t:
-            grid.append(t)
-            last_t = t
-        i = int(node_s)
-        theta.setdefault(i, []).append(float(th))
-        omega.setdefault(i, []).append(float(om))
+    with _parsing(d / "nodes.csv"):
+        for line in (d / "nodes.csv").read_text(encoding="utf-8").splitlines()[1:]:
+            ts, node_s, th, om = line.split(",")
+            t = float(ts)
+            if t != last_t:
+                grid.append(t)
+                last_t = t
+            i = int(node_s)
+            theta.setdefault(i, []).append(float(th))
+            omega.setdefault(i, []).append(float(om))
+        if not grid:
+            raise ValueError("no rows after the header")
 
     beta: dict[tuple[int, int], list[int]] = {}
     gamma: dict[tuple[int, int], list[int]] = {}
-    for line in (d / "buffers.csv").read_text(encoding="utf-8").splitlines()[1:]:
-        _, a_s, b_s, b_occ, g_occ = line.split(",")
-        key = (int(a_s), int(b_s))
-        beta.setdefault(key, []).append(int(b_occ))
-        gamma.setdefault(key, []).append(int(g_occ))
+    with _parsing(d / "buffers.csv"):
+        for line in (d / "buffers.csv").read_text(encoding="utf-8").splitlines()[1:]:
+            _, a_s, b_s, b_occ, g_occ = line.split(",")
+            key = (int(a_s), int(b_s))
+            beta.setdefault(key, []).append(int(b_occ))
+            gamma.setdefault(key, []).append(int(g_occ))
 
     events: list[FatalEvent] = []
-    for line in (d / "events.csv").read_text(encoding="utf-8").splitlines()[1:]:
-        ts, kind, link_s, value = line.split(",")
-        src, dst = link_s.split("->")
-        events.append(FatalEvent(kind, (int(src), int(dst)), float(ts), int(value)))
+    with _parsing(d / "events.csv"):
+        for line in (d / "events.csv").read_text(encoding="utf-8").splitlines()[1:]:
+            ts, kind, link_s, value = line.split(",")
+            src, dst = link_s.split("->")
+            events.append(FatalEvent(kind, (int(src), int(dst)), float(ts), int(value)))
 
-    meta = json.loads((d / "meta.json").read_text(encoding="utf-8"))
+    with _parsing(d / "meta.json"):
+        meta = json.loads((d / "meta.json").read_text(encoding="utf-8"))
+        if not isinstance(meta, dict):
+            raise ValueError("expected a JSON object")
     fingerprint = meta.pop("fingerprint", "")
     meta.pop("fatal", None)
     meta.pop("first_fatal_t", None)

@@ -98,6 +98,28 @@ def test_oversize_input_exits_two(tmp_path, capsys, command, case):
     assert expected in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["summarize", "plot"])
+@pytest.mark.parametrize(
+    "name, damage",
+    [
+        ("nodes.csv", lambda text: text.rstrip("\n").rsplit(",", 1)[0] + "\n"),
+        ("nodes.csv", lambda text: text.splitlines()[0] + "\n"),
+        ("meta.json", lambda text: text[: len(text) // 2]),
+    ],
+    ids=["short_row", "header_only", "meta_not_json"],
+)
+def test_malformed_trace_exits_two(tmp_path, capsys, command, name, damage):
+    out = tmp_path / "trace"
+    assert main(["run", "--config", BUNDLED, "--t-max", "5", "--out", str(out)]) == 0
+    (out / name).write_text(damage((out / name).read_text()))
+    capsys.readouterr()
+    code = main([command, "--trace", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"invalid trace: {out / name}: ")
+    assert "Traceback" not in err
+
+
 def test_malformed_json_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -198,6 +198,87 @@ def test_duplicate_edge_rejected():
     assert any(v.name == "duplicate_edge" for v in err.value.violations)
 
 
+# -- explicit null: the same as an absent key -----------------------------------------
+
+_EDGE0 = ("topology", "edges", 0)
+
+
+def _minimal_with(*edits):
+    """MINIMAL with an empty run section and each (path, value) edit made."""
+    doc = json.loads(MINIMAL)
+    doc["run"] = {}
+    for path, value in edits:
+        set_field(doc, path, value)
+    return doc
+
+
+def _violations(doc):
+    with pytest.raises(ValidationError) as err:
+        load_config(json.dumps(doc))
+    return [(v.name, v.subject) for v in err.value.violations]
+
+
+# Each optional field, with the edits that make the document valid without it.
+OPTIONAL_FIELDS = [
+    (("params", "omega_init1"), []),
+    (("params", "omega_init2"), []),
+    (("params", "beta0"), [((*_EDGE0, "beta0"), 7)]),
+    (("controller", "beta_ref"), []),
+    (("controller", "k_p"), []),  # kind zero
+    (("run", "t_max"), []),
+    (("run", "output_grid"), []),
+    (("run", "seed"), []),
+    (("topology", "buffer_capacity"), []),
+    (("controller", "clamp"), []),
+    # the shared edge fields when both per-direction forms are given
+    ((*_EDGE0, "latency"), [((*_EDGE0, "latency_ab"), 1.0), ((*_EDGE0, "latency_ba"), 2.0)]),
+    ((*_EDGE0, "gearbox"), [((*_EDGE0, "gearbox_ab"), [3, 2]), ((*_EDGE0, "gearbox_ba"), 3)]),
+    ((*_EDGE0, "beta0"), [((*_EDGE0, "beta0_ab"), 4), ((*_EDGE0, "beta0_ba"), 9)]),
+    # a per-direction form falls back to the shared field
+    ((*_EDGE0, "latency_ab"), []),
+    ((*_EDGE0, "gearbox_ba"), []),
+    ((*_EDGE0, "beta0_ab"), []),
+]
+
+
+@pytest.mark.parametrize(
+    "path, edits", OPTIONAL_FIELDS, ids=[".".join(map(str, path)) for path, _ in OPTIONAL_FIELDS]
+)
+def test_explicit_null_loads_as_an_absent_key(path, edits):
+    doc = _minimal_with(*edits)
+    *parents, key = path
+    section = doc
+    for step in parents:
+        section = section[step]
+    section.pop(key, None)
+    absent = load_config(json.dumps(doc))
+    section[key] = None
+    assert load_config(json.dumps(doc)).fingerprint() == absent.fingerprint()
+
+
+@pytest.mark.parametrize(
+    "path, subject, edits",
+    [
+        (("topology", "n_nodes"), "topology.n_nodes", []),
+        (("params", "p"), "params.p", []),
+        (("params", "theta0"), "params.theta0", []),
+        ((*_EDGE0, "a"), "topology.edges[0].a", []),
+        ((*_EDGE0, "latency"), "topology.edges[0].latency", []),
+        (("controller", "k_p"), "controller.k_p", [(("controller", "kind"), "proportional")]),
+    ],
+)
+def test_required_field_given_null_is_missing(path, subject, edits):
+    violations = _violations(_minimal_with(*edits, (path, None)))
+    assert ("missing_field", subject) in violations
+    assert ("wrong_type", subject) not in violations
+
+
+def test_invalid_omega_u_is_the_only_frequency_violation():
+    violations = _violations(_minimal_with((("params", "omega_u"), "fast")))
+    assert ("wrong_type", "params.omega_u") in violations
+    assert not [v for v in violations if v[1].startswith("params.omega_init")]
+
+
 @pytest.mark.parametrize("case", sorted(OVERSIZE_CONFIGS))
 def test_oversize_values_are_named_violations(case):
     text, name, subject = OVERSIZE_CONFIGS[case]
@@ -254,15 +335,11 @@ _PATHS = (
 )
 
 
-@st.composite
-def _hostile_documents(draw):
-    """A valid document with up to three fields replaced by hostile values."""
-    doc = {
+def _valid_document(n_nodes):
+    """A 3-node document, valid when ``n_nodes`` is 3."""
+    return {
         "topology": {
-            # Per-node shorthands allocate n_nodes entries, so keep it small.
-            "n_nodes": draw(
-                st.just(3) | st.sampled_from([0, 1, 2, 4, 5, 6, None, True, 2.5, "3"])
-            ),
+            "n_nodes": n_nodes,
             "edges": [{"a": 1, "b": 2, "latency": 1.0}, {"a": 2, "b": 3, "latency": 2.0}],
         },
         "params": {
@@ -272,6 +349,36 @@ def _hostile_documents(draw):
         "controller": {"kind": "proportional", "k_p": 0.01},
         "run": {"t_max": 10.0},
     }
+
+
+def _no_node_document(path, value):
+    """``n_nodes`` 0 with one per-node field replaced."""
+    doc = _valid_document(0)
+    set_field(doc, path, value)
+    return json.dumps(doc)
+
+
+# A per-node value that is neither a number nor a list is wrong for any n_nodes,
+# even 0, where an empty collection would have the right length.
+NO_NODE_WRONG_TYPES = {
+    "theta0_dict": (_no_node_document(("params", "theta0"), {"a": 1}), "params.theta0"),
+    "omega_u_string": (_no_node_document(("params", "omega_u"), "fast"), "params.omega_u"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_NODE_WRONG_TYPES))
+def test_per_node_value_of_wrong_type_with_no_nodes(case):
+    text, subject = NO_NODE_WRONG_TYPES[case]
+    assert ("wrong_type", subject) in _violations(json.loads(text))
+
+
+@st.composite
+def _hostile_documents(draw):
+    """A valid document with up to three fields replaced by hostile values."""
+    # Per-node shorthands allocate n_nodes entries, so keep it small.
+    doc = _valid_document(
+        draw(st.just(3) | st.sampled_from([0, 1, 2, 4, 5, 6, None, True, 2.5, "3"]))
+    )
     for path in draw(st.lists(st.sampled_from(_PATHS), max_size=3)):
         try:
             set_field(doc, path, draw(_VALUE))
@@ -283,6 +390,8 @@ def _hostile_documents(draw):
 @settings(max_examples=300, deadline=None)
 @given(text=_hostile_documents())
 @example(text=HUGE_LITERAL_CONFIG)
+@example(text=NO_NODE_WRONG_TYPES["theta0_dict"][0])
+@example(text=NO_NODE_WRONG_TYPES["omega_u_string"][0])
 def test_hostile_documents_load_or_raise_input_errors(text):
     try:
         cfg = load_config(text)

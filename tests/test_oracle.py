@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from afmsim import oracle
 from afmsim.controllers import ControllerSpec, make_controllers
 from afmsim.engine import (
     FatalEvent,
@@ -57,7 +58,7 @@ def run_state(scenario, spec, horizon):
 
 def test_tick_slice_count_matches_floor_difference():
     traj = ClockTrajectory([(-5.0, -4.5), (0.0, 0.5), (3.0, 7.3), (9.0, 11.0)])
-    m0, times = tick_times(traj, 1)
+    m0, times = tick_times(traj, 1, -5.0)
     rng = random.Random(3)
     for _ in range(50):
         lo = rng.uniform(-4.5, 11.0)
@@ -70,7 +71,7 @@ def test_tick_slice_count_matches_floor_difference():
 
 def test_tick_times_consecutive_with_gearbox():
     traj = ClockTrajectory([(0.0, 0.1), (4.0, 2.7), (10.0, 11.3)])
-    m0, times = tick_times(traj, Fraction(3, 2))
+    m0, times = tick_times(traj, Fraction(3, 2), 0.0)
     assert times == sorted(times)
     # times[k] is the crossing of m0 + k: floor(1.5 * 0.1) + 1
     assert m0 == 1
@@ -78,6 +79,27 @@ def test_tick_times_consecutive_with_gearbox():
         assert traj.eval(t) * 3 / 2 == pytest.approx(m0 + k, abs=1e-9)
     # scaled floor difference: floor(1.5*11.3) - floor(1.5*0.1) = 16 - 0
     assert len(times) == 16
+
+
+def test_replay_tick_work_does_not_grow_with_the_epoch(monkeypatch):
+    counted = []
+
+    def counting(*args):
+        m0, times = tick_times(*args)
+        counted.append(len(times))
+        return m0, times
+
+    monkeypatch.setattr(oracle, "tick_times", counting)
+    cfg = triangle3()
+    ticks = {}
+    for epoch in (-25.0, -1e6):
+        params = dataclasses.replace(cfg.scenario.params, epoch=epoch)
+        sc = validate(cfg.scenario.topology, params)
+        trajs = rebuild_trajectories(simulate(sc, cfg.controller, 10.0), sc)
+        counted.clear()
+        replay(trajs, sc, 10.0)
+        ticks[epoch] = sum(counted)
+    assert ticks[-1e6] == ticks[-25.0] > 0
 
 
 # -- replay basics ----------------------------------------------------------------
