@@ -105,8 +105,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    trace = read_trace(args.trace)
-    print(format_summary(summarize(trace)))
+    trace_dir = Path(args.trace)
+    summary = summarize(read_trace(trace_dir))
+    if summary.freq_mean == 0.0:  # the spread is reported as a share of the mean
+        raise TraceError(f"{trace_dir / 'nodes.csv'}: the final omega values average 0")
+    print(format_summary(summary))
     return 0
 
 

@@ -24,6 +24,7 @@ from pathlib import Path
 from . import engine
 from .controllers import ControllerSpec
 from .topology import (
+    MAX_EXACT_INT,
     Link,
     Scenario,
     SystemParams,
@@ -158,20 +159,21 @@ _CLAMP = ("[low, high] with low <= high", _as_clamp)
 _OBJECT = ("an object", lambda x: x if isinstance(x, dict) else None)
 
 
-def _per_node(n: int):
+def _per_node(n: int | None):
     """The kind of a per-node field: one number for all ``n`` nodes, or a list
-    of ``n`` numbers."""
+    of ``n`` numbers. With ``n`` None, a node count already rejected, a list
+    of any length is read and one number is not broadcast."""
 
     def read(x) -> tuple[float, ...] | None:
         one = _as_float(x)
         if one is not None:
-            return (one,) * n
-        if not isinstance(x, list) or len(x) != n:  # a dict is wrong even when n is 0
+            return (one,) * (1 if n is None else n)
+        if not isinstance(x, list) or n not in (None, len(x)):  # a dict is wrong even at n 0
             return None
         vals = tuple(map(_as_float, x))
         return None if None in vals else vals
 
-    return (f"a number or a list of {n} numbers", read)
+    return (f"a number or a list of {'n_nodes' if n is None else n} numbers", read)
 
 
 _DIRECTIONS = ("_ab", "_ba")
@@ -257,6 +259,9 @@ def load_config(text: str) -> ScenarioConfig:
     capacity = None
     if topo_raw is not None:
         n_nodes = r.value(topo_raw, "n_nodes", "topology.", _INTEGER, default=0)
+        if abs(n_nodes) > MAX_EXACT_INT:  # before a scalar is broadcast to n_nodes values
+            r.bad("value_out_of_range", "topology.n_nodes", "magnitude above 2**53")
+            n_nodes = None
         capacity = r.value(topo_raw, "buffer_capacity", "topology.", _INTEGER, required=False)
         edges_raw = topo_raw.get("edges")
         if not isinstance(edges_raw, list):

@@ -11,6 +11,13 @@ Floats are printed with 12 significant digits and a fixed "\n" terminator so
 repeated runs of the same config are byte-identical across platforms. The
 CSVs are reporting artifacts: occupancies are exact integers, but phases and
 frequencies round-trip only to the printed precision.
+
+``nodes.csv`` and ``buffers.csv`` are read back in blocks: a block is the run
+of rows that share one ``t``. ``read_trace`` requires every row to have the
+table's number of fields, every block to list the same keys (node, or src and
+dst) in increasing order, and every row of a block to carry the same ``t``
+text; the blocks of ``buffers.csv`` must carry the ``t`` values of
+``nodes.csv``. A file that breaks this is a ``TraceError``.
 """
 
 from __future__ import annotations
@@ -18,15 +25,38 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from pathlib import Path
+from typing import Callable, Iterable
 
 from .engine import FatalEvent, Trace
 
 SIGNIFICANT_DIGITS = 12
+_SPEC = f".{SIGNIFICANT_DIGITS}g"
 
 
 def fmt_num(x: float) -> str:
-    return f"{x:.{SIGNIFICANT_DIGITS}g}"
+    return format(x, _SPEC)
+
+
+def _formatted(series: Iterable[float]) -> list[str]:
+    return list(map(format, series, repeat(_SPEC)))
+
+
+def _write_table(path: Path, header: str, grid: list[str], series: Iterable[tuple]) -> None:
+    """Write ``header`` and one block of rows per grid point, one row per key.
+
+    ``series`` yields, in key order, each key's fields as text and its two
+    value columns; a key's rows are built at once and the blocks are
+    interleaved from them, so each value is formatted once.
+    """
+    rows = [
+        [f"{t},{key},{x},{y}\n" for t, x, y in zip(grid, first, second, strict=True)]
+        for key, first, second in series
+    ]
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(header + "\n")
+        f.writelines(map("".join, zip(*rows)))
 
 
 def write_trace(trace: Trace, out_dir: str | Path) -> dict[str, Path]:
@@ -35,26 +65,27 @@ def write_trace(trace: Trace, out_dir: str | Path) -> dict[str, Path]:
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / name for name in ("nodes.csv", "buffers.csv", "events.csv", "meta.json")}
 
-    nodes = sorted(trace.theta)
-    lines = ["t,node,theta,omega"]
-    for idx, t in enumerate(trace.grid):
-        ts = fmt_num(t)
-        for i in nodes:
-            lines.append(f"{ts},{i},{fmt_num(trace.theta[i][idx])},{fmt_num(trace.omega[i][idx])}")
-    paths["nodes.csv"].write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    links = sorted(trace.beta)
-    lines = ["t,src,dst,beta,gamma"]
-    for idx, t in enumerate(trace.grid):
-        ts = fmt_num(t)
-        for (a, b) in links:
-            lines.append(f"{ts},{a},{b},{trace.beta[(a, b)][idx]},{trace.gamma[(a, b)][idx]}")
-    paths["buffers.csv"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    grid = _formatted(trace.grid)
+    _write_table(
+        paths["nodes.csv"],
+        "t,node,theta,omega",
+        grid,
+        (
+            (f"{i}", _formatted(trace.theta[i]), _formatted(trace.omega[i]))
+            for i in sorted(trace.theta)
+        ),
+    )
+    _write_table(
+        paths["buffers.csv"],
+        "t,src,dst,beta,gamma",
+        grid,
+        ((f"{a},{b}", trace.beta[(a, b)], trace.gamma[(a, b)]) for (a, b) in sorted(trace.beta)),
+    )
 
     lines = ["t,kind,link,value"]
     for ev in trace.fatal_events:
         lines.append(f"{fmt_num(ev.t)},{ev.kind},{ev.link[0]}->{ev.link[1]},{ev.occupancy}")
-    paths["events.csv"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    paths["events.csv"].write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
 
     first = trace.first_fatal
     meta = {
@@ -64,7 +95,7 @@ def write_trace(trace: Trace, out_dir: str | Path) -> dict[str, Path]:
         **trace.meta,
     }
     paths["meta.json"].write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline=""
     )
     return paths
 
@@ -83,40 +114,100 @@ def _parsing(path: Path):
         raise TraceError(f"{path}: {exc}") from exc
 
 
+# Rows the reader holds and splits at once, rounded to whole blocks.
+_CHUNK_ROWS = 1024
+
+
+def _read_table(
+    path: Path, n_key: int, convert: Callable[[str], float], grid: list[float] | None = None
+) -> tuple[list[float], dict[tuple[int, ...], tuple[list, list]]]:
+    """The ``t`` of each block and each key's two value columns, converted,
+    from a table of ``t``, ``n_key`` integer key fields and two values laid
+    out as the module docstring says. A ``grid`` given is the ``t`` of each
+    block the table must have, and is returned as it is.
+
+    The first block gives the block size and the keys. The rows are then read
+    and split a chunk of whole blocks at a time, and each key's columns are
+    sliced out of the chunk by stride. A row's last field keeps its "\n",
+    which ``int`` and ``float`` allow.
+    """
+    width = n_key + 3
+    t = [] if grid is None else grid
+    with open(path, encoding="utf-8") as f:
+        f.readline()  # the header
+        block = f.readline()
+        if not block:
+            return t, {}
+        t0 = block.partition(",")[0] + ","
+        block = [block]
+        rows = iter(f)
+        for line in rows:
+            if not line.startswith(t0):
+                rows = chain([line], rows)
+                break
+            block.append(line)
+        size = len(block)
+        key_text = [line.split(",")[1 : 1 + n_key] for line in block]
+        keys = [tuple(map(int, text)) for text in key_text]
+        if keys != sorted(set(keys)):
+            raise ValueError("keys out of order in the first block")
+        rows = chain(block, rows)
+        del block
+
+        series = {key: ([], []) for key in keys}
+        stride = size * width
+        step = size * max(1, _CHUNK_ROWS // size)
+        done = 0
+        while chunk := list(islice(rows, step)):
+            if set(map(str.count, chunk, repeat(","))) != {width - 1}:
+                raise ValueError(f"a row without exactly {width} fields")
+            if len(chunk) % size:
+                raise ValueError(f"the rows do not fill blocks of {size} rows")
+            fields = ",".join(chunk).split(",")
+            ts = fields[::stride]
+            for j, key in enumerate(keys):
+                at = j * width
+                if fields[at::stride] != ts:
+                    raise ValueError("t differs within a block")
+                for c, text in enumerate(key_text[j], at + 1):
+                    if fields[c::stride].count(text) != len(ts):
+                        raise ValueError("a block's keys differ from the first block's")
+                first, second = series[key]
+                first.extend(map(convert, fields[at + n_key + 1 :: stride]))
+                second.extend(map(convert, fields[at + n_key + 2 :: stride]))
+            blocks = list(map(float, ts))
+            if grid is None:
+                t += blocks
+            elif blocks != grid[done : done + len(blocks)]:
+                raise ValueError("t differs from the nodes.csv grid")
+            done += len(blocks)
+    if done != len(t):
+        raise ValueError(f"{done} blocks for {len(t)} points in the nodes.csv grid")
+    if t != sorted(t):
+        raise ValueError("blocks out of order in t")
+    return t, series
+
+
 def read_trace(trace_dir: str | Path) -> Trace:
     """Rebuild a reporting view of a trace from its directory.
 
     Knot lists and per-sample records are not serialized, so the result has
     the resampled series and events only; floats carry the printed precision.
-    Raises ``TraceError`` for a file that does not parse and for a
-    ``nodes.csv`` without rows.
+    Raises ``TraceError`` for a file that does not parse or breaks the layout
+    of the module docstring, and for a ``nodes.csv`` without rows.
     """
     d = Path(trace_dir)
-    theta: dict[int, list[float]] = {}
-    omega: dict[int, list[float]] = {}
-    grid: list[float] = []
-    last_t = None
     with _parsing(d / "nodes.csv"):
-        for line in (d / "nodes.csv").read_text(encoding="utf-8").splitlines()[1:]:
-            ts, node_s, th, om = line.split(",")
-            t = float(ts)
-            if t != last_t:
-                grid.append(t)
-                last_t = t
-            i = int(node_s)
-            theta.setdefault(i, []).append(float(th))
-            omega.setdefault(i, []).append(float(om))
+        grid, series = _read_table(d / "nodes.csv", 1, float)
         if not grid:
             raise ValueError("no rows after the header")
+    theta = {i: th for (i,), (th, _) in series.items()}
+    omega = {i: om for (i,), (_, om) in series.items()}
 
-    beta: dict[tuple[int, int], list[int]] = {}
-    gamma: dict[tuple[int, int], list[int]] = {}
     with _parsing(d / "buffers.csv"):
-        for line in (d / "buffers.csv").read_text(encoding="utf-8").splitlines()[1:]:
-            _, a_s, b_s, b_occ, g_occ = line.split(",")
-            key = (int(a_s), int(b_s))
-            beta.setdefault(key, []).append(int(b_occ))
-            gamma.setdefault(key, []).append(int(g_occ))
+        _, series = _read_table(d / "buffers.csv", 2, int, grid)
+    beta = {key: b for key, (b, _) in series.items()}
+    gamma = {key: g for key, (_, g) in series.items()}
 
     events: list[FatalEvent] = []
     with _parsing(d / "events.csv"):

@@ -103,6 +103,17 @@ OVERSIZE_CONFIGS = {
     "history_start_phase": (
         bundled_with((("params", "epoch"), -1e308)), "value_out_of_range", "node 3"
     ),
+    # with a scalar theta0, which would be broadcast to n_nodes values
+    "n_nodes": (
+        bundled_with((("topology", "n_nodes"), BIG), (("params", "theta0"), 0.1)),
+        "value_out_of_range",
+        "topology.n_nodes",
+    ),
+    "n_nodes_inexact": (
+        bundled_with((("topology", "n_nodes"), 2**53 + 1), (("params", "theta0"), 0.1)),
+        "value_out_of_range",
+        "topology.n_nodes",
+    ),
 }
 
 # An integer literal with more digits than Python converts (4300).

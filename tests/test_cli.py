@@ -98,6 +98,12 @@ def test_oversize_input_exits_two(tmp_path, capsys, command, case):
     assert expected in capsys.readouterr().err
 
 
+def _lines_edited(edit):
+    """A damage function that replaces the file's lines, header included, with
+    ``edit(lines)``."""
+    return lambda text: "".join(edit(text.splitlines(keepends=True)))
+
+
 @pytest.mark.parametrize("command", ["summarize", "plot"])
 @pytest.mark.parametrize(
     "name, damage",
@@ -105,8 +111,25 @@ def test_oversize_input_exits_two(tmp_path, capsys, command, case):
         ("nodes.csv", lambda text: text.rstrip("\n").rsplit(",", 1)[0] + "\n"),
         ("nodes.csv", lambda text: text.splitlines()[0] + "\n"),
         ("meta.json", lambda text: text[: len(text) // 2]),
+        # nodes 1 and 2 of the block at t=0.5
+        ("nodes.csv", _lines_edited(lambda lines: [*lines[:4], lines[5], lines[4], *lines[6:]])),
+        ("buffers.csv", _lines_edited(lambda lines: [*lines[:8], *lines[9:]])),
+        # every row of the last block, so only the nodes.csv grid tells
+        ("buffers.csv", lambda text: text.replace("\n5,", "\n5.25,")),
+        (
+            "nodes.csv",
+            _lines_edited(lambda lines: [*lines[:2], lines[2][:-1] + ",0\n", *lines[3:]]),
+        ),
     ],
-    ids=["short_row", "header_only", "meta_not_json"],
+    ids=[
+        "short_row",
+        "header_only",
+        "meta_not_json",
+        "rows_swapped_in_block",
+        "buffers_row_deleted",
+        "buffers_t_off_grid",
+        "extra_field",
+    ],
 )
 def test_malformed_trace_exits_two(tmp_path, capsys, command, name, damage):
     out = tmp_path / "trace"
@@ -117,6 +140,20 @@ def test_malformed_trace_exits_two(tmp_path, capsys, command, name, damage):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"invalid trace: {out / name}: ")
+    assert "Traceback" not in err
+
+
+def test_zero_final_frequency_exits_two(tmp_path, capsys):
+    out = tmp_path / "trace"
+    assert main(["run", "--config", BUNDLED, "--t-max", "5", "--out", str(out)]) == 0
+    header, *rows = (out / "nodes.csv").read_text().splitlines()
+    zeroed = [row.rsplit(",", 1)[0] + ",0" for row in rows]
+    (out / "nodes.csv").write_text("\n".join([header, *zeroed]) + "\n")
+    capsys.readouterr()
+    code = main(["summarize", "--trace", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"invalid trace: {out / 'nodes.csv'}: ")
     assert "Traceback" not in err
 
 
