@@ -105,24 +105,10 @@ def is_admissible(
         lo, hi = spec.clamp
         if lo > hi:
             return AdmissibilityCheck(False, f"clamp interval empty: ({lo!r}, {hi!r})")
-        for i, wu in enumerate(omega_u, start=1):
-            if lo + wu <= omega_min:
-                return AdmissibilityCheck(
-                    False,
-                    f"clamp floor {lo!r} + omega_u {wu!r} = {lo + wu!r}"
-                    f" <= omega_min {omega_min!r} at node {i}",
-                )
-        return AdmissibilityCheck(True, "clamp floor keeps every node above omega_min")
-
-    if spec.kind == "zero":
-        for i, wu in enumerate(omega_u, start=1):
-            if wu <= omega_min:
-                return AdmissibilityCheck(
-                    False, f"omega_u {wu!r} <= omega_min {omega_min!r} at node {i}"
-                )
-        return AdmissibilityCheck(True, "zero correction; every omega_u above omega_min")
-
-    if spec.kind == "proportional":
+        what, floor, why = "clamp floor", lo, "clamp floor keeps every node above omega_min"
+    elif spec.kind == "zero":
+        what, floor, why = "zero correction", 0.0, "zero correction; every omega_u above omega_min"
+    elif spec.kind == "proportional":
         if spec.k_p < 0.0:
             return AdmissibilityCheck(
                 False, "negative gain: correction unbounded below when occupancies grow"
@@ -132,17 +118,17 @@ def is_admissible(
         # degree by n - 1 since the graph is not known here.
         max_degree = max(len(omega_u) - 1, 1)
         floor = -spec.k_p * spec.beta_ref * max_degree if spec.beta_ref > 0.0 else 0.0
-        for i, wu in enumerate(omega_u, start=1):
-            if floor + wu <= omega_min:
-                return AdmissibilityCheck(
-                    False,
-                    f"worst-case correction {floor!r} + omega_u {wu!r}"
-                    f" <= omega_min {omega_min!r} at node {i}",
-                )
+        what = "worst-case correction"
+        why = "nonnegative-occupancy proportional correction bounded below"
+    else:
         return AdmissibilityCheck(
-            True, "nonnegative-occupancy proportional correction bounded below"
+            False, "custom controller output cannot be bounded statically; add a clamp"
         )
-
-    return AdmissibilityCheck(
-        False, "custom controller output cannot be bounded statically; add a clamp"
-    )
+    for i, wu in enumerate(omega_u, start=1):
+        if floor + wu <= omega_min:
+            return AdmissibilityCheck(
+                False,
+                f"{what} {floor!r} + omega_u {wu!r} = {floor + wu!r}"
+                f" <= omega_min {omega_min!r} at node {i}",
+            )
+    return AdmissibilityCheck(True, why)

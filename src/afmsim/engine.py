@@ -18,6 +18,12 @@ append one knot per step. A binary heap keyed on ``(max_dom, id)`` picks that
 trajectory in O(log N) per step. Ties go to the smallest node id; the solution
 is unique, so the choice cannot matter, and a test that relabels the nodes in
 reverse order (so ties fall the other way) shows it.
+
+Readiness: a step of node i samples at ``t_sample``, before the end of its own
+domain, and reads each in-neighbour j only at ``t_sample - latency(j, i)``. So
+any node whose in-neighbours' domains reach those times may step, in any
+order, with the same result. The least-advanced node is always ready, since
+``t_sample`` lies before its domain end and so before every other domain end.
 """
 
 from __future__ import annotations

@@ -123,7 +123,8 @@ _INEXACT = "magnitude above 2**53: not exact as a float"
 def check(topology: Topology, params: SystemParams) -> list[Violation]:
     """Collect every violated constraint of the model's well-posedness rules.
 
-    Pure: the same inputs always produce the same report, in the same order.
+    Pure: the same inputs always produce the same report, in the same order:
+    the scalars, the per-node fields, then each link in sorted order.
     """
     v: list[Violation] = []
     n = topology.n_nodes
@@ -149,27 +150,9 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
     if not_finite:
         return v + [Violation("value_not_finite", s, f"{val!r}") for s, val in not_finite]
 
-    links = topology.links
-    for (a, b) in sorted(links):
-        subject = f"link ({a},{b})"
-        lk = links[(a, b)]
-        if a == b:
-            v.append(Violation("self_link", subject, "links must join distinct nodes"))
-            continue
-        if not (1 <= a <= n and 1 <= b <= n):
-            v.append(Violation("link_unknown_node", subject, f"node ids must be in 1..{n}"))
-            continue
-        if (b, a) not in links:
-            v.append(Violation("link_unpaired", subject, f"reverse link ({b},{a}) missing"))
-        if lk.latency <= 0.0:
-            v.append(Violation("latency_nonpositive", subject, f"latency={lk.latency!r}"))
-        if lk.gearbox <= 0:
-            v.append(Violation("gearbox_nonpositive", subject, f"gearbox={lk.gearbox}"))
-
     cap = topology.buffer_capacity
     if cap is not None and cap <= 0:
         v.append(Violation("capacity_nonpositive", "topology", f"buffer_capacity={cap}"))
-
     if params.p <= 0:
         v.append(Violation("period_nonpositive", "params.p", f"p={params.p}"))
     if params.d <= 0:
@@ -188,18 +171,17 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
     if params.epoch >= 0.0:
         v.append(Violation("epoch_nonnegative", "params.epoch", f"epoch={params.epoch!r}"))
 
-    for field in ("theta0", "omega_u", "omega_init1", "omega_init2"):
-        if len(getattr(params, field)) != n:
-            v.append(
-                Violation(
-                    "param_length",
-                    f"params.{field}",
-                    f"expected {n} per-node values, got {len(getattr(params, field))}",
-                )
-            )
-            return v  # remaining per-node checks would misindex
-
-    for i in topology.nodes():
+    wrong_length = [
+        (field, len(getattr(params, field)))
+        for field in ("theta0", "omega_u", "omega_init1", "omega_init2")
+        if len(getattr(params, field)) != n
+    ]
+    for field, got in wrong_length:
+        v.append(
+            Violation("param_length", f"params.{field}", f"expected {n} per-node values, got {got}")
+        )
+    # Node-indexed checks would misindex a field of the wrong length.
+    for i in () if wrong_length else topology.nodes():
         th = params.theta0[i - 1]
         subject = f"node {i}"
         if th <= 0.0:
@@ -240,35 +222,37 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
                     )
                 )
 
-    if params.omega_min > 0.0 and _exact(params.d):
-        for (a, b) in sorted(links):
-            if not (1 <= a <= n and 1 <= b <= n) or a == b:
-                continue
-            bound = -(links[(a, b)].latency + params.d / params.omega_min)
-            if params.epoch > bound:
-                v.append(
-                    Violation(
-                        "epoch_too_late",
-                        f"link ({a},{b})",
-                        f"epoch={params.epoch!r} must be <= {bound!r}",
-                    )
-                )
+    links = topology.links
+    beta0_ok = set(params.beta0) == set(links)
+    if not beta0_ok:
+        missing = sorted(set(links) - set(params.beta0))
+        extra = sorted(set(params.beta0) - set(links))
+        detail = f"missing={missing} extra={extra}"
+        v.append(Violation("beta0_keys_mismatch", "params.beta0", detail))
+    # The epoch bound needs d / omega_min, which only a positive floor and an
+    # exact d make meaningful.
+    lag = params.d / params.omega_min if params.omega_min > 0.0 and _exact(params.d) else None
 
-    expected_keys = set(links)
-    if set(params.beta0) != expected_keys:
-        missing = sorted(expected_keys - set(params.beta0))
-        extra = sorted(set(params.beta0) - expected_keys)
-        v.append(
-            Violation(
-                "beta0_keys_mismatch",
-                "params.beta0",
-                f"missing={missing} extra={extra}",
-            )
-        )
-    else:
-        for (a, b) in sorted(links):
+    for (a, b), lk in sorted(links.items()):
+        subject = f"link ({a},{b})"
+        in_range = 1 <= a <= n and 1 <= b <= n
+        if a == b:
+            v.append(Violation("self_link", subject, "links must join distinct nodes"))
+        elif not in_range:
+            v.append(Violation("link_unknown_node", subject, f"node ids must be in 1..{n}"))
+        else:
+            if (b, a) not in links:
+                v.append(Violation("link_unpaired", subject, f"reverse link ({b},{a}) missing"))
+            if lk.latency <= 0.0:
+                v.append(Violation("latency_nonpositive", subject, f"latency={lk.latency!r}"))
+            if lk.gearbox <= 0:
+                v.append(Violation("gearbox_nonpositive", subject, f"gearbox={lk.gearbox}"))
+            if lag is not None and params.epoch > (bound := -(lk.latency + lag)):
+                detail = f"epoch={params.epoch!r} must be <= {bound!r}"
+                v.append(Violation("epoch_too_late", subject, detail))
+
+        if beta0_ok:
             b0 = params.beta0[(a, b)]
-            subject = f"link ({a},{b})"
             if b0 < 0:
                 v.append(Violation("beta0_negative", subject, f"beta0={b0}"))
             if not _exact(b0):
@@ -278,22 +262,21 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
                     Violation("beta0_exceeds_capacity", subject, f"beta0={b0} > capacity={cap}")
                 )
 
-    # Gearboxes scale the phases that get floored, so the same boundary guard
-    # that applies to theta0 must hold for the scaled phases too.
-    for (a, b) in sorted(links):
-        g = links[(a, b)].gearbox
-        if g == 1 or g <= 0 or not (1 <= a <= n and 1 <= b <= n):
+        # Gearboxes scale the phases that get floored, so the same boundary
+        # guard that applies to theta0 must hold for the scaled phases too.
+        g = lk.gearbox
+        if g == 1 or g <= 0 or not in_range:
             continue
         if not (_exact(g.numerator) and _exact(g.denominator)):
-            v.append(Violation("value_out_of_range", f"link ({a},{b}) gearbox", _INEXACT))
+            v.append(Violation("value_out_of_range", f"{subject} gearbox", _INEXACT))
             continue
-        for node in (a, b):
+        for node in () if wrong_length else (a, b):
             scaled = params.theta0[node - 1] * g.numerator / g.denominator
             if not math.isfinite(scaled):
                 v.append(
                     Violation(
                         "value_out_of_range",
-                        f"link ({a},{b})",
+                        subject,
                         f"gearbox {g} scales node {node} theta0 to {scaled!r}",
                     )
                 )
@@ -301,7 +284,7 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
                 v.append(
                     Violation(
                         "gearbox_phase_boundary",
-                        f"link ({a},{b})",
+                        subject,
                         f"gearbox {g} puts node {node} scaled phase {scaled!r} on a frame boundary",
                     )
                 )

@@ -220,7 +220,9 @@ def read_trace(trace_dir: str | Path) -> Trace:
         meta = json.loads((d / "meta.json").read_text(encoding="utf-8"))
         if not isinstance(meta, dict):
             raise ValueError("expected a JSON object")
-    fingerprint = meta.pop("fingerprint", "")
+        fingerprint = meta.pop("fingerprint", "")
+        if not isinstance(fingerprint, str):
+            raise ValueError(f"fingerprint {fingerprint!r} is not a string")
     meta.pop("fatal", None)
     meta.pop("first_fatal_t", None)
     return Trace(

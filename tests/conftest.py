@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from afmsim.controllers import ControllerSpec
 from afmsim.scenarios import triangle3
@@ -37,6 +38,10 @@ def two_node_scenario(
         ),
     )
 
+
+# `pytest --hypothesis-profile=ci`: the default example counts, still random,
+# but a failure prints the `@reproduce_failure` line that replays it.
+settings.register_profile("ci", print_blob=True)
 
 BUNDLED = Path(__file__).resolve().parent.parent / "scenarios" / "triangle3.json"
 BIG = 10**400  # an integer no float holds

@@ -247,6 +247,51 @@ def test_criterion_9_run_determinism(tmp_path):
     verdict(9, identical, "consecutive run invocations byte-identical across all outputs")
 
 
+# -- paper-level gates ----------------------------------------------------------
+
+
+def equilibrium(cfg):
+    """Predicted common frequency of a proportional run on unit gearboxes,
+    and its tolerance.
+
+    Summed over every directed link, beta telescopes to Lambda - sum(gamma),
+    so summing the controller law over the nodes gives
+    n * w - sum(omega_u) = k_p * (Lambda - sum(gamma) - m * beta_ref). At a
+    common frequency w each gamma is within one frame of w * latency, so
+    w = (sum(omega_u) + k_p * (Lambda - m * beta_ref)) / (n + k_p * L) up to
+    k_p * m / (n + k_p * L), where L is the summed latency of the m links.
+    """
+    sc, spec = cfg.scenario, cfg.controller
+    links = sc.topology.links
+    assert spec.kind == "proportional" and all(lk.gearbox == 1 for lk in links.values())
+    lam = init_state(sc, make_controllers(spec, sc.topology.n_nodes)).lam
+    m, total_latency = len(links), sum(lk.latency for lk in links.values())
+    scale = sc.topology.n_nodes + spec.k_p * total_latency
+    numerator = sum(sc.params.omega_u) + spec.k_p * (sum(lam.values()) - m * spec.beta_ref)
+    return numerator / scale, spec.k_p * m / scale
+
+
+def test_criterion_10_proportional_equilibrium():
+    cfg = triangle3()
+    w, tol = equilibrium(cfg)
+    settled = [f[-1] for f in simulate(cfg.scenario, cfg.controller, 500.0).omega.values()]
+    assert all(abs(f - w) <= tol for f in settled), (settled, w, tol)
+    # The random set has not settled by T=2000 (spreads of 1e-3 to 1e-2), so
+    # only the mean of the final frequencies is held to the law there.
+    worst = 0.0
+    for seed in range(20):
+        rand = random_scenario(random.Random(seed))
+        w_rand, tol_rand = equilibrium(rand)
+        final = [f[-1] for f in simulate(rand.scenario, rand.controller, 2000.0).omega.values()]
+        worst = max(worst, abs(sum(final) / len(final) - w_rand) / tol_rand)
+    verdict(
+        10,
+        worst <= 1.0,
+        f"triangle3 settles at {settled[0]:.5f}, predicted {w:.5f} +- {tol:.4f}; the mean "
+        f"final frequency of 20 random runs is off by at most {worst:.2f} tolerances",
+    )
+
+
 # -- precision gates ------------------------------------------------------------
 #
 # A crossing search that corrects the oracle's crossing times with

@@ -111,6 +111,7 @@ def _lines_edited(edit):
         ("nodes.csv", lambda text: text.rstrip("\n").rsplit(",", 1)[0] + "\n"),
         ("nodes.csv", lambda text: text.splitlines()[0] + "\n"),
         ("meta.json", lambda text: text[: len(text) // 2]),
+        ("meta.json", lambda text: json.dumps({**json.loads(text), "fingerprint": 5})),
         # nodes 1 and 2 of the block at t=0.5
         ("nodes.csv", _lines_edited(lambda lines: [*lines[:4], lines[5], lines[4], *lines[6:]])),
         ("buffers.csv", _lines_edited(lambda lines: [*lines[:8], *lines[9:]])),
@@ -125,6 +126,7 @@ def _lines_edited(edit):
         "short_row",
         "header_only",
         "meta_not_json",
+        "fingerprint_not_string",
         "rows_swapped_in_block",
         "buffers_row_deleted",
         "buffers_t_off_grid",

@@ -176,3 +176,27 @@ def test_non_finite_spec_rejected_naming_the_field(changes, field):
     verdict = is_admissible(spec, (1.1, 1.4, 2.0), 0.1)
     assert not verdict.ok
     assert verdict.witness.startswith(f"{field} ") and "not finite" in verdict.witness
+
+
+@pytest.mark.parametrize(
+    "spec, witness",
+    [
+        (
+            ControllerSpec(kind="zero"),
+            "zero correction 0.0 + omega_u 1.0 = 1.0 <= omega_min 1.0 at node 2",
+        ),
+        (
+            ControllerSpec(kind="custom", clamp=(-0.5, 0.5)),
+            "clamp floor -0.5 + omega_u 1.0 = 0.5 <= omega_min 1.0 at node 2",
+        ),
+        (
+            ControllerSpec(kind="proportional", k_p=0.1, beta_ref=2.0),  # floor -0.1 * 2.0 * (3 - 1)
+            "worst-case correction -0.4 + omega_u 1.0 = 0.6 <= omega_min 1.0 at node 2",
+        ),
+    ],
+    ids=["zero", "clamp", "proportional"],
+)
+def test_every_kind_names_its_floor_and_the_first_failing_node(spec, witness):
+    verdict = is_admissible(spec, (2.0, 1.0, 1.0), 1.0)
+    assert not verdict.ok
+    assert verdict.witness == witness

@@ -2,11 +2,13 @@
 
 import copy
 import dataclasses
+import heapq
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from afmsim.controllers import ControllerSpec, make_controllers
 from afmsim.scenarios import gearbox_pair, random_scenario, triangle3
@@ -438,3 +440,83 @@ def test_simulate_argument_validation(triangle_cfg):
             simulate(triangle_cfg.scenario, triangle_cfg.controller, bad)
         with pytest.raises(ValueError, match="grid_dt"):
             simulate(triangle_cfg.scenario, triangle_cfg.controller, 10.0, grid_dt=bad)
+
+
+# -- any ready order -------------------------------------------------------------
+
+def is_ready(state, i):
+    """Whether node i's next step reads each in-neighbour inside its domain:
+    the step samples at ``t_sample`` and reads neighbour j at
+    ``t_sample - latency(j, i)``."""
+    traj = state.trajectories[i]
+    t_sample = traj.inverse(traj.eval(traj.max_dom()) - state.scenario.params.d)
+    return all(
+        t_sample - latency <= state.trajectories[j].max_dom()
+        for j, _, latency, _ in state.incoming[i]
+    )
+
+
+def put_on_top(state, i):
+    """Move node i's queue entry to the top, where ``step`` takes it from."""
+    k = next(k for k, (_, node) in enumerate(state.queue) if node == i)
+    state.queue[0], state.queue[k] = state.queue[k], state.queue[0]
+
+
+def run_in_random_ready_order(cfg, t_max, rng):
+    """Step a node drawn at random from the ready nodes still below ``t_max``
+    until none is left; returns the state and the count of steps that had a
+    choice."""
+    sc = cfg.scenario
+    state = init_state(sc, make_controllers(cfg.controller, sc.topology.n_nodes))
+    choices = 0
+    while ready := sorted(i for end, i in state.queue if end < t_max and is_ready(state, i)):
+        # Least-advanced-first is one ready order: its pick is always ready.
+        assert select_node(state) in ready
+        choices += len(ready) > 1
+        put_on_top(state, rng.choice(ready))
+        step(state)
+        heapq.heapify(state.queue)
+    assert all(end >= t_max for end, _ in state.queue)
+    return state, choices
+
+
+def assert_same_solution(cfg, state, t_max):
+    trace = simulate(cfg.scenario, cfg.controller, t_max)
+    assert {i: traj.knots() for i, traj in state.trajectories.items()} == trace.knots
+    by_step = lambda rec: (rec.node, rec.step)
+    assert sorted(state.samples, key=by_step) == sorted(trace.samples, key=by_step)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_any_ready_order_gives_the_same_solution(triangle_cfg, seed):
+    state, choices = run_in_random_ready_order(triangle_cfg, 200.0, random.Random(seed))
+    assert choices > len(state.samples) // 2
+    assert_same_solution(triangle_cfg, state, 200.0)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+def test_any_ready_order_property(scenario_seed, order_seed):
+    cfg = random_scenario(random.Random(scenario_seed))
+    state, _ = run_in_random_ready_order(cfg, 100.0, random.Random(order_seed))
+    assert_same_solution(cfg, state, 100.0)
+
+
+def test_step_on_a_node_that_is_not_ready_changes_nothing(triangle_cfg):
+    integrator = ControllerSpec(
+        kind="custom",
+        init_state=0.0,
+        state_fn=lambda xi, y: xi + sum(occ for _, occ in y),
+        output_fn=lambda xi, y: 1e-4 * xi,
+        clamp=(-0.05, 5.0),
+    )
+    sc = triangle_cfg.scenario
+    state = init_state(sc, make_controllers(integrator, 3))
+    while not (waiting := [i for i in sc.topology.nodes() if not is_ready(state, i)]):
+        step(state)
+    put_on_top(state, waiting[0])
+    before = _snapshot(state)
+    with pytest.raises(DomainError):
+        step(state)
+    assert _snapshot(state) == before
+    assert any(c.state != 0.0 for c in state.controllers.values())

@@ -243,3 +243,34 @@ def test_out_of_range_values_keep_the_other_violations():
     assert "value_out_of_range" in got
     assert "delay_not_less_than_period" in got
     assert "initial_phase_integral" in got
+
+
+def test_every_wrong_length_field_is_reported_with_the_link_checks():
+    beta0 = {k: (-1 if k == (1, 2) else 50) for k in triangle_topology().links}
+    params = triangle_params(theta0=(0.1, 0.1), omega_u=(1.1,), beta0=beta0)
+    got = check(triangle_topology(), params)
+    assert [(v.name, v.subject) for v in got] == [
+        ("param_length", "params.theta0"),
+        ("param_length", "params.omega_u"),
+        ("beta0_negative", "link (1,2)"),
+    ]
+
+
+def test_report_order_scalars_then_nodes_then_each_link():
+    links = dict(triangle_topology().links)
+    links[(1, 1)] = Link(latency=1.0)
+    links[(1, 4)] = Link(latency=1.0)
+    links[(2, 3)] = Link(latency=1.0, gearbox=Fraction(10))  # scales theta0 0.1 to 1.0
+    beta0 = {k: (-1 if k == (1, 1) else 50) for k in links}
+    params = triangle_params(p=0, theta0=(1.0, 0.1, 0.1), beta0=beta0)
+    got = check(Topology(3, links), params)
+    assert [(v.name, v.subject) for v in got] == [
+        ("period_nonpositive", "params.p"),
+        ("delay_not_less_than_period", "params"),
+        ("initial_phase_integral", "node 1"),
+        ("self_link", "link (1,1)"),
+        ("beta0_negative", "link (1,1)"),
+        ("link_unknown_node", "link (1,4)"),
+        ("gearbox_phase_boundary", "link (2,3)"),
+        ("gearbox_phase_boundary", "link (2,3)"),
+    ]
