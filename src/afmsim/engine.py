@@ -24,6 +24,10 @@ domain, and reads each in-neighbour j only at ``t_sample - latency(j, i)``. So
 any node whose in-neighbours' domains reach those times may step, in any
 order, with the same result. The least-advanced node is always ready, since
 ``t_sample`` lies before its domain end and so before every other domain end.
+
+A step reads no more than that: its own last knot (the phase at the end of
+its domain is stored there), its own phase at ``t_sample`` once for all its
+incoming buffers, and each in-neighbour's phase once.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .controllers import Controller, ControllerSpec, is_admissible, make_controllers
 from .topology import Scenario
@@ -109,10 +114,9 @@ class FatalEvent:
     occupancy: int
 
 
-@dataclass(frozen=True)
-class SampleRecord:
+class SampleRecord(NamedTuple):
     """One controller firing: measurement at ``t_sample``, new frequency in
-    force from ``t_apply`` on."""
+    force from ``t_apply`` on. A named tuple, so immutable and cheap to build."""
 
     node: int
     step: int
@@ -129,6 +133,8 @@ class SystemState:
 
     ``incoming[i]`` holds ``(j, lam, latency, gearbox)`` for every link
     (j, i) into node i, in ascending ``j``; it is fixed at ``init_state``.
+    The gearbox is the int ``1`` on a unit link, else the link's Fraction,
+    so ``scaled_floor`` takes its plain branch without Fraction arithmetic.
     ``queue`` is a binary heap with one ``(max_dom, i)`` entry per node; the
     trajectories grow only through ``step``, which keeps it in sync.
     """
@@ -188,7 +194,8 @@ def init_state(scenario: Scenario, controllers: list[Controller]) -> SystemState
     incoming: dict[int, list[tuple[int, int, float, Gearbox]]] = {i: [] for i in topo.nodes()}
     for (j, i) in topo.directed_links():  # sorted, so each list is in ascending j
         link = topo.links[(j, i)]
-        incoming[i].append((j, lam[(j, i)], link.latency, link.gearbox))
+        g = 1 if link.gearbox == 1 else link.gearbox
+        incoming[i].append((j, lam[(j, i)], link.latency, g))
     return SystemState(
         scenario=scenario,
         trajectories=trajectories,
@@ -212,13 +219,20 @@ def measure(state: SystemState, i: int, t: float) -> tuple[tuple[int, int], ...]
     """Occupancies of node i's incoming buffers at wall time t, ordered by
     ascending neighbor id.
 
-    A domain error here means the scheduling order was violated; the epoch
-    constraint guarantees in-domain lookups for a correct loop.
+    The values of ``buffer_occupancy``, with node i's phase at t read once
+    for all its buffers. A domain error here means the scheduling order was
+    violated; the epoch constraint guarantees in-domain lookups for a correct
+    loop.
     """
     trajectories = state.trajectories
-    traj_i = trajectories[i]
+    phase_i = trajectories[i].eval(t)
     return tuple(
-        (j, buffer_occupancy(trajectories[j], traj_i, lam, latency, t, gearbox))
+        (
+            j,
+            scaled_floor(gearbox, trajectories[j].eval(t - latency))
+            - scaled_floor(gearbox, phase_i)
+            + lam,
+        )
         for j, lam, latency, gearbox in state.incoming[i]
     )
 
@@ -229,8 +243,7 @@ def step(state: SystemState) -> SampleRecord:
     par = state.scenario.params
     traj = state.trajectories[i]
     k = state.steps[i]
-    s = traj.max_dom()
-    phase_s = traj.eval(s)  # knot lookup: exactly theta0 + k*p + d
+    s, phase_s = traj.times[-1], traj.phases[-1]  # last knot: phase theta0 + k*p + d
     t_sample = traj.inverse(phase_s - par.d)
     y = measure(state, i, t_sample)
     # A step that raises leaves the state as it found it, controller included.
@@ -254,15 +267,7 @@ def step(state: SystemState) -> SampleRecord:
         raise
     heapq.heapreplace(state.queue, (traj.times[-1], i))
     state.steps[i] = k + 1
-    record = SampleRecord(
-        node=i,
-        step=k,
-        t_sample=t_sample,
-        measurement=y,
-        t_apply=s,
-        correction=correction,
-        frequency=frequency,
-    )
+    record = SampleRecord(i, k, t_sample, y, s, correction, frequency)
     state.samples.append(record)
     return record
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from afmsim.controllers import ControllerSpec, make_controllers
 from afmsim.scenarios import gearbox_pair, random_scenario, triangle3
 from afmsim.engine import (
+    SampleRecord,
     buffer_occupancy,
     build_trace,
     compute_lambdas,
@@ -432,6 +433,39 @@ def test_resampled_series_match_occupancy_functions(make_cfg):
             assert trace.gamma[(a, b)][idx] == link_occupancy(
                 trajs[a], t, link.latency, link.gearbox
             )
+    # Each controller sample read its buffers as the public helper does, with
+    # the link's own Fraction gearbox.
+    assert trace.samples
+    for rec in trace.samples:
+        i = rec.node
+        assert rec.measurement == tuple(
+            (j, buffer_occupancy(
+                trajs[j], trajs[i], lam[(j, i)], link.latency, rec.t_sample, link.gearbox
+            ))
+            for (j, b), link in sorted(sc.topology.links.items())
+            if b == i
+        )
+
+
+@pytest.mark.parametrize("make_cfg", [triangle3, gearbox_pair], ids=["triangle3", "gearbox_pair"])
+def test_sample_record_is_an_immutable_named_tuple(make_cfg):
+    assert SampleRecord._fields == (
+        "node", "step", "t_sample", "measurement", "t_apply", "correction", "frequency",
+    )
+    cfg = make_cfg()
+    sc = cfg.scenario
+    trace = simulate(sc, cfg.controller, 40.0)
+    rec = trace.samples[0]
+    for name in SampleRecord._fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, getattr(rec, name))
+    # The records of a hand-driven loop are those of ``simulate``.
+    state = init_state(sc, make_controllers(cfg.controller, sc.topology.n_nodes))
+    returned = []
+    while state.trajectories[select_node(state)].max_dom() < 40.0:
+        returned.append(step(state))
+    assert returned == state.samples == trace.samples
+    assert all(type(r) is SampleRecord for r in returned)
 
 
 def test_simulate_argument_validation(triangle_cfg):
