@@ -12,6 +12,9 @@ queries, resampling, the frame-level oracle's calibration and compare) shares
 one rounding path; this is what makes beta(0) == beta0 and the cross-checks
 integer-exact.
 
+Each trajectory starts from three knots, ``(epoch, theta0 + omega_init2 *
+epoch)``, ``(0, theta0)`` and ``(d / omega_init1, theta0 + d)``: the history
+from the epoch and the stretch up to the first actuation (``init_state``).
 The loop always extends the trajectory whose domain ends earliest: sample at
 the phase ``k*p`` ticks past theta0, apply the correction ``d`` ticks later,
 append one knot per step. A binary heap keyed on ``(max_dom, id)`` picks that
@@ -174,20 +177,25 @@ def compute_lambdas(
 
 def init_state(scenario: Scenario, controllers: list[Controller]) -> SystemState:
     """Fresh state at the epoch: three-knot trajectories, conserved link
-    constants, zeroed step counters. ``controllers[i - 1]`` drives node i."""
+    constants, zeroed step counters. ``controllers[i - 1]`` drives node i.
+
+    Node i's knots are ``(epoch, theta0 + omega_init2 * epoch)``, ``(0,
+    theta0)`` and ``(d / omega_init1, theta0 + d)``: a history covering
+    [epoch, 0] at slope ``omega_init2``, then the stretch at slope
+    ``omega_init1`` up to the first actuation, ``d`` ticks past ``theta0``.
+    """
     par = scenario.params
-    trajectories = {
-        i: ClockTrajectory.from_initial_conditions(
-            par.theta0[i - 1],
-            par.epoch,
-            par.omega_init2[i - 1],
-            par.omega_init1[i - 1],
-            float(par.d),
-            min_slope=par.omega_min,
-        )
-        for i in scenario.topology.nodes()
-    }
     topo = scenario.topology
+    d = float(par.d)
+    trajectories = {}
+    for i in topo.nodes():
+        theta0 = par.theta0[i - 1]
+        knots = [
+            (par.epoch, theta0 + par.omega_init2[i - 1] * par.epoch),
+            (0.0, theta0),
+            (d / par.omega_init1[i - 1], theta0 + d),
+        ]
+        trajectories[i] = ClockTrajectory(knots, min_slope=par.omega_min)
     if len(controllers) != topo.n_nodes:
         raise ValueError("need exactly one controller per node")
     lam = compute_lambdas(scenario, trajectories)

@@ -3,14 +3,14 @@
 Every individual frame is tracked through its send, link traversal, and
 consumption, using only the integer crossings of the (gearbox-scaled) clock
 phases. Every frame time is a tick of some clock, so ``tick_times`` lists
-the ticks of each (node, gearbox) clock once, from the longest link latency
-before zero (so the work does not grow with the epoch), and each link cuts
-three sorted time lists out of those: sends and consumptions (source and
-destination ticks in (0, horizon]) and arrivals (source ticks from one
-latency before zero, plus the latency). A buffer's occupancy is then a
-plain count, the initial fill plus the arrivals so far minus the
-consumptions so far, built without the closed-form counters, so agreement
-between the two is a real test and not a tautology.
+the ticks of each (node, gearbox) clock that a link reads once, up front,
+from the longest link latency before zero (so the work does not grow with
+the epoch), and each link slices three sorted time lists out of those:
+sends and consumptions (source and destination ticks in (0, horizon]) and
+arrivals (source ticks from one latency before zero, plus the latency). A
+buffer's occupancy is then a plain count, the initial fill plus the arrivals
+so far minus the consumptions so far, built without the closed-form
+counters, so agreement between the two is a real test and not a tautology.
 
 The replay consumes trajectories that the engine already produced; it never
 re-runs control. Tie rule: occupancy at time t counts every arrival and
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
 
 from . import engine
 from .controllers import ControllerSpec
@@ -53,14 +52,15 @@ def tick_times(
     eval(t))]``. The list starts at the segment that holds ``start``, so its
     length does not grow with the history before it.
     """
+    ts, ps = traj.times, traj.phases
     num, den = gearbox.numerator, gearbox.denominator
     m_start = scaled_floor(gearbox, traj.eval(start))
-    first = bisect_right(traj.times, start) - 1  # the segment that holds start
-    floors = scaled_floors(gearbox, traj.phases[first:])
+    first = bisect_right(ts, start) - 1  # the segment that holds start
+    floors = scaled_floors(gearbox, ps[first:])
     times: list[float] = []
-    segments = islice(traj.segments(), first, None)
-    for (t0, p0, t1, p1), m_lo, m_hi in zip(segments, floors, floors[1:]):
-        dt_dp = (t1 - t0) / (p1 - p0)
+    for k, m_lo, m_hi in zip(range(first, len(ts) - 1), floors, floors[1:]):
+        t0, p0 = ts[k], ps[k]
+        dt_dp = (ts[k + 1] - t0) / (ps[k + 1] - p0)
         m_lo = max(m_lo, m_start)
         times += [t0 + (m * den / num - p0) * dt_dp for m in range(m_lo + 1, m_hi + 1)]
     return m_start + 1, times
@@ -119,15 +119,14 @@ def replay(
     cap = topo.buffer_capacity
     links: dict[tuple[int, int], LinkReplay] = {}
     violations: list[FatalEvent] = []
-    ticks: dict[tuple[int, Gearbox], tuple[int, list[float]]] = {}
     # No window starts before the longest latency.
     start = -max((link.latency for link in topo.links.values()), default=0.0)
+    clocks = {(i, link.gearbox) for ab, link in topo.links.items() for i in ab}
+    ticks = {(i, g): tick_times(trajectories[i], g, start) for i, g in clocks}
 
     def window(node: int, g: Gearbox, s: float, t: float) -> list[float]:
         """The ticks of ``node``'s ``g``-scaled clock in (s, t], for s >= start."""
         traj = trajectories[node]
-        if (node, g) not in ticks:
-            ticks[(node, g)] = tick_times(traj, g, start)
         m0, times = ticks[(node, g)]
         # start <= s <= 0 lie on the history segment, where scaled floors never
         # drop, so lo is not negative.

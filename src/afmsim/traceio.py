@@ -13,11 +13,13 @@ CSVs are reporting artifacts: occupancies are exact integers, but phases and
 frequencies round-trip only to the printed precision.
 
 ``nodes.csv`` and ``buffers.csv`` are read back in blocks: a block is the run
-of rows that share one ``t``. ``read_trace`` requires every row to have the
-table's number of fields, every block to list the same keys (node, or src and
+of rows that share one ``t``. ``read_trace`` requires each CSV file to start
+with the header that ``write_trace`` writes, every row to have the table's
+number of fields, every block to list the same keys (node, or src and
 dst) in increasing order, and every row of a block to carry the same ``t``
 text; the blocks of ``buffers.csv`` must carry the ``t`` values of
-``nodes.csv``. A file that breaks this is a ``TraceError``.
+``nodes.csv``; an event's kind must be ``overflow`` or ``underflow``. A file
+that breaks this is a ``TraceError``.
 """
 
 from __future__ import annotations
@@ -34,6 +36,14 @@ from .engine import FatalEvent, Trace
 SIGNIFICANT_DIGITS = 12
 _SPEC = f".{SIGNIFICANT_DIGITS}g"
 
+# The first line of each CSV file: written as it is, and required on reading.
+_HEADERS = {
+    "nodes.csv": "t,node,theta,omega",
+    "buffers.csv": "t,src,dst,beta,gamma",
+    "events.csv": "t,kind,link,value",
+}
+_EVENT_KINDS = ("overflow", "underflow")
+
 
 def fmt_num(x: float) -> str:
     return format(x, _SPEC)
@@ -43,8 +53,9 @@ def _formatted(series: Iterable[float]) -> list[str]:
     return list(map(format, series, repeat(_SPEC)))
 
 
-def _write_table(path: Path, header: str, grid: list[str], series: Iterable[tuple]) -> None:
-    """Write ``header`` and one block of rows per grid point, one row per key.
+def _write_table(path: Path, grid: list[str], series: Iterable[tuple]) -> None:
+    """Write the file's header and one block of rows per grid point, one row
+    per key.
 
     ``series`` yields, in key order, each key's fields as text and its two
     value columns; a key's rows are built at once and the blocks are
@@ -55,7 +66,7 @@ def _write_table(path: Path, header: str, grid: list[str], series: Iterable[tupl
         for key, first, second in series
     ]
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(header + "\n")
+        f.write(_HEADERS[path.name] + "\n")
         f.writelines(map("".join, zip(*rows)))
 
 
@@ -68,7 +79,6 @@ def write_trace(trace: Trace, out_dir: str | Path) -> dict[str, Path]:
     grid = _formatted(trace.grid)
     _write_table(
         paths["nodes.csv"],
-        "t,node,theta,omega",
         grid,
         (
             (f"{i}", _formatted(trace.theta[i]), _formatted(trace.omega[i]))
@@ -77,12 +87,11 @@ def write_trace(trace: Trace, out_dir: str | Path) -> dict[str, Path]:
     )
     _write_table(
         paths["buffers.csv"],
-        "t,src,dst,beta,gamma",
         grid,
         ((f"{a},{b}", trace.beta[(a, b)], trace.gamma[(a, b)]) for (a, b) in sorted(trace.beta)),
     )
 
-    lines = ["t,kind,link,value"]
+    lines = [_HEADERS["events.csv"]]
     for ev in trace.fatal_events:
         lines.append(f"{fmt_num(ev.t)},{ev.kind},{ev.link[0]}->{ev.link[1]},{ev.occupancy}")
     paths["events.csv"].write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
@@ -119,22 +128,25 @@ _CHUNK_ROWS = 1024
 
 
 def _read_table(
-    path: Path, n_key: int, convert: Callable[[str], float], grid: list[float] | None = None
+    path: Path, convert: Callable[[str], float], grid: list[float] | None = None
 ) -> tuple[list[float], dict[tuple[int, ...], tuple[list, list]]]:
     """The ``t`` of each block and each key's two value columns, converted,
-    from a table of ``t``, ``n_key`` integer key fields and two values laid
-    out as the module docstring says. A ``grid`` given is the ``t`` of each
-    block the table must have, and is returned as it is.
+    from a table laid out as the module docstring says. Its header names the
+    columns: ``t``, the integer key fields and two values. A ``grid`` given
+    is the ``t`` of each block the table must have, and is returned as it is.
 
     The first block gives the block size and the keys. The rows are then read
     and split a chunk of whole blocks at a time, and each key's columns are
     sliced out of the chunk by stride. A row's last field keeps its "\n",
     which ``int`` and ``float`` allow.
     """
-    width = n_key + 3
+    header = _HEADERS[path.name]
+    width = header.count(",") + 1
+    n_key = width - 3
     t = [] if grid is None else grid
     with open(path, encoding="utf-8") as f:
-        f.readline()  # the header
+        if f.readline() != header + "\n":
+            raise ValueError(f"the header is not {header!r}")
         block = f.readline()
         if not block:
             return t, {}
@@ -198,21 +210,27 @@ def read_trace(trace_dir: str | Path) -> Trace:
     """
     d = Path(trace_dir)
     with _parsing(d / "nodes.csv"):
-        grid, series = _read_table(d / "nodes.csv", 1, float)
+        grid, series = _read_table(d / "nodes.csv", float)
         if not grid:
             raise ValueError("no rows after the header")
     theta = {i: th for (i,), (th, _) in series.items()}
     omega = {i: om for (i,), (_, om) in series.items()}
 
     with _parsing(d / "buffers.csv"):
-        _, series = _read_table(d / "buffers.csv", 2, int, grid)
+        _, series = _read_table(d / "buffers.csv", int, grid)
     beta = {key: b for key, (b, _) in series.items()}
     gamma = {key: g for key, (_, g) in series.items()}
 
     events: list[FatalEvent] = []
     with _parsing(d / "events.csv"):
-        for line in (d / "events.csv").read_text(encoding="utf-8").splitlines()[1:]:
+        header = _HEADERS["events.csv"]
+        lines = (d / "events.csv").read_text(encoding="utf-8").splitlines()
+        if lines[:1] != [header]:
+            raise ValueError(f"the header is not {header!r}")
+        for line in lines[1:]:
             ts, kind, link_s, value = line.split(",")
+            if kind not in _EVENT_KINDS:
+                raise ValueError(f"event kind {kind!r} is not one of {_EVENT_KINDS}")
             src, dst = link_s.split("->")
             events.append(FatalEvent(kind, (int(src), int(dst)), float(ts), int(value)))
 

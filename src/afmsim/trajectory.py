@@ -1,17 +1,19 @@
 """Piecewise-linear, strictly increasing clock phase functions.
 
-A node's clock is stored as its phase history: a list of knots
-(wall-time seconds, local-tick phase) joined by straight segments.
-Segment slopes are instantaneous frequencies and must stay strictly
-above a configured floor, which keeps the function invertible and rules
-out Zeno behavior in the loop that extends these trajectories.
+A trajectory is its knots (wall-time seconds, local-tick phase) joined by
+straight segments, and nothing else: it knows nothing of the model, whose
+initial knots ``engine.init_state`` builds. Knots are only appended at the
+end, and ``append`` is the one home of the rules they obey: finite, strictly
+increasing in time and phase, and a segment slope (an instantaneous
+frequency) strictly above a configured floor, which keeps the function
+invertible and rules out Zeno behavior in the loop that extends it.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from operator import le
 
 
@@ -61,31 +63,6 @@ class ClockTrajectory:
         # Every later knot goes through ``append``, the one home of the knot rules.
         for t, ph in knots:
             self.append(float(t), float(ph))
-
-    @classmethod
-    def from_initial_conditions(
-        cls,
-        theta0: float,
-        epoch: float,
-        omega_init2: float,
-        omega_init1: float,
-        delay: float,
-        min_slope: float = 0.0,
-    ) -> "ClockTrajectory":
-        """History covering [epoch, 0] at slope ``omega_init2`` and the stretch
-        up to the first actuation at slope ``omega_init1``.
-
-        The first actuation lands ``delay`` ticks past ``theta0``, i.e. at
-        time ``delay / omega_init1``.
-        """
-        return cls(
-            [
-                (epoch, theta0 + omega_init2 * epoch),
-                (0.0, theta0),
-                (delay / omega_init1, theta0 + delay),
-            ],
-            min_slope=min_slope,
-        )
 
     # -- lookups -----------------------------------------------------------
 
@@ -157,12 +134,6 @@ class ClockTrajectory:
 
     def knots(self) -> list[tuple[float, float]]:
         return list(zip(self.times, self.phases))
-
-    def segments(self) -> Iterator[tuple[float, float, float, float]]:
-        """Yield (t0, phase0, t1, phase1) for each linear piece in order."""
-        times, phases = self.times, self.phases
-        for i in range(len(times) - 1):
-            yield times[i], phases[i], times[i + 1], phases[i + 1]
 
     def __repr__(self) -> str:
         return (

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -44,7 +45,15 @@ def two_node_scenario(
 settings.register_profile("ci", print_blob=True)
 
 BUNDLED = Path(__file__).resolve().parent.parent / "scenarios" / "triangle3.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 BIG = 10**400  # an integer no float holds
+
+
+def src_env():
+    """The environment for a subprocess that imports ``afmsim`` from ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
 
 
 def set_field(doc, path, value):

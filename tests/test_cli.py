@@ -1,14 +1,25 @@
-"""End-to-end CLI tests (in-process through cli.main)."""
+"""End-to-end CLI tests, in-process through cli.main, and `python -m afmsim`."""
 
+import dataclasses
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from afmsim import cli
 from afmsim.cli import main
+from afmsim.oracle import Mismatch, verify_scenario
 
-from conftest import HUGE_LITERAL_CONFIG, OVERSIZE_CONFIGS, needs_digit_limit
+from conftest import (
+    HUGE_LITERAL_CONFIG,
+    OVERSIZE_CONFIGS,
+    bundled_with,
+    needs_digit_limit,
+    src_env,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 BUNDLED = str(REPO / "scenarios" / "triangle3.json")
@@ -32,6 +43,40 @@ def test_verify_agrees_on_bundled_scenario(capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "agree exactly" in captured.out
+
+
+def test_verify_exits_one_on_a_fatal_event(tmp_path, capsys):
+    low = tmp_path / "low.json"
+    beta0 = [(("topology", "edges", k, f"beta0_{d}"), 2) for k in range(3) for d in ("ab", "ba")]
+    low.write_text(bundled_with((("topology", "buffer_capacity"), 6), *beta0))
+    code = main(["verify", "--config", str(low), "--t-max", "60"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "fatal underflow on link 1->3 at t=" in captured.out
+
+
+def test_verify_exits_one_on_a_mismatch(monkeypatch, capsys):
+    def one_mismatch(*args, **kwargs):
+        report = verify_scenario(*args, **kwargs)
+        return dataclasses.replace(report, mismatches=[Mismatch(2.5, (1, 2), 7, 6)])
+
+    monkeypatch.setattr(cli, "verify_scenario", one_mismatch)
+    code = main(["verify", "--config", BUNDLED, "--t-max", "30"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "MISMATCH at t=2.5 link 1->2: frame-level 7 vs closed-form 6 (1 total)" in captured.out
+
+
+def test_python_m_afmsim_runs_the_cli():
+    done = subprocess.run(
+        [sys.executable, "-m", "afmsim", "verify", "--config", BUNDLED, "--t-max", "10"],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "agree exactly" in done.stdout
 
 
 def test_summarize_reads_written_trace(tmp_path, capsys):
@@ -121,6 +166,11 @@ def _lines_edited(edit):
             "nodes.csv",
             _lines_edited(lambda lines: [*lines[:2], lines[2][:-1] + ",0\n", *lines[3:]]),
         ),
+        # theta and omega named the other way round
+        ("nodes.csv", lambda text: text.replace("theta,omega", "omega,theta", 1)),
+        ("buffers.csv", _lines_edited(lambda lines: ["garbage\n", *lines[1:]])),
+        ("events.csv", _lines_edited(lambda lines: ["garbage\n", *lines[1:]])),
+        ("events.csv", lambda text: text + "1,leak,1->2,3\n"),
     ],
     ids=[
         "short_row",
@@ -131,6 +181,10 @@ def _lines_edited(edit):
         "buffers_row_deleted",
         "buffers_t_off_grid",
         "extra_field",
+        "nodes_header_swapped",
+        "buffers_header_garbage",
+        "events_header_garbage",
+        "event_kind_unknown",
     ],
 )
 def test_malformed_trace_exits_two(tmp_path, capsys, command, name, damage):

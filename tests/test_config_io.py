@@ -91,6 +91,12 @@ def test_parse_error_reports_position():
     assert "line 2" in str(err.value)
 
 
+@pytest.mark.parametrize("text", ["[]", "3", '"config"', "null"])
+def test_top_level_not_an_object_is_a_config_error(text):
+    with pytest.raises(ConfigError, match="top level must be a JSON object"):
+        load_config(text)
+
+
 def test_missing_section_reported_with_path():
     with pytest.raises(ValidationError) as err:
         load_config('{"topology": {"n_nodes": 2, "edges": []}, "controller": {"kind": "zero"}}')
@@ -271,6 +277,15 @@ def test_required_field_given_null_is_missing(path, subject, edits):
     violations = _violations(_minimal_with(*edits, (path, None)))
     assert ("missing_field", subject) in violations
     assert ("wrong_type", subject) not in violations
+
+
+@pytest.mark.parametrize(
+    "key, name",
+    [("t_max", "run_t_max_nonpositive"), ("output_grid", "run_grid_nonpositive")],
+)
+@pytest.mark.parametrize("value", [0, -1.5])
+def test_nonpositive_run_setting_is_its_only_violation(key, name, value):
+    assert _violations(_minimal_with((("run", key), value))) == [(name, f"run.{key}")]
 
 
 def test_invalid_omega_u_is_the_only_frequency_violation():

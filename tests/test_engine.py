@@ -138,6 +138,10 @@ def test_initial_conditions_shape(triangle_cfg):
         assert traj.eval(0.0) == sc.params.theta0[i - 1]
         w1 = sc.params.omega_init1[i - 1]
         assert traj.max_dom() == sc.params.d / w1
+        theta0 = sc.params.theta0[i - 1]
+        w2, epoch = sc.params.omega_init2[i - 1], sc.params.epoch
+        assert traj.knots()[0] == (epoch, theta0 + w2 * epoch)
+        assert traj.phases[-1] == theta0 + sc.params.d
         assert state.steps[i] == 0
 
 

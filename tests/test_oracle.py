@@ -391,7 +391,8 @@ def reference_crossings(traj, gearbox, phase_lo, phase_hi):
     lo_floor = scaled_floor(gearbox, phase_lo)
     hi_floor = scaled_floor(gearbox, phase_hi)
     times = []
-    for t0, p0, t1, p1 in traj.segments():
+    ts, ps = traj.times, traj.phases
+    for t0, p0, t1, p1 in zip(ts, ps, ts[1:], ps[1:]):
         m_start = max(math.floor(p0 * num / den), lo_floor) + 1
         m_end = min(math.floor(p1 * num / den), hi_floor)
         dt_dp = (t1 - t0) / (p1 - p0)

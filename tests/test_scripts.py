@@ -1,26 +1,23 @@
 """Each script under ``scripts/`` runs end to end on a short horizon and turns
 bad arguments into a usage error."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import src_env
+
 REPO = Path(__file__).resolve().parent.parent
 
 
 def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
-    )
     return subprocess.run(
         [sys.executable, str(REPO / "scripts" / name), *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env(),
         timeout=120,
     )
 

@@ -119,6 +119,21 @@ def test_initial_frequency_floor_is_strict():
     assert "initial_frequency_not_above_min" in names(violations)
 
 
+@pytest.mark.parametrize(
+    "overrides, name, subject",
+    [
+        (dict(omega_min=0.0), "omega_min_nonpositive", "params.omega_min"),
+        (dict(omega_min=-1.0), "omega_min_nonpositive", "params.omega_min"),
+        (dict(theta0=(0.1, -0.5, 0.1)), "initial_phase_nonpositive", "node 2"),
+        (dict(omega_u=(1.1, 1.4, 0.0)), "uncorrected_frequency_nonpositive", "node 3"),
+    ],
+    ids=["omega_min=0", "omega_min=-1", "theta0=-0.5", "omega_u=0"],
+)
+def test_nonpositive_value_is_its_only_violation(overrides, name, subject):
+    got = check(triangle_topology(), triangle_params(**overrides))
+    assert [(v.name, v.subject) for v in got] == [(name, subject)]
+
+
 def test_gearbox_phase_boundary_guard():
     links = dict(triangle_topology().links)
     links[(1, 2)] = Link(latency=1.0, gearbox=Fraction(10, 1))

@@ -20,6 +20,11 @@ def make(knots, min_slope=0.0):
     return ClockTrajectory(knots, min_slope=min_slope)
 
 
+# The initial knots of a node with theta0 0.1, epoch -25, both initial
+# frequencies 1.1 and d = 2, as ``engine.init_state`` builds them.
+INITIAL_KNOTS = [(-25.0, 0.1 + 1.1 * -25.0), (0.0, 0.1), (2.0 / 1.1, 0.1 + 2.0)]
+
+
 # -- strategies --------------------------------------------------------------
 
 @st.composite
@@ -51,7 +56,7 @@ def test_eval_endpoint_exact():
 def test_eval_initial_segment_boundary():
     # node with theta0=0.1 free-running at 1.1 before time zero: phase at -1
     # lands exactly on -1.0
-    traj = ClockTrajectory.from_initial_conditions(0.1, -25.0, 1.1, 1.1, 2.0)
+    traj = make(INITIAL_KNOTS)
     assert traj.eval(-1.0) == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -155,7 +160,7 @@ def test_append_prefix_stability():
 # -- max_dom -----------------------------------------------------------------
 
 def test_max_dom_fresh_initial_conditions():
-    traj = ClockTrajectory.from_initial_conditions(0.1, -25.0, 1.1, 1.1, 2.0)
+    traj = make(INITIAL_KNOTS)
     assert traj.max_dom() == 2.0 / 1.1
     assert len(traj.times) == 3
     assert traj.eval(0.0) == 0.1
@@ -243,7 +248,8 @@ def test_strict_monotonicity(traj, data):
 
 @given(trajectories())
 def test_slope_floor_every_segment(traj):
-    for t0, p0, t1, p1 in traj.segments():
+    ts, ps = traj.times, traj.phases
+    for t0, p0, t1, p1 in zip(ts, ps, ts[1:], ps[1:]):
         assert (p1 - p0) / (t1 - t0) > traj.min_slope
 
 
