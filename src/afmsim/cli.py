@@ -1,8 +1,9 @@
 """Command-line surface: run, verify, summarize, plot.
 
 Exit codes: 0 success; 1 fatal buffer events or verification mismatch;
-2 unusable input (malformed or invalid config, missing files, an unreadable
-trace directory, statically inadmissible controller).
+2 unusable input (malformed or invalid config, missing files, a file that
+cannot be read, decoded or written, an unreadable trace directory,
+statically inadmissible controller).
 """
 
 from __future__ import annotations
@@ -149,6 +150,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the message names the file
+        print(f"unusable file: {exc}", file=sys.stderr)
         return 2
 
 

@@ -360,7 +360,13 @@ def load_config(text: str) -> ScenarioConfig:
 
 
 def load_config_file(path: str | Path) -> ScenarioConfig:
-    return load_config(Path(path).read_text(encoding="utf-8"))
+    """``load_config`` of the file's text; bytes that are not UTF-8 are a
+    ``ConfigError`` naming the file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    return load_config(text)
 
 
 def write_config(cfg: ScenarioConfig, path: str | Path) -> None:

@@ -18,13 +18,15 @@ with the header that ``write_trace`` writes, every row to have the table's
 number of fields, every block to list the same keys (node, or src and
 dst) in increasing order, and every row of a block to carry the same ``t``
 text; the blocks of ``buffers.csv`` must carry the ``t`` values of
-``nodes.csv``; an event's kind must be ``overflow`` or ``underflow``. A file
-that breaks this is a ``TraceError``.
+``nodes.csv``; an event's kind must be ``overflow`` or ``underflow``, its
+link a key of ``buffers.csv`` and its time finite, and the events must come
+in the order of their times. A file that breaks this is a ``TraceError``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
@@ -232,7 +234,16 @@ def read_trace(trace_dir: str | Path) -> Trace:
             if kind not in _EVENT_KINDS:
                 raise ValueError(f"event kind {kind!r} is not one of {_EVENT_KINDS}")
             src, dst = link_s.split("->")
-            events.append(FatalEvent(kind, (int(src), int(dst)), float(ts), int(value)))
+            ev = FatalEvent(kind, (int(src), int(dst)), float(ts), int(value))
+            if ev.link not in beta:
+                raise ValueError(f"an event on link {link_s}, which buffers.csv does not have")
+            if not math.isfinite(ev.t):
+                raise ValueError(f"event time {ts} is not finite")
+            # Written in (t, link, kind) order, but distinct times can print
+            # alike, so only t is checked.
+            if events and ev.t < events[-1].t:
+                raise ValueError(f"event time {ts} is before the event above it")
+            events.append(ev)
 
     with _parsing(d / "meta.json"):
         meta = json.loads((d / "meta.json").read_text(encoding="utf-8"))

@@ -171,6 +171,10 @@ def _lines_edited(edit):
         ("buffers.csv", _lines_edited(lambda lines: ["garbage\n", *lines[1:]])),
         ("events.csv", _lines_edited(lambda lines: ["garbage\n", *lines[1:]])),
         ("events.csv", lambda text: text + "1,leak,1->2,3\n"),
+        ("meta.json", lambda text: "[]"),
+        ("events.csv", lambda text: text + "3,underflow,7->9,-1\n"),
+        ("events.csv", lambda text: text + "inf,underflow,1->2,-1\n"),
+        ("events.csv", lambda text: text + "3,underflow,1->2,-1\n1,underflow,1->3,-1\n"),
     ],
     ids=[
         "short_row",
@@ -185,6 +189,10 @@ def _lines_edited(edit):
         "buffers_header_garbage",
         "events_header_garbage",
         "event_kind_unknown",
+        "meta_not_an_object",
+        "event_link_unknown",
+        "event_time_not_finite",
+        "events_out_of_order",
     ],
 )
 def test_malformed_trace_exits_two(tmp_path, capsys, command, name, damage):
@@ -226,6 +234,34 @@ def test_missing_config_exits_two(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "missing file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [
+        ("run", "config_not_utf8"),
+        ("verify", "config_not_utf8"),
+        ("verify", "config_is_a_dir"),
+        ("run", "out_is_a_file"),
+    ],
+)
+def test_unusable_file_exits_two(tmp_path, capsys, command, case):
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    if case == "config_not_utf8":
+        config.write_bytes(b'{"topology": "\xff"}')
+    elif case == "config_is_a_dir":
+        config = tmp_path
+    else:
+        config, out = Path(BUNDLED), tmp_path / "file"
+        out.write_text("")
+    args = ["--config", str(config), "--t-max", "5"]
+    if command == "run":
+        args += ["--out", str(out)]
+    code = main([command, *args])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(out if case == "out_is_a_file" else config) in err
+    assert "Traceback" not in err
 
 
 def test_inadmissible_controller_exits_two(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Config schema, trace serialization, summaries, and plot emission."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from afmsim.config import (
     load_config_file,
     run_config,
 )
-from afmsim.scenarios import triangle3
+from afmsim.scenarios import gearbox_pair, triangle3
 from afmsim.topology import ValidationError
 from afmsim.traceio import (
     emit_plot_script,
@@ -60,6 +61,25 @@ def test_bundled_scenario_loads_and_matches_builder():
     assert cfg.to_dict() == built.to_dict()
     assert cfg.fingerprint() == built.fingerprint()
     assert len(cfg.fingerprint()) == 64
+
+
+def test_bundled_scenario_is_the_builders_canonical_text():
+    assert BUNDLED.read_bytes() == triangle3().to_json().encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "build, subject",
+    [
+        (lambda: triangle3(k_p=float("nan")), "controller.k_p"),
+        (lambda: triangle3(t_max=float("inf")), "run.t_max"),
+        (lambda: gearbox_pair(t_max=float("nan")), "run.t_max"),
+    ],
+    ids=["triangle3_k_p_nan", "triangle3_t_max_inf", "gearbox_pair_t_max_nan"],
+)
+def test_builder_argument_the_schema_rejects_raises(build, subject):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert [(v.name, v.subject) for v in err.value.violations] == [("wrong_type", subject)]
 
 
 def test_scalar_shorthands_broadcast():
@@ -510,6 +530,12 @@ def test_summary_reference_run(small_trace):
     assert set(s.freq_final) == {1, 2, 3}
     assert s.freq_spread >= 0.0
     assert set(s.pair_max_sum_deviation) == {(1, 2), (1, 3), (2, 3)}
+
+
+def test_summary_of_an_empty_grid_is_refused(small_trace):
+    _, trace, _, _ = small_trace
+    with pytest.raises(ValueError, match="no resampled series"):
+        summarize(dataclasses.replace(trace, grid=[]))
 
 
 def test_summary_from_read_trace_matches(small_trace):

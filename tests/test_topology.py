@@ -126,12 +126,28 @@ def test_initial_frequency_floor_is_strict():
         (dict(omega_min=-1.0), "omega_min_nonpositive", "params.omega_min"),
         (dict(theta0=(0.1, -0.5, 0.1)), "initial_phase_nonpositive", "node 2"),
         (dict(omega_u=(1.1, 1.4, 0.0)), "uncorrected_frequency_nonpositive", "node 3"),
+        (dict(d=0), "delay_nonpositive", "params.d"),
+        (dict(d=-1), "delay_nonpositive", "params.d"),
     ],
-    ids=["omega_min=0", "omega_min=-1", "theta0=-0.5", "omega_u=0"],
+    ids=["omega_min=0", "omega_min=-1", "theta0=-0.5", "omega_u=0", "d=0", "d=-1"],
 )
 def test_nonpositive_value_is_its_only_violation(overrides, name, subject):
     got = check(triangle_topology(), triangle_params(**overrides))
     assert [(v.name, v.subject) for v in got] == [(name, subject)]
+
+
+def test_zero_capacity_is_its_only_violation_with_empty_buffers():
+    params = triangle_params(beta0={k: 0 for k in triangle_topology().links})
+    got = check(triangle_topology(capacity=0), params)
+    assert [(v.name, v.subject) for v in got] == [("capacity_nonpositive", "topology")]
+
+
+def test_zero_epoch_is_nonnegative_and_too_late_on_every_link():
+    got = check(triangle_topology(), triangle_params(epoch=0.0))
+    links = triangle_topology().directed_links()
+    assert [(v.name, v.subject) for v in got] == [("epoch_nonnegative", "params.epoch")] + [
+        ("epoch_too_late", f"link ({a},{b})") for a, b in links
+    ]
 
 
 def test_gearbox_phase_boundary_guard():
