@@ -14,7 +14,6 @@ from .config import (
     load_config,
     load_config_file,
     run_config,
-    write_config,
 )
 from .controllers import (
     AdmissibilityCheck,
@@ -30,8 +29,6 @@ from .engine import (
     Trace,
     buffer_occupancy,
     compute_lambdas,
-    frames_received,
-    frames_sent,
     init_state,
     link_occupancy,
     measure,
@@ -98,8 +95,6 @@ __all__ = [
     "compute_lambdas",
     "emit_plot_script",
     "format_summary",
-    "frames_received",
-    "frames_sent",
     "init_state",
     "is_admissible",
     "link_occupancy",
@@ -115,6 +110,5 @@ __all__ = [
     "summarize",
     "validate",
     "verify_scenario",
-    "write_config",
     "write_trace",
 ]

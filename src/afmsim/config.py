@@ -369,10 +369,6 @@ def load_config_file(path: str | Path) -> ScenarioConfig:
     return load_config(text)
 
 
-def write_config(cfg: ScenarioConfig, path: str | Path) -> None:
-    Path(path).write_text(cfg.to_json(), encoding="utf-8")
-
-
 def run_config(
     cfg: ScenarioConfig,
     t_max: float | None = None,

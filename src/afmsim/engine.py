@@ -1,16 +1,7 @@
 """Simulation engine: exact frame counters and the least-advanced-first loop.
 
-Frame counts are pure functions of the clock trajectories. A directed link
-(i, j) carries frames from i into the elastic buffer at j; its occupancy is
-
-    beta_ij(t) = floor(g * theta_i(t - l_ij)) - floor(g * theta_j(t)) + lam_ij
-
-with the conserved integer ``lam_ij`` fixed by the initial conditions. All
-floors go through ``scaled_floor``, or ``scaled_floors`` for a whole list with
-the same expression, so that every consumer (initialization, occupancy
-queries, resampling, the frame-level oracle's calibration and compare) shares
-one rounding path; this is what makes beta(0) == beta0 and the cross-checks
-integer-exact.
+Frame counts are differences of gearbox-scaled phase floors (``phase``),
+offset on a buffer by the conserved per-link integer of ``compute_lambdas``.
 
 Each trajectory starts from three knots, ``(epoch, theta0 + omega_init2 *
 epoch)``, ``(0, theta0)`` and ``(d / omega_init1, theta0 + d)``: the history
@@ -38,45 +29,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple
 
 from .controllers import Controller, ControllerSpec, is_admissible, make_controllers
+from .phase import Gearbox, resolve, scaled_floor, scaled_floors
 from .topology import Scenario
 from .trajectory import AdmissibilityError, ClockTrajectory, sweep_eval, sweep_slope
-
-Gearbox = Fraction | int
-
-
-def scaled_floor(gearbox: Gearbox, phase: float) -> int:
-    """Floor of the gearbox-scaled phase; the one rounding path for all counters."""
-    if gearbox == 1:
-        return math.floor(phase)
-    return math.floor(phase * gearbox.numerator / gearbox.denominator)
-
-
-def scaled_floors(gearbox: Gearbox, phases: list[float]) -> list[int]:
-    """``[scaled_floor(gearbox, p) for p in phases]``, with the gearbox test
-    and its numerator and denominator read once for the whole list."""
-    if gearbox == 1:
-        return list(map(math.floor, phases))
-    num, den = gearbox.numerator, gearbox.denominator
-    floor = math.floor
-    return [floor(p * num / den) for p in phases]
-
-
-def frames_sent(traj: ClockTrajectory, s: float, t: float, gearbox: Gearbox = 1) -> int:
-    """Frames sent on the half-open wall-time interval (s, t]."""
-    if t < s:
-        raise ValueError(f"interval end {t!r} before start {s!r}")
-    return scaled_floor(gearbox, traj.eval(t)) - scaled_floor(gearbox, traj.eval(s))
-
-
-def frames_received(
-    traj_src: ClockTrajectory, s: float, t: float, latency: float, gearbox: Gearbox = 1
-) -> int:
-    """Frames received over (s, t]: the sent count shifted by the link latency."""
-    return frames_sent(traj_src, s - latency, t - latency, gearbox)
 
 
 def link_occupancy(
@@ -135,9 +93,8 @@ class SystemState:
     """Everything the loop reads and writes while extending trajectories.
 
     ``incoming[i]`` holds ``(j, lam, latency, gearbox)`` for every link
-    (j, i) into node i, in ascending ``j``; it is fixed at ``init_state``.
-    The gearbox is the int ``1`` on a unit link, else the link's Fraction,
-    so ``scaled_floor`` takes its plain branch without Fraction arithmetic.
+    (j, i) into node i, in ascending ``j``, with the gearbox resolved by
+    ``phase.resolve``; it is fixed at ``init_state``.
     ``queue`` is a binary heap with one ``(max_dom, i)`` entry per node; the
     trajectories grow only through ``step``, which keeps it in sync.
     """
@@ -202,8 +159,7 @@ def init_state(scenario: Scenario, controllers: list[Controller]) -> SystemState
     incoming: dict[int, list[tuple[int, int, float, Gearbox]]] = {i: [] for i in topo.nodes()}
     for (j, i) in topo.directed_links():  # sorted, so each list is in ascending j
         link = topo.links[(j, i)]
-        g = 1 if link.gearbox == 1 else link.gearbox
-        incoming[i].append((j, lam[(j, i)], link.latency, g))
+        incoming[i].append((j, lam[(j, i)], link.latency, resolve(link.gearbox)))
     return SystemState(
         scenario=scenario,
         trajectories=trajectories,

@@ -2,10 +2,10 @@
 
 Every individual frame is tracked through its send, link traversal, and
 consumption, using only the integer crossings of the (gearbox-scaled) clock
-phases. Every frame time is a tick of some clock, so ``tick_times`` lists
-the ticks of each (node, gearbox) clock that a link reads once, up front,
-from the longest link latency before zero (so the work does not grow with
-the epoch), and each link slices three sorted time lists out of those:
+phases. Every frame time is a tick of some clock, so ``phase.tick_times``
+lists the ticks of each (node, gearbox) clock that a link reads once, up
+front, from the longest link latency before zero (so the work does not grow
+with the epoch), and each link slices three sorted time lists out of those:
 sends and consumptions (source and destination ticks in (0, horizon]) and
 arrivals (source ticks from one latency before zero, plus the latency). A
 buffer's occupancy is then a plain count, the initial fill plus the arrivals
@@ -31,39 +31,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from . import engine
 from .controllers import ControllerSpec
-from .engine import FatalEvent, Gearbox, Trace, scaled_floor, scaled_floors
+from .engine import FatalEvent, Trace, compute_lambdas, simulate
+from .phase import Gearbox, scaled_floor, scaled_floors, tick_times
 from .topology import Scenario
 from .trajectory import ClockTrajectory, sweep_eval
-
-
-def tick_times(
-    traj: ClockTrajectory, gearbox: Gearbox, start: float
-) -> tuple[int, list[float]]:
-    """``(m0, times)``: ``times[k]`` is when the gearbox-scaled phase reaches
-    ``m0 + k``, for every integer the trajectory crosses after ``start``, so
-    ``m0 = scaled_floor(g, eval(start)) + 1``. This is the one place where a
-    crossing time is defined.
-
-    A segment holds the integers in ``(scaled_floor(g, p0), scaled_floor(g,
-    p1)]``, so the ticks in a time window (s, t] with ``start <= s`` are those
-    of the integers in ``(scaled_floor(g, eval(s)), scaled_floor(g,
-    eval(t))]``. The list starts at the segment that holds ``start``, so its
-    length does not grow with the history before it.
-    """
-    ts, ps = traj.times, traj.phases
-    num, den = gearbox.numerator, gearbox.denominator
-    m_start = scaled_floor(gearbox, traj.eval(start))
-    first = bisect_right(ts, start) - 1  # the segment that holds start
-    floors = scaled_floors(gearbox, ps[first:])
-    times: list[float] = []
-    for k, m_lo, m_hi in zip(range(first, len(ts) - 1), floors, floors[1:]):
-        t0, p0 = ts[k], ps[k]
-        dt_dp = (ts[k + 1] - t0) / (ps[k + 1] - p0)
-        m_lo = max(m_lo, m_start)
-        times += [t0 + (m * den / num - p0) * dt_dp for m in range(m_lo + 1, m_hi + 1)]
-    return m_start + 1, times
 
 
 @dataclass
@@ -194,7 +166,7 @@ def compare(
     the oracle count is ``LinkReplay.occupancy`` at each time.
     """
     topo = scenario.topology
-    lam = engine.compute_lambdas(scenario, trajectories)
+    lam = compute_lambdas(scenario, trajectories)
     ts = sorted(rec.t_sample for rec in trace.samples if rec.t_sample <= result.horizon)
     mismatches: list[Mismatch] = []
     # Links in order of destination and gearbox share the destination floors,
@@ -251,7 +223,7 @@ def verify_scenario(
     grid_dt: float = 0.5,
 ) -> VerifyReport:
     """Run the engine, replay the frames, and compare the two end to end."""
-    trace = engine.simulate(scenario, controller, t_max, grid_dt=grid_dt)
+    trace = simulate(scenario, controller, t_max, grid_dt=grid_dt)
     trajectories = rebuild_trajectories(trace, scenario)
     horizon = min(trajectories[i].max_dom() for i in scenario.topology.nodes())
     result = replay(trajectories, scenario, horizon)

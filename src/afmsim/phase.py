@@ -1,0 +1,81 @@
+"""Frame counts from clock phases: the one rounding path and the one crossing time.
+
+Frame counts are pure functions of the clock trajectories. A directed link
+(i, j) carries frames from i into the elastic buffer at j; its occupancy is
+
+    beta_ij(t) = floor(g * theta_i(t - l_ij)) - floor(g * theta_j(t)) + lam_ij
+
+with the conserved integer ``lam_ij`` fixed by the initial conditions. All
+floors go through ``scaled_floor``, or ``scaled_floors`` for a whole list with
+the same expression, so that every consumer (initialization, occupancy
+queries, resampling, the frame-level oracle's calibration and compare) shares
+one rounding path; this is what makes beta(0) == beta0 and the cross-checks
+integer-exact. Every frame event is a crossing of an integer by a scaled
+phase, and ``tick_times`` is the one inversion of that scaling into times.
+"""
+
+from __future__ import annotations
+
+import math
+from bisect import bisect_right
+from fractions import Fraction
+from typing import NamedTuple
+
+from .trajectory import ClockTrajectory
+
+
+# A gearbox's numerator and denominator as plain ints.
+Ratio = NamedTuple("Ratio", [("numerator", int), ("denominator", int)])
+Gearbox = Fraction | int | Ratio
+
+
+def resolve(gearbox: Gearbox) -> Gearbox:
+    """The form of ``gearbox`` that the floors read without Fraction calls:
+    the int ``1`` for a unit gearbox, so they take their plain branch, else
+    its ``Ratio``. Both give the same floors and crossings as the Fraction."""
+    return 1 if gearbox == 1 else Ratio(gearbox.numerator, gearbox.denominator)
+
+
+def scaled_floor(gearbox: Gearbox, phase: float) -> int:
+    """Floor of the gearbox-scaled phase; the one rounding path for all counters."""
+    if gearbox == 1:
+        return math.floor(phase)
+    return math.floor(phase * gearbox.numerator / gearbox.denominator)
+
+
+def scaled_floors(gearbox: Gearbox, phases: list[float]) -> list[int]:
+    """``[scaled_floor(gearbox, p) for p in phases]``, with the gearbox test
+    and its numerator and denominator read once for the whole list."""
+    if gearbox == 1:
+        return list(map(math.floor, phases))
+    num, den = gearbox.numerator, gearbox.denominator
+    floor = math.floor
+    return [floor(p * num / den) for p in phases]
+
+
+def tick_times(
+    traj: ClockTrajectory, gearbox: Gearbox, start: float
+) -> tuple[int, list[float]]:
+    """``(m0, times)``: ``times[k]`` is when the gearbox-scaled phase reaches
+    ``m0 + k``, for every integer the trajectory crosses after ``start``, so
+    ``m0 = scaled_floor(g, eval(start)) + 1``. This is the one place where a
+    crossing time is defined.
+
+    A segment holds the integers in ``(scaled_floor(g, p0), scaled_floor(g,
+    p1)]``, so the ticks in a time window (s, t] with ``start <= s`` are those
+    of the integers in ``(scaled_floor(g, eval(s)), scaled_floor(g,
+    eval(t))]``. The list starts at the segment that holds ``start``, so its
+    length does not grow with the history before it.
+    """
+    ts, ps = traj.times, traj.phases
+    num, den = gearbox.numerator, gearbox.denominator
+    m_start = scaled_floor(gearbox, traj.eval(start))
+    first = bisect_right(ts, start) - 1  # the segment that holds start
+    floors = scaled_floors(gearbox, ps[first:])
+    times: list[float] = []
+    for k, m_lo, m_hi in zip(range(first, len(ts) - 1), floors, floors[1:]):
+        t0, p0 = ts[k], ps[k]
+        dt_dp = (ts[k + 1] - t0) / (ps[k + 1] - p0)
+        m_lo = max(m_lo, m_start)
+        times += [t0 + (m * den / num - p0) * dt_dp for m in range(m_lo + 1, m_hi + 1)]
+    return m_start + 1, times

@@ -17,11 +17,11 @@ from afmsim.engine import (
     compute_lambdas,
     init_state,
     link_occupancy,
-    scaled_floor,
     simulate,
     step,
 )
 from afmsim.oracle import rebuild_trajectories, verify_scenario
+from afmsim.phase import scaled_floor
 from afmsim.scenarios import gearbox_pair, random_scenario, triangle3
 from afmsim.trajectory import AdmissibilityError
 
@@ -233,13 +233,11 @@ def test_criterion_8_gearbox_equivalence():
 
 
 def test_criterion_9_run_determinism(tmp_path):
-    config = str(tmp_path / "scenario.json")
-    from afmsim.config import write_config
-
-    write_config(triangle3(), config)
+    config = tmp_path / "scenario.json"
+    config.write_text(triangle3().to_json(), encoding="utf-8")
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
-    assert cli_main(["run", "--config", config, "--t-max", "50", "--out", str(out1)]) == 0
-    assert cli_main(["run", "--config", config, "--t-max", "50", "--out", str(out2)]) == 0
+    assert cli_main(["run", "--config", str(config), "--t-max", "50", "--out", str(out1)]) == 0
+    assert cli_main(["run", "--config", str(config), "--t-max", "50", "--out", str(out2)]) == 0
     identical = all(
         (out1 / name).read_bytes() == (out2 / name).read_bytes()
         for name in ("nodes.csv", "buffers.csv", "events.csv", "meta.json")

@@ -17,17 +17,15 @@ from afmsim.engine import (
     buffer_occupancy,
     build_trace,
     compute_lambdas,
-    frames_received,
-    frames_sent,
     init_state,
     link_occupancy,
     measure,
-    scaled_floor,
-    scaled_floors,
     select_node,
     simulate,
     step,
 )
+from afmsim.phase import Ratio, scaled_floor, scaled_floors, tick_times
+from afmsim.topology import validate
 from afmsim.trajectory import AdmissibilityError, ClockTrajectory, DomainError
 
 from conftest import relabeled, tied_triangle, two_node_scenario
@@ -43,9 +41,10 @@ def line(slope, intercept, t_lo=-30.0, t_hi=30.0):
 # -- floors --------------------------------------------------------------------
 
 @pytest.mark.parametrize(
-    "gearbox", [1, Fraction(2), Fraction(3, 2), Fraction(1, 2), Fraction(2, 3), Fraction(7, 5)]
+    "gearbox",
+    [1, Fraction(2), Fraction(3, 2), Fraction(1, 2), Fraction(2, 3), Fraction(7, 5), Fraction(1)],
 )
-def test_scaled_floors_agree_with_scaled_floor(gearbox):
+def test_scaled_floors_agree_with_scaled_floor(gearbox, zero_spec):
     rng = random.Random(3)
     phases = [-7.0, -2.5, -1.0, -0.0, 0.0, 1.0, 3.0, 2.0 / 3.0, 4.0 / 3.0, 1e15 + 1.0]
     for m in range(-12, 13):
@@ -53,36 +52,32 @@ def test_scaled_floors_agree_with_scaled_floor(gearbox):
         for x in (float(m), m * gearbox.denominator / gearbox.numerator):
             phases += [math.nextafter(x, -math.inf), float(x), math.nextafter(x, math.inf)]
     phases += [rng.uniform(-100.0, 100.0) for _ in range(500)]
-    assert scaled_floors(gearbox, phases) == [scaled_floor(gearbox, p) for p in phases]
+    floors = [scaled_floor(gearbox, p) for p in phases]
+    assert scaled_floors(gearbox, phases) == floors
     assert scaled_floors(gearbox, []) == []
+    # The form init_state resolves the link's gearbox into (the int 1 on a
+    # unit link, plain ints otherwise) floors and crosses bit for bit like
+    # the gearbox itself, and so do the int 1 and Fraction(1).
+    sc = two_node_scenario(theta0=(0.3, 0.3))
+    links = {
+        ab: dataclasses.replace(lk, gearbox=Fraction(gearbox))
+        for ab, lk in sc.topology.links.items()
+    }
+    sc = validate(dataclasses.replace(sc.topology, links=links), sc.params)
+    form = init_state(sc, make_controllers(zero_spec, 2)).incoming[2][0][3]
+    assert type(form) is (int if gearbox == 1 else Ratio)
+    traj = ClockTrajectory(
+        [(-30.0, -29.7), (0.0, 0.25), (5.0, math.nextafter(6.0, 0.0)), (9.0, 9.0), (14.0, 16.5)]
+    )
+    m0, times = tick_times(traj, gearbox, -30.0)
+    for twin in [form, 1, Fraction(1)] if gearbox == 1 else [form]:
+        assert scaled_floors(twin, phases) == [scaled_floor(twin, p) for p in phases] == floors
+        m0_twin, times_twin = tick_times(traj, twin, -30.0)
+        assert m0_twin == m0
+        assert list(map(float.hex, times_twin)) == list(map(float.hex, times))
 
 
 # -- frame counters ------------------------------------------------------------
-
-def test_frames_sent_unit_slope():
-    assert frames_sent(line(1.0, 0.0), 0.0, 5.5) == 5
-
-
-def test_frames_sent_empty_interval():
-    traj = line(1.3, 0.7)
-    assert frames_sent(traj, 3.3, 3.3) == 0
-
-
-def test_frames_sent_offset_slope():
-    # theta(t) = 0.1 + 1.4 t over (0, 10]: floor(14.1) - floor(0.1) = 14
-    assert frames_sent(line(1.4, 0.1), 0.0, 10.0) == 14
-
-
-def test_frames_sent_rejects_reversed_interval():
-    with pytest.raises(ValueError):
-        frames_sent(line(1.0, 0.0), 1.0, 0.0)
-
-
-def test_frames_received_is_delayed_send_count():
-    traj = line(1.7, 0.3)
-    for s, t, lat in ((0.0, 7.0, 1.0), (2.5, 9.25, 2.25)):
-        assert frames_received(traj, s, t, lat) == frames_sent(traj, s - lat, t - lat)
-
 
 def test_link_occupancy_examples():
     assert link_occupancy(line(1.0, 0.5), 3.0, 1.0) == 1

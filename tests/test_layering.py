@@ -1,0 +1,40 @@
+"""Module layering: no import cycle, with ``phase`` just above ``trajectory``."""
+
+import ast
+import subprocess
+import sys
+from graphlib import TopologicalSorter
+
+from conftest import SRC, src_env
+
+
+def sibling_imports():
+    """Each ``afmsim`` module's relative imports of other ``afmsim`` modules."""
+    graph = {}
+    for path in sorted((SRC / "afmsim").glob("*.py")):
+        deps = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:  # from . import engine
+                    deps |= {alias.name for alias in node.names}
+                else:  # from .engine import simulate
+                    deps.add(node.module.split(".")[0])
+        graph[path.stem] = deps
+    return graph
+
+
+def test_modules_are_layered_without_cycles():
+    graph = sibling_imports()
+    assert {"engine", "oracle", "phase", "trajectory"} <= graph.keys()
+    list(TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
+    assert graph["trajectory"] == set()
+    assert graph["phase"] == {"trajectory"}
+    assert "oracle" not in graph["engine"]
+    for module in ("afmsim.engine", "afmsim.phase"):
+        run = subprocess.run(
+            [sys.executable, "-c", f"import {module}"],
+            env=src_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert run.returncode == 0, run.stderr

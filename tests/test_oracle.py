@@ -15,10 +15,8 @@ from afmsim.engine import (
     FatalEvent,
     buffer_occupancy,
     compute_lambdas,
-    frames_received,
     init_state,
     link_occupancy,
-    scaled_floor,
     simulate,
     step,
 )
@@ -28,9 +26,9 @@ from afmsim.oracle import (
     compare,
     rebuild_trajectories,
     replay,
-    tick_times,
     verify_scenario,
 )
+from afmsim.phase import scaled_floor, tick_times
 from afmsim.scenarios import gearbox_pair, random_scenario, triangle3
 from afmsim.topology import Link, SystemParams, Topology, validate
 from afmsim.trajectory import ClockTrajectory
@@ -481,7 +479,8 @@ def test_received_count_matches_oracle_arrivals():
     result = replay(state.trajectories, sc, 40.0)
     rng = random.Random(23)
     for (a, b) in sc.topology.directed_links():
-        lat = sc.topology.links[(a, b)].latency
+        link = sc.topology.links[(a, b)]
+        lat, g, traj = link.latency, link.gearbox, state.trajectories[a]
         lr = result.links[(a, b)]
         arrivals = lr.arrival_times
         assert arrivals == sorted(arrivals)
@@ -491,7 +490,9 @@ def test_received_count_matches_oracle_arrivals():
             s = rng.uniform(0.0, 38.0)
             t = rng.uniform(s, 39.0)
             counted = bisect_right(arrivals, t) - bisect_right(arrivals, s)
-            assert counted == frames_received(state.trajectories[a], s, t, lat)
+            # the frames sent over (s - lat, t - lat]
+            sent = scaled_floor(g, traj.eval(t - lat)) - scaled_floor(g, traj.eval(s - lat))
+            assert counted == sent
 
 
 @st.composite
