@@ -5,10 +5,12 @@ A config document has four sections: ``topology``, ``params``,
 under one rule: an explicit null is the same as an absent key. Loading
 broadcasts scalar shorthands (per-node and per-link values may be given
 once), resolves per-direction link fields, and then applies every
-well-posedness check; all schema and constraint violations are reported
-together, each with the path of the offending field. The canonical form
-emitted by ``to_dict`` is fully resolved, so two configs that mean the same
-scenario fingerprint the same.
+well-posedness check. The schema reader reports all its violations together,
+each with the path of the offending field; only a document it accepts goes on
+to the constraint checks of ``topology.validate``, which report all theirs
+together, each naming a field, a node or a link (``link (1,2)``). The
+canonical form emitted by ``to_dict`` is fully resolved, so two configs that
+mean the same scenario fingerprint the same.
 """
 
 from __future__ import annotations
@@ -230,9 +232,10 @@ class _Reader:
 def load_config(text: str) -> ScenarioConfig:
     """Parse, normalize, and validate a config document.
 
-    Raises ConfigError on malformed JSON and ValidationError (with the full
-    violation list, each naming the offending path) on schema or constraint
-    problems.
+    Raises ConfigError on malformed JSON and ValidationError on schema
+    violations (all of them, each naming a field path) or, once the schema
+    reads cleanly, on constraint violations (all of them, each naming its
+    subject).
     """
     try:
         raw = json.loads(text)

@@ -112,24 +112,17 @@ class SystemState:
 def compute_lambdas(
     scenario: Scenario, trajectories: dict[int, ClockTrajectory]
 ) -> dict[tuple[int, int], int]:
-    """Conserved per-link constants from the initial conditions.
-
-    Evaluates theta through the trajectories themselves (not a closed form)
-    so the floors here cancel exactly against the ones in later occupancy
-    queries.
+    """Conserved per-link constants from the initial conditions: ``beta0``
+    less ``buffer_occupancy`` at time zero with a zero constant. That reads
+    theta through the trajectories themselves (not a closed form), so its
+    floors cancel exactly against the ones in later occupancy queries.
     """
-    topo = scenario.topology
     beta0 = scenario.params.beta0
-    lam: dict[tuple[int, int], int] = {}
-    for (a, b) in topo.directed_links():
-        link = topo.links[(a, b)]
-        g = link.gearbox
-        lam[(a, b)] = (
-            beta0[(a, b)]
-            - scaled_floor(g, trajectories[a].eval(-link.latency))
-            + scaled_floor(g, trajectories[b].eval(0.0))
-        )
-    return lam
+    return {
+        (a, b): beta0[(a, b)]
+        - buffer_occupancy(trajectories[a], trajectories[b], 0, link.latency, 0.0, link.gearbox)
+        for (a, b), link in sorted(scenario.topology.links.items())
+    }
 
 
 def init_state(scenario: Scenario, controllers: list[Controller]) -> SystemState:

@@ -8,9 +8,11 @@ front, from the longest link latency before zero (so the work does not grow
 with the epoch), and each link slices three sorted time lists out of those:
 sends and consumptions (source and destination ticks in (0, horizon]) and
 arrivals (source ticks from one latency before zero, plus the latency). A
-buffer's occupancy is then a plain count, the initial fill plus the arrivals
-so far minus the consumptions so far, built without the closed-form
-counters, so agreement between the two is a real test and not a tautology.
+buffer's occupancy is then a plain count, written once in
+``LinkReplay.occupancies``: the initial fill plus the arrivals so far minus
+the consumptions so far, two bisects per time. It is built without the
+closed-form counters, so agreement between the two is a real test and not a
+tautology.
 
 The replay consumes trajectories that the engine already produced; it never
 re-runs control. Tie rule: occupancy at time t counts every arrival and
@@ -21,7 +23,7 @@ consumed leaves it unchanged rather than making a one-instant excursion.
 ``compare`` checks the two at every controller sample time. It sorts the
 sample times once, sweeps each trajectory over them in one pass
 (``sweep_eval``), floors the phases as whole lists (``scaled_floors``) and
-counts the replayed frames with two bisects per time.
+reads the replayed frames from ``occupancies``, as the bound scans do.
 
 This is a test fixture for desk-scale runs, not a performance path.
 """
@@ -49,16 +51,16 @@ class LinkReplay:
     arrival_times: list[float]
     consume_times: list[float]
 
-    def occupancy(self, t: float) -> int:
-        """Frames in the buffer at time t, counting every event at exactly t.
+    def occupancies(self, ts: list[float]) -> list[int]:
+        """Frames in the buffer at each of the ascending times ``ts``, counting
+        every event at exactly that time. Meaningful up to the replay horizon,
+        past which no consumption is replayed."""
+        arrivals, consumes, initial = self.arrival_times, self.consume_times, self.initial
+        return [initial + bisect_right(arrivals, t) - bisect_right(consumes, t) for t in ts]
 
-        Meaningful up to the replay horizon: consumptions past it are not
-        replayed."""
-        return (
-            self.initial
-            + bisect_right(self.arrival_times, t)
-            - bisect_right(self.consume_times, t)
-        )
+    def occupancy(self, t: float) -> int:
+        """``occupancies`` at the one time t."""
+        return self.occupancies([t])[0]
 
 
 @dataclass
@@ -118,16 +120,13 @@ def replay(
             consume_times=window(b, g, 0.0, horizon),
         )
         links[(a, b)] = lr
-        for t in lr.consume_times:
-            occ = lr.occupancy(t)
+        for t, occ in zip(lr.consume_times, lr.occupancies(lr.consume_times)):
             if occ < 0:
                 violations.append(FatalEvent("underflow", (a, b), t, occ))
                 break
         if cap is not None:
-            for t in lr.arrival_times:
-                if t > horizon:
-                    break
-                occ = lr.occupancy(t)
+            arrivals = lr.arrival_times[: bisect_right(lr.arrival_times, horizon)]
+            for t, occ in zip(arrivals, lr.occupancies(arrivals)):
                 if occ > cap:
                     violations.append(FatalEvent("overflow", (a, b), t, occ))
                     break
@@ -163,7 +162,7 @@ def compare(
     The sample times up to the horizon are sorted once. Per link, the
     closed form sweeps the source at ``t - latency`` and the destination at
     ``t`` and floors both lists (the floors of ``engine.buffer_occupancy``);
-    the oracle count is ``LinkReplay.occupancy`` at each time.
+    the oracle count is ``LinkReplay.occupancies`` of the sorted times.
     """
     topo = scenario.topology
     lam = compute_lambdas(scenario, trajectories)
@@ -183,11 +182,7 @@ def compare(
             g, sweep_eval(trajectories[a], [t - link.latency for t in ts])
         )
         formula = [s - c + lam[(a, b)] for s, c in zip(sent, dst_floors)]
-        lr = result.links[(a, b)]
-        arrivals, consumes, initial = lr.arrival_times, lr.consume_times, lr.initial
-        oracle = [
-            initial + bisect_right(arrivals, t) - bisect_right(consumes, t) for t in ts
-        ]
+        oracle = result.links[(a, b)].occupancies(ts)
         if oracle != formula:
             mismatches += [
                 Mismatch(t, (a, b), o, f)

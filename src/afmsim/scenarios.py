@@ -63,7 +63,7 @@ def random_scenario(rng: random.Random, n_nodes: int | None = None) -> ScenarioC
     assumes nonnegative occupancies, so it holds only while no buffer
     underflows. Not every draw keeps that premise: with unbounded buffers,
     seeds 0, 1, 2, 3, 7, 9, 11, 12, 16 and 17 record an underflow by T=2000.
-    ROADMAP item 6 (a sound admissibility verdict) covers the gap.
+    The ROADMAP item "A sound admissibility verdict" covers the gap.
     """
     n = rng.randint(3, 6) if n_nodes is None else n_nodes
     edges = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}  # random spanning tree

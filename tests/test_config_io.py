@@ -31,6 +31,7 @@ from afmsim.traceio import (
 from conftest import (
     HUGE_LITERAL_CONFIG,
     OVERSIZE_CONFIGS,
+    bundled_with,
     needs_digit_limit,
     set_field,
     two_node_scenario,
@@ -135,6 +136,24 @@ def test_constraint_violations_surface_through_load():
     with pytest.raises(ValidationError) as err:
         load_config(bad)
     assert any(v.name == "epoch_too_late" for v in err.value.violations)
+
+
+def test_constraint_checks_wait_for_a_clean_schema():
+    # Loading runs in two stages. The schema reader reports every violation
+    # it finds with a field path; the constraint checks run only once it finds
+    # none, and name subjects such as a link.
+    late = (("params", "epoch"), -1.0)
+    with pytest.raises(ValidationError) as err:
+        load_config(bundled_with(late, (("params", "omega_u"), [1.1, 1.4, "x"])))
+    assert [(v.name, v.subject) for v in err.value.violations] == [
+        ("wrong_type", "params.omega_u")
+    ]
+    with pytest.raises(ValidationError) as err:
+        load_config(bundled_with(late))
+    links = sorted(triangle3().scenario.topology.links)
+    assert [(v.name, v.subject) for v in err.value.violations] == [
+        ("epoch_too_late", f"link ({a},{b})") for a, b in links
+    ]
 
 
 def test_wrong_types_flagged():

@@ -41,6 +41,11 @@ def in_flight(lr, t, lat):
     return bisect_right(lr.arrival_times, t + lat) - bisect_right(lr.arrival_times, t)
 
 
+def count(lr, t):
+    """Frames in the buffer at time t, counted here and not by ``LinkReplay``."""
+    return lr.initial + bisect_right(lr.arrival_times, t) - bisect_right(lr.consume_times, t)
+
+
 def event_times(lr, horizon):
     return [t for t in lr.arrival_times if t <= horizon] + lr.consume_times
 
@@ -130,6 +135,32 @@ def test_same_instant_arrival_and_consumption_cancel(zero_spec):
         assert len(arrivals) == 60
         assert set(arrivals) <= set(lr.consume_times)
         assert all(lr.occupancy(t) == 0 for t in event_times(lr, 60.0))
+
+
+@pytest.mark.parametrize(
+    "arrivals, consumes, ts, want",
+    [
+        ([1.0, 2.0], [2.0, 3.0], [1.0, 2.0, 3.0], [4, 4, 3]),
+        ([0.5], [2.0, 2.0, 2.0], [1.9, 2.0, 2.1], [4, 1, 1]),
+        ([1.0, 2.0], [1.5], [1.0, 1.0, 1.5, 1.5, 2.0, 2.0], [4, 4, 3, 3, 4, 4]),
+        ([1.0, 2.0, 2.2], [1.5, 2.5], [-1.0, 0.0, 0.99, 2.5, 3.0, 100.0], [3, 3, 3, 4, 4, 4]),
+        ([], [], [-1.0, 0.0, 5.0], [3, 3, 3]),
+        ([1.0], [2.0], [], []),
+    ],
+    ids=[
+        "arrival_and_consume_at_a_query_time",
+        "several_consumes_at_one_instant",
+        "repeated_query_times",
+        "before_first_and_after_last_event",
+        "empty_lists",
+        "no_query_times",
+    ],
+)
+def test_occupancies_equal_the_local_count(arrivals, consumes, ts, want):
+    lr = LinkReplay(initial=3, send_times=[], arrival_times=arrivals, consume_times=consumes)
+    assert [count(lr, t) for t in ts] == want
+    assert lr.occupancies(ts) == want
+    assert [lr.occupancy(t) for t in ts] == want
 
 
 def test_single_link_hand_count():
@@ -277,8 +308,8 @@ def test_compare_flags_injected_disagreement():
 
 
 def reference_compare(result, trace, scenario, trajectories):
-    """The per-sample form of ``compare``: ``buffer_occupancy`` and
-    ``LinkReplay.occupancy`` at each sample time and link, one at a time."""
+    """The per-sample form of ``compare``: ``buffer_occupancy`` and the local
+    ``count`` at each sample time and link, one at a time."""
     topo = scenario.topology
     lam = compute_lambdas(scenario, trajectories)
     mismatches = []
@@ -291,7 +322,7 @@ def reference_compare(result, trace, scenario, trajectories):
             formula = buffer_occupancy(
                 trajectories[a], trajectories[b], lam[(a, b)], link.latency, t, link.gearbox
             )
-            oracle_occ = result.links[(a, b)].occupancy(t)
+            oracle_occ = count(result.links[(a, b)], t)
             if oracle_occ != formula:
                 mismatches.append(Mismatch(t, (a, b), oracle_occ, formula))
     mismatches.sort(key=lambda m: (m.t, m.link))
@@ -376,7 +407,8 @@ def test_compare_keeps_the_crossing_ulp_mismatch():
     # The integer_crossings reproducer: node 2's tick 10 is at t=10 exactly,
     # and the oracle's crossing time rounds one ulp past it. Both forms of
     # compare see the same single mismatch. Defining the crossing through
-    # ClockTrajectory.eval (ROADMAP item 1) will turn this into [].
+    # ClockTrajectory.eval (the ROADMAP item "One phase function for the
+    # engine and the oracle") will turn this into [].
     sc = two_node_scenario(omega_u=(1.0, 0.95), beta0=5, epoch=-23.0)
     swept, reference = both_compares(sc, ControllerSpec(kind="zero"), 30.0)
     assert swept == reference == [Mismatch(t=10.0, link=(1, 2), oracle=6, formula=5)]
@@ -400,7 +432,8 @@ def reference_crossings(traj, gearbox, phase_lo, phase_hi):
 
 def reference_replay(trajectories, scenario, horizon):
     """The per-link form of ``replay``: three windowed crossing runs per link
-    (in flight at time zero, sends, consumes), then the same bound scans."""
+    (in flight at time zero, sends, consumes), then the bound scans one event
+    at a time over the local ``count``."""
     topo = scenario.topology
     links = {}
     violations = []
@@ -418,14 +451,14 @@ def reference_replay(trajectories, scenario, horizon):
         )
         links[(a, b)] = lr
         for t in lr.consume_times:
-            if lr.occupancy(t) < 0:
-                violations.append(FatalEvent("underflow", (a, b), t, lr.occupancy(t)))
+            if count(lr, t) < 0:
+                violations.append(FatalEvent("underflow", (a, b), t, count(lr, t)))
                 break
         for t in lr.arrival_times:
             if topo.buffer_capacity is None or t > horizon:
                 break
-            if lr.occupancy(t) > topo.buffer_capacity:
-                violations.append(FatalEvent("overflow", (a, b), t, lr.occupancy(t)))
+            if count(lr, t) > topo.buffer_capacity:
+                violations.append(FatalEvent("overflow", (a, b), t, count(lr, t)))
                 break
     violations.sort(key=lambda ev: (ev.t, ev.link, ev.kind))
     return links, violations
