@@ -10,9 +10,10 @@ sends and consumptions (source and destination ticks in (0, horizon]) and
 arrivals (source ticks from one latency before zero, plus the latency). A
 buffer's occupancy is then a plain count, written once in
 ``LinkReplay.occupancies``: the initial fill plus the arrivals so far minus
-the consumptions so far, two bisects per time. It is built without the
-closed-form counters, so agreement between the two is a real test and not a
-tautology.
+the consumptions so far. It counts ascending times in one merge walk over
+the two lists, so a link costs time linear in its events plus the times
+queried. It is built without the closed-form counters, so agreement between
+the two is a real test and not a tautology.
 
 The replay consumes trajectories that the engine already produced; it never
 re-runs control. Tie rule: occupancy at time t counts every arrival and
@@ -24,14 +25,14 @@ consumed leaves it unchanged rather than making a one-instant excursion.
 sample times once, sweeps each trajectory over them in one pass
 (``sweep_eval``), floors the phases as whole lists (``scaled_floors``) and
 reads the replayed frames from ``occupancies``, as the bound scans do.
-
-This is a test fixture for desk-scale runs, not a performance path.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import nan
+from operator import le
 
 from .controllers import ControllerSpec
 from .engine import FatalEvent, Trace, compute_lambdas, simulate
@@ -52,11 +53,34 @@ class LinkReplay:
     consume_times: list[float]
 
     def occupancies(self, ts: list[float]) -> list[int]:
-        """Frames in the buffer at each of the ascending times ``ts``, counting
-        every event at exactly that time. Meaningful up to the replay horizon,
-        past which no consumption is replayed."""
-        arrivals, consumes, initial = self.arrival_times, self.consume_times, self.initial
-        return [initial + bisect_right(arrivals, t) - bisect_right(consumes, t) for t in ts]
+        """Frames in the buffer at each of the times ``ts``, counting every
+        event at exactly that time. Meaningful up to the replay horizon, past
+        which no consumption is replayed.
+
+        ``ts`` must be ascending (repeats allowed), since the count is one
+        walk forward through the arrivals and consumptions; times out of order,
+        or a NaN, raise ``ValueError``.
+        """
+        # Pairing the last time with itself also rejects a lone NaN.
+        if not all(map(le, ts, ts[1:] + ts[-1:])):
+            raise ValueError("occupancy times must be ascending and not NaN")
+        # A NaN ends each list: no comparison with it is true, so neither walk
+        # runs past its last event, not even at t = inf.
+        arrivals = iter(self.arrival_times + [nan])
+        consumes = iter(self.consume_times + [nan])
+        a, c = next(arrivals), next(consumes)
+        n = self.initial
+        out: list[int] = []
+        append = out.append
+        for t in ts:
+            while a <= t:
+                n += 1
+                a = next(arrivals)
+            while c <= t:
+                n -= 1
+                c = next(consumes)
+            append(n)
+        return out
 
     def occupancy(self, t: float) -> int:
         """``occupancies`` at the one time t."""

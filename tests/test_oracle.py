@@ -7,7 +7,7 @@ from bisect import bisect_right, insort
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from afmsim import oracle
 from afmsim.controllers import ControllerSpec, make_controllers
@@ -161,6 +161,44 @@ def test_occupancies_equal_the_local_count(arrivals, consumes, ts, want):
     assert [count(lr, t) for t in ts] == want
     assert lr.occupancies(ts) == want
     assert [lr.occupancy(t) for t in ts] == want
+
+
+# Few distinct values, so arrivals, consumptions and query times often tie.
+TIME_GRID = [-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0]
+tied_times = st.lists(st.sampled_from(TIME_GRID), max_size=12).map(sorted)
+
+
+@given(arrivals=tied_times, consumes=tied_times, ts=tied_times, initial=st.integers(0, 5))
+@example(arrivals=[], consumes=[], ts=[-1.0, 0.0, 4.0], initial=2)
+@example(arrivals=[1.0, 1.0, 2.0], consumes=[], ts=[0.0, 1.0], initial=0)
+@example(arrivals=[], consumes=[0.5, 0.5], ts=[0.5, 4.0], initial=5)
+@example(arrivals=[0.5, 1.0, 1.5], consumes=[1.0, 2.0], ts=[-1.0, 0.0, 3.0, 4.0], initial=1)
+@example(arrivals=[0.5, 1.0], consumes=[1.0], ts=[-math.inf, 1.0, math.inf], initial=0)
+def test_occupancies_equal_the_local_count_on_tied_times(arrivals, consumes, ts, initial):
+    lr = LinkReplay(initial=initial, send_times=[], arrival_times=arrivals, consume_times=consumes)
+    assert lr.occupancies(ts) == [count(lr, t) for t in ts]
+
+
+@pytest.mark.parametrize(
+    "ts",
+    [[2.0, 1.0], [1.0, 2.0, 1.5], [math.inf, 0.0], [math.nan], [1.0, math.nan], [math.nan, 1.0]],
+    ids=["reversed", "one_step_back", "inf_first", "lone_nan", "nan_last", "nan_first"],
+)
+def test_occupancies_reject_unordered_or_nan_times(ts):
+    lr = LinkReplay(initial=3, send_times=[], arrival_times=[1.0, 2.0], consume_times=[1.5])
+    with pytest.raises(ValueError, match="ascending"):
+        lr.occupancies(ts)
+
+
+@pytest.mark.parametrize("arrivals, consumes", [([], []), ([1.0, 2.0, 2.0], [1.5, 2.0])])
+def test_occupancy_at_infinite_and_int_times(arrivals, consumes):
+    # No walk may run off its list at t = inf, and an int time compares as
+    # its float does.
+    lr = LinkReplay(initial=3, send_times=[], arrival_times=arrivals, consume_times=consumes)
+    ts = [-math.inf, 0, 1, 2, 2.0, 10, math.inf, math.inf]
+    assert lr.occupancies(ts) == [count(lr, t) for t in ts]
+    for t in ts:
+        assert lr.occupancy(t) == count(lr, t)
 
 
 def test_single_link_hand_count():
