@@ -293,7 +293,8 @@ def build_trace(state: SystemState, t_max: float, grid_dt: float) -> Trace:
     Each trajectory is swept once over the ascending grid (``sweep_eval``,
     ``sweep_slope``), and each link's delayed source phases once over the
     grid shifted by its latency. The phases are floored as whole lists by
-    ``scaled_floors``, one list per (node, gearbox), and beta and gamma are
+    ``scaled_floors``, one list per (node, gearbox), with the gearbox in the
+    form ``phase.resolve`` gives, as in ``init_state``; beta and gamma are
     elementwise differences of those integer lists: the same floors as
     ``buffer_occupancy`` and ``link_occupancy``.
     """
@@ -309,13 +310,14 @@ def build_trace(state: SystemState, t_max: float, grid_dt: float) -> Trace:
         traj = state.trajectories[i]
         theta[i] = sweep_eval(traj, grid)
         omega[i] = sweep_slope(traj, grid)
-    ends = {(i, link.gearbox) for ab, link in topo.links.items() for i in ab}
+    gears = {ab: resolve(link.gearbox) for ab, link in topo.links.items()}
+    ends = {(i, g) for ab, g in gears.items() for i in ab}
     floors = {(i, g): scaled_floors(g, theta[i]) for i, g in ends}
     beta: dict[tuple[int, int], list[int]] = {}
     gamma: dict[tuple[int, int], list[int]] = {}
     for (a, b) in topo.directed_links():
         link = topo.links[(a, b)]
-        g, latency, lam = link.gearbox, link.latency, state.lam[(a, b)]
+        g, latency, lam = gears[(a, b)], link.latency, state.lam[(a, b)]
         sent = scaled_floors(
             g, sweep_eval(state.trajectories[a], [t - latency for t in grid])
         )

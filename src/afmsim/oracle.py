@@ -15,6 +15,15 @@ the two lists, so a link costs time linear in its events plus the times
 queried. It is built without the closed-form counters, so agreement between
 the two is a real test and not a tautology.
 
+The bound scans need only the first event that breaks a bound, and find it
+by pairing instead of counting: with ``initial`` frames at zero, consumption
+k underflows exactly when arrival ``k - initial`` comes after it or does not
+exist, and arrival j overflows exactly when consumption ``j - (capacity -
+initial)`` does. One C-level comparison of the two sorted lists, one shifted
+against the other, finds the first such event, and with ties it lands in
+the first tied group that breaks the bound, so it has the time a count at
+every event would give (``_first_unpaired``).
+
 The replay consumes trajectories that the engine already produced; it never
 re-runs control. Tie rule: occupancy at time t counts every arrival and
 every consumption at exactly t, so it is a right-continuous integer step
@@ -22,28 +31,37 @@ function, and a frame that arrives at the same instant as another is
 consumed leaves it unchanged rather than making a one-instant excursion.
 
 ``compare`` checks the two at every controller sample time. It sorts the
-sample times once, sweeps each trajectory over them in one pass
-(``sweep_eval``), floors the phases as whole lists (``scaled_floors``) and
-reads the replayed frames from ``occupancies``, as the bound scans do.
+sample times once, sweeps each source trajectory over them in one pass per
+link and each destination's once (``sweep_eval``), floors the phases as
+whole lists (``scaled_floors``, the destination's once per gearbox) and
+reads the replayed frames from ``occupancies``. The occupancy a violation
+reports is read from ``occupancies`` too, so one count stands behind every
+number the replay gives.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress, count, islice
 from math import nan
-from operator import le
+from operator import gt, le
 
 from .controllers import ControllerSpec
 from .engine import FatalEvent, Trace, compute_lambdas, simulate
-from .phase import Gearbox, scaled_floor, scaled_floors, tick_times
+from .phase import Gearbox, resolve, scaled_floor, scaled_floors, tick_times
 from .topology import Scenario
 from .trajectory import ClockTrajectory, sweep_eval
 
 
 @dataclass
 class LinkReplay:
-    """Per-link replay products: the initial fill and the sorted frame times."""
+    """Per-link replay products: the initial fill and the sorted frame times.
+
+    ``occupancies`` is the one frame count; ``first_underflow`` and
+    ``first_overflow`` find the first event that breaks a bound by pairing
+    the two lists, and give the time a count at every event would give.
+    """
 
     initial: int
     send_times: list[float]  # sends in (0, horizon]
@@ -86,6 +104,54 @@ class LinkReplay:
         """``occupancies`` at the one time t."""
         return self.occupancies([t])[0]
 
+    def first_underflow(self) -> float | None:
+        """The first consumption after which the count is negative, or None.
+
+        Without ties, consumption k leaves ``initial + A - (k + 1)`` frames,
+        where A counts the arrivals up to it; that is negative exactly when
+        arrival ``k - initial`` comes after it, or does not exist.
+        """
+        return _first_unpaired(self.consume_times, self.arrival_times, self.initial)
+
+    def first_overflow(self, capacity: int, horizon: float) -> float | None:
+        """The first arrival up to ``horizon`` after which the count exceeds
+        ``capacity``, or None.
+
+        Without ties, arrival j leaves ``initial + (j + 1) - C`` frames, where
+        C counts the consumptions up to it; that exceeds ``capacity`` exactly
+        when consumption ``j - (capacity - initial)`` comes after it, or does
+        not exist.
+        """
+        arrivals = self.arrival_times[: bisect_right(self.arrival_times, horizon)]
+        return _first_unpaired(arrivals, self.consume_times, capacity - self.initial)
+
+
+def _first_unpaired(events: list[float], partners: list[float], shift: int) -> float | None:
+    """The time of the first ``events[i]`` with fewer than ``i + 1 - shift``
+    partners at or before it, or None. Both lists are sorted, so that is the
+    first i whose partner ``partners[i - shift]`` comes strictly after it or
+    does not exist (an event with ``i < shift`` always has enough), and one
+    C-level ``map(gt, ...)`` over the two lists, one shifted against the
+    other, finds it.
+
+    This is the bound scan of ``first_underflow`` and ``first_overflow``, and
+    it gives the time of the per-event scan (the count at each event, every
+    event at that instant included) on ties too. The count at a tie group's
+    time is the one after its last event K, so the group breaks the bound
+    exactly when K is flagged; an earlier member is flagged only if fewer
+    partners than K needs come by the same time, so its group breaks the
+    bound as well. The first flagged event thus lies in the first group that
+    breaks the bound, and has that group's time.
+    """
+    e0, p0 = max(shift, 0), max(-shift, 0)
+    late = map(gt, islice(partners, p0, None), islice(events, e0, None))
+    i = next(compress(count(e0), late), None)
+    if i is None:
+        # Every paired event kept its bound; the first event past the
+        # partners' end has none, if there is one.
+        i = e0 + max(len(partners) - p0, 0)
+    return events[i] if i < len(events) else None
+
 
 @dataclass
 class ReplayResult:
@@ -108,7 +174,10 @@ def replay(
     Occupancy falls only at a consumption and rises only at an arrival, and
     the initial fill lies within the bounds, so the first underflow is at the
     first consumption that leaves it negative, and the first overflow at the
-    first arrival up to ``horizon`` that leaves it above capacity.
+    first arrival up to ``horizon`` that leaves it above capacity. Those are
+    found by pairing consumptions with arrivals (``LinkReplay.first_underflow``
+    and ``first_overflow``); the occupancy reported with each is
+    ``LinkReplay.occupancy`` at its time.
     """
     topo = scenario.topology
     cover = min(trajectories[i].max_dom() for i in topo.nodes())
@@ -119,7 +188,7 @@ def replay(
     violations: list[FatalEvent] = []
     # No window starts before the longest latency.
     start = -max((link.latency for link in topo.links.values()), default=0.0)
-    clocks = {(i, link.gearbox) for ab, link in topo.links.items() for i in ab}
+    clocks = {(i, resolve(link.gearbox)) for ab, link in topo.links.items() for i in ab}
     ticks = {(i, g): tick_times(trajectories[i], g, start) for i, g in clocks}
 
     def window(node: int, g: Gearbox, s: float, t: float) -> list[float]:
@@ -134,7 +203,7 @@ def replay(
 
     for (a, b) in topo.directed_links():
         link = topo.links[(a, b)]
-        g = link.gearbox
+        g = resolve(link.gearbox)
         lat = link.latency
         # The window from -latency takes in the frames in flight at time zero.
         lr = LinkReplay(
@@ -144,16 +213,10 @@ def replay(
             consume_times=window(b, g, 0.0, horizon),
         )
         links[(a, b)] = lr
-        for t, occ in zip(lr.consume_times, lr.occupancies(lr.consume_times)):
-            if occ < 0:
-                violations.append(FatalEvent("underflow", (a, b), t, occ))
-                break
-        if cap is not None:
-            arrivals = lr.arrival_times[: bisect_right(lr.arrival_times, horizon)]
-            for t, occ in zip(arrivals, lr.occupancies(arrivals)):
-                if occ > cap:
-                    violations.append(FatalEvent("overflow", (a, b), t, occ))
-                    break
+        if (t := lr.first_underflow()) is not None:
+            violations.append(FatalEvent("underflow", (a, b), t, lr.occupancy(t)))
+        if cap is not None and (t := lr.first_overflow(cap, horizon)) is not None:
+            violations.append(FatalEvent("overflow", (a, b), t, lr.occupancy(t)))
     violations.sort(key=lambda ev: (ev.t, ev.link, ev.kind))
     return ReplayResult(links=links, violations=violations, horizon=horizon)
 
@@ -192,20 +255,23 @@ def compare(
     lam = compute_lambdas(scenario, trajectories)
     ts = sorted(rec.t_sample for rec in trace.samples if rec.t_sample <= result.horizon)
     mismatches: list[Mismatch] = []
-    # Links in order of destination and gearbox share the destination floors,
-    # and only one such list is alive at a time.
-    by_dst = sorted(topo.directed_links(), key=lambda ab: (ab[1], topo.links[ab].gearbox))
-    dst_key = None
-    for (a, b) in by_dst:
+    # Links in order of destination share its swept phases and, per gearbox,
+    # their floors; only one destination's lists are alive at a time.
+    dst = None
+    for (a, b) in sorted(topo.directed_links(), key=lambda ab: ab[1]):
         link = topo.links[(a, b)]
-        g = link.gearbox
-        if dst_key != (b, g):
-            dst_key = (b, g)
-            dst_floors = scaled_floors(g, sweep_eval(trajectories[b], ts))
+        g = resolve(link.gearbox)
+        if dst != b:
+            dst = b
+            dst_phases = sweep_eval(trajectories[b], ts)
+            dst_floors: dict[Gearbox, list[int]] = {}
+        if g not in dst_floors:
+            dst_floors[g] = scaled_floors(g, dst_phases)
         sent = scaled_floors(
             g, sweep_eval(trajectories[a], [t - link.latency for t in ts])
         )
-        formula = [s - c + lam[(a, b)] for s, c in zip(sent, dst_floors)]
+        lam_ab = lam[(a, b)]
+        formula = [s - c + lam_ab for s, c in zip(sent, dst_floors[g])]
         oracle = result.links[(a, b)].occupancies(ts)
         if oracle != formula:
             mismatches += [

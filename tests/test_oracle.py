@@ -201,6 +201,48 @@ def test_occupancy_at_infinite_and_int_times(arrivals, consumes):
         assert lr.occupancy(t) == count(lr, t)
 
 
+def scanned_bounds(lr, capacity, horizon):
+    """The first underflow and overflow times, found by counting at every event."""
+    under = next((t for t in lr.consume_times if count(lr, t) < 0), None)
+    over = next(
+        (t for t in lr.arrival_times if t <= horizon and count(lr, t) > capacity), None
+    )
+    return under, over
+
+
+@given(
+    arrivals=tied_times,
+    consumes=tied_times,
+    initial=st.integers(-2, 6),
+    headroom=st.integers(0, 3),
+    horizon=st.sampled_from(TIME_GRID + [math.inf]),
+)
+# beta0 = 0: the first consumption before any arrival underflows
+@example(arrivals=[1.0], consumes=[0.5, 1.0], initial=0, headroom=1, horizon=4.0)
+# capacity = beta0: the first arrival before any consumption overflows
+@example(arrivals=[0.5], consumes=[1.0], initial=2, headroom=0, horizon=4.0)
+# ties at the violating time, where only the last of the group is unpaired
+@example(arrivals=[1.0, 1.0, 1.0], consumes=[1.0], initial=1, headroom=1, horizon=4.0)
+@example(arrivals=[0.5], consumes=[0.5, 0.5], initial=0, headroom=3, horizon=4.0)
+# lists that run out before the pairing ends
+@example(arrivals=[], consumes=[0.5, 1.0], initial=1, headroom=0, horizon=4.0)
+@example(arrivals=[0.5, 1.0, 2.0], consumes=[], initial=0, headroom=1, horizon=1.5)
+@example(arrivals=[0.5, 1.0, 2.0], consumes=[], initial=0, headroom=1, horizon=0.5)
+@example(arrivals=[0.0], consumes=[], initial=-2, headroom=0, horizon=4.0)
+# a fill above capacity (tests set ``initial`` by hand): the pairing shift is
+# negative, and may pass the end of the consumptions
+@example(arrivals=[1.0], consumes=[0.5, 0.5, 2.0], initial=5, headroom=-2, horizon=4.0)
+@example(arrivals=[0.5], consumes=[0.5, 0.5], initial=5, headroom=-2, horizon=4.0)
+@example(arrivals=[0.5, 1.0], consumes=[0.5], initial=5, headroom=-2, horizon=4.0)
+@example(arrivals=[1.0], consumes=[0.5, 0.5, 0.5], initial=5, headroom=-2, horizon=4.0)
+def test_bound_scans_equal_the_per_event_scan(arrivals, consumes, initial, headroom, horizon):
+    lr = LinkReplay(initial=initial, send_times=[], arrival_times=arrivals, consume_times=consumes)
+    capacity = initial + headroom
+    assert (lr.first_underflow(), lr.first_overflow(capacity, horizon)) == scanned_bounds(
+        lr, capacity, horizon
+    )
+
+
 def test_single_link_hand_count():
     # sender twice as fast as the receiver: occupancy grows by the send count
     # minus the consume count, both countable by floor differences
