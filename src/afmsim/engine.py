@@ -29,7 +29,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from operator import sub
+from typing import Iterator, NamedTuple
 
 from .controllers import Controller, ControllerSpec, is_admissible, make_controllers
 from .phase import Gearbox, resolve, scaled_floor, scaled_floors
@@ -286,17 +287,45 @@ def _fatal_events(
     return sorted(first.values(), key=lambda e: (e.t, e.link, e.kind))
 
 
+def occupancy_series(
+    scenario: Scenario,
+    trajectories: dict[int, ClockTrajectory],
+    lam: dict[tuple[int, int], int],
+    ts: list[float],
+) -> tuple[dict[int, list[float]], Iterator[tuple[tuple[int, int], list[int], Iterator[int]]]]:
+    """The closed form at the ascending times ``ts``: each node's phases, and
+    an iterator over the directed links, in order, that builds and yields
+    ``(link, beta, gamma)`` one link at a time. Beta is a list; gamma is an
+    iterator, so a caller that reads only beta does not pay for it.
+
+    Each trajectory is swept once over ``ts``, and each link's source once
+    over ``ts`` less its latency (``sweep_eval``); the phases are floored as
+    whole lists (``scaled_floors``, once per node and gearbox) into the
+    floors of ``buffer_occupancy`` and ``link_occupancy``.
+    """
+    topo = scenario.topology
+    theta = {i: sweep_eval(trajectories[i], ts) for i in topo.nodes()}
+    gears = {ab: resolve(link.gearbox) for ab, link in topo.links.items()}
+    ends = {(i, g) for ab, g in gears.items() for i in ab}
+    floors = {(i, g): scaled_floors(g, theta[i]) for i, g in ends}
+
+    def links() -> Iterator[tuple[tuple[int, int], list[int], Iterator[int]]]:
+        for (a, b) in topo.directed_links():
+            g, latency, lam_ab = gears[(a, b)], topo.links[(a, b)].latency, lam[(a, b)]
+            sent = scaled_floors(g, sweep_eval(trajectories[a], [t - latency for t in ts]))
+            beta = [s - c + lam_ab for s, c in zip(sent, floors[(b, g)])]
+            yield (a, b), beta, map(sub, floors[(a, g)], sent)
+
+    return theta, links()
+
+
 def build_trace(state: SystemState, t_max: float, grid_dt: float) -> Trace:
     """Resample the finished state onto the output grid and collect fatal
     events; reads ``state`` without changing it.
 
-    Each trajectory is swept once over the ascending grid (``sweep_eval``,
-    ``sweep_slope``), and each link's delayed source phases once over the
-    grid shifted by its latency. The phases are floored as whole lists by
-    ``scaled_floors``, one list per (node, gearbox), with the gearbox in the
-    form ``phase.resolve`` gives, as in ``init_state``; beta and gamma are
-    elementwise differences of those integer lists: the same floors as
-    ``buffer_occupancy`` and ``link_occupancy``.
+    Theta, beta and gamma are ``occupancy_series`` on the grid, the series
+    ``oracle.compare`` checks at the sample times; omega is one
+    ``sweep_slope`` per trajectory.
     """
     topo = state.scenario.topology
     grid: list[float] = []
@@ -304,31 +333,16 @@ def build_trace(state: SystemState, t_max: float, grid_dt: float) -> Trace:
     while (t := k * grid_dt) <= t_max:
         grid.append(t)
         k += 1
-    theta = {}
-    omega = {}
-    for i in topo.nodes():
-        traj = state.trajectories[i]
-        theta[i] = sweep_eval(traj, grid)
-        omega[i] = sweep_slope(traj, grid)
-    gears = {ab: resolve(link.gearbox) for ab, link in topo.links.items()}
-    ends = {(i, g) for ab, g in gears.items() for i in ab}
-    floors = {(i, g): scaled_floors(g, theta[i]) for i, g in ends}
-    beta: dict[tuple[int, int], list[int]] = {}
-    gamma: dict[tuple[int, int], list[int]] = {}
-    for (a, b) in topo.directed_links():
-        link = topo.links[(a, b)]
-        g, latency, lam = gears[(a, b)], link.latency, state.lam[(a, b)]
-        sent = scaled_floors(
-            g, sweep_eval(state.trajectories[a], [t - latency for t in grid])
-        )
-        beta[(a, b)] = [s - c + lam for s, c in zip(sent, floors[(b, g)])]
-        gamma[(a, b)] = [f - s for f, s in zip(floors[(a, g)], sent)]
+    theta, series = occupancy_series(state.scenario, state.trajectories, state.lam, grid)
+    beta, gamma = {}, {}
+    for link, beta_ab, gamma_ab in series:
+        beta[link], gamma[link] = beta_ab, list(gamma_ab)
     return Trace(
         knots={i: state.trajectories[i].knots() for i in topo.nodes()},
         samples=list(state.samples),
         grid=grid,
         theta=theta,
-        omega=omega,
+        omega={i: sweep_slope(state.trajectories[i], grid) for i in topo.nodes()},
         beta=beta,
         gamma=gamma,
         fatal_events=_fatal_events(state, grid, beta),

@@ -31,12 +31,13 @@ function, and a frame that arrives at the same instant as another is
 consumed leaves it unchanged rather than making a one-instant excursion.
 
 ``compare`` checks the two at every controller sample time. It sorts the
-sample times once, sweeps each source trajectory over them in one pass per
-link and each destination's once (``sweep_eval``), floors the phases as
-whole lists (``scaled_floors``, the destination's once per gearbox) and
-reads the replayed frames from ``occupancies``. The occupancy a violation
-reports is read from ``occupancies`` too, so one count stands behind every
-number the replay gives.
+sample times once, takes the closed form at them from
+``engine.occupancy_series``, the same function that gives ``build_trace``
+its beta and gamma on the output grid, so ``verify`` checks the code that
+writes ``buffers.csv`` and not a copy of it, and reads the replayed frames
+from ``occupancies``. The occupancy a violation reports is read from
+``occupancies`` too, so one count stands behind every number the replay
+gives.
 """
 
 from __future__ import annotations
@@ -48,10 +49,10 @@ from math import nan
 from operator import gt, le
 
 from .controllers import ControllerSpec
-from .engine import FatalEvent, Trace, compute_lambdas, simulate
-from .phase import Gearbox, resolve, scaled_floor, scaled_floors, tick_times
+from .engine import FatalEvent, Trace, compute_lambdas, occupancy_series, simulate
+from .phase import Gearbox, resolve, scaled_floor, tick_times
 from .topology import Scenario
-from .trajectory import ClockTrajectory, sweep_eval
+from .trajectory import ClockTrajectory
 
 
 @dataclass
@@ -246,38 +247,20 @@ def compare(
     """Frame-level occupancies vs closed-form occupancies at every controller
     sample time, every link. Empty list means exact agreement.
 
-    The sample times up to the horizon are sorted once. Per link, the
-    closed form sweeps the source at ``t - latency`` and the destination at
-    ``t`` and floors both lists (the floors of ``engine.buffer_occupancy``);
-    the oracle count is ``LinkReplay.occupancies`` of the sorted times.
+    The sample times up to the horizon are sorted once. The closed form is
+    ``engine.occupancy_series`` of the sorted times, the function that
+    writes beta and gamma on the output grid; the oracle count is
+    ``LinkReplay.occupancies`` of the same times.
     """
-    topo = scenario.topology
     lam = compute_lambdas(scenario, trajectories)
     ts = sorted(rec.t_sample for rec in trace.samples if rec.t_sample <= result.horizon)
     mismatches: list[Mismatch] = []
-    # Links in order of destination share its swept phases and, per gearbox,
-    # their floors; only one destination's lists are alive at a time.
-    dst = None
-    for (a, b) in sorted(topo.directed_links(), key=lambda ab: ab[1]):
-        link = topo.links[(a, b)]
-        g = resolve(link.gearbox)
-        if dst != b:
-            dst = b
-            dst_phases = sweep_eval(trajectories[b], ts)
-            dst_floors: dict[Gearbox, list[int]] = {}
-        if g not in dst_floors:
-            dst_floors[g] = scaled_floors(g, dst_phases)
-        sent = scaled_floors(
-            g, sweep_eval(trajectories[a], [t - link.latency for t in ts])
-        )
-        lam_ab = lam[(a, b)]
-        formula = [s - c + lam_ab for s, c in zip(sent, dst_floors[g])]
-        oracle = result.links[(a, b)].occupancies(ts)
+    _, series = occupancy_series(scenario, trajectories, lam, ts)
+    for link, formula, _ in series:
+        oracle = result.links[link].occupancies(ts)
         if oracle != formula:
             mismatches += [
-                Mismatch(t, (a, b), o, f)
-                for t, o, f in zip(ts, oracle, formula)
-                if o != f
+                Mismatch(t, link, o, f) for t, o, f in zip(ts, oracle, formula) if o != f
             ]
     mismatches.sort(key=lambda m: (m.t, m.link))
     return mismatches

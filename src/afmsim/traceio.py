@@ -17,10 +17,11 @@ of rows that share one ``t``. ``read_trace`` requires each CSV file to start
 with the header that ``write_trace`` writes, every row to have the table's
 number of fields, every block to list the same keys (node, or src and
 dst) in increasing order, and every row of a block to carry the same ``t``
-text; the blocks of ``buffers.csv`` must carry the ``t`` values of
-``nodes.csv``; an event's kind must be ``overflow`` or ``underflow``, its
-link a key of ``buffers.csv`` and its time finite, and the events must come
-in the order of their times. A file that breaks this is a ``TraceError``.
+text, a finite number; the blocks of ``buffers.csv`` must carry the ``t``
+values of ``nodes.csv``; an event's kind must be ``overflow`` or
+``underflow``, its link a key of ``buffers.csv`` and its time finite, and the
+events must come in the order of their times. A file that breaks this is a
+``TraceError`` that names the file.
 """
 
 from __future__ import annotations
@@ -190,6 +191,8 @@ def _read_table(
                 first.extend(map(convert, fields[at + n_key + 1 :: stride]))
                 second.extend(map(convert, fields[at + n_key + 2 :: stride]))
             blocks = list(map(float, ts))
+            if not all(map(math.isfinite, blocks)):
+                raise ValueError("a block time is not finite")
             if grid is None:
                 t += blocks
             elif blocks != grid[done : done + len(blocks)]:

@@ -175,6 +175,10 @@ def _lines_edited(edit):
         ("events.csv", lambda text: text + "3,underflow,7->9,-1\n"),
         ("events.csv", lambda text: text + "inf,underflow,1->2,-1\n"),
         ("events.csv", lambda text: text + "3,underflow,1->2,-1\n1,underflow,1->3,-1\n"),
+        # a block time no run can write; buffers.csv keeps the finite one
+        ("nodes.csv", lambda text: text.replace("\n5,", "\ninf,")),
+        ("nodes.csv", lambda text: text.replace("\n0,", "\n-inf,")),
+        ("nodes.csv", lambda text: text.replace("\n5,", "\nnan,")),
     ],
     ids=[
         "short_row",
@@ -193,6 +197,9 @@ def _lines_edited(edit):
         "event_link_unknown",
         "event_time_not_finite",
         "events_out_of_order",
+        "block_time_inf",
+        "block_time_minus_inf",
+        "block_time_nan",
     ],
 )
 def test_malformed_trace_exits_two(tmp_path, capsys, command, name, damage):

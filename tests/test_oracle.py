@@ -484,7 +484,7 @@ def test_compare_counts_events_at_a_sample_time():
 
 
 def test_compare_keeps_the_crossing_ulp_mismatch():
-    # The integer_crossings reproducer: node 2's tick 10 is at t=10 exactly,
+    # The phase.tick_times reproducer: node 2's tick 10 is at t=10 exactly,
     # and the oracle's crossing time rounds one ulp past it. Both forms of
     # compare see the same single mismatch. Defining the crossing through
     # ClockTrajectory.eval (the ROADMAP item "One phase function for the
@@ -492,6 +492,47 @@ def test_compare_keeps_the_crossing_ulp_mismatch():
     sc = two_node_scenario(omega_u=(1.0, 0.95), beta0=5, epoch=-23.0)
     swept, reference = both_compares(sc, ControllerSpec(kind="zero"), 30.0)
     assert swept == reference == [Mismatch(t=10.0, link=(1, 2), oracle=6, formula=5)]
+
+
+def grid_disagreements(scenario, controller, t_max):
+    """``(quantity, t, link, written, replayed)`` wherever the trace's beta or
+    gamma at a grid point up to the horizon differs from the replay: its
+    ``occupancies`` for beta and the local ``in_flight`` for gamma."""
+    trace = simulate(scenario, controller, t_max)
+    trajs = rebuild_trajectories(trace, scenario)
+    horizon = min(t.max_dom() for t in trajs.values())
+    result = replay(trajs, scenario, horizon)
+    grid = [t for t in trace.grid if t <= horizon]
+    out = []
+    for link, lr in result.links.items():
+        lat = scenario.topology.links[link].latency
+        replayed = {"beta": lr.occupancies(grid), "gamma": [in_flight(lr, t, lat) for t in grid]}
+        for name, counts in replayed.items():
+            written = getattr(trace, name)[link]
+            out += [(name, t, link, w, r) for t, w, r in zip(grid, written, counts) if w != r]
+    return sorted(out, key=lambda d: (d[1], d[2], d[0]))
+
+
+def test_grid_series_equal_the_replay():
+    # The series written to buffers.csv, checked against the frame count at
+    # every grid point: 43,416 values over these 12 runs.
+    configs = [triangle3(), gearbox_pair()]
+    configs += [random_scenario(random.Random(seed)) for seed in range(10)]
+    for cfg in configs:
+        assert grid_disagreements(cfg.scenario, cfg.controller, 100.0) == []
+    # The crossing-ulp defect pinned above, at grid points: node 3's phase is
+    # exactly 17.0 at t=6.0. Defining the crossing through ClockTrajectory.eval
+    # (the ROADMAP item "One phase function for the engine and the oracle")
+    # will turn this list into [].
+    assert grid_disagreements(geared_triangle(), triangle3().controller, 100.0) == [
+        ("beta", 6.0, (2, 3), 45, 46),
+        ("gamma", 6.0, (3, 1), 6, 5),
+        ("gamma", 6.0, (3, 2), 3, 2),
+        ("beta", 7.0, (3, 1), 62, 61),
+        ("gamma", 7.0, (3, 1), 5, 6),
+        ("beta", 7.0, (3, 2), 54, 53),
+        ("gamma", 7.0, (3, 2), 2, 3),
+    ]
 
 
 def reference_crossings(traj, gearbox, phase_lo, phase_hi):

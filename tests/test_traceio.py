@@ -172,6 +172,11 @@ LAYOUT_ERRORS = {
         "nodes.csv", lambda lines: [*lines[:-6], *lines[-3:], *lines[-6:-3]], "blocks out of order"
     ),
     "block_missing": ("buffers.csv", lambda lines: lines[:-6], "400 blocks for 401"),
+    "block_time_not_finite": (
+        "buffers.csv",
+        lambda lines: [*lines[:-6], *("1e999" + line[line.index(",") :] for line in lines[-6:])],
+        "a block time is not finite",
+    ),
 }
 
 
