@@ -27,10 +27,8 @@ from .engine import (
     SampleRecord,
     SystemState,
     Trace,
-    buffer_occupancy,
     compute_lambdas,
     init_state,
-    link_occupancy,
     measure,
     simulate,
     step,
@@ -89,7 +87,6 @@ __all__ = [
     "ValidationError",
     "VerifyReport",
     "Violation",
-    "buffer_occupancy",
     "check",
     "compare",
     "compute_lambdas",
@@ -97,7 +94,6 @@ __all__ = [
     "format_summary",
     "init_state",
     "is_admissible",
-    "link_occupancy",
     "load_config",
     "load_config_file",
     "make_controllers",

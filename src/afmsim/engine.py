@@ -2,6 +2,8 @@
 
 Frame counts are differences of gearbox-scaled phase floors (``phase``),
 offset on a buffer by the conserved per-link integer of ``compute_lambdas``.
+``measure`` writes that closed form for one time, once per step;
+``occupancy_series`` writes it for a list of times.
 
 Each trajectory starts from three knots, ``(epoch, theta0 + omega_init2 *
 epoch)``, ``(0, theta0)`` and ``(d / omega_init1, theta0 + d)``: the history
@@ -36,33 +38,6 @@ from .controllers import Controller, ControllerSpec, is_admissible, make_control
 from .phase import Gearbox, resolve, scaled_floor, scaled_floors
 from .topology import Scenario
 from .trajectory import AdmissibilityError, ClockTrajectory, sweep_eval, sweep_slope
-
-
-def link_occupancy(
-    traj: ClockTrajectory, t: float, latency: float, gearbox: Gearbox = 1
-) -> int:
-    """Frames in flight at time t on a link fed by ``traj``.
-
-    A frame exactly at the link entrance counts as on the link; one exactly
-    at the exit does not (it is already in the buffer).
-    """
-    return scaled_floor(gearbox, traj.eval(t)) - scaled_floor(gearbox, traj.eval(t - latency))
-
-
-def buffer_occupancy(
-    traj_src: ClockTrajectory,
-    traj_dst: ClockTrajectory,
-    lam: int,
-    latency: float,
-    t: float,
-    gearbox: Gearbox = 1,
-) -> int:
-    """Occupancy of the elastic buffer at the destination of a directed link."""
-    return (
-        scaled_floor(gearbox, traj_src.eval(t - latency))
-        - scaled_floor(gearbox, traj_dst.eval(t))
-        + lam
-    )
 
 
 @dataclass(frozen=True)
@@ -114,16 +89,14 @@ def compute_lambdas(
     scenario: Scenario, trajectories: dict[int, ClockTrajectory]
 ) -> dict[tuple[int, int], int]:
     """Conserved per-link constants from the initial conditions: ``beta0``
-    less ``buffer_occupancy`` at time zero with a zero constant. That reads
-    theta through the trajectories themselves (not a closed form), so its
-    floors cancel exactly against the ones in later occupancy queries.
+    less the ``occupancy_series`` beta at time zero with zero constants. That
+    reads theta through the trajectories themselves (not a closed form), so
+    its floors cancel exactly against the ones in later occupancy queries.
     """
+    links = scenario.topology.links
+    _, series = occupancy_series(scenario, trajectories, dict.fromkeys(links, 0), [0.0])
     beta0 = scenario.params.beta0
-    return {
-        (a, b): beta0[(a, b)]
-        - buffer_occupancy(trajectories[a], trajectories[b], 0, link.latency, 0.0, link.gearbox)
-        for (a, b), link in sorted(scenario.topology.links.items())
-    }
+    return {link: beta0[link] - beta[0] for link, beta, _ in series}
 
 
 def init_state(scenario: Scenario, controllers: list[Controller]) -> SystemState:
@@ -177,10 +150,10 @@ def measure(state: SystemState, i: int, t: float) -> tuple[tuple[int, int], ...]
     """Occupancies of node i's incoming buffers at wall time t, ordered by
     ascending neighbor id.
 
-    The values of ``buffer_occupancy``, with node i's phase at t read once
-    for all its buffers. A domain error here means the scheduling order was
-    violated; the epoch constraint guarantees in-domain lookups for a correct
-    loop.
+    The closed form of ``occupancy_series`` at one time: its scalar copy, run
+    once per step, with node i's phase at t read once for all its buffers. A
+    domain error here means the scheduling order was violated; the epoch
+    constraint guarantees in-domain lookups for a correct loop.
     """
     trajectories = state.trajectories
     phase_i = trajectories[i].eval(t)
@@ -300,8 +273,9 @@ def occupancy_series(
 
     Each trajectory is swept once over ``ts``, and each link's source once
     over ``ts`` less its latency (``sweep_eval``); the phases are floored as
-    whole lists (``scaled_floors``, once per node and gearbox) into the
-    floors of ``buffer_occupancy`` and ``link_occupancy``.
+    whole lists (``scaled_floors``, once per node and gearbox). This is the
+    list copy of the closed form: the output grid, the sample times of
+    ``oracle.compare`` and the time zero of ``compute_lambdas`` read it.
     """
     topo = scenario.topology
     theta = {i: sweep_eval(trajectories[i], ts) for i in topo.nodes()}

@@ -7,10 +7,11 @@ Frame counts are pure functions of the clock trajectories. A directed link
 
 with the conserved integer ``lam_ij`` fixed by the initial conditions. All
 floors go through ``scaled_floor``, or ``scaled_floors`` for a whole list with
-the same expression, so that every consumer (initialization, occupancy
-queries, resampling, the frame-level oracle's calibration and compare) shares
-one rounding path; this is what makes beta(0) == beta0 and the cross-checks
-integer-exact. Every frame event is a crossing of an integer by a scaled
+the same expression, so that every consumer shares one rounding path: the
+engine's ``measure`` (each controller sample) and ``occupancy_series`` (the
+link constants at time zero, the output grid, and the sample times that
+``oracle.compare`` checks), and the frame-level oracle's tick windows. This
+is what makes beta(0) == beta0 and the cross-checks integer-exact. Every frame event is a crossing of an integer by a scaled
 phase, and ``tick_times`` is the one inversion of that scaling into times.
 """
 

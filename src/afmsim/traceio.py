@@ -17,11 +17,12 @@ of rows that share one ``t``. ``read_trace`` requires each CSV file to start
 with the header that ``write_trace`` writes, every row to have the table's
 number of fields, every block to list the same keys (node, or src and
 dst) in increasing order, and every row of a block to carry the same ``t``
-text, a finite number; the blocks of ``buffers.csv`` must carry the ``t``
-values of ``nodes.csv``; an event's kind must be ``overflow`` or
-``underflow``, its link a key of ``buffers.csv`` and its time finite, and the
-events must come in the order of their times. A file that breaks this is a
-``TraceError`` that names the file.
+text, a finite number; every ``theta`` and ``omega`` must be finite; the
+blocks of ``buffers.csv`` must carry the ``t`` values of ``nodes.csv``; an
+event's kind must be ``overflow`` or ``underflow``, its link a key of
+``buffers.csv`` and its time finite, and the events must come in the order
+of their times. A file that breaks this is a ``TraceError`` that names the
+file.
 """
 
 from __future__ import annotations
@@ -218,6 +219,8 @@ def read_trace(trace_dir: str | Path) -> Trace:
         grid, series = _read_table(d / "nodes.csv", float)
         if not grid:
             raise ValueError("no rows after the header")
+        if not all(map(math.isfinite, chain.from_iterable(chain(*series.values())))):
+            raise ValueError("a theta or omega value is not finite")
     theta = {i: th for (i,), (th, _) in series.items()}
     omega = {i: om for (i,), (_, om) in series.items()}
 

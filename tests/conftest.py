@@ -1,9 +1,11 @@
-"""Shared scenario builders for the test suite."""
+"""Shared scenario builders and the closed-form reference of the test suite."""
 
 import dataclasses
 import json
+import math
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -38,6 +40,45 @@ def two_node_scenario(
             beta0={(1, 2): beta0, (2, 1): beta0},
         ),
     )
+
+
+def geared_triangle():
+    """``triangle3`` with edge 1--2 geared 3/2 both ways and edge 1--3 geared
+    1/2 forward and 2/1 back."""
+    sc = triangle3().scenario
+    gears = {
+        (1, 2): Fraction(3, 2),
+        (2, 1): Fraction(3, 2),
+        (1, 3): Fraction(1, 2),
+        (3, 1): Fraction(2),
+    }
+    links = {
+        ab: dataclasses.replace(lk, gearbox=gears.get(ab, lk.gearbox))
+        for ab, lk in sc.topology.links.items()
+    }
+    return validate(dataclasses.replace(sc.topology, links=links), sc.params)
+
+
+# The closed form one value at a time, the reference the engine's two copies
+# (``measure`` per step, ``occupancy_series`` per list of times) are checked
+# against. It floors ``ClockTrajectory.eval`` itself, not through ``phase``.
+
+def _frames(gearbox, phase):
+    """Frames sent by a clock at ``phase`` on a link with this gearbox."""
+    return math.floor(phase * gearbox.numerator / gearbox.denominator)
+
+
+def closed_form_beta(traj_src, traj_dst, lam, latency, t, gearbox=1):
+    """Occupancy of the elastic buffer at the destination of a directed link:
+    floor(g * theta_src(t - latency)) - floor(g * theta_dst(t)) + lam."""
+    return _frames(gearbox, traj_src.eval(t - latency)) - _frames(gearbox, traj_dst.eval(t)) + lam
+
+
+def closed_form_gamma(traj, t, latency, gearbox=1):
+    """Frames in flight at time t on a link fed by ``traj``. A frame exactly
+    at the link entrance counts as on the link; one exactly at the exit does
+    not (it is already in the buffer)."""
+    return _frames(gearbox, traj.eval(t)) - _frames(gearbox, traj.eval(t - latency))
 
 
 # `pytest --hypothesis-profile=ci`: the default example counts, still random,

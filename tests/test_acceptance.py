@@ -12,20 +12,13 @@ import pytest
 
 from afmsim.cli import main as cli_main
 from afmsim.controllers import ControllerSpec, is_admissible, make_controllers
-from afmsim.engine import (
-    buffer_occupancy,
-    compute_lambdas,
-    init_state,
-    link_occupancy,
-    simulate,
-    step,
-)
+from afmsim.engine import compute_lambdas, init_state, simulate, step
 from afmsim.oracle import rebuild_trajectories, verify_scenario
 from afmsim.phase import scaled_floor
 from afmsim.scenarios import gearbox_pair, random_scenario, triangle3
 from afmsim.trajectory import AdmissibilityError
 
-from conftest import relabeled, tied_triangle
+from conftest import closed_form_beta, closed_form_gamma, relabeled, tied_triangle
 
 SEED = 20260808
 RANDOM_SCENARIOS = 20
@@ -79,10 +72,10 @@ def test_criterion_2_conservation(scenario_set, equivalence_reports):
             for _ in range(1000):
                 t = rng.uniform(0.0, T_EQUIV)
                 total = (
-                    buffer_occupancy(trajs[a], trajs[b], lam[(a, b)], link_ab.latency, t, link_ab.gearbox)
-                    + link_occupancy(trajs[a], t, link_ab.latency, link_ab.gearbox)
-                    + buffer_occupancy(trajs[b], trajs[a], lam[(b, a)], link_ba.latency, t, link_ba.gearbox)
-                    + link_occupancy(trajs[b], t, link_ba.latency, link_ba.gearbox)
+                    closed_form_beta(trajs[a], trajs[b], lam[(a, b)], link_ab.latency, t, link_ab.gearbox)
+                    + closed_form_gamma(trajs[a], t, link_ab.latency, link_ab.gearbox)
+                    + closed_form_beta(trajs[b], trajs[a], lam[(b, a)], link_ba.latency, t, link_ba.gearbox)
+                    + closed_form_gamma(trajs[b], t, link_ba.latency, link_ba.gearbox)
                 )
                 assert total == lam[(a, b)] + lam[(b, a)], (a, b, t)
                 checked += 1
@@ -101,7 +94,7 @@ def test_criterion_3_lambda_invariance(scenario_set, equivalence_reports):
             link = sc.topology.links[(a, b)]
             for _ in range(1000):
                 t = rng.uniform(0.0, T_EQUIV)
-                occ = buffer_occupancy(trajs[a], trajs[b], lam[(a, b)], link.latency, t, link.gearbox)
+                occ = closed_form_beta(trajs[a], trajs[b], lam[(a, b)], link.latency, t, link.gearbox)
                 recomputed = (
                     occ
                     - scaled_floor(link.gearbox, trajs[a].eval(t - link.latency))
@@ -185,7 +178,7 @@ def test_criterion_6_initial_condition_exactness(scenario_set):
             assert abs(first_actuation - expected) <= 1e-12 * abs(expected)
         for (a, b) in sc.topology.directed_links():
             link = sc.topology.links[(a, b)]
-            occ = buffer_occupancy(
+            occ = closed_form_beta(
                 state.trajectories[a], state.trajectories[b],
                 state.lam[(a, b)], link.latency, 0.0, link.gearbox,
             )

@@ -179,6 +179,9 @@ def _lines_edited(edit):
         ("nodes.csv", lambda text: text.replace("\n5,", "\ninf,")),
         ("nodes.csv", lambda text: text.replace("\n0,", "\n-inf,")),
         ("nodes.csv", lambda text: text.replace("\n5,", "\nnan,")),
+        # node 1's theta and the last omega, values no run can write
+        ("nodes.csv", lambda text: text.replace("\n0,1,0.1,", "\n0,1,nan,", 1)),
+        ("nodes.csv", lambda text: text.rstrip("\n").rsplit(",", 1)[0] + ",inf\n"),
     ],
     ids=[
         "short_row",
@@ -200,6 +203,8 @@ def _lines_edited(edit):
         "block_time_inf",
         "block_time_minus_inf",
         "block_time_nan",
+        "theta_nan",
+        "omega_inf",
     ],
 )
 def test_malformed_trace_exits_two(tmp_path, capsys, command, name, damage):

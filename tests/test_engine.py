@@ -14,12 +14,11 @@ from afmsim.controllers import ControllerSpec, make_controllers
 from afmsim.scenarios import gearbox_pair, random_scenario, triangle3
 from afmsim.engine import (
     SampleRecord,
-    buffer_occupancy,
     build_trace,
     compute_lambdas,
     init_state,
-    link_occupancy,
     measure,
+    occupancy_series,
     select_node,
     simulate,
     step,
@@ -28,7 +27,14 @@ from afmsim.phase import Ratio, scaled_floor, scaled_floors, tick_times
 from afmsim.topology import validate
 from afmsim.trajectory import AdmissibilityError, ClockTrajectory, DomainError
 
-from conftest import relabeled, tied_triangle, two_node_scenario
+from conftest import (
+    closed_form_beta,
+    closed_form_gamma,
+    geared_triangle,
+    relabeled,
+    tied_triangle,
+    two_node_scenario,
+)
 
 
 def line(slope, intercept, t_lo=-30.0, t_hi=30.0):
@@ -79,28 +85,40 @@ def test_scaled_floors_agree_with_scaled_floor(gearbox, zero_spec):
 
 # -- frame counters ------------------------------------------------------------
 
+def series_on_two_nodes(traj_1, traj_2, ts, latency=1.0, lam=0):
+    """``occupancy_series`` at the times ``ts`` on the two-node ring with these
+    trajectories and link constants, as ``beta`` and ``gamma`` by link."""
+    sc = two_node_scenario(latency=latency)
+    lams = dict.fromkeys(sc.topology.links, lam)
+    _, links = occupancy_series(sc, {1: traj_1, 2: traj_2}, lams, ts)
+    beta, gamma = {}, {}
+    for link, beta_ab, gamma_ab in links:
+        beta[link], gamma[link] = beta_ab, list(gamma_ab)
+    return beta, gamma
+
+
 def test_link_occupancy_examples():
-    assert link_occupancy(line(1.0, 0.5), 3.0, 1.0) == 1
-    assert link_occupancy(line(2.0, 0.1), 2.0, 1.0) == 2
+    _, gamma = series_on_two_nodes(line(1.0, 0.5), line(2.0, 0.1), [2.0, 3.0])
+    assert gamma[(1, 2)][1] == 1  # at t=3
+    assert gamma[(2, 1)][0] == 2  # at t=2
 
 
 def test_link_occupancy_nonnegative_by_monotonicity():
     traj = line(0.31, 0.17)
-    for t in (0.0, 1.1, 5.7, 20.0):
-        assert link_occupancy(traj, t, 2.5) >= 0
+    _, gamma = series_on_two_nodes(traj, traj, [0.0, 1.1, 5.7, 20.0], latency=2.5)
+    assert all(occ >= 0 for series in gamma.values() for occ in series)
 
 
 def test_counters_out_of_domain():
     traj = line(1.0, 0.0, t_lo=0.0, t_hi=10.0)
     with pytest.raises(DomainError):
-        link_occupancy(traj, 0.5, 1.0)
+        series_on_two_nodes(traj, traj, [0.5])
 
 
 def test_buffer_occupancy_identical_clocks_is_constant():
     a, b = line(1.0, 0.5), line(1.0, 0.5)
-    lam = 8
-    values = {buffer_occupancy(a, b, lam, 1.0, t) for t in (0.2, 1.3, 4.9, 7.7)}
-    assert values == {7}
+    beta, _ = series_on_two_nodes(a, b, [0.2, 1.3, 4.9, 7.7], lam=8)
+    assert set(beta[(1, 2)]) == set(beta[(2, 1)]) == {7}
 
 
 # -- initialization --------------------------------------------------------------
@@ -141,14 +159,17 @@ def test_initial_conditions_shape(triangle_cfg):
 
 
 def test_beta_at_zero_equals_beta0(triangle_cfg, zero_spec):
+    # gearbox_pair and geared_triangle take the Ratio branch of the floors.
     for sc, spec in (
         (triangle_cfg.scenario, triangle_cfg.controller),
         (two_node_scenario(omega_u=(1.3, 0.9), theta0=(0.25, 0.75), beta0=11), zero_spec),
+        (gearbox_pair().scenario, zero_spec),
+        (geared_triangle(), triangle_cfg.controller),
     ):
         state = init_state(sc, make_controllers(spec, sc.topology.n_nodes))
         for (a, b) in sc.topology.directed_links():
             link = sc.topology.links[(a, b)]
-            occ = buffer_occupancy(
+            occ = closed_form_beta(
                 state.trajectories[a], state.trajectories[b],
                 state.lam[(a, b)], link.latency, 0.0, link.gearbox,
             )
@@ -309,10 +330,10 @@ def test_conservation_and_lambda_invariance_at_random_times(triangle_cfg):
         lat_ba = sc.topology.links[(b, a)].latency
         for _ in range(200):
             t = rng.uniform(0.0, 120.0)
-            b_ab = buffer_occupancy(state.trajectories[a], state.trajectories[b], state.lam[(a, b)], lat_ab, t)
-            b_ba = buffer_occupancy(state.trajectories[b], state.trajectories[a], state.lam[(b, a)], lat_ba, t)
-            g_ab = link_occupancy(state.trajectories[a], t, lat_ab)
-            g_ba = link_occupancy(state.trajectories[b], t, lat_ba)
+            b_ab = closed_form_beta(state.trajectories[a], state.trajectories[b], state.lam[(a, b)], lat_ab, t)
+            b_ba = closed_form_beta(state.trajectories[b], state.trajectories[a], state.lam[(b, a)], lat_ba, t)
+            g_ab = closed_form_gamma(state.trajectories[a], t, lat_ab)
+            g_ba = closed_form_gamma(state.trajectories[b], t, lat_ba)
             assert b_ab + g_ab + b_ba + g_ba == state.lam[(a, b)] + state.lam[(b, a)]
             # direct lambda recomputation at t
             recomputed = (
@@ -426,19 +447,19 @@ def test_resampled_series_match_occupancy_functions(make_cfg):
     lam = compute_lambdas(sc, trajs)
     for (a, b), link in sc.topology.links.items():
         for idx, t in enumerate(trace.grid):
-            assert trace.beta[(a, b)][idx] == buffer_occupancy(
+            assert trace.beta[(a, b)][idx] == closed_form_beta(
                 trajs[a], trajs[b], lam[(a, b)], link.latency, t, link.gearbox
             )
-            assert trace.gamma[(a, b)][idx] == link_occupancy(
+            assert trace.gamma[(a, b)][idx] == closed_form_gamma(
                 trajs[a], t, link.latency, link.gearbox
             )
-    # Each controller sample read its buffers as the public helper does, with
-    # the link's own Fraction gearbox.
+    # Each controller sample read its buffers as the reference does, with the
+    # link's own Fraction gearbox.
     assert trace.samples
     for rec in trace.samples:
         i = rec.node
         assert rec.measurement == tuple(
-            (j, buffer_occupancy(
+            (j, closed_form_beta(
                 trajs[j], trajs[i], lam[(j, i)], link.latency, rec.t_sample, link.gearbox
             ))
             for (j, b), link in sorted(sc.topology.links.items())
@@ -527,24 +548,30 @@ def test_any_ready_order_gives_the_same_solution(triangle_cfg, seed):
     assert_same_solution(triangle_cfg, state, 200.0)
 
 
+# A stateful controller: its state sums every measurement the node has seen,
+# so a step that read other values or in another order would show later.
+INTEGRATOR = ControllerSpec(
+    kind="custom",
+    init_state=0.0,
+    state_fn=lambda xi, y: xi + sum(occ for _, occ in y),
+    output_fn=lambda xi, y: 1e-4 * xi,
+    clamp=(-0.05, 5.0),
+)
+
+
 @settings(deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
-def test_any_ready_order_property(scenario_seed, order_seed):
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.booleans())
+def test_any_ready_order_property(scenario_seed, order_seed, integrate):
     cfg = random_scenario(random.Random(scenario_seed))
+    if integrate:
+        cfg = dataclasses.replace(cfg, controller=INTEGRATOR)
     state, _ = run_in_random_ready_order(cfg, 100.0, random.Random(order_seed))
     assert_same_solution(cfg, state, 100.0)
 
 
 def test_step_on_a_node_that_is_not_ready_changes_nothing(triangle_cfg):
-    integrator = ControllerSpec(
-        kind="custom",
-        init_state=0.0,
-        state_fn=lambda xi, y: xi + sum(occ for _, occ in y),
-        output_fn=lambda xi, y: 1e-4 * xi,
-        clamp=(-0.05, 5.0),
-    )
     sc = triangle_cfg.scenario
-    state = init_state(sc, make_controllers(integrator, 3))
+    state = init_state(sc, make_controllers(INTEGRATOR, 3))
     while not (waiting := [i for i in sc.topology.nodes() if not is_ready(state, i)]):
         step(state)
     put_on_top(state, waiting[0])

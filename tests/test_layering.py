@@ -1,9 +1,13 @@
-"""Module layering: no import cycle, with ``phase`` just above ``trajectory``."""
+"""Module layering: no import cycle, with ``phase`` just above ``trajectory``,
+and the closed form written in two places of ``engine``."""
 
 import ast
 import subprocess
 import sys
 from graphlib import TopologicalSorter
+
+import afmsim
+from afmsim import engine
 
 from conftest import SRC, src_env
 
@@ -38,3 +42,21 @@ def test_modules_are_layered_without_cycles():
             text=True,
         )
         assert run.returncode == 0, run.stderr
+
+
+def test_engine_floors_phases_only_in_measure_and_occupancy_series():
+    # The closed form has one scalar copy (``measure``, once per step) and one
+    # list copy (``occupancy_series``); the scalar helpers are gone.
+    tree = ast.parse((SRC / "afmsim" / "engine.py").read_text(encoding="utf-8"))
+    floors = {"scaled_floor", "scaled_floors"}
+    callers = {
+        getattr(top, "name", None)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in floors
+    }
+    assert callers == {"measure", "occupancy_series"}
+    for name in ("buffer_occupancy", "link_occupancy"):
+        assert name not in afmsim.__all__
+        assert not hasattr(engine, name)

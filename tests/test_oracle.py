@@ -13,10 +13,8 @@ from afmsim import oracle
 from afmsim.controllers import ControllerSpec, make_controllers
 from afmsim.engine import (
     FatalEvent,
-    buffer_occupancy,
     compute_lambdas,
     init_state,
-    link_occupancy,
     simulate,
     step,
 )
@@ -33,7 +31,13 @@ from afmsim.scenarios import gearbox_pair, random_scenario, triangle3
 from afmsim.topology import Link, SystemParams, Topology, validate
 from afmsim.trajectory import ClockTrajectory
 
-from conftest import tied_triangle, two_node_scenario
+from conftest import (
+    closed_form_beta,
+    closed_form_gamma,
+    geared_triangle,
+    tied_triangle,
+    two_node_scenario,
+)
 
 
 def in_flight(lr, t, lat):
@@ -269,7 +273,7 @@ def test_replay_requires_coverage(zero_spec):
     for (a, b), lr in zero.links.items():
         lat = sc.topology.links[(a, b)].latency
         assert lr.send_times == [] and lr.consume_times == []
-        in_flight_at_zero = link_occupancy(state.trajectories[a], 0.0, lat)
+        in_flight_at_zero = closed_form_gamma(state.trajectories[a], 0.0, lat)
         assert len(lr.arrival_times) == in_flight_at_zero > 0
         assert all(0.0 < t <= lat for t in lr.arrival_times)
         assert lr.arrival_times == full.links[(a, b)].arrival_times[:in_flight_at_zero]
@@ -294,13 +298,11 @@ def test_in_flight_matches_link_occupancy_formula():
     state = run_state(sc, cfg.controller, 40.0)
     result = replay(state.trajectories, sc, 40.0)
     rng = random.Random(11)
-    from afmsim.engine import link_occupancy
-
     for (a, b) in sc.topology.directed_links():
         lat = sc.topology.links[(a, b)].latency
         for _ in range(50):
             t = rng.uniform(0.0, 39.0 - lat)
-            assert in_flight(result.links[(a, b)], t, lat) == link_occupancy(
+            assert in_flight(result.links[(a, b)], t, lat) == closed_form_gamma(
                 state.trajectories[a], t, lat
             )
 
@@ -336,7 +338,7 @@ def test_underflow_reported_with_event_time(zero_spec):
     # the formula agrees that occupancy is negative right at the event
     link = sc.topology.links[(1, 2)]
     assert (
-        buffer_occupancy(
+        closed_form_beta(
             state.trajectories[1], state.trajectories[2], state.lam[(1, 2)], link.latency, ev.t
         )
         == -1
@@ -388,7 +390,7 @@ def test_compare_flags_injected_disagreement():
 
 
 def reference_compare(result, trace, scenario, trajectories):
-    """The per-sample form of ``compare``: ``buffer_occupancy`` and the local
+    """The per-sample form of ``compare``: ``closed_form_beta`` and the local
     ``count`` at each sample time and link, one at a time."""
     topo = scenario.topology
     lam = compute_lambdas(scenario, trajectories)
@@ -399,7 +401,7 @@ def reference_compare(result, trace, scenario, trajectories):
             continue
         for (a, b) in topo.directed_links():
             link = topo.links[(a, b)]
-            formula = buffer_occupancy(
+            formula = closed_form_beta(
                 trajectories[a], trajectories[b], lam[(a, b)], link.latency, t, link.gearbox
             )
             oracle_occ = count(result.links[(a, b)], t)
@@ -422,23 +424,6 @@ def both_compares(scenario, controller, t_max, tamper=None):
         compare(result, trace, scenario, trajs),
         reference_compare(result, trace, scenario, trajs),
     )
-
-
-def geared_triangle():
-    """``triangle3`` with edge 1--2 geared 3/2 both ways and edge 1--3 geared
-    1/2 forward and 2/1 back."""
-    sc = triangle3().scenario
-    gears = {
-        (1, 2): Fraction(3, 2),
-        (2, 1): Fraction(3, 2),
-        (1, 3): Fraction(1, 2),
-        (3, 1): Fraction(2),
-    }
-    links = {
-        ab: dataclasses.replace(lk, gearbox=gears.get(ab, lk.gearbox))
-        for ab, lk in sc.topology.links.items()
-    }
-    return validate(dataclasses.replace(sc.topology, links=links), sc.params)
 
 
 @pytest.mark.parametrize("k_p", [0.01, 0.001])

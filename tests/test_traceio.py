@@ -177,6 +177,12 @@ LAYOUT_ERRORS = {
         lambda lines: [*lines[:-6], *("1e999" + line[line.index(",") :] for line in lines[-6:])],
         "a block time is not finite",
     ),
+    # the theta of the last row
+    "theta_not_finite": (
+        "nodes.csv",
+        lambda lines: [*lines[:-1], "{},1e999,{}".format(*lines[-1].rsplit(",", 2)[::2])],
+        "a theta or omega value is not finite",
+    ),
 }
 
 
