@@ -271,11 +271,13 @@ def occupancy_series(
     ``(link, beta, gamma)`` one link at a time. Beta is a list; gamma is an
     iterator, so a caller that reads only beta does not pay for it.
 
-    Each trajectory is swept once over ``ts``, and each link's source once
-    over ``ts`` less its latency (``sweep_eval``); the phases are floored as
-    whole lists (``scaled_floors``, once per node and gearbox). This is the
-    list copy of the closed form: the output grid, the sample times of
-    ``oracle.compare`` and the time zero of ``compute_lambdas`` read it.
+    Each trajectory is swept once over ``ts`` (``sweep_eval``) and floored as
+    a whole list (``scaled_floors``) once per gearbox. The frames sent, the
+    source's floors at ``ts`` less the latency, are made once per run of
+    consecutive links with one source, latency and gearbox, held for that run
+    only. This is the list copy of the closed form: the output grid, the
+    sample times of ``oracle.compare`` and the time zero of
+    ``compute_lambdas`` read it.
     """
     topo = scenario.topology
     theta = {i: sweep_eval(trajectories[i], ts) for i in topo.nodes()}
@@ -284,9 +286,12 @@ def occupancy_series(
     floors = {(i, g): scaled_floors(g, theta[i]) for i, g in ends}
 
     def links() -> Iterator[tuple[tuple[int, int], list[int], Iterator[int]]]:
+        last = None
         for (a, b) in topo.directed_links():
             g, latency, lam_ab = gears[(a, b)], topo.links[(a, b)].latency, lam[(a, b)]
-            sent = scaled_floors(g, sweep_eval(trajectories[a], [t - latency for t in ts]))
+            if (a, latency, g) != last:  # sorted links: a source's run of out-links
+                last = (a, latency, g)
+                sent = scaled_floors(g, sweep_eval(trajectories[a], [t - latency for t in ts]))
             beta = [s - c + lam_ab for s, c in zip(sent, floors[(b, g)])]
             yield (a, b), beta, map(sub, floors[(a, g)], sent)
 

@@ -10,7 +10,9 @@ A trace directory holds three CSV files with fixed columns plus metadata:
 Floats are printed with 12 significant digits and a fixed "\n" terminator so
 repeated runs of the same config are byte-identical across platforms. The
 CSVs are reporting artifacts: occupancies are exact integers, but phases and
-frequencies round-trip only to the printed precision.
+frequencies round-trip only to the printed precision. ``write_trace`` checks
+every series' length before it opens a table, then streams its blocks from
+one ``%`` template per block.
 
 ``nodes.csv`` and ``buffers.csv`` are read back in blocks: a block is the run
 of rows that share one ``t``. ``read_trace`` requires each CSV file to start
@@ -31,6 +33,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable
@@ -53,25 +56,26 @@ def fmt_num(x: float) -> str:
     return format(x, _SPEC)
 
 
-def _formatted(series: Iterable[float]) -> list[str]:
-    return list(map(format, series, repeat(_SPEC)))
-
-
-def _write_table(path: Path, grid: list[str], series: Iterable[tuple]) -> None:
+def _write_table(path: Path, grid: list[str], values: str, series: Iterable[tuple]) -> None:
     """Write the file's header and one block of rows per grid point, one row
     per key.
 
-    ``series`` yields, in key order, each key's fields as text and its two
-    value columns; a key's rows are built at once and the blocks are
-    interleaved from them, so each value is formatted once.
+    ``series`` yields, in key order, each key's fields and its two value
+    columns; ``values`` holds the two ``%`` conversions of a row's values.
+    Every column's length is checked against the grid first, so a short
+    series raises before the file is opened. A block's rows come from one
+    template, a row per key, filled from every column at once and streamed,
+    so C formats and joins them.
     """
-    rows = [
-        [f"{t},{key},{x},{y}\n" for t, x, y in zip(grid, first, second, strict=True)]
-        for key, first, second in series
-    ]
+    columns, block = [], ""
+    for key, first, second in series:
+        if not len(first) == len(second) == len(grid):
+            raise ValueError(f"{path.name}: a series of key {key} is not as long as the grid")
+        columns += (grid, first, second)
+        block += f"%s,{key},{values}\n"
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(_HEADERS[path.name] + "\n")
-        f.writelines(map("".join, zip(*rows)))
+        f.writelines(map(block.__mod__, zip(*columns)))
 
 
 def write_trace(trace: Trace, out_dir: str | Path) -> dict[str, Path]:
@@ -80,18 +84,17 @@ def write_trace(trace: Trace, out_dir: str | Path) -> dict[str, Path]:
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / name for name in ("nodes.csv", "buffers.csv", "events.csv", "meta.json")}
 
-    grid = _formatted(trace.grid)
+    grid = list(map(fmt_num, trace.grid))
     _write_table(
         paths["nodes.csv"],
         grid,
-        (
-            (f"{i}", _formatted(trace.theta[i]), _formatted(trace.omega[i]))
-            for i in sorted(trace.theta)
-        ),
+        f"%.{SIGNIFICANT_DIGITS}g,%.{SIGNIFICANT_DIGITS}g",
+        ((i, trace.theta[i], trace.omega[i]) for i in sorted(trace.theta)),
     )
     _write_table(
         paths["buffers.csv"],
         grid,
+        "%s,%s",
         ((f"{a},{b}", trace.beta[(a, b)], trace.gamma[(a, b)]) for (a, b) in sorted(trace.beta)),
     )
 
@@ -131,8 +134,14 @@ def _parsing(path: Path):
 _CHUNK_ROWS = 1024
 
 
+def _ints(texts: list[str]) -> Iterable[int]:
+    """``map(int, texts)``, parsing each distinct text once, first ones first."""
+    memo = {text: int(text) for text in dict.fromkeys(texts)}
+    return map(memo.__getitem__, texts)
+
+
 def _read_table(
-    path: Path, convert: Callable[[str], float], grid: list[float] | None = None
+    path: Path, convert: Callable[[list[str]], Iterable], grid: list[float] | None = None
 ) -> tuple[list[float], dict[tuple[int, ...], tuple[list, list]]]:
     """The ``t`` of each block and each key's two value columns, converted,
     from a table laid out as the module docstring says. Its header names the
@@ -141,8 +150,9 @@ def _read_table(
 
     The first block gives the block size and the keys. The rows are then read
     and split a chunk of whole blocks at a time, and each key's columns are
-    sliced out of the chunk by stride. A row's last field keeps its "\n",
-    which ``int`` and ``float`` allow.
+    sliced out of the chunk by stride and converted by ``convert`` (occupancies
+    repeat, so ``_ints`` parses each distinct text of a slice once). A row's
+    last field keeps its "\n", which ``int`` and ``float`` allow.
     """
     header = _HEADERS[path.name]
     width = header.count(",") + 1
@@ -189,8 +199,8 @@ def _read_table(
                     if fields[c::stride].count(text) != len(ts):
                         raise ValueError("a block's keys differ from the first block's")
                 first, second = series[key]
-                first.extend(map(convert, fields[at + n_key + 1 :: stride]))
-                second.extend(map(convert, fields[at + n_key + 2 :: stride]))
+                first.extend(convert(fields[at + n_key + 1 :: stride]))
+                second.extend(convert(fields[at + n_key + 2 :: stride]))
             blocks = list(map(float, ts))
             if not all(map(math.isfinite, blocks)):
                 raise ValueError("a block time is not finite")
@@ -216,7 +226,7 @@ def read_trace(trace_dir: str | Path) -> Trace:
     """
     d = Path(trace_dir)
     with _parsing(d / "nodes.csv"):
-        grid, series = _read_table(d / "nodes.csv", float)
+        grid, series = _read_table(d / "nodes.csv", partial(map, float))
         if not grid:
             raise ValueError("no rows after the header")
         if not all(map(math.isfinite, chain.from_iterable(chain(*series.values())))):
@@ -225,7 +235,7 @@ def read_trace(trace_dir: str | Path) -> Trace:
     omega = {i: om for (i,), (_, om) in series.items()}
 
     with _parsing(d / "buffers.csv"):
-        _, series = _read_table(d / "buffers.csv", int, grid)
+        _, series = _read_table(d / "buffers.csv", _ints, grid)
     beta = {key: b for key, (b, _) in series.items()}
     gamma = {key: g for key, (_, g) in series.items()}
 

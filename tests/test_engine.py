@@ -24,7 +24,7 @@ from afmsim.engine import (
     step,
 )
 from afmsim.phase import Ratio, scaled_floor, scaled_floors, tick_times
-from afmsim.topology import validate
+from afmsim.topology import Link, SystemParams, Topology, validate
 from afmsim.trajectory import AdmissibilityError, ClockTrajectory, DomainError
 
 from conftest import (
@@ -119,6 +119,41 @@ def test_buffer_occupancy_identical_clocks_is_constant():
     a, b = line(1.0, 0.5), line(1.0, 0.5)
     beta, _ = series_on_two_nodes(a, b, [0.2, 1.3, 4.9, 7.7], lam=8)
     assert set(beta[(1, 2)]) == set(beta[(2, 1)]) == {7}
+
+
+def star_scenario():
+    """Node 1 feeds 2 and 3 over like links (latency 1, unit gearbox), 4 over
+    latency 2.5, and 5 over latency 2.5 geared 3/2; each link has its reverse."""
+    out = {2: Link(1.0), 3: Link(1.0), 4: Link(2.5), 5: Link(2.5, Fraction(3, 2))}
+    links = {}
+    for b, lk in out.items():
+        links[(1, b)] = links[(b, 1)] = lk
+    n = 5
+    return validate(
+        Topology(n_nodes=n, links=links),
+        SystemParams(
+            p=10, d=2, omega_min=0.1, epoch=-25.0, theta0=(0.5,) * n,
+            omega_u=(1.0,) * n, omega_init1=(1.0,) * n, omega_init2=(1.0,) * n,
+            beta0=dict.fromkeys(links, 7),
+        ),
+    )
+
+
+def test_occupancy_series_shares_sends_only_between_like_links():
+    # Node 1's out-links come one after another, and a link whose latency or
+    # gearbox differs from the one before it must not reuse that link's sends.
+    sc = star_scenario()
+    trajs = {i: line(0.9 + 0.07 * i, 0.3 * i) for i in sc.topology.nodes()}
+    lam = {ab: 3 * ab[0] - ab[1] for ab in sc.topology.links}
+    ts = [0.37 * k for k in range(60)]
+    _, series = occupancy_series(sc, trajs, lam, ts)
+    for (a, b), beta, gamma in series:
+        lk, src = sc.topology.links[(a, b)], trajs[a]
+        assert beta == [
+            closed_form_beta(src, trajs[b], lam[(a, b)], lk.latency, t, lk.gearbox) for t in ts
+        ], (a, b)
+        gamma_ab = [closed_form_gamma(src, t, lk.latency, lk.gearbox) for t in ts]
+        assert list(gamma) == gamma_ab, (a, b)
 
 
 # -- initialization --------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The trace CSV writer and reader against their row-by-row references."""
 
 import json
+import math
 import random
 import re
 from pathlib import Path
@@ -140,6 +141,41 @@ def test_write_trace_equals_reference_bytes(written):
         assert (out / "trace" / "buffers.csv").read_text() == "t,src,dst,beta,gamma\n"
 
 
+def hand_trace(short=None):
+    """A two-node trace built by hand, with the floats and ints that are hard to
+    print; ``short`` names a series ("theta" or "beta") made one entry short."""
+    floats = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 0.1 + 0.2, -1 / 3]
+    ints = [-7, 0, 2**63, 2**64 + 1, -(2**70), 42, 1, 0]
+    series = {
+        "theta": {1: floats, 2: floats[::-1]},
+        "omega": {1: floats[::-1], 2: floats},
+        "beta": {(1, 2): ints, (2, 1): ints[::-1]},
+        "gamma": {(1, 2): ints[::-1], (2, 1): ints},
+    }
+    if short is not None:
+        key = 2 if short == "theta" else (2, 1)
+        series[short][key] = series[short][key][:-1]
+    grid = [0.1 * k for k in range(len(floats))]
+    return Trace(knots={}, samples=[], grid=grid, fatal_events=[], **series)
+
+
+def test_write_trace_prints_hard_values_as_the_reference(tmp_path):
+    trace = hand_trace()
+    write_trace(trace, tmp_path / "trace")
+    reference_write(trace, tmp_path / "reference")
+    for file in CSV_FILES:
+        written, reference = tmp_path / "trace" / file, tmp_path / "reference" / file
+        assert written.read_bytes() == reference.read_bytes(), file
+    assert "nan" in (tmp_path / "trace" / "nodes.csv").read_text()
+
+
+@pytest.mark.parametrize("short, table", [("theta", "nodes.csv"), ("beta", "buffers.csv")])
+def test_write_trace_leaves_no_table_with_a_short_series(tmp_path, short, table):
+    with pytest.raises(ValueError):
+        write_trace(hand_trace(short), tmp_path)
+    assert not (tmp_path / table).exists()
+
+
 def test_read_trace_equals_reference_values(written):
     name, _, out = written
     back = read_trace(out / "trace")
@@ -154,6 +190,14 @@ def test_read_trace_equals_reference_values(written):
         assert back.beta == back.gamma == {}
     else:
         assert back.beta
+
+
+_BAD_BETA = ("2.5", "x", "1e3", "nan", "--1", "0x10", "seven")
+
+
+def _with_beta(line, text):
+    t, a, b, _, gamma = line.split(",")
+    return f"{t},{a},{b},{text},{gamma}"
 
 
 # Each: the file, its lines (the header is line 0) as damaged, and the reason
@@ -176,6 +220,16 @@ LAYOUT_ERRORS = {
         "buffers.csv",
         lambda lines: [*lines[:-6], *("1e999" + line[line.index(",") :] for line in lines[-6:])],
         "a block time is not finite",
+    ),
+    # a different non-integer beta on link 1->2 every 20 blocks, all in the
+    # first chunk: the first in row order is named, whatever the hash order
+    "beta_not_an_integer": (
+        "buffers.csv",
+        lambda lines: [
+            _with_beta(line, _BAD_BETA[k // 120]) if k % 120 == 61 and k < 840 else line
+            for k, line in enumerate(lines)
+        ],
+        "invalid literal for int() with base 10: '2.5'",
     ),
     # the theta of the last row
     "theta_not_finite": (
