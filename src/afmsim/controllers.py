@@ -64,7 +64,7 @@ class Controller:
         if spec.kind == "zero":
             c = 0.0
         elif spec.kind == "proportional":
-            c = spec.k_p * sum(occ - spec.beta_ref for _, occ in y)
+            c = spec.k_p * sum([occ - spec.beta_ref for _, occ in y])
         else:
             self.state = spec.state_fn(self.state, y)
             c = spec.output_fn(self.state, y)

@@ -23,7 +23,9 @@ order, with the same result. The least-advanced node is always ready, since
 
 A step reads no more than that: its own last knot (the phase at the end of
 its domain is stored there), its own phase at ``t_sample`` once for all its
-incoming buffers, and each in-neighbour's phase once.
+incoming buffers, and each in-neighbour's phase once. It floors its own phase
+once per gearbox, not once per buffer: once for each run of in-links (in
+ascending ``j``) that share a gearbox, so once in all when they share one.
 """
 
 from __future__ import annotations
@@ -151,21 +153,22 @@ def measure(state: SystemState, i: int, t: float) -> tuple[tuple[int, int], ...]
     ascending neighbor id.
 
     The closed form of ``occupancy_series`` at one time: its scalar copy, run
-    once per step, with node i's phase at t read once for all its buffers. A
-    domain error here means the scheduling order was violated; the epoch
-    constraint guarantees in-domain lookups for a correct loop.
+    once per step, with node i's phase at t read once for all its buffers and
+    floored once per gearbox: again only where an in-link's gearbox differs
+    from the one before it. A domain error here means the scheduling order was
+    violated; the epoch constraint guarantees in-domain lookups for a correct
+    loop.
     """
     trajectories = state.trajectories
     phase_i = trajectories[i].eval(t)
-    return tuple(
-        (
-            j,
-            scaled_floor(gearbox, trajectories[j].eval(t - latency))
-            - scaled_floor(gearbox, phase_i)
-            + lam,
-        )
-        for j, lam, latency, gearbox in state.incoming[i]
-    )
+    y = []
+    own_gearbox = None
+    for j, lam, latency, gearbox in state.incoming[i]:
+        if gearbox != own_gearbox:
+            own_gearbox = gearbox
+            own = scaled_floor(gearbox, phase_i)
+        y.append((j, scaled_floor(gearbox, trajectories[j].eval(t - latency)) - own + lam))
+    return tuple(y)
 
 
 def step(state: SystemState) -> SampleRecord:

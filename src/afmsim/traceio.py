@@ -11,8 +11,8 @@ Floats are printed with 12 significant digits and a fixed "\n" terminator so
 repeated runs of the same config are byte-identical across platforms. The
 CSVs are reporting artifacts: occupancies are exact integers, but phases and
 frequencies round-trip only to the printed precision. ``write_trace`` checks
-every series' length before it opens a table, then streams its blocks from
-one ``%`` template per block.
+every series' length before it opens the first file, then streams each
+table's blocks from one ``%`` template per block.
 
 ``nodes.csv`` and ``buffers.csv`` are read back in blocks: a block is the run
 of rows that share one ``t``. ``read_trace`` requires each CSV file to start
@@ -56,53 +56,52 @@ def fmt_num(x: float) -> str:
     return format(x, _SPEC)
 
 
-def _write_table(path: Path, grid: list[str], values: str, series: Iterable[tuple]) -> None:
-    """Write the file's header and one block of rows per grid point, one row
-    per key.
+def _table(name: str, grid: list[str], values: str, series: Iterable[tuple]) -> tuple[str, list]:
+    """The template of one block of a table's rows and the columns that fill
+    it, a block per grid point and a row per key.
 
     ``series`` yields, in key order, each key's fields and its two value
     columns; ``values`` holds the two ``%`` conversions of a row's values.
-    Every column's length is checked against the grid first, so a short
-    series raises before the file is opened. A block's rows come from one
-    template, a row per key, filled from every column at once and streamed,
-    so C formats and joins them.
+    Every column's length is checked against the grid, so a short series
+    raises here. A block's rows come from one template filled from every
+    column at once, so C formats and joins them.
     """
     columns, block = [], ""
     for key, first, second in series:
         if not len(first) == len(second) == len(grid):
-            raise ValueError(f"{path.name}: a series of key {key} is not as long as the grid")
+            raise ValueError(f"{name}: a series of key {key} is not as long as the grid")
         columns += (grid, first, second)
         block += f"%s,{key},{values}\n"
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(_HEADERS[path.name] + "\n")
-        f.writelines(map(block.__mod__, zip(*columns)))
+    return block, columns
 
 
 def write_trace(trace: Trace, out_dir: str | Path) -> dict[str, Path]:
-    """Write the CSV set and metadata; returns the paths by file name."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {name: out / name for name in ("nodes.csv", "buffers.csv", "events.csv", "meta.json")}
+    """Write the CSV set and metadata; returns the paths by file name.
 
+    Every series' length is checked, and the text of ``events.csv`` and
+    ``meta.json`` made, before the first file is opened. So a trace with a
+    short series raises and leaves a trace already in ``out_dir`` as it was,
+    not mixed with files of its own.
+    """
     grid = list(map(fmt_num, trace.grid))
-    _write_table(
-        paths["nodes.csv"],
-        grid,
-        f"%.{SIGNIFICANT_DIGITS}g,%.{SIGNIFICANT_DIGITS}g",
-        ((i, trace.theta[i], trace.omega[i]) for i in sorted(trace.theta)),
-    )
-    _write_table(
-        paths["buffers.csv"],
-        grid,
-        "%s,%s",
-        ((f"{a},{b}", trace.beta[(a, b)], trace.gamma[(a, b)]) for (a, b) in sorted(trace.beta)),
-    )
+    tables = {
+        "nodes.csv": _table(
+            "nodes.csv",
+            grid,
+            f"%.{SIGNIFICANT_DIGITS}g,%.{SIGNIFICANT_DIGITS}g",
+            ((i, trace.theta[i], trace.omega[i]) for i in sorted(trace.theta)),
+        ),
+        "buffers.csv": _table(
+            "buffers.csv",
+            grid,
+            "%s,%s",
+            ((f"{a},{b}", trace.beta[(a, b)], trace.gamma[(a, b)]) for (a, b) in sorted(trace.beta)),
+        ),
+    }
 
     lines = [_HEADERS["events.csv"]]
     for ev in trace.fatal_events:
         lines.append(f"{fmt_num(ev.t)},{ev.kind},{ev.link[0]}->{ev.link[1]},{ev.occupancy}")
-    paths["events.csv"].write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
-
     first = trace.first_fatal
     meta = {
         "fingerprint": trace.fingerprint,
@@ -110,9 +109,20 @@ def write_trace(trace: Trace, out_dir: str | Path) -> dict[str, Path]:
         "first_fatal_t": first.t if first else None,
         **trace.meta,
     }
-    paths["meta.json"].write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline=""
-    )
+    texts = {
+        "events.csv": "\n".join(lines) + "\n",
+        "meta.json": json.dumps(meta, indent=2, sort_keys=True) + "\n",
+    }
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {name: out / name for name in ("nodes.csv", "buffers.csv", "events.csv", "meta.json")}
+    for name, (block, columns) in tables.items():
+        with open(paths[name], "w", encoding="utf-8", newline="") as f:
+            f.write(_HEADERS[name] + "\n")
+            f.writelines(map(block.__mod__, zip(*columns)))
+    for name, text in texts.items():
+        paths[name].write_text(text, encoding="utf-8", newline="")
     return paths
 
 

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from afmsim.controllers import (
     Controller,
@@ -200,3 +200,26 @@ def test_every_kind_names_its_floor_and_the_first_failing_node(spec, witness):
     verdict = is_admissible(spec, (2.0, 1.0, 1.0), 1.0)
     assert not verdict.ok
     assert verdict.witness == witness
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@example(k_p=0.01, beta_ref=0.1, occupancies=[3, -7, 12], clamp=(-1.0, 1.0))
+@example(k_p=0.3, beta_ref=2.7, occupancies=[-5, 41, 9, 0], clamp=(-4.0, 4.0))
+@given(
+    k_p=_finite,
+    beta_ref=_finite,
+    occupancies=st.lists(st.integers(-(10**6), 10**6), max_size=8),
+    clamp=st.none() | st.tuples(_finite, _finite).map(sorted).map(tuple),
+)
+def test_proportional_update_is_the_sum_in_measurement_order(k_p, beta_ref, occupancies, clamp):
+    # Bit for bit the gain times a left-to-right sum of (occupancy - beta_ref),
+    # then the clamp; a sum taken in any other order or grouping rounds apart.
+    y = tuple(enumerate(occupancies, start=2))
+    ctrl = Controller(ControllerSpec(kind="proportional", k_p=k_p, beta_ref=beta_ref, clamp=clamp))
+    c = k_p * sum(occ - beta_ref for _, occ in y)
+    if clamp is not None:
+        lo, hi = clamp
+        c = lo if c < lo else hi if c > hi else c
+    assert float.hex(ctrl.update(y)) == float.hex(c)

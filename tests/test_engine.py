@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import heapq
+import json
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from afmsim.config import load_config
 from afmsim.controllers import ControllerSpec, make_controllers
 from afmsim.scenarios import gearbox_pair, random_scenario, triangle3
 from afmsim.engine import (
@@ -229,6 +231,68 @@ def test_measure_ordering_and_values(triangle_cfg):
     state = init_state(sc, make_controllers(triangle_cfg.controller, 3))
     y = measure(state, 1, 0.0)
     assert y == ((2, 50), (3, 50))
+
+
+def generator_measure(state, i, t):
+    """``measure`` as a generator over the in-links that floors node i's own
+    phase once per in-link: the reference the loop in ``measure`` must equal."""
+    trajectories = state.trajectories
+    phase_i = trajectories[i].eval(t)
+    return tuple(
+        (
+            j,
+            scaled_floor(gearbox, trajectories[j].eval(t - latency))
+            - scaled_floor(gearbox, phase_i)
+            + lam,
+        )
+        for j, lam, latency, gearbox in state.incoming[i]
+    )
+
+
+def alternating_gears():
+    """Node 4 fed by nodes 1, 2 and 3 through gearboxes 2, 1 and 2, so its
+    own floor changes gearbox and changes back within one measurement."""
+    edges = [
+        {"a": 1, "b": 4, "latency": 1.0, "gearbox_ab": [2, 1]},
+        {"a": 2, "b": 4, "latency": 1.5},
+        {"a": 3, "b": 4, "latency": 0.5, "gearbox_ab": [2, 1]},
+    ]
+    params = {
+        "p": 10, "d": 2, "omega_min": 0.1, "epoch": -25.0,
+        "theta0": [0.1, 0.3, 0.7, 0.45], "omega_u": [1.1, 1.4, 2.0, 1.2], "beta0": 50,
+    }
+    return load_config(json.dumps({
+        "topology": {"n_nodes": 4, "edges": edges},
+        "params": params,
+        "controller": {"kind": "proportional", "k_p": 0.01},
+        "run": {"t_max": 60.0, "output_grid": 0.5},
+    }))
+
+
+@pytest.mark.parametrize(
+    "make_cfg",
+    [
+        triangle3,
+        gearbox_pair,
+        lambda: dataclasses.replace(triangle3(), scenario=geared_triangle()),
+        alternating_gears,
+    ]
+    + [lambda seed=seed: random_scenario(random.Random(seed)) for seed in range(10)],
+    ids=["triangle3", "gearbox_pair", "geared_triangle", "alternating_gears"]
+    + [f"random{seed}" for seed in range(10)],
+)
+def test_measure_equals_the_generator_reference(make_cfg):
+    cfg = make_cfg()
+    sc = cfg.scenario
+    state = init_state(sc, make_controllers(cfg.controller, sc.topology.n_nodes))
+    if make_cfg is alternating_gears:
+        assert [g for *_, g in state.incoming[4]] == [Ratio(2, 1), 1, Ratio(2, 1)]
+    while state.queue[0][0] < 60.0:
+        rec = step(state)
+        reference = generator_measure(state, rec.node, rec.t_sample)
+        assert rec.measurement == measure(state, rec.node, rec.t_sample) == reference
+        assert type(rec.measurement) is tuple
+        assert all(type(j) is int and type(occ) is int for j, occ in rec.measurement)
 
 
 # -- stepping --------------------------------------------------------------------

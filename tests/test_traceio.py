@@ -1,5 +1,6 @@
 """The trace CSV writer and reader against their row-by-row references."""
 
+import dataclasses
 import json
 import math
 import random
@@ -174,6 +175,26 @@ def test_write_trace_leaves_no_table_with_a_short_series(tmp_path, short, table)
     with pytest.raises(ValueError):
         write_trace(hand_trace(short), tmp_path)
     assert not (tmp_path / table).exists()
+
+
+def test_failed_write_leaves_the_older_trace_whole(tmp_path):
+    # A trace with every theta shifted by 1 and the beta series of link
+    # (1, 2) one entry short, written over a whole trace, raises for
+    # buffers.csv; the directory must still hold the first trace, not its
+    # buffers under the new theta.
+    trace = run_config(triangle3(t_max=20.0))
+    write_trace(trace, tmp_path)
+    files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    first = read_trace(tmp_path)
+    broken = dataclasses.replace(
+        trace,
+        theta={i: [x + 1.0 for x in th] for i, th in trace.theta.items()},
+        beta={**trace.beta, (1, 2): trace.beta[(1, 2)][:-1]},
+    )
+    with pytest.raises(ValueError, match="buffers.csv"):
+        write_trace(broken, tmp_path)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == files
+    assert read_trace(tmp_path).theta == first.theta
 
 
 def test_read_trace_equals_reference_values(written):
