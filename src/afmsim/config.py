@@ -159,6 +159,8 @@ _INTEGER = ("an integer", _as_int)
 _GEARBOX = ("an integer, [num, den], or 'num/den' with a nonzero den", _as_gearbox)
 _CLAMP = ("[low, high] with low <= high", _as_clamp)
 _OBJECT = ("an object", lambda x: x if isinstance(x, dict) else None)
+# The gearbox of a link that names none; a Fraction is immutable, so links share it.
+_UNITY = Fraction(1)
 
 
 def _per_node(n: int | None):
@@ -288,7 +290,7 @@ def load_config(text: str) -> ScenarioConfig:
             if lat_ab is None or lat_ba is None:
                 r.bad("missing_field", f"{path}latency", "each direction needs a latency")
                 continue
-            gear_ab, gear_ba = r.per_direction(edge, "gearbox", path, _GEARBOX, Fraction(1))
+            gear_ab, gear_ba = r.per_direction(edge, "gearbox", path, _GEARBOX, _UNITY)
             b0_ab, b0_ba = r.per_direction(edge, "beta0", path, _INTEGER, default_beta0)
             if b0_ab is None or b0_ba is None:
                 r.bad(

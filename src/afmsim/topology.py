@@ -180,6 +180,7 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
         v.append(
             Violation("param_length", f"params.{field}", f"expected {n} per-node values, got {got}")
         )
+    omega_inits = (("omega_init1", params.omega_init1), ("omega_init2", params.omega_init2))
     # Node-indexed checks would misindex a field of the wrong length.
     for i in () if wrong_length else topology.nodes():
         th = params.theta0[i - 1]
@@ -211,8 +212,8 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
             v.append(
                 Violation("uncorrected_frequency_nonpositive", subject, f"omega_u={params.omega_u[i - 1]!r}")
             )
-        for field in ("omega_init1", "omega_init2"):
-            w = getattr(params, field)[i - 1]
+        for field, inits in omega_inits:
+            w = inits[i - 1]
             if w <= params.omega_min:
                 v.append(
                     Violation(
@@ -245,7 +246,9 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
                 v.append(Violation("link_unpaired", subject, f"reverse link ({b},{a}) missing"))
             if lk.latency <= 0.0:
                 v.append(Violation("latency_nonpositive", subject, f"latency={lk.latency!r}"))
-            if lk.gearbox <= 0:
+            # A Fraction's denominator is positive, so its numerator has its
+            # sign; comparing the ints skips Fraction's comparison dispatch.
+            if lk.gearbox.numerator <= 0:
                 v.append(Violation("gearbox_nonpositive", subject, f"gearbox={lk.gearbox}"))
             if lag is not None and params.epoch > (bound := -(lk.latency + lag)):
                 detail = f"epoch={params.epoch!r} must be <= {bound!r}"
@@ -265,7 +268,7 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
         # Gearboxes scale the phases that get floored, so the same boundary
         # guard that applies to theta0 must hold for the scaled phases too.
         g = lk.gearbox
-        if g == 1 or g <= 0 or not in_range:
+        if g.numerator == g.denominator or g.numerator <= 0 or not in_range:
             continue
         if not (_exact(g.numerator) and _exact(g.denominator)):
             v.append(Violation("value_out_of_range", f"{subject} gearbox", _INEXACT))

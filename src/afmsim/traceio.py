@@ -12,7 +12,10 @@ repeated runs of the same config are byte-identical across platforms. The
 CSVs are reporting artifacts: occupancies are exact integers, but phases and
 frequencies round-trip only to the printed precision. ``write_trace`` checks
 every series' length before it opens the first file, then streams each
-table's blocks from one ``%`` template per block.
+table's blocks from one ``%`` template per block; omega, constant over a
+segment, is formatted once per run of one float object. Each file goes to a
+temporary file first, and the trace's files are replaced only once all four
+are written, so a write that fails leaves an older trace whole.
 
 ``nodes.csv`` and ``buffers.csv`` are read back in blocks: a block is the run
 of rows that share one ``t``. ``read_trace`` requires each CSV file to start
@@ -24,19 +27,23 @@ blocks of ``buffers.csv`` must carry the ``t`` values of ``nodes.csv``; an
 event's kind must be ``overflow`` or ``underflow``, its link a key of
 ``buffers.csv`` and its time finite, and the events must come in the order
 of their times. A file that breaks this is a ``TraceError`` that names the
-file.
+file. The tables are read a chunk of rows at a time, with no per-row Python
+work: the field count is checked once per chunk, and each distinct
+occupancy text is parsed once per table.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
+from operator import add, is_not, sub
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .engine import FatalEvent, Trace
 
@@ -54,6 +61,10 @@ _EVENT_KINDS = ("overflow", "underflow")
 
 def fmt_num(x: float) -> str:
     return format(x, _SPEC)
+
+
+# ``fmt_num`` as a ``%`` conversion: ``_FORMAT % x == fmt_num(x)`` for every float.
+_FORMAT = f"%.{SIGNIFICANT_DIGITS}g"
 
 
 def _table(name: str, grid: list[str], values: str, series: Iterable[tuple]) -> tuple[str, list]:
@@ -75,20 +86,43 @@ def _table(name: str, grid: list[str], values: str, series: Iterable[tuple]) -> 
     return block, columns
 
 
+# Compared by identity before the first value, so the first value starts a run.
+_NO_VALUE = object()
+
+
+def _format_runs(xs: list[float]) -> Iterator[str]:
+    """``map(_FORMAT.__mod__, xs)``, formatting each run of one object once.
+
+    A run is compared by identity, not by value, so -0.0 after 0.0, or a
+    second NaN object, starts a new run and prints as it would alone.
+    """
+    n = len(xs)
+    starts = list(compress(range(n), map(is_not, xs, chain((_NO_VALUE,), xs))))
+    texts = map(_FORMAT.__mod__, map(xs.__getitem__, starts))
+    return chain.from_iterable(map(repeat, texts, map(sub, [*starts[1:], n], starts)))
+
+
 def write_trace(trace: Trace, out_dir: str | Path) -> dict[str, Path]:
     """Write the CSV set and metadata; returns the paths by file name.
 
     Every series' length is checked, and the text of ``events.csv`` and
-    ``meta.json`` made, before the first file is opened. So a trace with a
-    short series raises and leaves a trace already in ``out_dir`` as it was,
-    not mixed with files of its own.
+    ``meta.json`` made, before the first file is opened. Each file is then
+    written to a temporary file in ``out_dir``, and the four replace the
+    trace's files only once all of them are written. So a trace with a short
+    series, or with a value that does not format, raises and leaves a trace
+    already in ``out_dir`` as it was, not mixed with files of its own, and
+    leaves no temporary file behind.
+
+    The grid is formatted once for both tables. ``sweep_slope`` gives every
+    grid point of a segment the same omega object, so omega is formatted
+    once per run of that object.
     """
-    grid = list(map(fmt_num, trace.grid))
+    grid = list(map(_FORMAT.__mod__, trace.grid))
     tables = {
         "nodes.csv": _table(
             "nodes.csv",
             grid,
-            f"%.{SIGNIFICANT_DIGITS}g,%.{SIGNIFICANT_DIGITS}g",
+            f"{_FORMAT},%s",
             ((i, trace.theta[i], trace.omega[i]) for i in sorted(trace.theta)),
         ),
         "buffers.csv": _table(
@@ -98,6 +132,9 @@ def write_trace(trace: Trace, out_dir: str | Path) -> dict[str, Path]:
             ((f"{a},{b}", trace.beta[(a, b)], trace.gamma[(a, b)]) for (a, b) in sorted(trace.beta)),
         ),
     }
+    # Each omega column, its length checked, formatted as the file is written.
+    nodes_columns = tables["nodes.csv"][1]
+    nodes_columns[2::3] = map(_format_runs, nodes_columns[2::3])
 
     lines = [_HEADERS["events.csv"]]
     for ev in trace.fatal_events:
@@ -117,12 +154,20 @@ def write_trace(trace: Trace, out_dir: str | Path) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / name for name in ("nodes.csv", "buffers.csv", "events.csv", "meta.json")}
-    for name, (block, columns) in tables.items():
-        with open(paths[name], "w", encoding="utf-8", newline="") as f:
-            f.write(_HEADERS[name] + "\n")
-            f.writelines(map(block.__mod__, zip(*columns)))
-    for name, text in texts.items():
-        paths[name].write_text(text, encoding="utf-8", newline="")
+    temps = {name: out / f".{name}.{os.getpid()}.tmp" for name in paths}
+    try:
+        for name, (block, columns) in tables.items():
+            with open(temps[name], "w", encoding="utf-8", newline="") as f:
+                f.write(_HEADERS[name] + "\n")
+                f.writelines(map(block.__mod__, zip(*columns)))
+        for name, text in texts.items():
+            temps[name].write_text(text, encoding="utf-8", newline="")
+        for name, temp in temps.items():
+            os.replace(temp, paths[name])
+    except BaseException:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+        raise
     return paths
 
 
@@ -144,10 +189,14 @@ def _parsing(path: Path):
 _CHUNK_ROWS = 1024
 
 
-def _ints(texts: list[str]) -> Iterable[int]:
-    """``map(int, texts)``, parsing each distinct text once, first ones first."""
-    memo = {text: int(text) for text in dict.fromkeys(texts)}
-    return map(memo.__getitem__, texts)
+def _ints(memo: dict[str, int], texts: list[str]) -> Iterable[int]:
+    """``map(int, texts)``, parsing only the texts not yet in ``memo``, each
+    once and in order of first occurrence, so the first bad text is named."""
+    try:
+        return list(map(memo.__getitem__, texts))
+    except KeyError:
+        memo.update({text: int(text) for text in dict.fromkeys(texts) if text not in memo})
+        return map(memo.__getitem__, texts)
 
 
 def _read_table(
@@ -161,8 +210,16 @@ def _read_table(
     The first block gives the block size and the keys. The rows are then read
     and split a chunk of whole blocks at a time, and each key's columns are
     sliced out of the chunk by stride and converted by ``convert`` (occupancies
-    repeat, so ``_ints`` parses each distinct text of a slice once). A row's
-    last field keeps its "\n", which ``int`` and ``float`` allow.
+    repeat, so ``read_trace`` gives ``_ints`` one memo for the whole table). A
+    row's last field keeps its "\n", which ``int`` and ``float`` allow.
+
+    Every row has ``width`` fields exactly when the chunk splits into
+    ``len(chunk) * width`` fields and every "\n" of the chunk lies in a field
+    that ends a row, one at ``width - 1`` modulo ``width``. This is exact: a
+    line read from a file holds at most one "\n", at its end, and only the
+    file's last line may lack it. So the rows before each "\n" hold a
+    multiple of ``width`` fields, each row holds at least one field, and the
+    total leaves room for no more than ``width`` per row.
     """
     header = _HEADERS[path.name]
     width = header.count(",") + 1
@@ -195,11 +252,13 @@ def _read_table(
         step = size * max(1, _CHUNK_ROWS // size)
         done = 0
         while chunk := list(islice(rows, step)):
-            if set(map(str.count, chunk, repeat(","))) != {width - 1}:
+            joined = ",".join(chunk)
+            fields = joined.split(",")
+            ends = "".join(fields[width - 1 :: width])
+            if len(fields) != len(chunk) * width or ends.count("\n") != joined.count("\n"):
                 raise ValueError(f"a row without exactly {width} fields")
             if len(chunk) % size:
                 raise ValueError(f"the rows do not fill blocks of {size} rows")
-            fields = ",".join(chunk).split(",")
             ts = fields[::stride]
             for j, key in enumerate(keys):
                 at = j * width
@@ -245,7 +304,7 @@ def read_trace(trace_dir: str | Path) -> Trace:
     omega = {i: om for (i,), (_, om) in series.items()}
 
     with _parsing(d / "buffers.csv"):
-        _, series = _read_table(d / "buffers.csv", _ints, grid)
+        _, series = _read_table(d / "buffers.csv", partial(_ints, {}), grid)
     beta = {key: b for key, (b, _) in series.items()}
     gamma = {key: g for key, (_, g) in series.items()}
 
@@ -331,7 +390,8 @@ def summarize(trace: Trace) -> Summary:
         fwd = trace.beta[(a, b)]
         rev = trace.beta[(b, a)]
         base = fwd[0] + rev[0]
-        pair_dev[(a, b)] = max(abs(f + r - base) for f, r in zip(fwd, rev))
+        sums = list(map(add, fwd, rev))
+        pair_dev[(a, b)] = max(max(sums) - base, base - min(sums))
     return Summary(
         t_final=trace.grid[-1],
         freq_final=freq_final,

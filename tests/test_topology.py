@@ -158,6 +158,23 @@ def test_gearbox_phase_boundary_guard():
     assert "gearbox_phase_boundary" in got
 
 
+@pytest.mark.parametrize(
+    "gearbox, want",
+    [
+        (Fraction(10, 10), []),
+        (Fraction(0), ["gearbox_nonpositive"]),
+        (Fraction(-10), ["gearbox_nonpositive"]),
+        (Fraction(10), ["gearbox_phase_boundary", "gearbox_phase_boundary"]),
+    ],
+    ids=["10/10", "0", "-10", "10"],
+)
+def test_unity_and_nonpositive_gearboxes_skip_the_phase_guard(gearbox, want):
+    # theta0 = 0.1 scaled by 0, -10 or 10 is an integer; unity scales nothing
+    links = dict(triangle_topology().links)
+    links[(1, 2)] = Link(latency=1.0, gearbox=gearbox)
+    assert names(check(Topology(3, links), triangle_params())) == want
+
+
 def test_validate_raises_with_all_violations():
     with pytest.raises(ValidationError) as err:
         validate(triangle_topology(), triangle_params(epoch=-1.0, theta0=(1.0, 0.1, 0.1)))

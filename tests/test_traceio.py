@@ -5,14 +5,16 @@ import json
 import math
 import random
 import re
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import pytest
 
+from afmsim import traceio
 from afmsim.config import load_config, run_config
 from afmsim.engine import FatalEvent, Trace
 from afmsim.scenarios import random_scenario, triangle3
-from afmsim.traceio import TraceError, fmt_num, read_trace, write_trace
+from afmsim.traceio import TraceError, fmt_num, read_trace, summarize, write_trace
 
 REPO = Path(__file__).resolve().parent.parent
 BUNDLED = REPO / "scenarios" / "triangle3.json"
@@ -170,6 +172,19 @@ def test_write_trace_prints_hard_values_as_the_reference(tmp_path):
     assert "nan" in (tmp_path / "trace" / "nodes.csv").read_text()
 
 
+def test_omega_is_formatted_per_object_not_per_value(tmp_path):
+    # Runs of one object next to equal values of other objects: 0.0 then
+    # -0.0, and NaNs that are one object or two.
+    zero, nan = -0.0, float("nan")
+    omega = [0.0, zero, zero, 0.0, nan, nan, float("nan"), 1e16]
+    trace = dataclasses.replace(hand_trace(), omega={1: omega, 2: omega[::-1]})
+    write_trace(trace, tmp_path / "trace")
+    reference_write(trace, tmp_path / "reference")
+    nodes = (tmp_path / "trace" / "nodes.csv").read_bytes()
+    assert nodes == (tmp_path / "reference" / "nodes.csv").read_bytes()
+    assert b",-0\n" in nodes and b",0\n" in nodes
+
+
 @pytest.mark.parametrize("short, table", [("theta", "nodes.csv"), ("beta", "buffers.csv")])
 def test_write_trace_leaves_no_table_with_a_short_series(tmp_path, short, table):
     with pytest.raises(ValueError):
@@ -195,6 +210,48 @@ def test_failed_write_leaves_the_older_trace_whole(tmp_path):
         write_trace(broken, tmp_path)
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == files
     assert read_trace(tmp_path).theta == first.theta
+
+
+@pytest.mark.parametrize("column", ["theta", "omega"])
+def test_value_that_does_not_format_leaves_the_older_trace_whole(tmp_path, column):
+    # Both are formatted while nodes.csv streams out, after buffers.csv and
+    # the other texts have been checked: the older trace must stay, and no
+    # temporary file may.
+    trace = run_config(triangle3(t_max=20.0))
+    write_trace(trace, tmp_path)
+    files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    series = getattr(trace, column)
+    broken = dataclasses.replace(trace, **{column: {**series, 3: [*series[3][:-1], "x"]}})
+    with pytest.raises(TypeError):
+        write_trace(broken, tmp_path)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == files
+
+
+def test_pair_deviation_is_the_largest_change_of_the_sum():
+    # The sums of edge 1--2 go 10, 11, 12, 7, 11: furthest below the start.
+    # Those of edge 1--3 go 4, 2, 9, 6, 3: furthest above it. Edge 2--3 has
+    # only one direction, and the hand trace's sums reach past 2**64.
+    beta = {
+        (1, 2): [5, 3, 8, 1, 6],
+        (2, 1): [5, 8, 4, 6, 5],
+        (1, 3): [4, 0, 5, 6, 0],
+        (3, 1): [0, 2, 4, 0, 3],
+        (2, 3): [1, 1, 1, 1, 1],
+    }
+    nodes = {i: [1.0] * 5 for i in (1, 2, 3)}
+    grid = [0.0, 1.0, 2.0, 3.0, 4.0]
+    trace = Trace(
+        knots={}, samples=[], grid=grid, theta=nodes, omega=nodes, beta=beta, gamma=beta,
+        fatal_events=[],
+    )
+    assert summarize(trace).pair_max_sum_deviation == {(1, 2): 3, (1, 3): 5}
+    for case in (trace, hand_trace()):
+        want = {}
+        for (a, b), fwd in sorted(case.beta.items()):
+            if a < b and (b, a) in case.beta:
+                rev = case.beta[(b, a)]
+                want[(a, b)] = max(abs(f + r - (fwd[0] + rev[0])) for f, r in zip(fwd, rev))
+        assert summarize(case).pair_max_sum_deviation == want
 
 
 def test_read_trace_equals_reference_values(written):
@@ -252,6 +309,43 @@ LAYOUT_ERRORS = {
         ],
         "invalid literal for int() with base 10: '2.5'",
     ),
+    # the same on link 1->2 every 10 blocks of the third chunk (lines 2041
+    # on), after the first two chunks have filled the table's memo
+    "beta_not_an_integer_in_third_chunk": (
+        "buffers.csv",
+        lambda lines: [
+            _with_beta(line, _BAD_BETA[(k - 2101) // 60]) if k >= 2101 and k % 60 == 1 else line
+            for k, line in enumerate(lines)
+        ],
+        "invalid literal for int() with base 10: '2.5'",
+    ),
+    "short_row": (
+        "nodes.csv", lambda lines: [*lines[:50], lines[50].partition(",")[2], *lines[51:]],
+        "a row without exactly 4 fields",
+    ),
+    "long_row": (
+        "buffers.csv", lambda lines: [*lines[:50], "1," + lines[50], *lines[51:]],
+        "a row without exactly 5 fields",
+    ),
+    # gamma moved from row 50 to the end of row 51: the chunk still has
+    # 5 fields per row on average
+    "short_row_then_long_row": (
+        "buffers.csv",
+        lambda lines: [
+            *lines[:50],
+            lines[50].rpartition(",")[0] + "\n",
+            lines[51][:-1] + "," + lines[50].rpartition(",")[2],
+            *lines[52:],
+        ],
+        "a row without exactly 5 fields",
+    ),
+    "empty_middle_line": (
+        "nodes.csv", lambda lines: [*lines[:600], "\n", *lines[600:]],
+        "a row without exactly 4 fields",
+    ),
+    "final_row_dropped": (
+        "buffers.csv", lambda lines: lines[:-1], "the rows do not fill blocks of 6 rows"
+    ),
     # the theta of the last row
     "theta_not_finite": (
         "nodes.csv",
@@ -266,6 +360,149 @@ def test_read_trace_rejects_layout(tmp_path, case):
     name, damage, reason = LAYOUT_ERRORS[case]
     write_trace(TRACES["triangle3"](), tmp_path)
     lines = (tmp_path / name).read_text().splitlines(keepends=True)
+    assert len(lines) == {"nodes.csv": 1204, "buffers.csv": 2407}[name]
     (tmp_path / name).write_text("".join(damage(lines)))
     with pytest.raises(TraceError, match="^" + re.escape(f"{tmp_path / name}: {reason}")):
         read_trace(tmp_path)
+
+
+# Line endings read_trace accepts: each edit leaves every value as it was.
+LINE_ENDINGS = {
+    "no_final_newline": lambda text: text[:-1],
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LINE_ENDINGS))
+def test_read_trace_accepts_line_endings(tmp_path, case):
+    write_trace(TRACES["triangle3"](), tmp_path)
+    original = read_trace(tmp_path)
+    for name in CSV_FILES:
+        data = (tmp_path / name).read_bytes().decode()
+        (tmp_path / name).write_bytes(LINE_ENDINGS[case](data).encode())
+    back = read_trace(tmp_path)
+    for field in ("grid", "theta", "omega", "beta", "gamma", "fatal_events"):
+        assert _exact(getattr(back, field)) == _exact(getattr(original, field)), field
+
+
+def chunked_reference(path, grid=None):
+    """The chunked table reader that checks each row's field count with
+    ``str.count`` and parses the occupancies of each column slice with a
+    memo of its own; values converted as ``read_trace`` converts them."""
+    header = traceio._HEADERS[path.name]
+    width = header.count(",") + 1
+    n_key = width - 3
+
+    def convert(texts):
+        if path.name == "nodes.csv":
+            return map(float, texts)
+        memo = {text: int(text) for text in dict.fromkeys(texts)}
+        return map(memo.__getitem__, texts)
+
+    t = [] if grid is None else grid
+    with open(path, encoding="utf-8") as f:
+        if f.readline() != header + "\n":
+            raise ValueError(f"the header is not {header!r}")
+        block = f.readline()
+        if not block:
+            return t, {}
+        t0 = block.partition(",")[0] + ","
+        block = [block]
+        rows = iter(f)
+        for line in rows:
+            if not line.startswith(t0):
+                rows = chain([line], rows)
+                break
+            block.append(line)
+        size = len(block)
+        key_text = [line.split(",")[1 : 1 + n_key] for line in block]
+        keys = [tuple(map(int, text)) for text in key_text]
+        if keys != sorted(set(keys)):
+            raise ValueError("keys out of order in the first block")
+        rows = chain(block, rows)
+        del block
+
+        series = {key: ([], []) for key in keys}
+        stride = size * width
+        step = size * max(1, traceio._CHUNK_ROWS // size)
+        done = 0
+        while chunk := list(islice(rows, step)):
+            if set(map(str.count, chunk, repeat(","))) != {width - 1}:
+                raise ValueError(f"a row without exactly {width} fields")
+            if len(chunk) % size:
+                raise ValueError(f"the rows do not fill blocks of {size} rows")
+            fields = ",".join(chunk).split(",")
+            ts = fields[::stride]
+            for j, key in enumerate(keys):
+                at = j * width
+                if fields[at::stride] != ts:
+                    raise ValueError("t differs within a block")
+                for c, text in enumerate(key_text[j], at + 1):
+                    if fields[c::stride].count(text) != len(ts):
+                        raise ValueError("a block's keys differ from the first block's")
+                first, second = series[key]
+                first.extend(convert(fields[at + n_key + 1 :: stride]))
+                second.extend(convert(fields[at + n_key + 2 :: stride]))
+            blocks = list(map(float, ts))
+            if not all(map(math.isfinite, blocks)):
+                raise ValueError("a block time is not finite")
+            if grid is None:
+                t += blocks
+            elif blocks != grid[done : done + len(blocks)]:
+                raise ValueError("t differs from the nodes.csv grid")
+            done += len(blocks)
+    if done != len(t):
+        raise ValueError(f"{done} blocks for {len(t)} points in the nodes.csv grid")
+    if t != sorted(t):
+        raise ValueError("blocks out of order in t")
+    return t, series
+
+
+def _mutate(rng, data):
+    """``data`` with one edit after the header: a ``,``, ``\\n``, ``\\r`` or
+    digit inserted or deleted, or a row's last field moved to the end of the
+    next row, so that one row is short and the next long."""
+    start = data.index("\n") + 1
+    kind = rng.randrange(3)
+    if kind == 0:
+        at = rng.randrange(start, len(data) + 1)
+        return data[:at] + rng.choice(",\n\r0123456789") + data[at:]
+    if kind == 1:
+        at = rng.choice([k for k in range(start, len(data)) if data[k] in ",\n\r0123456789"])
+        return data[:at] + data[at + 1 :]
+    lines = data.splitlines(keepends=True)
+    k = rng.randrange(1, len(lines) - 1)
+    head, _, last = lines[k].rpartition(",")
+    lines[k : k + 2] = [head + "\n", lines[k + 1][:-1] + "," + last]
+    return "".join(lines)
+
+
+def _outcome(trace_dir):
+    try:
+        back = read_trace(trace_dir)
+    except TraceError as exc:
+        return ("error", str(exc))
+    return ("read", _exact([back.grid, back.theta, back.omega, back.beta, back.gamma]))
+
+
+def test_read_trace_equals_the_chunked_reference(tmp_path, monkeypatch):
+    # Small chunks, so a 121-block trace spans many of them and an edit can
+    # fall on either side of a chunk boundary.
+    monkeypatch.setattr(traceio, "_CHUNK_ROWS", 64)
+    write_trace(run_config(triangle3(t_max=60.0)), tmp_path)
+    texts = {name: (tmp_path / name).read_bytes().decode() for name in CSV_FILES[:2]}
+    rng = random.Random(25)
+    kinds = set()
+    for _ in range(300):
+        name = rng.choice(CSV_FILES[:2])
+        damaged = _mutate(rng, texts[name])
+        (tmp_path / name).write_bytes(damaged.encode())
+        got = _outcome(tmp_path)
+        with monkeypatch.context() as m:
+            m.setattr(traceio, "_read_table", lambda path, _, grid=None: chunked_reference(path, grid))
+            want = _outcome(tmp_path)
+        assert got == want, (name, damaged)
+        kinds.add("read" if got[0] == "read" else " ".join(got[1].split(": ", 1)[1].split()[:3]))
+        (tmp_path / name).write_bytes(texts[name].encode())
+    # reads of edited files, and several kinds of rejection
+    assert {"read", "a row without"} <= kinds and len(kinds) >= 5, kinds
