@@ -3,7 +3,10 @@
 Frame counts are differences of gearbox-scaled phase floors (``phase``),
 offset on a buffer by the conserved per-link integer of ``compute_lambdas``.
 ``measure`` writes that closed form for one time, once per step;
-``occupancy_series`` writes it for a list of times.
+``occupancy_series`` writes it for a list of times. That list is checked
+only by the sweep of each node over it; each source is then read one
+latency back in a single pass (``phase.shifted_floors``) that checks only
+its two shifted ends.
 
 Each trajectory starts from three knots, ``(epoch, theta0 + omega_init2 *
 epoch)``, ``(0, theta0)`` and ``(d / omega_init1, theta0 + d)``: the history
@@ -37,7 +40,7 @@ from operator import sub
 from typing import Iterator, NamedTuple
 
 from .controllers import Controller, ControllerSpec, is_admissible, make_controllers
-from .phase import Gearbox, resolve, scaled_floor, scaled_floors
+from .phase import Gearbox, resolve, scaled_floor, scaled_floors, shifted_floors
 from .topology import Scenario
 from .trajectory import AdmissibilityError, ClockTrajectory, sweep_eval, sweep_slope
 
@@ -274,11 +277,14 @@ def occupancy_series(
     ``(link, beta, gamma)`` one link at a time. Beta is a list; gamma is an
     iterator, so a caller that reads only beta does not pay for it.
 
-    Each trajectory is swept once over ``ts`` (``sweep_eval``) and floored as
-    a whole list (``scaled_floors``) once per gearbox. The frames sent, the
-    source's floors at ``ts`` less the latency, are made once per run of
-    consecutive links with one source, latency and gearbox, held for that run
-    only. This is the list copy of the closed form: the output grid, the
+    Each trajectory is swept once over ``ts`` (``sweep_eval``), which checks
+    the list: ascending, free of NaN, inside that node's domain. No later
+    pass checks it again. The node phases are floored as a whole list
+    (``scaled_floors``) once per gearbox. The frames sent, the source's
+    floors at ``ts`` less the latency, are one pass of ``shifted_floors`` per
+    run of consecutive links with one source, latency and gearbox, held for
+    that run only; it checks only the two shifted ends against the source's
+    domain. This is the list copy of the closed form: the output grid, the
     sample times of ``oracle.compare`` and the time zero of
     ``compute_lambdas`` read it.
     """
@@ -294,7 +300,7 @@ def occupancy_series(
             g, latency, lam_ab = gears[(a, b)], topo.links[(a, b)].latency, lam[(a, b)]
             if (a, latency, g) != last:  # sorted links: a source's run of out-links
                 last = (a, latency, g)
-                sent = scaled_floors(g, sweep_eval(trajectories[a], [t - latency for t in ts]))
+                sent = shifted_floors(trajectories[a], g, ts, latency)
             beta = [s - c + lam_ab for s, c in zip(sent, floors[(b, g)])]
             yield (a, b), beta, map(sub, floors[(a, g)], sent)
 

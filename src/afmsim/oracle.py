@@ -35,7 +35,8 @@ sample times once, takes the closed form at them from
 ``engine.occupancy_series``, the same function that gives ``build_trace``
 its beta and gamma on the output grid, so ``verify`` checks the code that
 writes ``buffers.csv`` and not a copy of it, and reads the replayed frames
-from ``occupancies``. The occupancy a violation reports is read from
+from the count of ``occupancies``, without checking the sorted list again
+for each link. The occupancy a violation reports is read from
 ``occupancies`` too, so one count stands behind every number the replay
 gives.
 """
@@ -83,6 +84,11 @@ class LinkReplay:
         # Pairing the last time with itself also rejects a lone NaN.
         if not all(map(le, ts, ts[1:] + ts[-1:])):
             raise ValueError("occupancy times must be ascending and not NaN")
+        return self._count(ts)
+
+    def _count(self, ts: list[float]) -> list[int]:
+        """``occupancies`` without its check, for times the caller already
+        knows are ascending and free of NaN."""
         # A NaN ends each list: no comparison with it is true, so neither walk
         # runs past its last event, not even at t = inf.
         arrivals = iter(self.arrival_times + [nan])
@@ -100,10 +106,6 @@ class LinkReplay:
                 c = next(consumes)
             append(n)
         return out
-
-    def occupancy(self, t: float) -> int:
-        """``occupancies`` at the one time t."""
-        return self.occupancies([t])[0]
 
     def first_underflow(self) -> float | None:
         """The first consumption after which the count is negative, or None.
@@ -177,8 +179,8 @@ def replay(
     first consumption that leaves it negative, and the first overflow at the
     first arrival up to ``horizon`` that leaves it above capacity. Those are
     found by pairing consumptions with arrivals (``LinkReplay.first_underflow``
-    and ``first_overflow``); the occupancy reported with each is
-    ``LinkReplay.occupancy`` at its time.
+    and ``first_overflow``); the occupancy reported with each is the count
+    of ``LinkReplay.occupancies`` at its time, the one ``compare`` reads.
     """
     topo = scenario.topology
     cover = min(trajectories[i].max_dom() for i in topo.nodes())
@@ -215,9 +217,9 @@ def replay(
         )
         links[(a, b)] = lr
         if (t := lr.first_underflow()) is not None:
-            violations.append(FatalEvent("underflow", (a, b), t, lr.occupancy(t)))
+            violations.append(FatalEvent("underflow", (a, b), t, lr._count([t])[0]))
         if cap is not None and (t := lr.first_overflow(cap, horizon)) is not None:
-            violations.append(FatalEvent("overflow", (a, b), t, lr.occupancy(t)))
+            violations.append(FatalEvent("overflow", (a, b), t, lr._count([t])[0]))
     violations.sort(key=lambda ev: (ev.t, ev.link, ev.kind))
     return ReplayResult(links=links, violations=violations, horizon=horizon)
 
@@ -249,15 +251,19 @@ def compare(
 
     The sample times up to the horizon are sorted once. The closed form is
     ``engine.occupancy_series`` of the sorted times, the function that
-    writes beta and gamma on the output grid; the oracle count is
-    ``LinkReplay.occupancies`` of the same times.
+    writes beta and gamma on the output grid; the oracle count is the count
+    of ``LinkReplay.occupancies`` at the same times. The list is right once
+    it is made: the filter drops a NaN (it fails ``<= horizon``), sorting
+    makes the rest ascending, and the node sweeps of ``occupancy_series``
+    reject a time outside the trajectories. So every link is counted
+    without checking the list again.
     """
     lam = compute_lambdas(scenario, trajectories)
     ts = sorted(rec.t_sample for rec in trace.samples if rec.t_sample <= result.horizon)
     mismatches: list[Mismatch] = []
     _, series = occupancy_series(scenario, trajectories, lam, ts)
     for link, formula, _ in series:
-        oracle = result.links[link].occupancies(ts)
+        oracle = result.links[link]._count(ts)
         if oracle != formula:
             mismatches += [
                 Mismatch(t, link, o, f) for t, o, f in zip(ts, oracle, formula) if o != f

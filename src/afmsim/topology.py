@@ -237,6 +237,10 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
     for (a, b), lk in sorted(links.items()):
         subject = f"link ({a},{b})"
         in_range = 1 <= a <= n and 1 <= b <= n
+        # Only exact ratios are gearboxes; a float has no numerator to read.
+        # The identity test passes the usual Fraction at the lowest cost.
+        g = lk.gearbox
+        gear_ok = type(g) is Fraction or isinstance(g, (int, Fraction))
         if a == b:
             v.append(Violation("self_link", subject, "links must join distinct nodes"))
         elif not in_range:
@@ -246,10 +250,13 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
                 v.append(Violation("link_unpaired", subject, f"reverse link ({b},{a}) missing"))
             if lk.latency <= 0.0:
                 v.append(Violation("latency_nonpositive", subject, f"latency={lk.latency!r}"))
+            if not gear_ok:
+                detail = f"expected an int or a Fraction, got {g!r}"
+                v.append(Violation("wrong_type", f"{subject} gearbox", detail))
             # A Fraction's denominator is positive, so its numerator has its
             # sign; comparing the ints skips Fraction's comparison dispatch.
-            if lk.gearbox.numerator <= 0:
-                v.append(Violation("gearbox_nonpositive", subject, f"gearbox={lk.gearbox}"))
+            elif g.numerator <= 0:
+                v.append(Violation("gearbox_nonpositive", subject, f"gearbox={g}"))
             if lag is not None and params.epoch > (bound := -(lk.latency + lag)):
                 detail = f"epoch={params.epoch!r} must be <= {bound!r}"
                 v.append(Violation("epoch_too_late", subject, detail))
@@ -267,8 +274,7 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
 
         # Gearboxes scale the phases that get floored, so the same boundary
         # guard that applies to theta0 must hold for the scaled phases too.
-        g = lk.gearbox
-        if g.numerator == g.denominator or g.numerator <= 0 or not in_range:
+        if not (gear_ok and in_range) or g.numerator == g.denominator or g.numerator <= 0:
             continue
         if not (_exact(g.numerator) and _exact(g.denominator)):
             v.append(Violation("value_out_of_range", f"{subject} gearbox", _INEXACT))

@@ -117,6 +117,26 @@ def test_counters_out_of_domain():
         series_on_two_nodes(traj, traj, [0.5])
 
 
+@pytest.mark.parametrize(
+    "ts, error",
+    [
+        ([0.0, math.nan, 1.0], DomainError),
+        ([math.nan], DomainError),
+        ([2.0, 1.0], ValueError),
+        ([0.0, 1.0, 0.5], ValueError),
+        # in every node's domain, but one latency back is before the first knot
+        ([-29.5, 0.0], DomainError),
+    ],
+    ids=["nan", "lone_nan", "descending", "one_step_back", "shifted_before_epoch"],
+)
+def test_occupancy_series_errors(ts, error):
+    # The node sweeps check the list; a source is checked at its shifted ends.
+    traj = line(1.0, 0.0)
+    with pytest.raises(ValueError) as caught:
+        series_on_two_nodes(traj, traj, ts)
+    assert type(caught.value) is error
+
+
 def test_buffer_occupancy_identical_clocks_is_constant():
     a, b = line(1.0, 0.5), line(1.0, 0.5)
     beta, _ = series_on_two_nodes(a, b, [0.2, 1.3, 4.9, 7.7], lam=8)

@@ -7,7 +7,7 @@ import sys
 from graphlib import TopologicalSorter
 
 import afmsim
-from afmsim import engine
+from afmsim import engine, oracle, phase
 
 from conftest import SRC, src_env
 
@@ -44,19 +44,46 @@ def test_modules_are_layered_without_cycles():
         assert run.returncode == 0, run.stderr
 
 
-def test_engine_floors_phases_only_in_measure_and_occupancy_series():
-    # The closed form has one scalar copy (``measure``, once per step) and one
-    # list copy (``occupancy_series``); the scalar helpers are gone.
-    tree = ast.parse((SRC / "afmsim" / "engine.py").read_text(encoding="utf-8"))
-    floors = {"scaled_floor", "scaled_floors"}
-    callers = {
-        getattr(top, "name", None)
+def called_names(tree):
+    """``(top-level definition, called name)`` for every call in ``tree``."""
+    return {
+        (getattr(top, "name", None), getattr(node.func, "id", getattr(node.func, "attr", None)))
         for top in tree.body
         for node in ast.walk(top)
         if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) in floors
     }
+
+
+def test_engine_floors_phases_only_in_measure_and_occupancy_series():
+    # The closed form has one scalar copy (``measure``, once per step) and one
+    # list copy (``occupancy_series``); the scalar helpers are gone. Every
+    # floor helper of ``phase`` counts, the one-pass source floor included.
+    tree = ast.parse((SRC / "afmsim" / "engine.py").read_text(encoding="utf-8"))
+    floors = {"scaled_floor", "scaled_floors", "shifted_floors"}
+    assert all(callable(getattr(phase, name)) for name in floors)
+    callers = {top for top, name in called_names(tree) if name in floors}
     assert callers == {"measure", "occupancy_series"}
     for name in ("buffer_occupancy", "link_occupancy"):
         assert name not in afmsim.__all__
         assert not hasattr(engine, name)
+
+
+def test_no_phase_is_floored_outside_phase():
+    # The one rounding path: the modules that read phases floor them only
+    # through ``phase``, never with a floor of their own.
+    for module in ("engine", "oracle", "trajectory"):
+        tree = ast.parse((SRC / "afmsim" / f"{module}.py").read_text(encoding="utf-8"))
+        assert "floor" not in {name for _, name in called_names(tree)}, module
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert "floor" not in imported, module
+
+
+def test_the_one_time_occupancy_is_gone():
+    # The replay reads every occupancy through ``LinkReplay.occupancies``.
+    assert not hasattr(oracle.LinkReplay, "occupancy")
+    assert "occupancy" not in afmsim.__all__

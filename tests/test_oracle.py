@@ -50,6 +50,11 @@ def count(lr, t):
     return lr.initial + bisect_right(lr.arrival_times, t) - bisect_right(lr.consume_times, t)
 
 
+def occupancy(lr, t):
+    """``LinkReplay.occupancies`` at the one time t."""
+    return lr.occupancies([t])[0]
+
+
 def event_times(lr, horizon):
     return [t for t in lr.arrival_times if t <= horizon] + lr.consume_times
 
@@ -120,9 +125,9 @@ def test_identical_nodes_constant_occupancy(zero_spec):
     for key in ((1, 2), (2, 1)):
         lr = result.links[key]
         assert lr.initial == 7
-        assert all(lr.occupancy(t) == 7 for t in event_times(lr, 60.0))
+        assert all(occupancy(lr, t) == 7 for t in event_times(lr, 60.0))
         for t in (0.0, 0.25, 7.5, 59.9):
-            assert lr.occupancy(t) == 7
+            assert occupancy(lr, t) == 7
     assert result.violations == []
 
 
@@ -138,7 +143,7 @@ def test_same_instant_arrival_and_consumption_cancel(zero_spec):
         arrivals = [t for t in lr.arrival_times if t <= 60.0]
         assert len(arrivals) == 60
         assert set(arrivals) <= set(lr.consume_times)
-        assert all(lr.occupancy(t) == 0 for t in event_times(lr, 60.0))
+        assert all(occupancy(lr, t) == 0 for t in event_times(lr, 60.0))
 
 
 @pytest.mark.parametrize(
@@ -164,7 +169,7 @@ def test_occupancies_equal_the_local_count(arrivals, consumes, ts, want):
     lr = LinkReplay(initial=3, send_times=[], arrival_times=arrivals, consume_times=consumes)
     assert [count(lr, t) for t in ts] == want
     assert lr.occupancies(ts) == want
-    assert [lr.occupancy(t) for t in ts] == want
+    assert [occupancy(lr, t) for t in ts] == want
 
 
 # Few distinct values, so arrivals, consumptions and query times often tie.
@@ -202,7 +207,7 @@ def test_occupancy_at_infinite_and_int_times(arrivals, consumes):
     ts = [-math.inf, 0, 1, 2, 2.0, 10, math.inf, math.inf]
     assert lr.occupancies(ts) == [count(lr, t) for t in ts]
     for t in ts:
-        assert lr.occupancy(t) == count(lr, t)
+        assert occupancy(lr, t) == count(lr, t)
 
 
 def scanned_bounds(lr, capacity, horizon):
@@ -257,7 +262,7 @@ def test_single_link_hand_count():
     for t in (0.4, 1.9, 3.3, 6.05, 9.9):
         sent = math.floor(th_s.eval(t - 1.0)) - math.floor(th_s.eval(-1.0))
         consumed = math.floor(th_r.eval(t)) - math.floor(th_r.eval(0.0))
-        assert result.links[(1, 2)].occupancy(t) == 5 + sent - consumed
+        assert occupancy(result.links[(1, 2)], t) == 5 + sent - consumed
 
 
 def test_replay_requires_coverage(zero_spec):
@@ -321,8 +326,8 @@ def test_counted_conservation_at_random_times():
         for _ in range(100):
             t = rng.uniform(0.0, 35.0)
             total = (
-                fwd.occupancy(t) + in_flight(fwd, t, lat_fwd)
-                + rev.occupancy(t) + in_flight(rev, t, lat_rev)
+                occupancy(fwd, t) + in_flight(fwd, t, lat_fwd)
+                + occupancy(rev, t) + in_flight(rev, t, lat_rev)
             )
             assert total == lam_sum
 

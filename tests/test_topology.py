@@ -322,3 +322,16 @@ def test_report_order_scalars_then_nodes_then_each_link():
         ("gearbox_phase_boundary", "link (2,3)"),
         ("gearbox_phase_boundary", "link (2,3)"),
     ]
+
+
+@pytest.mark.parametrize("gearbox", [2.0, 1.0], ids=["float_two", "float_one"])
+def test_float_gearbox_is_a_wrong_type(gearbox):
+    # A hand-built Link can hold any object; a float gearbox is reported,
+    # not read for a numerator it does not have.
+    links = dict(triangle_topology().links)
+    links[(1, 2)] = Link(latency=1.0, gearbox=gearbox)
+    got = check(Topology(3, links), triangle_params())
+    assert [(v.name, v.subject) for v in got] == [("wrong_type", "link (1,2) gearbox")]
+    assert repr(gearbox) in got[0].detail
+    with pytest.raises(ValidationError, match="wrong_type"):
+        validate(Topology(3, links), triangle_params())

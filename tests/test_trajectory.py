@@ -3,10 +3,12 @@
 import copy
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from afmsim.phase import Ratio, scaled_floor, scaled_floors, shifted_floors
 from afmsim.trajectory import (
     AdmissibilityError,
     ClockTrajectory,
@@ -333,3 +335,52 @@ def test_sweeps_write_nothing():
     sweep_eval(traj, [0.0, 0.5, 1.0, 2.0])
     sweep_slope(traj, [0.0, 0.5, 1.0, 2.0])
     assert {name: getattr(traj, name) for name in ClockTrajectory.__slots__} == before
+
+
+# -- the one-pass source floor ---------------------------------------------------
+
+GEARBOXES = [1, Ratio(2, 1), Ratio(3, 2), Ratio(1, 2), Ratio(7, 5), Fraction(2, 3)]
+
+
+def exact_shifts(points, latency):
+    """The times t with ``t - latency`` exactly one of ``points``."""
+    return [t for t in (p + latency for p in points) if t - latency in points]
+
+
+@given(
+    trajectories(),
+    st.sampled_from(GEARBOXES),
+    st.sampled_from([0.0, 0.5, 1.0, 0.3, 2.75]),
+    st.data(),
+)
+def test_shifted_floors_equal_pointwise_floors(traj, gearbox, latency, data):
+    lo, hi = traj.times[0], traj.max_dom()
+    ts = [t + latency for t in data.draw(st.lists(st.floats(lo, hi), max_size=40))]
+    # knots, the last one among them, several times over
+    knots = data.draw(st.lists(st.sampled_from(traj.times), max_size=8))
+    ts += exact_shifts(knots + [lo, hi, hi], latency)
+    ts = sorted(t for t in ts if lo <= t - latency <= hi)
+    want = [scaled_floor(gearbox, traj.eval(t - latency)) for t in ts]
+    assert shifted_floors(traj, gearbox, ts, latency) == want
+    assert scaled_floors(gearbox, sweep_eval(traj, [t - latency for t in ts])) == want
+
+
+@pytest.mark.parametrize("gearbox", GEARBOXES)
+@pytest.mark.parametrize("latency", [0.0, 1.0])
+def test_shifted_floors_on_knots_and_repeats(gearbox, latency):
+    # Integer knots make every phase at a knot a frame boundary, where the
+    # stored value and not an interpolation must be floored.
+    traj = make([(-2.0, -3.0), (0.0, 0.0), (1.0, 2.0), (3.0, 3.0), (4.0, 6.0)])
+    shifted = [-2.0, -2.0, -1.0, 0.0, 0.0, 0.5, 1.0, 2.0, 2.999, 3.0, 3.0, 4.0, 4.0]
+    ts = [t + latency for t in shifted]
+    want = [scaled_floor(gearbox, traj.eval(t)) for t in shifted]
+    assert shifted_floors(traj, gearbox, ts, latency) == want
+    assert shifted_floors(traj, gearbox, [], latency) == []
+
+
+@pytest.mark.parametrize("ts", [[-1.5, 0.0], [0.5, 3.6], [-3.0], [4.0]])
+def test_shifted_floors_check_the_shifted_ends(ts):
+    # A time one latency back that leaves the domain [-1, 2] at either end
+    traj = make([(-1.0, 0.5), (0.0, 1.5), (2.0, 2.5)])
+    with pytest.raises(DomainError, match="outside domain"):
+        shifted_floors(traj, 1, ts, 1.5)
