@@ -13,10 +13,12 @@ epoch)``, ``(0, theta0)`` and ``(d / omega_init1, theta0 + d)``: the history
 from the epoch and the stretch up to the first actuation (``init_state``).
 The loop always extends the trajectory whose domain ends earliest: sample at
 the phase ``k*p`` ticks past theta0, apply the correction ``d`` ticks later,
-append one knot per step. A binary heap keyed on ``(max_dom, id)`` picks that
-trajectory in O(log N) per step. Ties go to the smallest node id; the solution
-is unique, so the choice cannot matter, and a test that relabels the nodes in
-reverse order (so ties fall the other way) shows it.
+append one knot per step. So the knots are the loop's whole per-node state:
+node i's step index ``k`` is its knot count less three. A binary heap keyed
+on ``(max_dom, id)`` picks that trajectory in O(log N) per step. Ties go to
+the smallest node id; the solution is unique, so the choice cannot matter,
+and a test that relabels the nodes in reverse order (so ties fall the other
+way) shows it.
 
 Readiness: a step of node i samples at ``t_sample``, before the end of its own
 domain, and reads each in-neighbour j only at ``t_sample - latency(j, i)``. So
@@ -77,14 +79,15 @@ class SystemState:
     (j, i) into node i, in ascending ``j``, with the gearbox resolved by
     ``phase.resolve``; it is fixed at ``init_state``.
     ``queue`` is a binary heap with one ``(max_dom, i)`` entry per node; the
-    trajectories grow only through ``step``, which keeps it in sync.
+    trajectories grow only through ``step``, which keeps it in sync. A node's
+    next step index is its knot count less three: three initial knots, then
+    one per step.
     """
 
     scenario: Scenario
     trajectories: dict[int, ClockTrajectory]
     controllers: dict[int, Controller]
     lam: dict[tuple[int, int], int]
-    steps: dict[int, int]
     incoming: dict[int, tuple[tuple[int, int, float, Gearbox], ...]]
     queue: list[tuple[float, int]]
     samples: list[SampleRecord] = field(default_factory=list)
@@ -105,8 +108,8 @@ def compute_lambdas(
 
 
 def init_state(scenario: Scenario, controllers: list[Controller]) -> SystemState:
-    """Fresh state at the epoch: three-knot trajectories, conserved link
-    constants, zeroed step counters. ``controllers[i - 1]`` drives node i.
+    """Fresh state at the epoch: three-knot trajectories and conserved link
+    constants. ``controllers[i - 1]`` drives node i.
 
     Node i's knots are ``(epoch, theta0 + omega_init2 * epoch)``, ``(0,
     theta0)`` and ``(d / omega_init1, theta0 + d)``: a history covering
@@ -137,7 +140,6 @@ def init_state(scenario: Scenario, controllers: list[Controller]) -> SystemState
         trajectories=trajectories,
         controllers=dict(enumerate(controllers, start=1)),
         lam=lam,
-        steps={i: 0 for i in topo.nodes()},
         incoming={i: tuple(links) for i, links in incoming.items()},
         queue=sorted((traj.max_dom(), i) for i, traj in trajectories.items()),
     )
@@ -179,7 +181,7 @@ def step(state: SystemState) -> SampleRecord:
     i = select_node(state)
     par = state.scenario.params
     traj = state.trajectories[i]
-    k = state.steps[i]
+    k = len(traj.times) - 3  # init_state's three knots, then one per step
     s, phase_s = traj.times[-1], traj.phases[-1]  # last knot: phase theta0 + k*p + d
     t_sample = traj.inverse(phase_s - par.d)
     y = measure(state, i, t_sample)
@@ -203,7 +205,6 @@ def step(state: SystemState) -> SampleRecord:
         controller.state = saved
         raise
     heapq.heapreplace(state.queue, (traj.times[-1], i))
-    state.steps[i] = k + 1
     record = SampleRecord(i, k, t_sample, y, s, correction, frequency)
     state.samples.append(record)
     return record

@@ -48,7 +48,8 @@ from typing import Callable, Iterable, Iterator
 from .engine import FatalEvent, Trace
 
 SIGNIFICANT_DIGITS = 12
-_SPEC = f".{SIGNIFICANT_DIGITS}g"
+# The one number format: ``fmt_num`` and the tables' ``%`` templates apply it.
+_FORMAT = f"%.{SIGNIFICANT_DIGITS}g"
 
 # The first line of each CSV file: written as it is, and required on reading.
 _HEADERS = {
@@ -60,11 +61,7 @@ _EVENT_KINDS = ("overflow", "underflow")
 
 
 def fmt_num(x: float) -> str:
-    return format(x, _SPEC)
-
-
-# ``fmt_num`` as a ``%`` conversion: ``_FORMAT % x == fmt_num(x)`` for every float.
-_FORMAT = f"%.{SIGNIFICANT_DIGITS}g"
+    return _FORMAT % x
 
 
 def _table(name: str, grid: list[str], values: str, series: Iterable[tuple]) -> tuple[str, list]:

@@ -90,19 +90,6 @@ class ClockTrajectory:
             return times[i]
         return times[i] + (phase - phases[i]) * (times[i + 1] - times[i]) / (phases[i + 1] - phases[i])
 
-    def slope_at(self, t: float) -> float:
-        """Instantaneous frequency at ``t``, right-continuous at knots."""
-        times = self.times
-        if not times[0] <= t <= times[-1]:
-            raise DomainError(f"time {t!r} outside domain [{times[0]!r}, {times[-1]!r}]")
-        if len(times) == 1:
-            raise DomainError("slope undefined for a single-knot trajectory")
-        i = bisect_right(times, t) - 1
-        if i > len(times) - 2:
-            i = len(times) - 2
-        phases = self.phases
-        return (phases[i + 1] - phases[i]) / (times[i + 1] - times[i])
-
     # -- growth ------------------------------------------------------------
 
     def append(self, t_next: float, phase_next: float) -> None:
@@ -146,10 +133,10 @@ class ClockTrajectory:
 #
 # A sweep reads a trajectory at many ascending times in one pass over the
 # knots: it bisects only when a time passes the end of the current segment,
-# to find the segment that holds it, instead of once per time. The values
-# are exactly those of ``eval`` and ``slope_at`` (same float expressions,
-# stored knot values at knots, ``DomainError`` out of domain), and nothing is
-# written to the trajectory.
+# to find the segment that holds it, instead of once per time. The phases
+# are exactly those of ``eval`` (same float expression, stored knot values at
+# knots, ``DomainError`` out of domain), and nothing is written to the
+# trajectory.
 
 
 def _check_sweep(traj: ClockTrajectory, ts: list[float]) -> None:
@@ -189,7 +176,11 @@ def sweep_eval(traj: ClockTrajectory, ts: list[float]) -> list[float]:
 
 
 def sweep_slope(traj: ClockTrajectory, ts: list[float]) -> list[float]:
-    """``[traj.slope_at(t) for t in ts]`` for ascending ``ts``, in one pass."""
+    """The frequency at each of the ascending ``ts``, in one pass: the slope
+    ``(p1 - p0) / (t1 - t0)`` of the segment that holds t, right-continuous at
+    knots (a knot takes the segment after it) and the last segment at the
+    domain end. A time outside the domain, or a single-knot trajectory, is a
+    ``DomainError``."""
     if not ts:
         return []
     _check_sweep(traj, ts)

@@ -1,10 +1,11 @@
-"""Shared scenario builders and the closed-form reference of the test suite."""
+"""Shared scenario builders and the pointwise references of the test suite."""
 
 import dataclasses
 import json
 import math
 import os
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import settings
 from afmsim.controllers import ControllerSpec
 from afmsim.scenarios import triangle3
 from afmsim.topology import Link, SystemParams, Topology, validate
+from afmsim.trajectory import DomainError
 
 
 def two_node_scenario(
@@ -79,6 +81,19 @@ def closed_form_gamma(traj, t, latency, gearbox=1):
     at the link entrance counts as on the link; one exactly at the exit does
     not (it is already in the buffer)."""
     return _frames(gearbox, traj.eval(t)) - _frames(gearbox, traj.eval(t - latency))
+
+
+def slope_at(traj, t):
+    """Frequency of ``traj`` at one time, the reference ``sweep_slope`` is
+    checked against: right-continuous at knots, the last segment at the
+    domain end, ``DomainError`` outside the domain or on a single knot."""
+    times, phases = traj.times, traj.phases
+    if not times[0] <= t <= times[-1]:
+        raise DomainError(f"time {t!r} outside domain [{times[0]!r}, {times[-1]!r}]")
+    if len(times) == 1:
+        raise DomainError("slope undefined for a single-knot trajectory")
+    i = min(bisect_right(times, t) - 1, len(times) - 2)
+    return (phases[i + 1] - phases[i]) / (times[i + 1] - times[i])
 
 
 # `pytest --hypothesis-profile=ci`: the default example counts, still random,

@@ -34,6 +34,7 @@ from conftest import (
     closed_form_gamma,
     geared_triangle,
     relabeled,
+    slope_at,
     tied_triangle,
     two_node_scenario,
 )
@@ -212,7 +213,6 @@ def test_initial_conditions_shape(triangle_cfg):
         w2, epoch = sc.params.omega_init2[i - 1], sc.params.epoch
         assert traj.knots()[0] == (epoch, theta0 + w2 * epoch)
         assert traj.phases[-1] == theta0 + sc.params.d
-        assert state.steps[i] == 0
 
 
 def test_beta_at_zero_equals_beta0(triangle_cfg, zero_spec):
@@ -387,7 +387,8 @@ def test_halted_step_leaves_controllers_unchanged(triangle_cfg, output, error):
         step(state)
     assert state.queue == queue
     assert {i: c.state for i, c in state.controllers.items()} == {1: 0, 2: 0, 3: 0}
-    assert state.steps == {1: 0, 2: 0, 3: 0}
+    # The step counter is the knot count, so no knot was appended.
+    assert {i: len(traj.times) for i, traj in state.trajectories.items()} == {1: 3, 2: 3, 3: 3}
     assert state.samples == []
 
 
@@ -428,13 +429,34 @@ def test_one_knot_per_step_piecewise_constant_frequency(triangle_cfg):
         assert len(trace.knots[i]) == 3 + per_node[i]
 
 
+@pytest.mark.parametrize(
+    "make_cfg",
+    [triangle3, gearbox_pair, lambda: dataclasses.replace(triangle3(), scenario=geared_triangle())]
+    + [lambda seed=seed: random_scenario(random.Random(seed)) for seed in range(10)],
+    ids=["triangle3", "gearbox_pair", "geared_triangle"] + [f"random{s}" for s in range(10)],
+)
+def test_step_index_is_the_knot_count_less_three(make_cfg):
+    # No counter beside the knots: a record's step index is the knot count of
+    # its node before the step, three initial knots and one per earlier step.
+    cfg = make_cfg()
+    sc = cfg.scenario
+    state = init_state(sc, make_controllers(cfg.controller, sc.topology.n_nodes))
+    steps = {i: [] for i in sc.topology.nodes()}
+    while state.queue[0][0] < 60.0:
+        rec = step(state)
+        assert rec.step == len(state.trajectories[rec.node].times) - 4
+        steps[rec.node].append(rec.step)
+    for i, ks in steps.items():
+        assert ks == list(range(len(ks))), i
+
+
 def test_recorded_frequency_matches_trajectory_slope(triangle_cfg):
     sc = triangle_cfg.scenario
     trace = simulate(sc, triangle_cfg.controller, 80.0)
     trajs = {i: ClockTrajectory(trace.knots[i], sc.params.omega_min) for i in (1, 2, 3)}
     for rec in trace.samples:
         # slope immediately after actuation is the recorded frequency
-        assert trajs[rec.node].slope_at(rec.t_apply) == pytest.approx(rec.frequency, rel=1e-15)
+        assert slope_at(trajs[rec.node], rec.t_apply) == pytest.approx(rec.frequency, rel=1e-15)
 
 
 def test_conservation_and_lambda_invariance_at_random_times(triangle_cfg):
@@ -485,8 +507,7 @@ def test_overflow_recorded_with_bounded_capacity(zero_spec):
 def _snapshot(state):
     """Every ``SystemState`` field as a detached, comparable value."""
     assert [f.name for f in dataclasses.fields(state)] == [
-        "scenario", "trajectories", "controllers", "lam", "steps", "incoming", "queue",
-        "samples",
+        "scenario", "trajectories", "controllers", "lam", "incoming", "queue", "samples",
     ]
     return (
         state.scenario,
@@ -496,7 +517,6 @@ def _snapshot(state):
         },
         {i: (c.spec, c.state) for i, c in state.controllers.items()},
         dict(state.lam),
-        dict(state.steps),
         dict(state.incoming),
         list(state.queue),
         list(state.samples),
@@ -549,7 +569,7 @@ def test_omega_series_right_continuous(triangle_cfg):
     trajs = {i: ClockTrajectory(trace.knots[i], sc.params.omega_min) for i in (1, 2, 3)}
     for i in (1, 2, 3):
         for idx, t in enumerate(trace.grid):
-            assert trace.omega[i][idx] == trajs[i].slope_at(t)
+            assert trace.omega[i][idx] == slope_at(trajs[i], t)
 
 
 @pytest.mark.parametrize(

@@ -2,12 +2,15 @@
 and the closed form written in two places of ``engine``."""
 
 import ast
+import dataclasses
 import subprocess
 import sys
 from graphlib import TopologicalSorter
 
 import afmsim
 from afmsim import engine, oracle, phase
+from afmsim.engine import SystemState
+from afmsim.trajectory import ClockTrajectory
 
 from conftest import SRC, src_env
 
@@ -87,3 +90,11 @@ def test_the_one_time_occupancy_is_gone():
     # The replay reads every occupancy through ``LinkReplay.occupancies``.
     assert not hasattr(oracle.LinkReplay, "occupancy")
     assert "occupancy" not in afmsim.__all__
+
+
+def test_the_pointwise_slope_and_the_step_counter_are_gone():
+    # ``sweep_slope`` is the one slope reader, and a node's step index is its
+    # knot count less three, so neither needs a copy of its own.
+    assert not hasattr(ClockTrajectory, "slope_at")
+    assert "steps" not in {f.name for f in dataclasses.fields(SystemState)}
+    assert {"slope_at", "steps"}.isdisjoint(afmsim.__all__)

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import struct
 from itertools import chain, islice, repeat
 from pathlib import Path
 
@@ -21,28 +22,33 @@ BUNDLED = REPO / "scenarios" / "triangle3.json"
 CSV_FILES = ("nodes.csv", "buffers.csv", "events.csv")
 
 
+def num(x: float) -> str:
+    """A float as the trace files print it: 12 significant digits."""
+    return format(x, ".12g")
+
+
 def reference_write(trace: Trace, out: Path) -> None:
     """The CSV files written one row at a time, each joined into one string."""
     out.mkdir(parents=True, exist_ok=True)
     nodes = sorted(trace.theta)
     lines = ["t,node,theta,omega"]
     for idx, t in enumerate(trace.grid):
-        ts = fmt_num(t)
+        ts = num(t)
         for i in nodes:
-            lines.append(f"{ts},{i},{fmt_num(trace.theta[i][idx])},{fmt_num(trace.omega[i][idx])}")
+            lines.append(f"{ts},{i},{num(trace.theta[i][idx])},{num(trace.omega[i][idx])}")
     (out / "nodes.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     links = sorted(trace.beta)
     lines = ["t,src,dst,beta,gamma"]
     for idx, t in enumerate(trace.grid):
-        ts = fmt_num(t)
+        ts = num(t)
         for (a, b) in links:
             lines.append(f"{ts},{a},{b},{trace.beta[(a, b)][idx]},{trace.gamma[(a, b)][idx]}")
     (out / "buffers.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     lines = ["t,kind,link,value"]
     for ev in trace.fatal_events:
-        lines.append(f"{fmt_num(ev.t)},{ev.kind},{ev.link[0]}->{ev.link[1]},{ev.occupancy}")
+        lines.append(f"{num(ev.t)},{ev.kind},{ev.link[0]}->{ev.link[1]},{ev.occupancy}")
     (out / "events.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -170,6 +176,19 @@ def test_write_trace_prints_hard_values_as_the_reference(tmp_path):
         written, reference = tmp_path / "trace" / file, tmp_path / "reference" / file
         assert written.read_bytes() == reference.read_bytes(), file
     assert "nan" in (tmp_path / "trace" / "nodes.csv").read_text()
+
+
+def test_fmt_num_is_the_format_spec_on_hard_values():
+    # ``fmt_num`` is the ``%`` template of the tables; both must print what
+    # the format spec prints, on the edge cases and on random bit patterns.
+    hard = [
+        -0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e16, 0.1 + 0.2, 2.0**63,
+        1e-5, 1e-4, 999999999999.5, 123456789012.5, 1.7976931348623157e308,
+    ]
+    rng = random.Random(12)
+    bits = [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0] for _ in range(5000)]
+    for x in hard + bits:
+        assert fmt_num(x) == num(x), x
 
 
 def test_omega_is_formatted_per_object_not_per_value(tmp_path):

@@ -17,6 +17,8 @@ from afmsim.trajectory import (
     sweep_slope,
 )
 
+from conftest import slope_at
+
 
 def make(knots, min_slope=0.0):
     return ClockTrajectory(knots, min_slope=min_slope)
@@ -76,7 +78,9 @@ def test_slope_at_out_of_domain():
     traj = make([(0, 0), (1, 1), (2, 3)])
     for t in (-0.001, 2.001, math.nan):
         with pytest.raises(DomainError):
-            traj.slope_at(t)
+            slope_at(traj, t)
+        with pytest.raises(DomainError):
+            sweep_slope(traj, [t])
 
 
 def test_eval_at_every_knot_is_exact():
@@ -229,9 +233,10 @@ def test_constructor_applies_the_append_rules(knots):
 
 def test_slope_at_is_right_continuous():
     traj = make([(0, 0), (1, 2), (3, 3)])
-    assert traj.slope_at(0.5) == 2.0
-    assert traj.slope_at(1.0) == 0.5  # knot takes the following segment
-    assert traj.slope_at(3.0) == 0.5  # domain end takes the last segment
+    assert slope_at(traj, 0.5) == 2.0
+    assert slope_at(traj, 1.0) == 0.5  # knot takes the following segment
+    assert slope_at(traj, 3.0) == 0.5  # domain end takes the last segment
+    assert sweep_slope(traj, [0.5, 1.0, 3.0]) == [2.0, 0.5, 0.5]
 
 
 # -- properties ----------------------------------------------------------------
@@ -284,7 +289,7 @@ def test_sweeps_equal_pointwise_lookups(traj, data):
     ts.sort()
     # bit for bit: float.hex tells -0.0 from 0.0
     assert [v.hex() for v in sweep_eval(traj, ts)] == [traj.eval(t).hex() for t in ts]
-    assert [v.hex() for v in sweep_slope(traj, ts)] == [traj.slope_at(t).hex() for t in ts]
+    assert [v.hex() for v in sweep_slope(traj, ts)] == [slope_at(traj, t).hex() for t in ts]
 
 
 def test_sweeps_of_no_times_are_empty():
@@ -297,7 +302,7 @@ def test_sweeps_on_a_single_knot():
     traj = make([(2.0, 5.0)])
     assert sweep_eval(traj, [2.0, 2.0]) == [traj.eval(2.0)] * 2 == [5.0, 5.0]
     with pytest.raises(DomainError):
-        traj.slope_at(2.0)
+        slope_at(traj, 2.0)
     with pytest.raises(DomainError):
         sweep_slope(traj, [2.0])
 
