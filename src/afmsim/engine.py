@@ -4,9 +4,9 @@ Frame counts are differences of gearbox-scaled phase floors (``phase``),
 offset on a buffer by the conserved per-link integer of ``compute_lambdas``.
 ``measure`` writes that closed form for one time, once per step;
 ``occupancy_series`` writes it for a list of times. That list is checked
-only by the sweep of each node over it; each source is then read one
-latency back in a single pass (``phase.shifted_floors``) that checks only
-its two shifted ends.
+once (``trajectory.check_times``); each node is then swept over it, and
+each source swept one latency back, by ``sweep_eval``, which checks only
+the two (shifted) ends of the list against the domain.
 
 Each trajectory starts from three knots, ``(epoch, theta0 + omega_init2 *
 epoch)``, ``(0, theta0)`` and ``(d / omega_init1, theta0 + d)``: the history
@@ -42,9 +42,9 @@ from operator import sub
 from typing import Iterator, NamedTuple
 
 from .controllers import Controller, ControllerSpec, is_admissible, make_controllers
-from .phase import Gearbox, resolve, scaled_floor, scaled_floors, shifted_floors
+from .phase import Gearbox, resolve, scaled_floor, scaled_floors
 from .topology import Scenario
-from .trajectory import AdmissibilityError, ClockTrajectory, sweep_eval, sweep_slope
+from .trajectory import AdmissibilityError, ClockTrajectory, check_times, sweep_eval, sweep_slope
 
 
 @dataclass(frozen=True)
@@ -278,18 +278,18 @@ def occupancy_series(
     ``(link, beta, gamma)`` one link at a time. Beta is a list; gamma is an
     iterator, so a caller that reads only beta does not pay for it.
 
-    Each trajectory is swept once over ``ts`` (``sweep_eval``), which checks
-    the list: ascending, free of NaN, inside that node's domain. No later
-    pass checks it again. The node phases are floored as a whole list
-    (``scaled_floors``) once per gearbox. The frames sent, the source's
-    floors at ``ts`` less the latency, are one pass of ``shifted_floors`` per
-    run of consecutive links with one source, latency and gearbox, held for
-    that run only; it checks only the two shifted ends against the source's
-    domain. This is the list copy of the closed form: the output grid, the
-    sample times of ``oracle.compare`` and the time zero of
-    ``compute_lambdas`` read it.
+    ``ts`` is checked once (``check_times``): ascending and free of NaN.
+    Each trajectory is swept once over it (``sweep_eval``), which checks
+    only the two ends against that node's domain. The node phases are
+    floored as a whole list (``scaled_floors``) once per gearbox. The frames
+    sent, the source's floors at ``ts`` less the latency, are one sweep
+    shifted by the latency per run of consecutive links with one source,
+    latency and gearbox, held for that run only. This is the list copy of
+    the closed form: the output grid, the sample times of ``oracle.compare``
+    and the time zero of ``compute_lambdas`` read it.
     """
     topo = scenario.topology
+    check_times(ts)
     theta = {i: sweep_eval(trajectories[i], ts) for i in topo.nodes()}
     gears = {ab: resolve(link.gearbox) for ab, link in topo.links.items()}
     ends = {(i, g) for ab, g in gears.items() for i in ab}
@@ -301,7 +301,7 @@ def occupancy_series(
             g, latency, lam_ab = gears[(a, b)], topo.links[(a, b)].latency, lam[(a, b)]
             if (a, latency, g) != last:  # sorted links: a source's run of out-links
                 last = (a, latency, g)
-                sent = shifted_floors(trajectories[a], g, ts, latency)
+                sent = scaled_floors(g, sweep_eval(trajectories[a], ts, latency))
             beta = [s - c + lam_ab for s, c in zip(sent, floors[(b, g)])]
             yield (a, b), beta, map(sub, floors[(a, g)], sent)
 

@@ -35,10 +35,10 @@ sample times once, takes the closed form at them from
 ``engine.occupancy_series``, the same function that gives ``build_trace``
 its beta and gamma on the output grid, so ``verify`` checks the code that
 writes ``buffers.csv`` and not a copy of it, and reads the replayed frames
-from the count of ``occupancies``, without checking the sorted list again
-for each link. The occupancy a violation reports is read from
-``occupancies`` too, so one count stands behind every number the replay
-gives.
+from the count of ``occupancies``. ``occupancy_series`` checks the sorted
+list once (``trajectory.check_times``), and no link checks it again. The
+occupancy a violation reports is read from ``occupancies`` too, so one count
+stands behind every number the replay gives.
 """
 
 from __future__ import annotations
@@ -47,13 +47,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress, count, islice
 from math import nan
-from operator import gt, le
+from operator import gt
 
 from .controllers import ControllerSpec
 from .engine import FatalEvent, Trace, compute_lambdas, occupancy_series, simulate
 from .phase import Gearbox, resolve, scaled_floor, tick_times
 from .topology import Scenario
-from .trajectory import ClockTrajectory
+from .trajectory import ClockTrajectory, check_times
 
 
 @dataclass
@@ -78,12 +78,10 @@ class LinkReplay:
         which no consumption is replayed.
 
         ``ts`` must be ascending (repeats allowed), since the count is one
-        walk forward through the arrivals and consumptions; times out of order,
-        or a NaN, raise ``ValueError``.
+        walk forward through the arrivals and consumptions; ``check_times``
+        rejects times out of order, or a NaN, with a ``ValueError``.
         """
-        # Pairing the last time with itself also rejects a lone NaN.
-        if not all(map(le, ts, ts[1:] + ts[-1:])):
-            raise ValueError("occupancy times must be ascending and not NaN")
+        check_times(ts)
         return self._count(ts)
 
     def _count(self, ts: list[float]) -> list[int]:
@@ -254,8 +252,8 @@ def compare(
     writes beta and gamma on the output grid; the oracle count is the count
     of ``LinkReplay.occupancies`` at the same times. The list is right once
     it is made: the filter drops a NaN (it fails ``<= horizon``), sorting
-    makes the rest ascending, and the node sweeps of ``occupancy_series``
-    reject a time outside the trajectories. So every link is counted
+    makes the rest ascending, ``occupancy_series`` checks it once, and its
+    sweeps reject a time outside the trajectories. So every link is counted
     without checking the list again.
     """
     lam = compute_lambdas(scenario, trajectories)

@@ -6,9 +6,8 @@ Frame counts are pure functions of the clock trajectories. A directed link
     beta_ij(t) = floor(g * theta_i(t - l_ij)) - floor(g * theta_j(t)) + lam_ij
 
 with the conserved integer ``lam_ij`` fixed by the initial conditions. All
-floors go through ``scaled_floor``, or a list form with the same expression
-(``scaled_floors`` for a list of phases, ``shifted_floors`` for a source read
-one latency back), so that every consumer shares one rounding path: the
+floors go through ``scaled_floor``, or its list form ``scaled_floors`` with
+the same expression, so that every consumer shares one rounding path: the
 engine's ``measure`` (each controller sample) and ``occupancy_series`` (the
 link constants at time zero, the output grid, and the sample times that
 ``oracle.compare`` checks), and the frame-level oracle's tick windows. This
@@ -24,7 +23,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
-from .trajectory import ClockTrajectory, DomainError
+from .trajectory import ClockTrajectory
 
 
 # A gearbox's numerator and denominator as plain ints.
@@ -56,52 +55,6 @@ def scaled_floors(gearbox: Gearbox, phases: list[float]) -> list[int]:
     num, den = float(gearbox.numerator), float(gearbox.denominator)
     floor = math.floor
     return [floor(p * num / den) for p in phases]
-
-
-def shifted_floors(
-    traj: ClockTrajectory, gearbox: Gearbox, ts: list[float], latency: float
-) -> list[int]:
-    """``scaled_floors(gearbox, sweep_eval(traj, [t - latency for t in ts]))``,
-    bit for bit, in one pass: the frames a source has sent by each of the
-    times ``ts`` at the far end of a link. Each time is shifted, interpolated
-    with ``eval``'s expression and floored in the same loop.
-
-    ``ts`` must already be known ascending and free of NaN, as a sweep of the
-    same list finds it. Rounding ``t - latency`` is monotone, so the shifted
-    times are ascending too and only the two shifted ends are checked against
-    the domain; a shifted time outside it raises ``DomainError``.
-    """
-    if not ts:
-        return []
-    times, phases = traj.times, traj.phases
-    start, end = times[0], times[-1]
-    if not (start <= ts[0] - latency and ts[-1] - latency <= end):
-        bad = next(t - latency for t in ts if not start <= t - latency <= end)
-        raise DomainError(f"time {bad!r} outside domain [{start!r}, {end!r}]")
-    unit = gearbox == 1
-    if not unit:  # float operands, as in ``scaled_floors``
-        num, den = float(gearbox.numerator), float(gearbox.denominator)
-    floor = math.floor
-    last = len(times) - 1
-    out: list[int] = []
-    append = out.append
-    i = 0
-    t1 = start  # end of the current segment; the first time moves past it
-    for t in ts:
-        t -= latency
-        if t >= t1:
-            i = bisect_right(times, t, i) - 1
-            t0, p0 = times[i], phases[i]
-            if i < last:
-                t1 = times[i + 1]
-                dp, dt = phases[i + 1] - p0, t1 - t0
-            else:  # t is the last knot
-                t1 = math.inf
-        if unit:
-            append(floor(p0 if t == t0 else p0 + (t - t0) * dp / dt))
-        else:
-            append(floor((p0 if t == t0 else p0 + (t - t0) * dp / dt) * num / den))
-    return out
 
 
 def tick_times(

@@ -7,6 +7,10 @@ end, and ``append`` is the one home of the rules they obey: finite, strictly
 increasing in time and phase, and a segment slope (an instantaneous
 frequency) strictly above a configured floor, which keeps the function
 invertible and rules out Zeno behavior in the loop that extends it.
+
+A list of times is read in one sweep (``sweep_eval``, shifted back by a
+latency for a source, and ``sweep_slope``), after ``check_times`` has
+checked its order once.
 """
 
 from __future__ import annotations
@@ -136,33 +140,47 @@ class ClockTrajectory:
 # to find the segment that holds it, instead of once per time. The phases
 # are exactly those of ``eval`` (same float expression, stored knot values at
 # knots, ``DomainError`` out of domain), and nothing is written to the
-# trajectory.
+# trajectory. A sweep takes a list that ``check_times`` has passed, so it
+# checks only the list's two ends against the domain.
 
 
-def _check_sweep(traj: ClockTrajectory, ts: list[float]) -> None:
-    """Raise unless the non-empty ``ts`` is ascending and inside the domain."""
-    times = traj.times
-    # The pairwise order test fails on a NaN anywhere in ``ts``.
-    if times[0] <= ts[0] and ts[-1] <= times[-1] and all(map(le, ts, ts[1:])):
+def check_times(ts: list[float]) -> None:
+    """Raise unless ``ts`` is ascending (repeats allowed) and free of NaN: a
+    ``DomainError`` for a NaN, a ``ValueError`` for times out of order."""
+    # Pairing the last time with itself also rejects a lone NaN.
+    if all(map(le, ts, ts[1:] + ts[-1:])):
         return
-    for t in ts:
-        if not times[0] <= t <= times[-1]:
-            raise DomainError(f"time {t!r} outside domain [{times[0]!r}, {times[-1]!r}]")
-    raise ValueError("sweep times must be in ascending order")
+    if any(t != t for t in ts):
+        raise DomainError("times must be ascending and not NaN, found a NaN")
+    raise ValueError("times must be ascending and not NaN")
 
 
-def sweep_eval(traj: ClockTrajectory, ts: list[float]) -> list[float]:
-    """``[traj.eval(t) for t in ts]`` for ascending ``ts``, in one pass."""
+def _check_ends(times: list[float], first: float, last: float) -> None:
+    """Raise ``DomainError`` unless ``first`` and ``last``, the ends of a
+    checked list, lie in the domain of the knot times ``times``."""
+    if not (times[0] <= first and last <= times[-1]):
+        bad = last if times[0] <= first else first
+        raise DomainError(f"time {bad!r} outside domain [{times[0]!r}, {times[-1]!r}]")
+
+
+def sweep_eval(traj: ClockTrajectory, ts: list[float], shift: float = 0.0) -> list[float]:
+    """``[traj.eval(t - shift) for t in ts]`` for checked ``ts``, in one pass.
+
+    Rounding ``t - shift`` keeps the order, so only the two shifted ends are
+    checked against the domain. With a link's latency as ``shift``, it reads
+    the source's phase one latency back: what the far end has received by t.
+    """
     if not ts:
         return []
-    _check_sweep(traj, ts)
     times, phases = traj.times, traj.phases
+    _check_ends(times, ts[0] - shift, ts[-1] - shift)
     last = len(times) - 1
     out: list[float] = []
     append = out.append
     i = 0
     t1 = times[0]  # end of the current segment; the first time moves past it
     for t in ts:
+        t -= shift
         if t >= t1:
             i = bisect_right(times, t, i) - 1
             t0, p0 = times[i], phases[i]
@@ -176,15 +194,15 @@ def sweep_eval(traj: ClockTrajectory, ts: list[float]) -> list[float]:
 
 
 def sweep_slope(traj: ClockTrajectory, ts: list[float]) -> list[float]:
-    """The frequency at each of the ascending ``ts``, in one pass: the slope
+    """The frequency at each of the checked ``ts``, in one pass: the slope
     ``(p1 - p0) / (t1 - t0)`` of the segment that holds t, right-continuous at
     knots (a knot takes the segment after it) and the last segment at the
     domain end. A time outside the domain, or a single-knot trajectory, is a
     ``DomainError``."""
     if not ts:
         return []
-    _check_sweep(traj, ts)
     times, phases = traj.times, traj.phases
+    _check_ends(times, ts[0], ts[-1])
     last = len(times) - 2  # index of the last segment
     if last < 0:
         raise DomainError("slope undefined for a single-knot trajectory")

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from afmsim import engine
 from afmsim.config import load_config
 from afmsim.controllers import ControllerSpec, make_controllers
 from afmsim.scenarios import gearbox_pair, random_scenario, triangle3
@@ -177,6 +178,22 @@ def test_occupancy_series_shares_sends_only_between_like_links():
         ], (a, b)
         gamma_ab = [closed_form_gamma(src, t, lk.latency, lk.gearbox) for t in ts]
         assert list(gamma) == gamma_ab, (a, b)
+
+
+def test_occupancy_series_checks_its_times_once(monkeypatch):
+    # One order check per call, not one per node sweep, source or link.
+    sc = star_scenario()
+    trajs = {i: line(0.9 + 0.07 * i, 0.3 * i) for i in sc.topology.nodes()}
+    lam = dict.fromkeys(sc.topology.links, 0)
+    calls = []
+    check = engine.check_times
+    monkeypatch.setattr(engine, "check_times", lambda ts: calls.append(ts) or check(ts))
+    ts = [0.37 * k for k in range(60)]
+    for n in (1, 2):
+        _, series = occupancy_series(sc, trajs, lam, ts)
+        for _, _, gamma in series:
+            list(gamma)
+        assert calls == [ts] * n
 
 
 # -- initialization --------------------------------------------------------------

@@ -8,7 +8,7 @@ import sys
 from graphlib import TopologicalSorter
 
 import afmsim
-from afmsim import engine, oracle, phase
+from afmsim import engine, oracle, phase, trajectory
 from afmsim.engine import SystemState
 from afmsim.trajectory import ClockTrajectory
 
@@ -60,9 +60,9 @@ def called_names(tree):
 def test_engine_floors_phases_only_in_measure_and_occupancy_series():
     # The closed form has one scalar copy (``measure``, once per step) and one
     # list copy (``occupancy_series``); the scalar helpers are gone. Every
-    # floor helper of ``phase`` counts, the one-pass source floor included.
+    # floor helper of ``phase`` counts.
     tree = ast.parse((SRC / "afmsim" / "engine.py").read_text(encoding="utf-8"))
-    floors = {"scaled_floor", "scaled_floors", "shifted_floors"}
+    floors = {"scaled_floor", "scaled_floors"}
     assert all(callable(getattr(phase, name)) for name in floors)
     callers = {top for top, name in called_names(tree) if name in floors}
     assert callers == {"measure", "occupancy_series"}
@@ -98,3 +98,21 @@ def test_the_pointwise_slope_and_the_step_counter_are_gone():
     assert not hasattr(ClockTrajectory, "slope_at")
     assert "steps" not in {f.name for f in dataclasses.fields(SystemState)}
     assert {"slope_at", "steps"}.isdisjoint(afmsim.__all__)
+
+
+def test_one_sweep_reads_phases_and_one_check_orders_times():
+    # ``sweep_eval``, shifted by a latency for a source, is the one sweep that
+    # reads phases, and ``trajectory.check_times`` the one order check: the
+    # pairwise test ``operator.le`` is imported by ``trajectory`` alone.
+    assert not hasattr(phase, "shifted_floors")
+    assert not hasattr(trajectory, "_check_sweep")
+    assert {"shifted_floors", "_check_sweep"}.isdisjoint(afmsim.__all__)
+    importers = set()
+    for path in sorted((SRC / "afmsim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "operator":
+                if "le" in {alias.name for alias in node.names}:
+                    importers.add(path.stem)
+            elif isinstance(node, ast.Import) and "operator" in {a.name for a in node.names}:
+                importers.add(path.stem)
+    assert importers == {"trajectory"}

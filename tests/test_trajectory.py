@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from afmsim.phase import Ratio, scaled_floor, scaled_floors, shifted_floors
+from afmsim.phase import Ratio, scaled_floor, scaled_floors
 from afmsim.trajectory import (
     AdmissibilityError,
     ClockTrajectory,
     DomainError,
+    check_times,
     sweep_eval,
     sweep_slope,
 )
@@ -315,7 +316,6 @@ def test_sweeps_on_a_single_knot():
         [math.nan],
         [math.nan, 1.0],
         [0.5, math.nan],
-        [0.5, math.nan, 1.5],
         [-math.inf, 1.0],
     ],
 )
@@ -327,11 +327,18 @@ def test_sweeps_out_of_domain(ts):
         sweep_slope(traj, ts)
 
 
-def test_sweeps_reject_descending_times():
-    traj = make([(0, 0), (1, 1), (2, 3)])
-    for sweep in (sweep_eval, sweep_slope):
-        with pytest.raises(ValueError, match="ascending"):
-            sweep(traj, [1.5, 0.5])
+# -- the one order check ---------------------------------------------------------
+
+def test_check_times_rejects_a_nan():
+    # The ends of this list lie in the domain, so only the check finds the NaN.
+    with pytest.raises(DomainError, match="ascending and not NaN"):
+        check_times([0.5, math.nan, 1.5])
+
+
+def test_check_times_rejects_descending_times():
+    with pytest.raises(ValueError, match="ascending and not NaN") as caught:
+        check_times([1.5, 0.5])
+    assert type(caught.value) is ValueError
 
 
 def test_sweeps_write_nothing():
@@ -342,7 +349,7 @@ def test_sweeps_write_nothing():
     assert {name: getattr(traj, name) for name in ClockTrajectory.__slots__} == before
 
 
-# -- the one-pass source floor ---------------------------------------------------
+# -- the source read one latency back --------------------------------------------
 
 GEARBOXES = [1, Ratio(2, 1), Ratio(3, 2), Ratio(1, 2), Ratio(7, 5), Fraction(2, 3)]
 
@@ -366,7 +373,9 @@ def test_shifted_floors_equal_pointwise_floors(traj, gearbox, latency, data):
     ts += exact_shifts(knots + [lo, hi, hi], latency)
     ts = sorted(t for t in ts if lo <= t - latency <= hi)
     want = [scaled_floor(gearbox, traj.eval(t - latency)) for t in ts]
-    assert shifted_floors(traj, gearbox, ts, latency) == want
+    phases = sweep_eval(traj, ts, latency)
+    assert [v.hex() for v in phases] == [traj.eval(t - latency).hex() for t in ts]
+    assert scaled_floors(gearbox, phases) == want
     assert scaled_floors(gearbox, sweep_eval(traj, [t - latency for t in ts])) == want
 
 
@@ -379,8 +388,8 @@ def test_shifted_floors_on_knots_and_repeats(gearbox, latency):
     shifted = [-2.0, -2.0, -1.0, 0.0, 0.0, 0.5, 1.0, 2.0, 2.999, 3.0, 3.0, 4.0, 4.0]
     ts = [t + latency for t in shifted]
     want = [scaled_floor(gearbox, traj.eval(t)) for t in shifted]
-    assert shifted_floors(traj, gearbox, ts, latency) == want
-    assert shifted_floors(traj, gearbox, [], latency) == []
+    assert scaled_floors(gearbox, sweep_eval(traj, ts, latency)) == want
+    assert scaled_floors(gearbox, sweep_eval(traj, [], latency)) == []
 
 
 @pytest.mark.parametrize("ts", [[-1.5, 0.0], [0.5, 3.6], [-3.0], [4.0]])
@@ -388,4 +397,4 @@ def test_shifted_floors_check_the_shifted_ends(ts):
     # A time one latency back that leaves the domain [-1, 2] at either end
     traj = make([(-1.0, 0.5), (0.0, 1.5), (2.0, 2.5)])
     with pytest.raises(DomainError, match="outside domain"):
-        shifted_floors(traj, 1, ts, 1.5)
+        scaled_floors(1, sweep_eval(traj, ts, 1.5))
