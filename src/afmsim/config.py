@@ -11,6 +11,13 @@ to the constraint checks of ``topology.validate``, which report all theirs
 together, each naming a field, a node or a link (``link (1,2)``). The
 canonical form emitted by ``to_dict`` is fully resolved, so two configs that
 mean the same scenario fingerprint the same.
+
+The edge list, the one part of a document that grows with the topology, is
+read in one pass over the keys each edge has: the pass sorts the values into
+place and flags unknown keys, and the values are then read in the documented
+order. Edges whose links are equal, with the same latency and gearbox, share
+one immutable ``Link``. A per-node list is checked by scans over the whole
+list, not value by value.
 """
 
 from __future__ import annotations
@@ -110,28 +117,35 @@ class ScenarioConfig:
 
     def fingerprint(self) -> str:
         """Content hash of the canonical form; identifies the scenario."""
-        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+        return _fingerprint(self.to_dict())
+
+
+def _fingerprint(canon: dict) -> str:
+    """The sha256 of a canonical form ``to_dict`` built."""
+    text = json.dumps(canon, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _as_float(x) -> float | None:
     """A JSON number as a finite float, else None. json.loads accepts NaN,
     Infinity and integers too large for binary64; none is a usable value."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
+    if type(x) is float:  # json.loads makes exact types, so no bool passes a type test
+        return x if math.isfinite(x) else None
+    if type(x) is not int:
         return None
     try:
-        x = float(x)
+        return float(x)  # finite, or OverflowError
     except OverflowError:
         return None
-    return x if math.isfinite(x) else None
 
 
 def _as_int(x) -> int | None:
-    return x if isinstance(x, int) and not isinstance(x, bool) else None
+    return x if type(x) is int else None
 
 
 def _as_gearbox(x) -> Fraction | None:
-    """Accepts 2, [2, 1], or "2/1"; canonical form is the two-element list."""
+    """Accepts 2, [2, 1], or "2/1"; canonical form is the two-element list.
+    Every unit gearbox is ``_UNITY``."""
     if isinstance(x, str):
         # ASCII digits only: str.isdigit also passes '²', which int() rejects.
         match = re.fullmatch(r"\s*(-?[0-9]+)\s*/\s*([0-9]+)\s*", x)
@@ -139,10 +153,10 @@ def _as_gearbox(x) -> Fraction | None:
             x = [int(match[1]), int(match[2])] if match else None
         except ValueError:  # more digits than int() converts
             return None
-    elif _as_int(x) is not None:
+    elif type(x) is int:
         x = [x, 1]
     if isinstance(x, list) and len(x) == 2 and None not in map(_as_int, x) and x[1] != 0:
-        return Fraction(x[0], x[1])
+        return _UNITY if x[0] == x[1] else Fraction(x[0], x[1])
     return None
 
 
@@ -161,29 +175,34 @@ _CLAMP = ("[low, high] with low <= high", _as_clamp)
 _OBJECT = ("an object", lambda x: x if isinstance(x, dict) else None)
 # The gearbox of a link that names none; a Fraction is immutable, so links share it.
 _UNITY = Fraction(1)
+_NUMBER_TYPES = {int, float}  # what json.loads makes of a number; bool is its own type
 
 
 def _per_node(n: int | None):
     """The kind of a per-node field: one number for all ``n`` nodes, or a list
     of ``n`` numbers. With ``n`` None, a node count already rejected, a list
-    of any length is read and one number is not broadcast."""
+    of any length is read and one number is not broadcast. A list is checked
+    by scans over the whole list; a violation names the list, not a value."""
 
     def read(x) -> tuple[float, ...] | None:
-        one = _as_float(x)
-        if one is not None:
-            return (one,) * (1 if n is None else n)
-        if not isinstance(x, list) or n not in (None, len(x)):  # a dict is wrong even at n 0
+        if type(x) is not list:
+            one = _as_float(x)  # a dict is wrong even at n 0
+            return None if one is None else (one,) * (1 if n is None else n)
+        if n not in (None, len(x)) or not set(map(type, x)) <= _NUMBER_TYPES:
             return None
-        vals = tuple(map(_as_float, x))
-        return None if None in vals else vals
+        try:
+            vals = tuple(map(float, x))
+        except OverflowError:
+            return None
+        return vals if all(map(math.isfinite, vals)) else None
 
     return (f"a number or a list of {'n_nodes' if n is None else n} numbers", read)
 
 
-_DIRECTIONS = ("_ab", "_ba")
-_EDGE_KEYS = {"a", "b"} | {
-    key + suffix for key in ("latency", "gearbox", "beta0") for suffix in ("", *_DIRECTIONS)
-}
+# An edge field's keys: shared, a->b, b->a.
+_LATENCY = ("latency", "latency_ab", "latency_ba")
+_GEARBOXES = ("gearbox", "gearbox_ab", "gearbox_ba")
+_BETA0S = ("beta0", "beta0_ab", "beta0_ba")
 
 
 class _Reader:
@@ -195,18 +214,22 @@ class _Reader:
     def bad(self, name: str, path: str, detail: str) -> None:
         self.violations.append(Violation(name, path, detail))
 
-    def value(self, raw: dict, key: str, path: str, kind, default=None, required=True):
-        """The field read as ``kind``, or ``default`` if it is absent, null or
-        wrong."""
-        if key not in raw or raw[key] is None:
+    def read(self, x, path: str, key: str, kind, default=None, required=True):
+        """``x``, the value of the field ``path + key``, read as ``kind``; or
+        ``default`` if it is null (absent) or wrong."""
+        if x is None:
             if required:
-                self.bad("missing_field", f"{path}{key}", f"required: {kind[0]}")
+                self.bad("missing_field", path + key, f"required: {kind[0]}")
             return default
-        val = kind[1](raw[key])
+        val = kind[1](x)
         if val is None:
-            self.bad("wrong_type", f"{path}{key}", f"expected {kind[0]}, got {raw[key]!r}")
+            self.bad("wrong_type", path + key, f"expected {kind[0]}, got {x!r}")
             return default
         return val
+
+    def value(self, raw: dict, key: str, path: str, kind, default=None, required=True):
+        """The field ``key`` of ``raw``, read as ``kind``."""
+        return self.read(raw.get(key), path, key, kind, default, required)
 
     def section(self, raw: dict, key: str, path: str, keys: set[str], required=True):
         """The object at ``key``, its keys checked against ``keys``."""
@@ -215,20 +238,105 @@ class _Reader:
             self.check_keys(val, keys, f"{path}{key}.")
         return val
 
-    def per_direction(self, edge: dict, key: str, path: str, kind, default=None) -> tuple:
-        """(a->b, b->a) values: ``key_ab`` and ``key_ba``, each falling back to
-        the shared ``key``, which falls back to ``default``."""
-        shared = self.value(edge, key, path, kind, default, False)
-        ab, ba = _DIRECTIONS
+    def directions(self, path: str, keys: tuple, kind, default, shared, ab, ba) -> tuple:
+        """(a->b, b->a) values of the edge field with these ``keys`` and raw
+        values: each direction falls back to the shared value, which falls
+        back to ``default``."""
+        if shared is not None:
+            default = self.read(shared, path, keys[0], kind, default)
         return (
-            self.value(edge, key + ab, path, kind, shared, False),
-            self.value(edge, key + ba, path, kind, shared, False),
+            default if ab is None else self.read(ab, path, keys[1], kind, default),
+            default if ba is None else self.read(ba, path, keys[2], kind, default),
         )
 
     def check_keys(self, raw: dict, allowed: set[str], path: str) -> None:
         for key in raw:
             if key not in allowed:
                 self.bad("unknown_field", f"{path}{key}", "not part of the schema")
+
+    def edges(self, edges_raw: list, default_beta0: int | None) -> tuple[dict, dict]:
+        """The directed links and their initial occupancies.
+
+        One pass over the keys each edge has sorts its values into place and
+        flags unknown keys in key order; the values are then read in the
+        documented order. Equal links share one ``Link``.
+        """
+        links: dict[tuple[int, int], Link] = {}
+        beta0: dict[tuple[int, int], int] = {}
+        shared: dict = {}
+
+        def link(latency: float, gearbox: Fraction) -> Link:
+            # -0.0 == 0.0 as a key, so a zero (rejected later either way) is
+            # keyed by its text; _UNITY is the one unit gearbox.
+            key = latency if latency else repr(latency)
+            if gearbox is not _UNITY:
+                key = (key, gearbox.numerator, gearbox.denominator)
+            lk = shared.get(key)
+            if lk is None:
+                lk = shared[key] = Link(latency=latency, gearbox=gearbox)
+            return lk
+
+        for idx, edge in enumerate(edges_raw):
+            path = f"topology.edges[{idx}]."
+            if not isinstance(edge, dict):
+                self.bad("wrong_type", path[:-1], "expected an edge object")
+                continue
+            a = b = lat = lat_ab = lat_ba = gear = gear_ab = gear_ba = b0 = b0_ab = b0_ba = None
+            for key, val in edge.items():
+                if key == "a":
+                    a = val
+                elif key == "b":
+                    b = val
+                elif key == "latency":
+                    lat = val
+                elif key == "latency_ab":
+                    lat_ab = val
+                elif key == "latency_ba":
+                    lat_ba = val
+                elif key == "gearbox":
+                    gear = val
+                elif key == "gearbox_ab":
+                    gear_ab = val
+                elif key == "gearbox_ba":
+                    gear_ba = val
+                elif key == "beta0":
+                    b0 = val
+                elif key == "beta0_ab":
+                    b0_ab = val
+                elif key == "beta0_ba":
+                    b0_ba = val
+                else:
+                    self.bad("unknown_field", path + key, "not part of the schema")
+            if type(a) is not int or type(b) is not int:  # a violation to name
+                a = self.read(a, path, "a", _INTEGER)
+                b = self.read(b, path, "b", _INTEGER)
+                if a is None or b is None:
+                    continue
+            ab, ba = (a, b), (b, a)
+            if ab in links or ba in links:
+                self.bad("duplicate_edge", path[:-1], f"edge ({a},{b}) already defined")
+                continue
+            lat_ab, lat_ba = self.directions(path, _LATENCY, _NUMBER, None, lat, lat_ab, lat_ba)
+            if lat_ab is None or lat_ba is None:
+                self.bad("missing_field", path + "latency", "each direction needs a latency")
+                continue
+            gear_ab, gear_ba = self.directions(
+                path, _GEARBOXES, _GEARBOX, _UNITY, gear, gear_ab, gear_ba
+            )
+            b0_ab, b0_ba = self.directions(path, _BETA0S, _INTEGER, default_beta0, b0, b0_ab, b0_ba)
+            if b0_ab is None or b0_ba is None:
+                self.bad(
+                    "beta0_missing",
+                    path[:-1],
+                    "no initial occupancy given and no params.beta0 default",
+                )
+                continue
+            links[ab] = lk = link(lat_ab, gear_ab)
+            # Directions that read the same shared values need no second lookup.
+            links[ba] = lk if lat_ba is lat_ab and gear_ba is gear_ab else link(lat_ba, gear_ba)
+            beta0[ab] = b0_ab
+            beta0[ba] = b0_ba
+        return links, beta0
 
 
 def load_config(text: str) -> ScenarioConfig:
@@ -273,36 +381,7 @@ def load_config(text: str) -> ScenarioConfig:
             r.bad("wrong_type", "topology.edges", "expected a list of edge objects")
             edges_raw = []
         default_beta0 = r.value(par_raw or {}, "beta0", "params.", _INTEGER, required=False)
-        for idx, edge in enumerate(edges_raw):
-            path = f"topology.edges[{idx}]."
-            if not isinstance(edge, dict):
-                r.bad("wrong_type", path[:-1], "expected an edge object")
-                continue
-            r.check_keys(edge, _EDGE_KEYS, path)
-            a = r.value(edge, "a", path, _INTEGER)
-            b = r.value(edge, "b", path, _INTEGER)
-            if a is None or b is None:
-                continue
-            if (a, b) in links or (b, a) in links:
-                r.bad("duplicate_edge", path[:-1], f"edge ({a},{b}) already defined")
-                continue
-            lat_ab, lat_ba = r.per_direction(edge, "latency", path, _NUMBER)
-            if lat_ab is None or lat_ba is None:
-                r.bad("missing_field", f"{path}latency", "each direction needs a latency")
-                continue
-            gear_ab, gear_ba = r.per_direction(edge, "gearbox", path, _GEARBOX, _UNITY)
-            b0_ab, b0_ba = r.per_direction(edge, "beta0", path, _INTEGER, default_beta0)
-            if b0_ab is None or b0_ba is None:
-                r.bad(
-                    "beta0_missing",
-                    path[:-1],
-                    "no initial occupancy given and no params.beta0 default",
-                )
-                continue
-            links[(a, b)] = Link(latency=lat_ab, gearbox=gear_ab)
-            links[(b, a)] = Link(latency=lat_ba, gearbox=gear_ba)
-            beta0[(a, b)] = b0_ab
-            beta0[(b, a)] = b0_ba
+        links, beta0 = r.edges(edges_raw, default_beta0)
 
     params = None
     if par_raw is not None:
@@ -383,6 +462,7 @@ def run_config(
     t = cfg.run.t_max if t_max is None else t_max
     g = cfg.run.output_grid if grid_dt is None else grid_dt
     trace = engine.simulate(cfg.scenario, cfg.controller, t, grid_dt=g)
-    trace.fingerprint = cfg.fingerprint()
-    trace.meta = {"config": cfg.to_dict(), "t_max": t, "grid_dt": g}
+    canon = cfg.to_dict()  # built once: hashed, then recorded
+    trace.fingerprint = _fingerprint(canon)
+    trace.meta = {"config": canon, "t_max": t, "grid_dt": g}
     return trace

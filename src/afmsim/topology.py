@@ -8,9 +8,10 @@ stopping at the first, so a config author sees the whole damage report.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import floor, isfinite
+from operator import attrgetter
 from typing import Mapping
 
 # Sampled phases must stay clear of frame boundaries at desk scale so that
@@ -104,7 +105,7 @@ class Scenario:
 
 
 def _fractional_violation(value: float) -> str | None:
-    frac = value - math.floor(value)
+    frac = value - floor(value)
     if frac == 0.0:
         return "integral"
     if frac < FRACTIONAL_GUARD or frac > 1.0 - FRACTIONAL_GUARD:
@@ -120,172 +121,176 @@ def _exact(x: int) -> bool:
 _INEXACT = "magnitude above 2**53: not exact as a float"
 
 
+_PER_NODE = ("theta0", "omega_u", "omega_init1", "omega_init2")
+_latency = attrgetter("latency")
+
+
 def check(topology: Topology, params: SystemParams) -> list[Violation]:
     """Collect every violated constraint of the model's well-posedness rules.
 
     Pure: the same inputs always produce the same report, in the same order:
-    the scalars, the per-node fields, then each link in sorted order.
+    the scalars, the per-node fields, then each link in sorted order. A
+    subject string is formatted only for a violation.
     """
     v: list[Violation] = []
     n = topology.n_nodes
     if n < 1:
         v.append(Violation("node_count_nonpositive", "topology", f"n_nodes={n}"))
+    links = topology.links
+    items = sorted(links.items())
+    per_node = [getattr(params, name) for name in _PER_NODE]
 
     # NaN/inf poison every downstream comparison and floor; refuse them up
-    # front and skip the value checks they would corrupt. Only the values that
-    # fail get a subject string.
+    # front and skip the value checks they would corrupt. A whole field is
+    # scanned at once; only a field that fails is walked value by value.
     scalars = [("params.omega_min", params.omega_min), ("params.epoch", params.epoch)]
-    not_finite = [(subject, val) for subject, val in scalars if not math.isfinite(val)]
-    not_finite += [
-        (f"params.{name}[{i}]", val)
-        for name in ("theta0", "omega_u", "omega_init1", "omega_init2")
-        for i, val in enumerate(getattr(params, name))
-        if not math.isfinite(val)
-    ]
-    not_finite += [
-        (f"link ({a},{b}) latency", lk.latency)
-        for (a, b), lk in sorted(topology.links.items())
-        if not math.isfinite(lk.latency)
-    ]
+    not_finite = [(subject, val) for subject, val in scalars if not isfinite(val)]
+    for name, vals in zip(_PER_NODE, per_node):
+        if not all(map(isfinite, vals)):
+            not_finite += [
+                (f"params.{name}[{i}]", val) for i, val in enumerate(vals) if not isfinite(val)
+            ]
+    if not all(map(isfinite, map(_latency, links.values()))):
+        not_finite += [
+            (f"link ({a},{b}) latency", lk.latency)
+            for (a, b), lk in items
+            if not isfinite(lk.latency)
+        ]
     if not_finite:
         return v + [Violation("value_not_finite", s, f"{val!r}") for s, val in not_finite]
 
     cap = topology.buffer_capacity
+    p, d, omega_min, epoch = params.p, params.d, params.omega_min, params.epoch
     if cap is not None and cap <= 0:
         v.append(Violation("capacity_nonpositive", "topology", f"buffer_capacity={cap}"))
-    if params.p <= 0:
-        v.append(Violation("period_nonpositive", "params.p", f"p={params.p}"))
-    if params.d <= 0:
-        v.append(Violation("delay_nonpositive", "params.d", f"d={params.d}"))
-    if params.d >= params.p:
-        v.append(
-            Violation(
-                "delay_not_less_than_period", "params", f"d={params.d} must be < p={params.p}"
-            )
-        )
-    for subject, val in (("params.p", params.p), ("params.d", params.d)):
+    if p <= 0:
+        v.append(Violation("period_nonpositive", "params.p", f"p={p}"))
+    if d <= 0:
+        v.append(Violation("delay_nonpositive", "params.d", f"d={d}"))
+    if d >= p:
+        v.append(Violation("delay_not_less_than_period", "params", f"d={d} must be < p={p}"))
+    for subject, val in (("params.p", p), ("params.d", d)):
         if not _exact(val):
             v.append(Violation("value_out_of_range", subject, _INEXACT))
-    if params.omega_min <= 0.0:
-        v.append(Violation("omega_min_nonpositive", "params.omega_min", f"{params.omega_min!r}"))
-    if params.epoch >= 0.0:
-        v.append(Violation("epoch_nonnegative", "params.epoch", f"epoch={params.epoch!r}"))
+    if omega_min <= 0.0:
+        v.append(Violation("omega_min_nonpositive", "params.omega_min", f"{omega_min!r}"))
+    if epoch >= 0.0:
+        v.append(Violation("epoch_nonnegative", "params.epoch", f"epoch={epoch!r}"))
 
     wrong_length = [
-        (field, len(getattr(params, field)))
-        for field in ("theta0", "omega_u", "omega_init1", "omega_init2")
-        if len(getattr(params, field)) != n
+        (name, len(vals)) for name, vals in zip(_PER_NODE, per_node) if len(vals) != n
     ]
-    for field, got in wrong_length:
+    for name, got in wrong_length:
         v.append(
-            Violation("param_length", f"params.{field}", f"expected {n} per-node values, got {got}")
+            Violation("param_length", f"params.{name}", f"expected {n} per-node values, got {got}")
         )
-    omega_inits = (("omega_init1", params.omega_init1), ("omega_init2", params.omega_init2))
     # Node-indexed checks would misindex a field of the wrong length.
-    for i in () if wrong_length else topology.nodes():
-        th = params.theta0[i - 1]
-        subject = f"node {i}"
+    for i, th, w_u, w_1, w_2 in () if wrong_length else zip(topology.nodes(), *per_node):
         if th <= 0.0:
-            v.append(Violation("initial_phase_nonpositive", subject, f"theta0={th!r}"))
+            v.append(Violation("initial_phase_nonpositive", f"node {i}", f"theta0={th!r}"))
         # Finite inputs can still give a non-finite phase where the history starts.
-        start = th + params.omega_init2[i - 1] * params.epoch
-        if not math.isfinite(start):
+        start = th + w_2 * epoch
+        if not isfinite(start):
             v.append(
                 Violation(
                     "value_out_of_range",
-                    subject,
+                    f"node {i}",
                     f"history-start phase theta0 + omega_init2 * epoch = {start!r}",
                 )
             )
         kind = _fractional_violation(th)
         if kind == "integral":
-            v.append(Violation("initial_phase_integral", subject, f"theta0={th!r} is an integer"))
+            detail = f"theta0={th!r} is an integer"
+            v.append(Violation("initial_phase_integral", f"node {i}", detail))
         elif kind == "near-integral":
             v.append(
                 Violation(
                     "initial_phase_near_integral",
-                    subject,
+                    f"node {i}",
                     f"theta0={th!r} is within {FRACTIONAL_GUARD} of an integer",
                 )
             )
-        if params.omega_u[i - 1] <= 0.0:
-            v.append(
-                Violation("uncorrected_frequency_nonpositive", subject, f"omega_u={params.omega_u[i - 1]!r}")
-            )
-        for field, inits in omega_inits:
-            w = inits[i - 1]
-            if w <= params.omega_min:
+        if w_u <= 0.0:
+            detail = f"omega_u={w_u!r}"
+            v.append(Violation("uncorrected_frequency_nonpositive", f"node {i}", detail))
+        for name, w in (("omega_init1", w_1), ("omega_init2", w_2)):
+            if w <= omega_min:
                 v.append(
                     Violation(
                         "initial_frequency_not_above_min",
-                        subject,
-                        f"{field}={w!r} must exceed omega_min={params.omega_min!r}",
+                        f"node {i}",
+                        f"{name}={w!r} must exceed omega_min={omega_min!r}",
                     )
                 )
 
-    links = topology.links
-    beta0_ok = set(params.beta0) == set(links)
+    beta0 = params.beta0
+    beta0_ok = beta0.keys() == links.keys()
     if not beta0_ok:
-        missing = sorted(set(links) - set(params.beta0))
-        extra = sorted(set(params.beta0) - set(links))
+        missing = sorted(links.keys() - beta0.keys())
+        extra = sorted(beta0.keys() - links.keys())
         detail = f"missing={missing} extra={extra}"
         v.append(Violation("beta0_keys_mismatch", "params.beta0", detail))
     # The epoch bound needs d / omega_min, which only a positive floor and an
     # exact d make meaningful.
-    lag = params.d / params.omega_min if params.omega_min > 0.0 and _exact(params.d) else None
+    lag = d / omega_min if omega_min > 0.0 and _exact(d) else None
 
-    for (a, b), lk in sorted(links.items()):
-        subject = f"link ({a},{b})"
+    for ab, lk in items:
+        a, b = ab
         in_range = 1 <= a <= n and 1 <= b <= n
         # Only exact ratios are gearboxes; a float has no numerator to read.
         # The identity test passes the usual Fraction at the lowest cost.
         g = lk.gearbox
         gear_ok = type(g) is Fraction or isinstance(g, (int, Fraction))
+        # A Fraction's numerator and denominator are properties: read them
+        # once. A gearbox of the wrong type reads as 1/1, which has no guard.
+        num, den = (g.numerator, g.denominator) if gear_ok else (1, 1)
         if a == b:
-            v.append(Violation("self_link", subject, "links must join distinct nodes"))
+            v.append(Violation("self_link", f"link ({a},{b})", "links must join distinct nodes"))
         elif not in_range:
-            v.append(Violation("link_unknown_node", subject, f"node ids must be in 1..{n}"))
+            detail = f"node ids must be in 1..{n}"
+            v.append(Violation("link_unknown_node", f"link ({a},{b})", detail))
         else:
             if (b, a) not in links:
-                v.append(Violation("link_unpaired", subject, f"reverse link ({b},{a}) missing"))
-            if lk.latency <= 0.0:
-                v.append(Violation("latency_nonpositive", subject, f"latency={lk.latency!r}"))
+                detail = f"reverse link ({b},{a}) missing"
+                v.append(Violation("link_unpaired", f"link ({a},{b})", detail))
+            latency = lk.latency
+            if latency <= 0.0:
+                detail = f"latency={latency!r}"
+                v.append(Violation("latency_nonpositive", f"link ({a},{b})", detail))
             if not gear_ok:
                 detail = f"expected an int or a Fraction, got {g!r}"
-                v.append(Violation("wrong_type", f"{subject} gearbox", detail))
-            # A Fraction's denominator is positive, so its numerator has its
-            # sign; comparing the ints skips Fraction's comparison dispatch.
-            elif g.numerator <= 0:
-                v.append(Violation("gearbox_nonpositive", subject, f"gearbox={g}"))
-            if lag is not None and params.epoch > (bound := -(lk.latency + lag)):
-                detail = f"epoch={params.epoch!r} must be <= {bound!r}"
-                v.append(Violation("epoch_too_late", subject, detail))
+                v.append(Violation("wrong_type", f"link ({a},{b}) gearbox", detail))
+            # A Fraction's denominator is positive, so its numerator has its sign.
+            elif num <= 0:
+                v.append(Violation("gearbox_nonpositive", f"link ({a},{b})", f"gearbox={g}"))
+            if lag is not None and epoch > (bound := -(latency + lag)):
+                detail = f"epoch={epoch!r} must be <= {bound!r}"
+                v.append(Violation("epoch_too_late", f"link ({a},{b})", detail))
 
         if beta0_ok:
-            b0 = params.beta0[(a, b)]
+            b0 = beta0[ab]
             if b0 < 0:
-                v.append(Violation("beta0_negative", subject, f"beta0={b0}"))
+                v.append(Violation("beta0_negative", f"link ({a},{b})", f"beta0={b0}"))
             if not _exact(b0):
-                v.append(Violation("value_out_of_range", f"{subject} beta0", _INEXACT))
+                v.append(Violation("value_out_of_range", f"link ({a},{b}) beta0", _INEXACT))
             if cap is not None and b0 > cap:
-                v.append(
-                    Violation("beta0_exceeds_capacity", subject, f"beta0={b0} > capacity={cap}")
-                )
+                detail = f"beta0={b0} > capacity={cap}"
+                v.append(Violation("beta0_exceeds_capacity", f"link ({a},{b})", detail))
 
         # Gearboxes scale the phases that get floored, so the same boundary
         # guard that applies to theta0 must hold for the scaled phases too.
-        if not (gear_ok and in_range) or g.numerator == g.denominator or g.numerator <= 0:
+        if num == den or num <= 0 or not in_range:
             continue
-        if not (_exact(g.numerator) and _exact(g.denominator)):
-            v.append(Violation("value_out_of_range", f"{subject} gearbox", _INEXACT))
+        if not (_exact(num) and _exact(den)):
+            v.append(Violation("value_out_of_range", f"link ({a},{b}) gearbox", _INEXACT))
             continue
         for node in () if wrong_length else (a, b):
-            scaled = params.theta0[node - 1] * g.numerator / g.denominator
-            if not math.isfinite(scaled):
+            scaled = params.theta0[node - 1] * num / den
+            if not isfinite(scaled):
                 v.append(
                     Violation(
                         "value_out_of_range",
-                        subject,
+                        f"link ({a},{b})",
                         f"gearbox {g} scales node {node} theta0 to {scaled!r}",
                     )
                 )
@@ -293,7 +298,7 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
                 v.append(
                     Violation(
                         "gearbox_phase_boundary",
-                        subject,
+                        f"link ({a},{b})",
                         f"gearbox {g} puts node {node} scaled phase {scaled!r} on a frame boundary",
                     )
                 )

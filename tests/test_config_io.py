@@ -4,6 +4,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,76 @@ def test_round_trip_identity():
 def test_equivalent_shorthand_same_fingerprint():
     explicit = MINIMAL.replace('"theta0": 0.5', '"theta0": [0.5, 0.5]')
     assert load_config(explicit).fingerprint() == load_config(MINIMAL).fingerprint()
+
+
+GEARED = {
+    "topology": {
+        "n_nodes": 3,
+        "edges": [
+            {"a": 1, "b": 2, "latency": 1.5, "gearbox": "3/2"},
+            {
+                "a": 1, "b": 3, "latency_ab": 0.75, "latency_ba": 2.0,
+                "gearbox_ab": [1, 2], "gearbox_ba": 2,
+            },
+            {"a": 2, "b": 3, "latency": 1.0, "beta0_ab": 40},
+        ],
+    },
+    "params": {
+        "p": 10, "d": 2, "omega_min": 0.1, "epoch": -40.0,
+        "theta0": [0.15, 0.2, 0.35], "omega_u": [1.1, 1.4, 2.0], "beta0": 50,
+    },
+    "controller": {"kind": "proportional", "k_p": 0.01},
+}
+
+
+@pytest.mark.parametrize(
+    "text, fingerprint",
+    [
+        (BUNDLED.read_text(), "a067f922f6549ab0e1a0ab057377d0c709707cb58e4591017715c4c32102f69c"),
+        (json.dumps(GEARED), "ab18859c9d100ee4494972d7439f0363da894aef2653b50037d1339785c2eb87"),
+    ],
+    ids=["triangle3", "geared"],
+)
+def test_fingerprints_pinned(text, fingerprint):
+    assert load_config(text).fingerprint() == fingerprint
+
+
+def test_equal_links_share_one_link():
+    n = 256
+    doc = {
+        "topology": {
+            "n_nodes": n,
+            "edges": [{"a": i, "b": i % n + 1, "latency": 1.0} for i in range(1, n + 1)],
+        },
+        "params": {
+            "p": 10, "d": 2, "omega_min": 0.1, "epoch": -25.0,
+            "theta0": 0.3, "omega_u": 1.0, "beta0": 7,
+        },
+        "controller": {"kind": "zero"},
+    }
+    links = load_config(json.dumps(doc)).scenario.topology.links
+    assert len(links) == 2 * n
+    assert len({id(lk) for lk in links.values()}) == 1
+
+
+def test_geared_links_share_by_value():
+    links = load_config(json.dumps(GEARED)).scenario.topology.links
+    # 3/2 both ways on 1--2; unit gearboxes on 2--3, however spelled
+    assert links[(1, 2)] is links[(2, 1)]
+    assert links[(2, 3)] is links[(3, 2)]
+    assert links[(1, 3)] is not links[(3, 1)]
+    assert links[(1, 3)].gearbox == Fraction(1, 2) and links[(3, 1)].gearbox == 2
+
+
+def test_run_config_builds_the_canonical_form_once(monkeypatch):
+    cfg = triangle3()
+    calls = []
+    to_dict = ScenarioConfig.to_dict
+    monkeypatch.setattr(ScenarioConfig, "to_dict", lambda self: calls.append(1) or to_dict(self))
+    trace = run_config(cfg, t_max=2.0)
+    assert len(calls) == 1
+    assert trace.fingerprint == cfg.fingerprint()
+    assert trace.meta["config"] == cfg.to_dict()
 
 
 def test_parse_error_reports_position():
