@@ -320,10 +320,20 @@ class _Reader:
             if lat_ab is None or lat_ba is None:
                 self.bad("missing_field", path + "latency", "each direction needs a latency")
                 continue
-            gear_ab, gear_ba = self.directions(
-                path, _GEARBOXES, _GEARBOX, _UNITY, gear, gear_ab, gear_ba
-            )
-            b0_ab, b0_ba = self.directions(path, _BETA0S, _INTEGER, default_beta0, b0, b0_ab, b0_ba)
+            # A gearbox or beta0 that the edge gives in none of its spellings
+            # takes its default without a read.
+            if gear is None and gear_ab is None and gear_ba is None:
+                gear_ab = gear_ba = _UNITY
+            else:
+                gear_ab, gear_ba = self.directions(
+                    path, _GEARBOXES, _GEARBOX, _UNITY, gear, gear_ab, gear_ba
+                )
+            if b0 is None and b0_ab is None and b0_ba is None:
+                b0_ab = b0_ba = default_beta0
+            else:
+                b0_ab, b0_ba = self.directions(
+                    path, _BETA0S, _INTEGER, default_beta0, b0, b0_ab, b0_ba
+                )
             if b0_ab is None or b0_ba is None:
                 self.bad(
                     "beta0_missing",

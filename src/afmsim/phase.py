@@ -76,10 +76,14 @@ def tick_times(
     m_start = scaled_floor(gearbox, traj.eval(start))
     first = bisect_right(ts, start) - 1  # the segment that holds start
     floors = scaled_floors(gearbox, ps[first:])
-    times: list[float] = []
-    for k, m_lo, m_hi in zip(range(first, len(ts) - 1), floors, floors[1:]):
-        t0, p0 = ts[k], ps[k]
-        dt_dp = (ts[k + 1] - t0) / (ps[k + 1] - p0)
-        m_lo = max(m_lo, m_start)
-        times += [t0 + (m * den / num - p0) * dt_dp for m in range(m_lo + 1, m_hi + 1)]
+    # One list over (segment, integer) pairs; ``for dt_dp in [...]`` binds
+    # the segment's slope once.
+    times = [
+        t0 + (m * den / num - p0) * dt_dp
+        for t0, t1, p0, p1, m_lo, m_hi in zip(
+            ts[first:], ts[first + 1 :], ps[first:], ps[first + 1 :], floors, floors[1:]
+        )
+        for dt_dp in [(t1 - t0) / (p1 - p0)]
+        for m in range(max(m_lo, m_start) + 1, m_hi + 1)
+    ]
     return m_start + 1, times

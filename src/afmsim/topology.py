@@ -3,7 +3,10 @@
 Edges always come as a pair of directed links, one per direction, each with
 its own latency and optional gearbox (a rational frames-per-tick multiplier).
 ``check`` collects every violated constraint as a named violation instead of
-stopping at the first, so a config author sees the whole damage report.
+stopping at the first, so a config author sees the whole damage report. It
+walks values one by one only where a scan over a whole field fails, and
+decides the rules on a link's own fields once per run of links in sorted
+order that share one ``Link`` object.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, isfinite
-from operator import attrgetter
+from itertools import repeat
+from operator import add, attrgetter, mul, sub
 from typing import Mapping
 
 # Sampled phases must stay clear of frame boundaries at desk scale so that
@@ -125,12 +129,46 @@ _PER_NODE = ("theta0", "omega_u", "omega_init1", "omega_init2")
 _latency = attrgetter("latency")
 
 
+def _nodes_pass(theta0, omega_u, omega_init1, omega_init2, omega_min, epoch) -> bool:
+    """Whether no per-node rule fires, by scans over whole finite fields of
+    one length: each rule of the node walk in ``check``, on every node."""
+    if not theta0:
+        return True
+    if min(theta0) <= 0.0:
+        return False
+    fracs = list(map(sub, theta0, map(floor, theta0)))  # as in _fractional_violation
+    return (
+        all(map(isfinite, map(add, theta0, map(mul, omega_init2, repeat(epoch)))))
+        and FRACTIONAL_GUARD <= min(fracs)
+        and max(fracs) <= 1.0 - FRACTIONAL_GUARD
+        and min(omega_u) > 0.0
+        and min(omega_init1) > omega_min
+        and min(omega_init2) > omega_min
+    )
+
+
+def _beta0_pass(values, cap: int | None) -> bool:
+    """Whether no initial occupancy is negative, inexact or above ``cap``.
+
+    ``min`` and ``max`` skip a NaN that is not first, so the sum, which a
+    NaN poisons, must also compare equal to itself."""
+    if not values:
+        return True
+    limit = MAX_EXACT_INT if cap is None else min(cap, MAX_EXACT_INT)
+    if not (min(values) >= 0 and max(values) <= limit):
+        return False
+    total = sum(values)
+    return total == total
+
+
 def check(topology: Topology, params: SystemParams) -> list[Violation]:
     """Collect every violated constraint of the model's well-posedness rules.
 
     Pure: the same inputs always produce the same report, in the same order:
     the scalars, the per-node fields, then each link in sorted order. A
-    subject string is formatted only for a violation.
+    subject string is formatted only for a violation. The per-node and
+    ``beta0`` rules are first scanned over whole fields, and the rules on a
+    link's own fields are decided once per run of one ``Link`` object.
     """
     v: list[Violation] = []
     n = topology.n_nodes
@@ -184,8 +222,10 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
         v.append(
             Violation("param_length", f"params.{name}", f"expected {n} per-node values, got {got}")
         )
-    # Node-indexed checks would misindex a field of the wrong length.
-    for i, th, w_u, w_1, w_2 in () if wrong_length else zip(topology.nodes(), *per_node):
+    # Node-indexed checks would misindex a field of the wrong length. The
+    # nodes are walked one by one only when a whole-field scan fails.
+    walk_nodes = not (wrong_length or _nodes_pass(*per_node, omega_min, epoch))
+    for i, th, w_u, w_1, w_2 in zip(topology.nodes(), *per_node) if walk_nodes else ():
         if th <= 0.0:
             v.append(Violation("initial_phase_nonpositive", f"node {i}", f"theta0={th!r}"))
         # Finite inputs can still give a non-finite phase where the history starts.
@@ -230,20 +270,46 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
         extra = sorted(beta0.keys() - links.keys())
         detail = f"missing={missing} extra={extra}"
         v.append(Violation("beta0_keys_mismatch", "params.beta0", detail))
+    walk_beta0 = beta0_ok and not _beta0_pass(beta0.values(), cap)
     # The epoch bound needs d / omega_min, which only a positive floor and an
     # exact d make meaningful.
     lag = d / omega_min if omega_min > 0.0 and _exact(d) else None
 
+    # The rules on a link's own fields are decided once per run of one
+    # ``Link`` object in the sorted walk; each link of the run reports the
+    # run's findings under its own subject.
+    run_of = None
     for ab, lk in items:
         a, b = ab
+        if lk is not run_of:
+            run_of = lk
+            # Only exact ratios are gearboxes; a float has no numerator to
+            # read. The identity test passes the usual Fraction at the lowest
+            # cost.
+            g = lk.gearbox
+            gear_ok = type(g) is Fraction or isinstance(g, (int, Fraction))
+            # A Fraction's numerator and denominator are properties: read
+            # them once. A gearbox of the wrong type reads as 1/1, which has
+            # no guard.
+            num, den = (g.numerator, g.denominator) if gear_ok else (1, 1)
+            # (name, subject suffix, detail) of each rule the link breaks.
+            found = []
+            latency = lk.latency
+            if latency <= 0.0:
+                found.append(("latency_nonpositive", "", f"latency={latency!r}"))
+            if not gear_ok:
+                detail = f"expected an int or a Fraction, got {g!r}"
+                found.append(("wrong_type", " gearbox", detail))
+            # A Fraction's denominator is positive, so its numerator has its sign.
+            elif num <= 0:
+                found.append(("gearbox_nonpositive", "", f"gearbox={g}"))
+            if lag is not None and epoch > (bound := -(latency + lag)):
+                detail = f"epoch={epoch!r} must be <= {bound!r}"
+                found.append(("epoch_too_late", "", detail))
+            geared = num != den and num > 0
+            gear_exact = geared and _exact(num) and _exact(den)
+
         in_range = 1 <= a <= n and 1 <= b <= n
-        # Only exact ratios are gearboxes; a float has no numerator to read.
-        # The identity test passes the usual Fraction at the lowest cost.
-        g = lk.gearbox
-        gear_ok = type(g) is Fraction or isinstance(g, (int, Fraction))
-        # A Fraction's numerator and denominator are properties: read them
-        # once. A gearbox of the wrong type reads as 1/1, which has no guard.
-        num, den = (g.numerator, g.denominator) if gear_ok else (1, 1)
         if a == b:
             v.append(Violation("self_link", f"link ({a},{b})", "links must join distinct nodes"))
         elif not in_range:
@@ -253,21 +319,10 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
             if (b, a) not in links:
                 detail = f"reverse link ({b},{a}) missing"
                 v.append(Violation("link_unpaired", f"link ({a},{b})", detail))
-            latency = lk.latency
-            if latency <= 0.0:
-                detail = f"latency={latency!r}"
-                v.append(Violation("latency_nonpositive", f"link ({a},{b})", detail))
-            if not gear_ok:
-                detail = f"expected an int or a Fraction, got {g!r}"
-                v.append(Violation("wrong_type", f"link ({a},{b}) gearbox", detail))
-            # A Fraction's denominator is positive, so its numerator has its sign.
-            elif num <= 0:
-                v.append(Violation("gearbox_nonpositive", f"link ({a},{b})", f"gearbox={g}"))
-            if lag is not None and epoch > (bound := -(latency + lag)):
-                detail = f"epoch={epoch!r} must be <= {bound!r}"
-                v.append(Violation("epoch_too_late", f"link ({a},{b})", detail))
+            for name, suffix, detail in found:
+                v.append(Violation(name, f"link ({a},{b}){suffix}", detail))
 
-        if beta0_ok:
+        if walk_beta0:
             b0 = beta0[ab]
             if b0 < 0:
                 v.append(Violation("beta0_negative", f"link ({a},{b})", f"beta0={b0}"))
@@ -279,9 +334,9 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
 
         # Gearboxes scale the phases that get floored, so the same boundary
         # guard that applies to theta0 must hold for the scaled phases too.
-        if num == den or num <= 0 or not in_range:
+        if not geared or not in_range:
             continue
-        if not (_exact(num) and _exact(den)):
+        if not gear_exact:
             v.append(Violation("value_out_of_range", f"link ({a},{b}) gearbox", _INEXACT))
             continue
         for node in () if wrong_length else (a, b):
