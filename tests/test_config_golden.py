@@ -175,6 +175,23 @@ CASES = {
         (("params", "omega_init1"), None),
         (("params", "omega_init2"), None),
     ],
+    # Faults on every node, several per node, so the report is node-major
+    # with the node rules in their fixed order within each node.
+    "node_rules_on_several_nodes": [
+        (("params", "theta0"), [-0.5, 2.0, 1.0000000001]),
+        (("params", "omega_u"), [1.0, -1.0, 1.0]),
+        (("params", "omega_init1"), [0.05, 1.0, 1.0]),
+        (("params", "omega_init2"), [1.0, 1e308, 0.1]),
+    ],
+    # The upper guard of theta0, a zero omega_u and omega_init1 at omega_min.
+    "node_rules_at_the_bounds": [
+        (("params", "theta0"), [0.1, 2.9999999999, 0.1]),
+        (("params", "omega_u"), [0.0, 1.0, 1.0]),
+        (("params", "omega_init1"), [1.1, 0.1, 1.1]),
+    ],
+    "beta0_negative_and_inexact": [
+        _with_edge(1, {"a": 1, "b": 3, "latency": 1.0, "beta0_ab": -(2**53) - 1, "beta0_ba": 50}),
+    ],
     "check_stage_overflow": [
         (("params", "epoch"), -1e308),
         (("params", "omega_init2"), [1.1, 1.4, 1e308]),
@@ -211,6 +228,24 @@ GOLDEN = {
         ('gearbox_nonpositive', 'link (3,1)', 'gearbox=-1/2'),
         ('epoch_too_late', 'link (3,1)', 'epoch=-25.0 must be <= -50.0'),
         ('beta0_negative', 'link (3,2)', 'beta0=-3'),
+    ],
+    'node_rules_on_several_nodes': [
+        ('initial_phase_nonpositive', 'node 1', 'theta0=-0.5'),
+        ('initial_frequency_not_above_min', 'node 1', 'omega_init1=0.05 must exceed omega_min=0.1'),
+        ('value_out_of_range', 'node 2', 'history-start phase theta0 + omega_init2 * epoch = -inf'),
+        ('initial_phase_integral', 'node 2', 'theta0=2.0 is an integer'),
+        ('uncorrected_frequency_nonpositive', 'node 2', 'omega_u=-1.0'),
+        ('initial_phase_near_integral', 'node 3', 'theta0=1.0000000001 is within 1e-06 of an integer'),
+        ('initial_frequency_not_above_min', 'node 3', 'omega_init2=0.1 must exceed omega_min=0.1'),
+    ],
+    'node_rules_at_the_bounds': [
+        ('uncorrected_frequency_nonpositive', 'node 1', 'omega_u=0.0'),
+        ('initial_phase_near_integral', 'node 2', 'theta0=2.9999999999 is within 1e-06 of an integer'),
+        ('initial_frequency_not_above_min', 'node 2', 'omega_init1=0.1 must exceed omega_min=0.1'),
+    ],
+    'beta0_negative_and_inexact': [
+        ('beta0_negative', 'link (1,3)', 'beta0=-9007199254740993'),
+        ('value_out_of_range', 'link (1,3) beta0', 'magnitude above 2**53: not exact as a float'),
     ],
     'check_stage_overflow': [
         ('value_out_of_range', 'node 3', 'history-start phase theta0 + omega_init2 * epoch = -inf'),
