@@ -3,19 +3,20 @@
 Edges always come as a pair of directed links, one per direction, each with
 its own latency and optional gearbox (a rational frames-per-tick multiplier).
 ``check`` collects every violated constraint as a named violation instead of
-stopping at the first, so a config author sees the whole damage report. It
-walks values one by one only where a scan over a whole field fails, and
-decides the rules on a link's own fields once per run of links in sorted
-order that share one ``Link`` object.
+stopping at the first, so a config author sees the whole damage report. The
+finite-value, per-node and ``beta0`` rules are rows of rule tables, each rule
+stated once and scanned over a whole column before any value is walked; the
+rules on a link's own fields are decided once per run of one ``Link`` object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, isfinite
+from math import isfinite, nextafter
 from itertools import repeat
-from operator import add, attrgetter, mul, sub
+from functools import partial
+from operator import add, attrgetter, eq, ge, gt, lt, mul
 from typing import Mapping
 
 # Sampled phases must stay clear of frame boundaries at desk scale so that
@@ -108,189 +109,177 @@ class Scenario:
     params: SystemParams
 
 
-def _fractional_violation(value: float) -> str | None:
-    frac = value - floor(value)
-    if frac == 0.0:
-        return "integral"
-    if frac < FRACTIONAL_GUARD or frac > 1.0 - FRACTIONAL_GUARD:
-        return "near-integral"
-    return None
-
-
-def _exact(x: int) -> bool:
-    """Whether float arithmetic on the integer ``x`` neither rounds nor overflows."""
-    return -MAX_EXACT_INT <= x <= MAX_EXACT_INT
-
-
 _INEXACT = "magnitude above 2**53: not exact as a float"
-
-
 _PER_NODE = ("theta0", "omega_u", "omega_init1", "omega_init2")
 _latency = attrgetter("latency")
+_is_int = partial(eq, int)  # of a type: p, d and beta0 count ticks or frames
+# Of an integer's magnitude: float arithmetic on it neither rounds nor overflows.
+_exact = partial(ge, MAX_EXACT_INT)
+_START = "history-start phase theta0 + omega_init2 * epoch = {start!r}"
+_NEAR = f"theta0={{theta0!r}} is within {FRACTIONAL_GUARD} of an integer"
+_BELOW_GUARD = nextafter(FRACTIONAL_GUARD, 0.0)  # a float above it is at least the guard
+_ABOVE_MIN = "{0}={1!r} must exceed omega_min={omega_min!r}"
+
+# A rule holds for x when ``ok(x)``. A bound ``partial(op, bound)`` holds when
+# ``op(bound, x)``, so for a whole column exactly when it holds for the least
+# (lt) or greatest (gt, ge) value; an equality holds when it counts all.
+_EXTREME = {lt: min, gt: max, ge: max}
 
 
-def _nodes_pass(theta0, omega_u, omega_init1, omega_init2, omega_min, epoch) -> bool:
-    """Whether no per-node rule fires, by scans over whole finite fields of
-    one length: each rule of the node walk in ``check``, on every node."""
-    if not theta0:
-        return True
-    if min(theta0) <= 0.0:
-        return False
-    fracs = list(map(sub, theta0, map(floor, theta0)))  # as in _fractional_violation
-    return (
-        all(map(isfinite, map(add, theta0, map(mul, omega_init2, repeat(epoch)))))
-        and FRACTIONAL_GUARD <= min(fracs)
-        and max(fracs) <= 1.0 - FRACTIONAL_GUARD
-        and min(omega_u) > 0.0
-        and min(omega_init1) > omega_min
-        and min(omega_init2) > omega_min
-    )
+def _failing(ok, values) -> list[int]:
+    """Indexes of the values that break the rule ``ok``, in order: the column
+    is scanned whole, and walked value by value only when the scan fails."""
+    func = getattr(ok, "func", None)
+    if func in _EXTREME:
+        holds = not values or ok(_EXTREME[func](values))
+    elif func is eq:
+        holds = values.count(ok.args[0]) == len(values)
+    else:
+        holds = all(map(ok, values))
+    return [] if holds else [i for i, x in enumerate(values) if not ok(x)]
 
 
-def _beta0_pass(values, cap: int | None) -> bool:
-    """Whether no initial occupancy is negative, inexact or above ``cap``.
-
-    ``min`` and ``max`` skip a NaN that is not first, so the sum, which a
-    NaN poisons, must also compare equal to itself."""
-    if not values:
-        return True
-    limit = MAX_EXACT_INT if cap is None else min(cap, MAX_EXACT_INT)
-    if not (min(values) >= 0 and max(values) <= limit):
-        return False
-    total = sum(values)
-    return total == total
+def _table(rows, columns, subject, ids, **scalars):
+    """Yield (id, violation) for each value that breaks a row of a rule table,
+    index-major, then in row order. A row (name, suffix, column, ok, detail)
+    states one rule: ``ok`` on each value of ``columns[column]``. A subject
+    is ``subject`` formatted with the id, then ``suffix``; a detail formats
+    the column's name and value, ``scalars`` and each column's value by name.
+    """
+    found = sorted((i, k) for k, row in enumerate(rows) for i in _failing(row[3], columns[row[2]]))
+    for i, k in found:
+        name, suffix, col, _, detail = rows[k]
+        at = {c: values[i] for c, values in columns.items()}
+        text = detail.format(col, at[col], **scalars, **at)
+        yield ids[i], Violation(name, subject.format(ids[i]) + suffix, text)
 
 
 def check(topology: Topology, params: SystemParams) -> list[Violation]:
     """Collect every violated constraint of the model's well-posedness rules.
 
     Pure: the same inputs always produce the same report, in the same order:
-    the scalars, the per-node fields, then each link in sorted order. A
-    subject string is formatted only for a violation. The per-node and
-    ``beta0`` rules are first scanned over whole fields, and the rules on a
-    link's own fields are decided once per run of one ``Link`` object.
+    the scalars, the per-node fields, then each link in sorted order, its
+    ``beta0`` findings after those on its own fields. A subject string is
+    formatted only for a violation. See ``_table`` for the rule tables.
     """
     v: list[Violation] = []
     n = topology.n_nodes
     if n < 1:
         v.append(Violation("node_count_nonpositive", "topology", f"n_nodes={n}"))
     links = topology.links
-    items = sorted(links.items())
+    keys = sorted(links)
+    lks = list(map(links.__getitem__, keys))
     per_node = [getattr(params, name) for name in _PER_NODE]
 
-    # NaN/inf poison every downstream comparison and floor; refuse them up
-    # front and skip the value checks they would corrupt. A whole field is
-    # scanned at once; only a field that fails is walked value by value.
-    scalars = [("params.omega_min", params.omega_min), ("params.epoch", params.epoch)]
-    not_finite = [(subject, val) for subject, val in scalars if not isfinite(val)]
-    for name, vals in zip(_PER_NODE, per_node):
-        if not all(map(isfinite, vals)):
-            not_finite += [
-                (f"params.{name}[{i}]", val) for i, val in enumerate(vals) if not isfinite(val)
-            ]
-    if not all(map(isfinite, map(_latency, links.values()))):
-        not_finite += [
-            (f"link ({a},{b}) latency", lk.latency)
-            for (a, b), lk in items
-            if not isfinite(lk.latency)
-        ]
+    # NaN/inf poison every later comparison and floor: refuse them up front and skip
+    # the checks they would corrupt. One row per field: (subject template, ids, values).
+    finite = [
+        ("params.{}", ("omega_min", "epoch"), (params.omega_min, params.epoch)),
+        *((f"params.{f}[{{}}]", range(len(vals)), vals) for f, vals in zip(_PER_NODE, per_node)),
+        ("link ({0[0]},{0[1]}) latency", keys, list(map(_latency, lks))),
+    ]
+    not_finite = [
+        Violation("value_not_finite", subject.format(ids[i]), repr(vals[i]))
+        for subject, ids, vals in finite
+        for i in _failing(isfinite, vals)
+    ]
     if not_finite:
-        return v + [Violation("value_not_finite", s, f"{val!r}") for s, val in not_finite]
+        return v + not_finite
 
     cap = topology.buffer_capacity
     p, d, omega_min, epoch = params.p, params.d, params.omega_min, params.epoch
     if cap is not None and cap <= 0:
         v.append(Violation("capacity_nonpositive", "topology", f"buffer_capacity={cap}"))
-    if p <= 0:
+    # A p or d of another type than int is reported in place of its own rules.
+    p_int, d_int = _is_int(type(p)), _is_int(type(d))
+    if not p_int:
+        v.append(Violation("wrong_type", "params.p", f"expected an integer, got {p!r}"))
+    elif p <= 0:
         v.append(Violation("period_nonpositive", "params.p", f"p={p}"))
-    if d <= 0:
+    if not d_int:
+        v.append(Violation("wrong_type", "params.d", f"expected an integer, got {d!r}"))
+    elif d <= 0:
         v.append(Violation("delay_nonpositive", "params.d", f"d={d}"))
-    if d >= p:
+    if p_int and d_int and d >= p:
         v.append(Violation("delay_not_less_than_period", "params", f"d={d} must be < p={p}"))
-    for subject, val in (("params.p", p), ("params.d", d)):
-        if not _exact(val):
+    for subject, val, typed in (("params.p", p, p_int), ("params.d", d, d_int)):
+        if typed and not _exact(abs(val)):
             v.append(Violation("value_out_of_range", subject, _INEXACT))
     if omega_min <= 0.0:
         v.append(Violation("omega_min_nonpositive", "params.omega_min", f"{omega_min!r}"))
     if epoch >= 0.0:
         v.append(Violation("epoch_nonnegative", "params.epoch", f"epoch={epoch!r}"))
 
-    wrong_length = [
-        (name, len(vals)) for name, vals in zip(_PER_NODE, per_node) if len(vals) != n
-    ]
+    wrong_length = [(f, len(vals)) for f, vals in zip(_PER_NODE, per_node) if len(vals) != n]
     for name, got in wrong_length:
-        v.append(
-            Violation("param_length", f"params.{name}", f"expected {n} per-node values, got {got}")
-        )
-    # Node-indexed checks would misindex a field of the wrong length. The
-    # nodes are walked one by one only when a whole-field scan fails.
-    walk_nodes = not (wrong_length or _nodes_pass(*per_node, omega_min, epoch))
-    for i, th, w_u, w_1, w_2 in zip(topology.nodes(), *per_node) if walk_nodes else ():
-        if th <= 0.0:
-            v.append(Violation("initial_phase_nonpositive", f"node {i}", f"theta0={th!r}"))
+        detail = f"expected {n} per-node values, got {got}"
+        v.append(Violation("param_length", f"params.{name}", detail))
+    # Node-indexed rules would misindex a field of the wrong length.
+    if not wrong_length:
+        theta0, _, _, omega_init2 = per_node
+        # The fractional part (exactly th - floor(th)); in ``mid`` an integral
+        # theta0 reads as mid-frame, so only initial_phase_integral names it.
+        fracs = [th % 1.0 for th in theta0]
+        columns = dict(zip(_PER_NODE, per_node), frac=fracs, mid=[f or 0.5 for f in fracs])
         # Finite inputs can still give a non-finite phase where the history starts.
-        start = th + w_2 * epoch
-        if not isfinite(start):
-            v.append(
-                Violation(
-                    "value_out_of_range",
-                    f"node {i}",
-                    f"history-start phase theta0 + omega_init2 * epoch = {start!r}",
-                )
-            )
-        kind = _fractional_violation(th)
-        if kind == "integral":
-            detail = f"theta0={th!r} is an integer"
-            v.append(Violation("initial_phase_integral", f"node {i}", detail))
-        elif kind == "near-integral":
-            v.append(
-                Violation(
-                    "initial_phase_near_integral",
-                    f"node {i}",
-                    f"theta0={th!r} is within {FRACTIONAL_GUARD} of an integer",
-                )
-            )
-        if w_u <= 0.0:
-            detail = f"omega_u={w_u!r}"
-            v.append(Violation("uncorrected_frequency_nonpositive", f"node {i}", detail))
-        for name, w in (("omega_init1", w_1), ("omega_init2", w_2)):
-            if w <= omega_min:
-                v.append(
-                    Violation(
-                        "initial_frequency_not_above_min",
-                        f"node {i}",
-                        f"{name}={w!r} must exceed omega_min={omega_min!r}",
-                    )
-                )
+        columns["start"] = list(map(add, theta0, map(mul, omega_init2, repeat(epoch))))
+        positive, above_min = partial(lt, 0.0), partial(lt, omega_min)
+        rows = [
+            ("initial_phase_nonpositive", "", "theta0", positive, "theta0={theta0!r}"),
+            ("value_out_of_range", "", "start", isfinite, _START),
+            ("initial_phase_integral", "", "frac", positive, "theta0={theta0!r} is an integer"),
+            ("initial_phase_near_integral", "", "mid", partial(lt, _BELOW_GUARD), _NEAR),
+            ("initial_phase_near_integral", "", "mid", partial(ge, 1.0 - FRACTIONAL_GUARD), _NEAR),
+            ("uncorrected_frequency_nonpositive", "", "omega_u", positive, "omega_u={omega_u!r}"),
+            ("initial_frequency_not_above_min", "", "omega_init1", above_min, _ABOVE_MIN),
+            ("initial_frequency_not_above_min", "", "omega_init2", above_min, _ABOVE_MIN),
+        ]
+        ids = range(1, len(theta0) + 1)  # the node ids, read from a field of length n_nodes
+        v += [f for _, f in _table(rows, columns, "node {}", ids, omega_min=omega_min)]
 
     beta0 = params.beta0
-    beta0_ok = beta0.keys() == links.keys()
-    if not beta0_ok:
+    beta0_found: dict[tuple[int, int], list[Violation]] = {}
+    if beta0.keys() != links.keys():
         missing = sorted(links.keys() - beta0.keys())
         extra = sorted(beta0.keys() - links.keys())
         detail = f"missing={missing} extra={extra}"
         v.append(Violation("beta0_keys_mismatch", "params.beta0", detail))
-    walk_beta0 = beta0_ok and not _beta0_pass(beta0.values(), cap)
-    # The epoch bound needs d / omega_min, which only a positive floor and an
-    # exact d make meaningful.
-    lag = d / omega_min if omega_min > 0.0 and _exact(d) else None
+    else:
+        # Scanned in the order of ``beta0``; the findings are filed by link.
+        ids, values = list(beta0), list(beta0.values())
+        types = list(map(type, values))
+        # A value of another type than int is reported in place of its other
+        # rules: they read it as 0, and what they find there is dropped.
+        wrong = {ids[i] for i in _failing(_is_int, types)}
+        read = [0 if ab in wrong else x for ab, x in zip(ids, values)] if wrong else values
+        rows = [
+            ("wrong_type", " beta0", "type", _is_int, "expected an integer, got {beta0!r}"),
+            ("beta0_negative", "", "read", partial(lt, -1), "beta0={beta0}"),  # an int above -1
+            ("value_out_of_range", " beta0", "size", _exact, _INEXACT),
+        ]
+        if cap is not None:
+            detail = "beta0={beta0} > capacity={cap}"
+            rows.append(("beta0_exceeds_capacity", "", "read", partial(ge, cap), detail))
+        columns = {"beta0": values, "type": types, "read": read, "size": list(map(abs, read))}
+        for ab, found in _table(rows, columns, "link ({0[0]},{0[1]})", ids, cap=cap):
+            if ab not in wrong or found.name == "wrong_type":
+                beta0_found.setdefault(ab, []).append(found)
+    # The epoch bound needs d / omega_min: only a positive floor and an exact d give it meaning.
+    lag = d / omega_min if omega_min > 0.0 and d_int and _exact(abs(d)) else None
 
-    # The rules on a link's own fields are decided once per run of one
-    # ``Link`` object in the sorted walk; each link of the run reports the
-    # run's findings under its own subject.
+    # The rules on a link's own fields are decided once per run of one ``Link`` object in
+    # the sorted walk; each link of the run reports the run's findings under its own subject.
     run_of = None
-    for ab, lk in items:
+    for ab, lk in zip(keys, lks):
         a, b = ab
         if lk is not run_of:
             run_of = lk
-            # Only exact ratios are gearboxes; a float has no numerator to
-            # read. The identity test passes the usual Fraction at the lowest
-            # cost.
+            # Only exact ratios are gearboxes; a float has no numerator to read.
+            # The identity test passes the usual Fraction at the lowest cost.
             g = lk.gearbox
             gear_ok = type(g) is Fraction or isinstance(g, (int, Fraction))
-            # A Fraction's numerator and denominator are properties: read
-            # them once. A gearbox of the wrong type reads as 1/1, which has
-            # no guard.
+            # A Fraction's numerator and denominator are properties: read them
+            # once. A gearbox of the wrong type reads as 1/1, which has no guard.
             num, den = (g.numerator, g.denominator) if gear_ok else (1, 1)
             # (name, subject suffix, detail) of each rule the link breaks.
             found = []
@@ -322,15 +311,8 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
             for name, suffix, detail in found:
                 v.append(Violation(name, f"link ({a},{b}){suffix}", detail))
 
-        if walk_beta0:
-            b0 = beta0[ab]
-            if b0 < 0:
-                v.append(Violation("beta0_negative", f"link ({a},{b})", f"beta0={b0}"))
-            if not _exact(b0):
-                v.append(Violation("value_out_of_range", f"link ({a},{b}) beta0", _INEXACT))
-            if cap is not None and b0 > cap:
-                detail = f"beta0={b0} > capacity={cap}"
-                v.append(Violation("beta0_exceeds_capacity", f"link ({a},{b})", detail))
+        if beta0_found and ab in beta0_found:
+            v += beta0_found[ab]
 
         # Gearboxes scale the phases that get floored, so the same boundary
         # guard that applies to theta0 must hold for the scaled phases too.
@@ -342,21 +324,11 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
         for node in () if wrong_length else (a, b):
             scaled = params.theta0[node - 1] * num / den
             if not isfinite(scaled):
-                v.append(
-                    Violation(
-                        "value_out_of_range",
-                        f"link ({a},{b})",
-                        f"gearbox {g} scales node {node} theta0 to {scaled!r}",
-                    )
-                )
-            elif _fractional_violation(scaled) is not None:
-                v.append(
-                    Violation(
-                        "gearbox_phase_boundary",
-                        f"link ({a},{b})",
-                        f"gearbox {g} puts node {node} scaled phase {scaled!r} on a frame boundary",
-                    )
-                )
+                detail = f"gearbox {g} scales node {node} theta0 to {scaled!r}"
+                v.append(Violation("value_out_of_range", f"link ({a},{b})", detail))
+            elif not FRACTIONAL_GUARD <= scaled % 1.0 <= 1.0 - FRACTIONAL_GUARD:
+                detail = f"gearbox {g} puts node {node} scaled phase {scaled!r} on a frame boundary"
+                v.append(Violation("gearbox_phase_boundary", f"link ({a},{b})", detail))
     return v
 
 

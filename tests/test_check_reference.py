@@ -3,11 +3,12 @@
 ``reference_check`` below is ``topology.check`` as it was written before it
 scanned whole fields and decided the rules on a link's own fields once per
 run of one shared ``Link``: it visits each node and each link and decides
-every rule there. The property draws small graphs (self links, unknown
-nodes, unpaired links), a pool of one to three ``Link`` objects that the
-links share, copy as equal objects, or take in turn, and values on both
-sides of every threshold; both walks must give the same violations, names,
-subjects and details, in the same order.
+every rule there. A ``p``, ``d`` or ``beta0`` that is not an ``int`` is a
+``wrong_type`` in place of that value's other rules. The property draws
+small graphs (self links, unknown nodes, unpaired links), a pool of one to
+three ``Link`` objects that the links share, copy as equal objects, or take
+in turn, and values on both sides of every threshold; both walks must give
+the same violations, names, subjects and details, in the same order.
 """
 
 from dataclasses import replace
@@ -87,14 +88,20 @@ def reference_check(topology: Topology, params: SystemParams) -> list[Violation]
     p, d, omega_min, epoch = params.p, params.d, params.omega_min, params.epoch
     if cap is not None and cap <= 0:
         v.append(Violation("capacity_nonpositive", "topology", f"buffer_capacity={cap}"))
-    if p <= 0:
+    # A p or d of another type than int is reported in place of its own rules.
+    p_int, d_int = type(p) is int, type(d) is int
+    if not p_int:
+        v.append(Violation("wrong_type", "params.p", f"expected an integer, got {p!r}"))
+    elif p <= 0:
         v.append(Violation("period_nonpositive", "params.p", f"p={p}"))
-    if d <= 0:
+    if not d_int:
+        v.append(Violation("wrong_type", "params.d", f"expected an integer, got {d!r}"))
+    elif d <= 0:
         v.append(Violation("delay_nonpositive", "params.d", f"d={d}"))
-    if d >= p:
+    if p_int and d_int and d >= p:
         v.append(Violation("delay_not_less_than_period", "params", f"d={d} must be < p={p}"))
-    for subject, val in (("params.p", p), ("params.d", d)):
-        if not _exact(val):
+    for subject, val, typed in (("params.p", p, p_int), ("params.d", d, d_int)):
+        if typed and not _exact(val):
             v.append(Violation("value_out_of_range", subject, _INEXACT))
     if omega_min <= 0.0:
         v.append(Violation("omega_min_nonpositive", "params.omega_min", f"{omega_min!r}"))
@@ -156,7 +163,7 @@ def reference_check(topology: Topology, params: SystemParams) -> list[Violation]
         v.append(Violation("beta0_keys_mismatch", "params.beta0", detail))
     # The epoch bound needs d / omega_min, which only a positive floor and an
     # exact d make meaningful.
-    lag = d / omega_min if omega_min > 0.0 and _exact(d) else None
+    lag = d / omega_min if omega_min > 0.0 and d_int and _exact(d) else None
 
     for ab, lk in items:
         a, b = ab
@@ -193,13 +200,17 @@ def reference_check(topology: Topology, params: SystemParams) -> list[Violation]
 
         if beta0_ok:
             b0 = beta0[ab]
-            if b0 < 0:
-                v.append(Violation("beta0_negative", f"link ({a},{b})", f"beta0={b0}"))
-            if not _exact(b0):
-                v.append(Violation("value_out_of_range", f"link ({a},{b}) beta0", _INEXACT))
-            if cap is not None and b0 > cap:
-                detail = f"beta0={b0} > capacity={cap}"
-                v.append(Violation("beta0_exceeds_capacity", f"link ({a},{b})", detail))
+            if type(b0) is not int:
+                detail = f"expected an integer, got {b0!r}"
+                v.append(Violation("wrong_type", f"link ({a},{b}) beta0", detail))
+            else:
+                if b0 < 0:
+                    v.append(Violation("beta0_negative", f"link ({a},{b})", f"beta0={b0}"))
+                if not _exact(b0):
+                    v.append(Violation("value_out_of_range", f"link ({a},{b}) beta0", _INEXACT))
+                if cap is not None and b0 > cap:
+                    detail = f"beta0={b0} > capacity={cap}"
+                    v.append(Violation("beta0_exceeds_capacity", f"link ({a},{b})", detail))
 
         # Gearboxes scale the phases that get floored, so the same boundary
         # guard that applies to theta0 must hold for the scaled phases too.
@@ -302,8 +313,8 @@ def scenarios(draw):
             chosen[key] = draw(st.sampled_from(pool))
     links = {key: chosen[key] for key in keys}
 
-    p = draw(draw(values(([10], [0, 3, 2**53 + 1]))))
-    d = draw(draw(values(([2], [0, 10, 2**53 + 1]))))
+    p = draw(draw(values(([10], [0, 3, 2**53 + 1, 10.5, 10.0, True]))))
+    d = draw(draw(values(([2], [0, 10, 2**53 + 1, 2.5, 2.0, False]))))
     omega_min = draw(draw(values(([0.1, 0.5], [0.0]))))
     # The epoch at, just inside and just outside each link's bound.
     epochs = [-25.0, -1.0, 0.0]
@@ -324,7 +335,7 @@ def scenarios(draw):
     ]
 
     cap = draw(draw(values(([None, 50], [10, 0, -1]))))
-    beta0_values = ([0, 5, 10], [-1, 2**53, 2**53 + 1, -(2**53) - 1, nan])
+    beta0_values = ([0, 5, 10], [-1, 2**53, 2**53 + 1, -(2**53) - 1, nan, 1.5, -2.0, True, "5"])
     if cap is not None:
         beta0_values[1].extend([cap, cap + 1])
     beta0_value = draw(values(beta0_values))

@@ -7,6 +7,7 @@ import pytest
 
 from afmsim.controllers import ControllerSpec, make_controllers
 from afmsim.engine import init_state, measure
+from afmsim.scenarios import triangle3
 from afmsim.topology import (
     Link,
     SystemParams,
@@ -335,3 +336,31 @@ def test_float_gearbox_is_a_wrong_type(gearbox):
     assert repr(gearbox) in got[0].detail
     with pytest.raises(ValidationError, match="wrong_type"):
         validate(Topology(3, links), triangle_params())
+
+
+@pytest.mark.parametrize(
+    "field, value, subject",
+    [
+        ("p", 10.5, "params.p"),
+        ("p", 10.0, "params.p"),
+        ("d", 2.0, "params.d"),
+        ("d", True, "params.d"),
+        ("beta0", 1.5, "link (1,2) beta0"),
+        ("beta0", float("nan"), "link (1,2) beta0"),
+    ],
+)
+def test_non_integer_count_is_a_wrong_type(field, value, subject):
+    # p, d and beta0 count ticks or frames; a hand-built float, even an
+    # integral one, is reported in place of that value's other rules instead
+    # of being sampled at a fractional tick or used as a fractional index.
+    scenario = triangle3().scenario
+    params = scenario.params
+    if field == "beta0":
+        params = dataclasses.replace(params, beta0={**params.beta0, (1, 2): value})
+    else:
+        params = dataclasses.replace(params, **{field: value})
+    got = check(scenario.topology, params)
+    assert [(v.name, v.subject) for v in got] == [("wrong_type", subject)]
+    assert got[0].detail == f"expected an integer, got {value!r}"
+    with pytest.raises(ValidationError, match="wrong_type"):
+        validate(scenario.topology, params)
