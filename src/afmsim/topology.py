@@ -3,10 +3,10 @@
 Edges always come as a pair of directed links, one per direction, each with
 its own latency and optional gearbox (a rational frames-per-tick multiplier).
 ``check`` collects every violated constraint as a named violation instead of
-stopping at the first, so a config author sees the whole damage report. The
-finite-value, per-node and ``beta0`` rules are rows of rule tables, each rule
-stated once and scanned over a whole column before any value is walked; the
-rules on a link's own fields are decided once per run of one ``Link`` object.
+stopping at the first, so a config author sees the whole damage report. Each
+finite-value, per-node and ``beta0`` rule is stated once, scanned over a whole
+column before any value is walked; the rules on a link's own fields are
+decided once per run of one ``Link`` object.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, nextafter
-from itertools import repeat
+from itertools import chain, repeat
 from functools import partial
-from operator import add, attrgetter, eq, ge, gt, lt, mul
+from operator import add, attrgetter, eq, ge, lt, mul
 from typing import Mapping
 
 # Sampled phases must stay clear of frame boundaries at desk scale so that
@@ -112,55 +112,80 @@ class Scenario:
 _INEXACT = "magnitude above 2**53: not exact as a float"
 _PER_NODE = ("theta0", "omega_u", "omega_init1", "omega_init2")
 _latency = attrgetter("latency")
-_is_int = partial(eq, int)  # of a type: p, d and beta0 count ticks or frames
-# Of an integer's magnitude: float arithmetic on it neither rounds nor overflows.
-_exact = partial(ge, MAX_EXACT_INT)
+# Of a type: p, d and beta0 count ticks or frames. Of an integer's magnitude:
+# float arithmetic on it neither rounds nor overflows.
+_INT, _EXACT = (eq, int), (ge, MAX_EXACT_INT)
+_is_int, _exact = partial(*_INT), partial(*_EXACT)
+
+# A rule table has a row (name, subject suffix, column, op, bound, detail) per rule,
+# in report order for one node or link. A rule holds for x when op(bound, x), or
+# op(x) if bound is None; a string bound names a scalar. The detail is formatted
+# with the column's name and value, the scalars and each column's value by name.
 _START = "history-start phase theta0 + omega_init2 * epoch = {start!r}"
 _NEAR = f"theta0={{theta0!r}} is within {FRACTIONAL_GUARD} of an integer"
-_BELOW_GUARD = nextafter(FRACTIONAL_GUARD, 0.0)  # a float above it is at least the guard
 _ABOVE_MIN = "{0}={1!r} must exceed omega_min={omega_min!r}"
+_NODE_RULES = (
+    ("initial_phase_nonpositive", "", "theta0", lt, 0.0, "theta0={theta0!r}"),
+    ("value_out_of_range", "", "start", isfinite, None, _START),
+    ("initial_phase_integral", "", "frac", lt, 0.0, "theta0={theta0!r} is an integer"),
+    # mid >= the guard: ``lt`` from the float just below it.
+    ("initial_phase_near_integral", "", "mid", lt, nextafter(FRACTIONAL_GUARD, 0.0), _NEAR),
+    ("initial_phase_near_integral", "", "mid", ge, 1.0 - FRACTIONAL_GUARD, _NEAR),
+    ("uncorrected_frequency_nonpositive", "", "omega_u", lt, 0.0, "omega_u={omega_u!r}"),
+    ("initial_frequency_not_above_min", "", "omega_init1", lt, "omega_min", _ABOVE_MIN),
+    ("initial_frequency_not_above_min", "", "omega_init2", lt, "omega_min", _ABOVE_MIN),
+)
+_BETA0_RULES = (
+    ("wrong_type", " beta0", "type", *_INT, "expected an integer, got {beta0!r}"),
+    ("beta0_negative", "", "read", lt, -1, "beta0={beta0}"),  # an int above -1
+    ("value_out_of_range", " beta0", "size", *_EXACT, _INEXACT),
+    ("beta0_exceeds_capacity", "", "read", ge, "cap", "beta0={beta0} > capacity={cap}"),
+)
+# A bound (lt, ge) holds for a whole column exactly when it holds for the least
+# (lt) or the greatest (ge) value, and an equality when it counts them all.
+_EXTREME = {lt: min, ge: max}
 
-# A rule holds for x when ``ok(x)``. A bound ``partial(op, bound)`` holds when
-# ``op(bound, x)``, so for a whole column exactly when it holds for the least
-# (lt) or greatest (gt, ge) value; an equality holds when it counts all.
-_EXTREME = {lt: min, gt: max, ge: max}
 
-
-def _failing(ok, values) -> list[int]:
-    """Indexes of the values that break the rule ``ok``, in order: the column
-    is scanned whole, and walked value by value only when the scan fails."""
-    func = getattr(ok, "func", None)
-    if func in _EXTREME:
-        holds = not values or ok(_EXTREME[func](values))
-    elif func is eq:
-        holds = values.count(ok.args[0]) == len(values)
+def _failing(op, bound, values) -> list[int]:
+    """Indexes of the values that break the rule, in order: the column is
+    scanned whole, and walked value by value only when the scan fails."""
+    extreme = _EXTREME.get(op)
+    if extreme:
+        holds = not values or op(bound, extreme(values))
+    elif op is eq:
+        holds = values.count(bound) == len(values)
     else:
-        holds = all(map(ok, values))
-    return [] if holds else [i for i, x in enumerate(values) if not ok(x)]
+        holds = all(map(op, values))
+    if holds:
+        return []
+    test = op if bound is None else partial(op, bound)
+    return [i for i, x in enumerate(values) if not test(x)]
 
 
-def _table(rows, columns, subject, ids, **scalars):
-    """Yield (id, violation) for each value that breaks a row of a rule table,
-    index-major, then in row order. A row (name, suffix, column, ok, detail)
-    states one rule: ``ok`` on each value of ``columns[column]``. A subject
-    is ``subject`` formatted with the id, then ``suffix``; a detail formats
-    the column's name and value, ``scalars`` and each column's value by name.
-    """
-    found = sorted((i, k) for k, row in enumerate(rows) for i in _failing(row[3], columns[row[2]]))
+def _table(rows, columns, subject, ids, scalars) -> list[tuple]:
+    """(id, violation) for each value that breaks a row of a rule table, index-major,
+    then in row order; the subject is ``subject`` formatted with the id, then the suffix."""
+    found = []
+    for k, (_, _, col, op, bound, _) in enumerate(rows):
+        for i in _failing(op, scalars.get(bound, bound), columns[col]):
+            found.append((i, k))
+    found.sort()
+    out = []
     for i, k in found:
-        name, suffix, col, _, detail = rows[k]
+        name, suffix, col, _, _, detail = rows[k]
         at = {c: values[i] for c, values in columns.items()}
         text = detail.format(col, at[col], **scalars, **at)
-        yield ids[i], Violation(name, subject.format(ids[i]) + suffix, text)
+        out.append((ids[i], Violation(name, subject.format(ids[i]) + suffix, text)))
+    return out
 
 
 def check(topology: Topology, params: SystemParams) -> list[Violation]:
     """Collect every violated constraint of the model's well-posedness rules.
 
     Pure: the same inputs always produce the same report, in the same order:
-    the scalars, the per-node fields, then each link in sorted order, its
-    ``beta0`` findings after those on its own fields. A subject string is
-    formatted only for a violation. See ``_table`` for the rule tables.
+    the scalars, the per-node fields, then each link in sorted order, the
+    rules on its own fields before its ``beta0``. A subject string is
+    formatted only for a violation. See ``_NODE_RULES`` and ``_BETA0_RULES``.
     """
     v: list[Violation] = []
     n = topology.n_nodes
@@ -172,19 +197,15 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
     per_node = [getattr(params, name) for name in _PER_NODE]
 
     # NaN/inf poison every later comparison and floor: refuse them up front and skip
-    # the checks they would corrupt. One row per field: (subject template, ids, values).
-    finite = [
-        ("params.{}", ("omega_min", "epoch"), (params.omega_min, params.epoch)),
-        *((f"params.{f}[{{}}]", range(len(vals)), vals) for f, vals in zip(_PER_NODE, per_node)),
-        ("link ({0[0]},{0[1]}) latency", keys, list(map(_latency, lks))),
-    ]
-    not_finite = [
-        Violation("value_not_finite", subject.format(ids[i]), repr(vals[i]))
-        for subject, ids, vals in finite
-        for i in _failing(isfinite, vals)
-    ]
+    # the checks they would corrupt. The fields form one column, in report order.
+    finite = [params.omega_min, params.epoch, *chain(*per_node), *map(_latency, lks)]
+    not_finite = _failing(isfinite, None, finite)
     if not_finite:
-        return v + not_finite
+        subjects = ["params.omega_min", "params.epoch"]
+        for f, vals in zip(_PER_NODE, per_node):
+            subjects += [f"params.{f}[{i}]" for i in range(len(vals))]
+        subjects += [f"link ({a},{b}) latency" for a, b in keys]
+        return v + [Violation("value_not_finite", subjects[i], repr(finite[i])) for i in not_finite]
 
     cap = topology.buffer_capacity
     p, d, omega_min, epoch = params.p, params.d, params.omega_min, params.epoch
@@ -192,13 +213,12 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
         v.append(Violation("capacity_nonpositive", "topology", f"buffer_capacity={cap}"))
     # A p or d of another type than int is reported in place of its own rules.
     p_int, d_int = _is_int(type(p)), _is_int(type(d))
-    if not p_int:
-        v.append(Violation("wrong_type", "params.p", f"expected an integer, got {p!r}"))
-    elif p <= 0:
+    for subject, val, typed in (("params.p", p, p_int), ("params.d", d, d_int)):
+        if not typed:
+            v.append(Violation("wrong_type", subject, f"expected an integer, got {val!r}"))
+    if p_int and p <= 0:
         v.append(Violation("period_nonpositive", "params.p", f"p={p}"))
-    if not d_int:
-        v.append(Violation("wrong_type", "params.d", f"expected an integer, got {d!r}"))
-    elif d <= 0:
+    if d_int and d <= 0:
         v.append(Violation("delay_nonpositive", "params.d", f"d={d}"))
     if p_int and d_int and d >= p:
         v.append(Violation("delay_not_less_than_period", "params", f"d={d} must be < p={p}"))
@@ -223,45 +243,25 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
         columns = dict(zip(_PER_NODE, per_node), frac=fracs, mid=[f or 0.5 for f in fracs])
         # Finite inputs can still give a non-finite phase where the history starts.
         columns["start"] = list(map(add, theta0, map(mul, omega_init2, repeat(epoch))))
-        positive, above_min = partial(lt, 0.0), partial(lt, omega_min)
-        rows = [
-            ("initial_phase_nonpositive", "", "theta0", positive, "theta0={theta0!r}"),
-            ("value_out_of_range", "", "start", isfinite, _START),
-            ("initial_phase_integral", "", "frac", positive, "theta0={theta0!r} is an integer"),
-            ("initial_phase_near_integral", "", "mid", partial(lt, _BELOW_GUARD), _NEAR),
-            ("initial_phase_near_integral", "", "mid", partial(ge, 1.0 - FRACTIONAL_GUARD), _NEAR),
-            ("uncorrected_frequency_nonpositive", "", "omega_u", positive, "omega_u={omega_u!r}"),
-            ("initial_frequency_not_above_min", "", "omega_init1", above_min, _ABOVE_MIN),
-            ("initial_frequency_not_above_min", "", "omega_init2", above_min, _ABOVE_MIN),
-        ]
         ids = range(1, len(theta0) + 1)  # the node ids, read from a field of length n_nodes
-        v += [f for _, f in _table(rows, columns, "node {}", ids, omega_min=omega_min)]
+        v += [f for _, f in _table(_NODE_RULES, columns, "node {}", ids, {"omega_min": omega_min})]
 
     beta0 = params.beta0
     beta0_found: dict[tuple[int, int], list[Violation]] = {}
     if beta0.keys() != links.keys():
-        missing = sorted(links.keys() - beta0.keys())
-        extra = sorted(beta0.keys() - links.keys())
+        missing, extra = sorted(links.keys() - beta0.keys()), sorted(beta0.keys() - links.keys())
         detail = f"missing={missing} extra={extra}"
         v.append(Violation("beta0_keys_mismatch", "params.beta0", detail))
     else:
-        # Scanned in the order of ``beta0``; the findings are filed by link.
+        # Scanned in the order of ``beta0``, and filed by link. A value of another type than
+        # int is reported in place of its other rules, which read it as 0 and drop their findings.
         ids, values = list(beta0), list(beta0.values())
         types = list(map(type, values))
-        # A value of another type than int is reported in place of its other
-        # rules: they read it as 0, and what they find there is dropped.
-        wrong = {ids[i] for i in _failing(_is_int, types)}
+        wrong = {ids[i] for i in _failing(*_INT, types)}
         read = [0 if ab in wrong else x for ab, x in zip(ids, values)] if wrong else values
-        rows = [
-            ("wrong_type", " beta0", "type", _is_int, "expected an integer, got {beta0!r}"),
-            ("beta0_negative", "", "read", partial(lt, -1), "beta0={beta0}"),  # an int above -1
-            ("value_out_of_range", " beta0", "size", _exact, _INEXACT),
-        ]
-        if cap is not None:
-            detail = "beta0={beta0} > capacity={cap}"
-            rows.append(("beta0_exceeds_capacity", "", "read", partial(ge, cap), detail))
         columns = {"beta0": values, "type": types, "read": read, "size": list(map(abs, read))}
-        for ab, found in _table(rows, columns, "link ({0[0]},{0[1]})", ids, cap=cap):
+        rules = _BETA0_RULES if cap is not None else _BETA0_RULES[:-1]
+        for ab, found in _table(rules, columns, "link ({0[0]},{0[1]})", ids, {"cap": cap}):
             if ab not in wrong or found.name == "wrong_type":
                 beta0_found.setdefault(ab, []).append(found)
     # The epoch bound needs d / omega_min: only a positive floor and an exact d give it meaning.

@@ -90,13 +90,12 @@ def reference_check(topology: Topology, params: SystemParams) -> list[Violation]
         v.append(Violation("capacity_nonpositive", "topology", f"buffer_capacity={cap}"))
     # A p or d of another type than int is reported in place of its own rules.
     p_int, d_int = type(p) is int, type(d) is int
-    if not p_int:
-        v.append(Violation("wrong_type", "params.p", f"expected an integer, got {p!r}"))
-    elif p <= 0:
+    for subject, val, typed in (("params.p", p, p_int), ("params.d", d, d_int)):
+        if not typed:
+            v.append(Violation("wrong_type", subject, f"expected an integer, got {val!r}"))
+    if p_int and p <= 0:
         v.append(Violation("period_nonpositive", "params.p", f"p={p}"))
-    if not d_int:
-        v.append(Violation("wrong_type", "params.d", f"expected an integer, got {d!r}"))
-    elif d <= 0:
+    if d_int and d <= 0:
         v.append(Violation("delay_nonpositive", "params.d", f"d={d}"))
     if p_int and d_int and d >= p:
         v.append(Violation("delay_not_less_than_period", "params", f"d={d} must be < p={p}"))
