@@ -364,3 +364,16 @@ def test_non_integer_count_is_a_wrong_type(field, value, subject):
     assert got[0].detail == f"expected an integer, got {value!r}"
     with pytest.raises(ValidationError, match="wrong_type"):
         validate(scenario.topology, params)
+
+
+def test_wrong_type_beta0_replaces_its_capacity_rule():
+    # The other beta0 rules read a wrong-typed value as 0, which a negative
+    # capacity would break; what they find there is dropped.
+    scenario = triangle3().scenario
+    topology = dataclasses.replace(scenario.topology, buffer_capacity=-1)
+    params = dataclasses.replace(scenario.params, beta0={**scenario.params.beta0, (1, 2): 1.5})
+    got = [(v.name, v.subject) for v in check(topology, params)]
+    assert [pair for pair in got if pair[1].startswith("link (1,2)")] == [
+        ("wrong_type", "link (1,2) beta0")
+    ]
+    assert ("beta0_exceeds_capacity", "link (1,3)") in got
