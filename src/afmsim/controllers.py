@@ -7,6 +7,10 @@ occupancy, the bundled scenarios' choice), and ``custom`` (a user-supplied
 state-transition / output function pair). A clamp saturates the correction
 into a fixed interval, which is the standard way to make any controller
 admissible.
+
+The proportional sum of ``occupancy - beta_ref`` is a left-to-right binary64
+sum from 0.0, in ascending neighbor order, so it is the same on every
+supported Python; ``sum()`` over floats is compensated from Python 3.12 on.
 """
 
 from __future__ import annotations
@@ -64,7 +68,11 @@ class Controller:
         if spec.kind == "zero":
             c = 0.0
         elif spec.kind == "proportional":
-            c = spec.k_p * sum([occ - spec.beta_ref for _, occ in y])
+            beta_ref = spec.beta_ref
+            total = 0.0
+            for _, occ in y:
+                total += occ - beta_ref
+            c = spec.k_p * total
         else:
             self.state = spec.state_fn(self.state, y)
             c = spec.output_fn(self.state, y)

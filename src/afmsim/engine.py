@@ -31,6 +31,11 @@ its domain is stored there), its own phase at ``t_sample`` once for all its
 incoming buffers, and each in-neighbour's phase once. It floors its own phase
 once per gearbox, not once per buffer: once for each run of in-links (in
 ascending ``j``) that share a gearbox, so once in all when they share one.
+Each of those reads tests the trajectory's last segment before it bisects.
+``t_sample`` lies on the node's own last segment in every step after its
+first (the sample phase is ``d`` ticks before the last knot and ``p - d``
+after the one before), and an in-neighbour's read lands on the neighbour's
+last segment when the latency is short against a sample period.
 """
 
 from __future__ import annotations

@@ -189,7 +189,12 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
     """
     v: list[Violation] = []
     n = topology.n_nodes
-    if n < 1:
+    # An n_nodes of another type than int is reported in place of the rules that read it:
+    # the node count, the per-node field lengths and the node ids of the links.
+    n_int = _is_int(type(n))
+    if not n_int:
+        v.append(Violation("wrong_type", "topology.n_nodes", f"expected an integer, got {n!r}"))
+    elif n < 1:
         v.append(Violation("node_count_nonpositive", "topology", f"n_nodes={n}"))
     links = topology.links
     keys = sorted(links)
@@ -230,12 +235,15 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
     if epoch >= 0.0:
         v.append(Violation("epoch_nonnegative", "params.epoch", f"epoch={epoch!r}"))
 
-    wrong_length = [(f, len(vals)) for f, vals in zip(_PER_NODE, per_node) if len(vals) != n]
+    wrong_length = (
+        [(f, len(vals)) for f, vals in zip(_PER_NODE, per_node) if len(vals) != n] if n_int else []
+    )
     for name, got in wrong_length:
         detail = f"expected {n} per-node values, got {got}"
         v.append(Violation("param_length", f"params.{name}", detail))
-    # Node-indexed rules would misindex a field of the wrong length.
-    if not wrong_length:
+    # Node-indexed rules would misindex a field of the wrong length, or of no known length.
+    indexed = n_int and not wrong_length
+    if indexed:
         theta0, _, _, omega_init2 = per_node
         # The fractional part (exactly th - floor(th)); in ``mid`` an integral
         # theta0 reads as mid-frame, so only initial_phase_integral names it.
@@ -298,7 +306,7 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
             geared = num != den and num > 0
             gear_exact = geared and _exact(num) and _exact(den)
 
-        in_range = 1 <= a <= n and 1 <= b <= n
+        in_range = not n_int or (1 <= a <= n and 1 <= b <= n)
         if a == b:
             v.append(Violation("self_link", f"link ({a},{b})", "links must join distinct nodes"))
         elif not in_range:
@@ -321,7 +329,7 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
         if not gear_exact:
             v.append(Violation("value_out_of_range", f"link ({a},{b}) gearbox", _INEXACT))
             continue
-        for node in () if wrong_length else (a, b):
+        for node in (a, b) if indexed else ():
             scaled = params.theta0[node - 1] * num / den
             if not isfinite(scaled):
                 detail = f"gearbox {g} scales node {node} theta0 to {scaled!r}"

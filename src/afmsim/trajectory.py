@@ -45,10 +45,11 @@ class AdmissibilityError(RuntimeError):
 class ClockTrajectory:
     """Clock phase as a piecewise-linear, strictly increasing function of time.
 
-    Knot times and phases are kept in parallel sorted lists. A lookup is one
-    binary search over the knots and writes nothing, so every read is a pure
-    function of the knots. Evaluation at a knot returns the stored knot value
-    exactly.
+    Knot times and phases are kept in parallel sorted lists. A lookup tests
+    the last segment first, where the simulation loop mostly reads, and
+    otherwise bisects the knots before it. It writes nothing, so every read
+    is a pure function of the knots. Evaluation at a knot returns the stored
+    knot value exactly.
     """
 
     __slots__ = ("times", "phases", "min_slope")
@@ -73,10 +74,14 @@ class ClockTrajectory:
     def eval(self, t: float) -> float:
         """Phase at wall time ``t`` by linear interpolation between knots."""
         times = self.times
-        if not times[0] <= t <= times[-1]:
-            raise DomainError(f"time {t!r} outside domain [{times[0]!r}, {times[-1]!r}]")
+        i = len(times) - 2  # the last segment, [times[i], times[i + 1])
+        if not times[i] <= t < times[i + 1]:
+            if not times[0] <= t <= times[-1]:
+                raise DomainError(f"time {t!r} outside domain [{times[0]!r}, {times[-1]!r}]")
+            if t == times[-1]:  # also the one knot of a single-knot trajectory
+                return self.phases[-1]
+            i = bisect_right(times, t, 0, i) - 1
         phases = self.phases
-        i = bisect_right(times, t) - 1
         if t == times[i]:
             return phases[i]
         return phases[i] + (t - times[i]) * (phases[i + 1] - phases[i]) / (times[i + 1] - times[i])
@@ -84,12 +89,16 @@ class ClockTrajectory:
     def inverse(self, phase: float) -> float:
         """The unique wall time at which the clock shows ``phase``."""
         phases = self.phases
-        if not phases[0] <= phase <= phases[-1]:
-            raise DomainError(
-                f"phase {phase!r} outside range [{phases[0]!r}, {phases[-1]!r}]"
-            )
+        i = len(phases) - 2
+        if not phases[i] <= phase < phases[i + 1]:
+            if not phases[0] <= phase <= phases[-1]:
+                raise DomainError(
+                    f"phase {phase!r} outside range [{phases[0]!r}, {phases[-1]!r}]"
+                )
+            if phase == phases[-1]:
+                return self.times[-1]
+            i = bisect_right(phases, phase, 0, i) - 1
         times = self.times
-        i = bisect_right(phases, phase) - 1
         if phase == phases[i]:
             return times[i]
         return times[i] + (phase - phases[i]) * (times[i + 1] - times[i]) / (phases[i + 1] - phases[i])

@@ -3,12 +3,13 @@
 ``reference_check`` below is ``topology.check`` as it was written before it
 scanned whole fields and decided the rules on a link's own fields once per
 run of one shared ``Link``: it visits each node and each link and decides
-every rule there. A ``p``, ``d`` or ``beta0`` that is not an ``int`` is a
-``wrong_type`` in place of that value's other rules. The property draws
-small graphs (self links, unknown nodes, unpaired links), a pool of one to
-three ``Link`` objects that the links share, copy as equal objects, or take
-in turn, and values on both sides of every threshold; both walks must give
-the same violations, names, subjects and details, in the same order.
+every rule there. An ``n_nodes``, ``p``, ``d`` or ``beta0`` that is not an
+``int`` is a ``wrong_type`` in place of that value's other rules. The
+property draws small graphs (self links, unknown nodes, unpaired links), a
+pool of one to three ``Link`` objects that the links share, copy as equal
+objects, or take in turn, and values on both sides of every threshold; both
+walks must give the same violations, names, subjects and details, in the
+same order.
 """
 
 from dataclasses import replace
@@ -59,7 +60,12 @@ def reference_check(topology: Topology, params: SystemParams) -> list[Violation]
     """
     v: list[Violation] = []
     n = topology.n_nodes
-    if n < 1:
+    # An n_nodes of another type than int is reported in place of the rules
+    # that read it; no node-indexed rule runs without a node count.
+    n_int = type(n) is int
+    if not n_int:
+        v.append(Violation("wrong_type", "topology.n_nodes", f"expected an integer, got {n!r}"))
+    elif n < 1:
         v.append(Violation("node_count_nonpositive", "topology", f"n_nodes={n}"))
     links = topology.links
     items = sorted(links.items())
@@ -108,14 +114,15 @@ def reference_check(topology: Topology, params: SystemParams) -> list[Violation]
         v.append(Violation("epoch_nonnegative", "params.epoch", f"epoch={epoch!r}"))
 
     wrong_length = [
-        (name, len(vals)) for name, vals in zip(_PER_NODE, per_node) if len(vals) != n
+        (name, len(vals)) for name, vals in zip(_PER_NODE, per_node) if n_int and len(vals) != n
     ]
     for name, got in wrong_length:
         v.append(
             Violation("param_length", f"params.{name}", f"expected {n} per-node values, got {got}")
         )
     # Node-indexed checks would misindex a field of the wrong length.
-    for i, th, w_u, w_1, w_2 in () if wrong_length else zip(topology.nodes(), *per_node):
+    indexed = n_int and not wrong_length
+    for i, th, w_u, w_1, w_2 in zip(topology.nodes(), *per_node) if indexed else ():
         if th <= 0.0:
             v.append(Violation("initial_phase_nonpositive", f"node {i}", f"theta0={th!r}"))
         # Finite inputs can still give a non-finite phase where the history starts.
@@ -166,7 +173,7 @@ def reference_check(topology: Topology, params: SystemParams) -> list[Violation]
 
     for ab, lk in items:
         a, b = ab
-        in_range = 1 <= a <= n and 1 <= b <= n
+        in_range = not n_int or (1 <= a <= n and 1 <= b <= n)
         # Only exact ratios are gearboxes; a float has no numerator to read.
         # The identity test passes the usual Fraction at the lowest cost.
         g = lk.gearbox
@@ -218,7 +225,7 @@ def reference_check(topology: Topology, params: SystemParams) -> list[Violation]
         if not (_exact(num) and _exact(den)):
             v.append(Violation("value_out_of_range", f"link ({a},{b}) gearbox", _INEXACT))
             continue
-        for node in () if wrong_length else (a, b):
+        for node in (a, b) if indexed else ():
             scaled = params.theta0[node - 1] * num / den
             if not isfinite(scaled):
                 v.append(
@@ -358,7 +365,9 @@ def scenarios(draw):
     elif poison == 5:
         epoch = draw(st.sampled_from(NOT_FINITE))
 
-    topology = Topology(n_nodes=n, links=links, buffer_capacity=cap)
+    # Now and then a node count of another type, equal to n or not.
+    n_nodes = draw(st.sampled_from([n] * 20 + [float(n), True]))
+    topology = Topology(n_nodes=n_nodes, links=links, buffer_capacity=cap)
     params = SystemParams(p, d, omega_min, epoch, *map(tuple, fields), beta0=beta0)
     return topology, params
 
@@ -403,6 +412,8 @@ def triangle(gearbox=Fraction(1), **overrides):
 @example(triangle(theta0=(G, 1.0 - G, 2.0 + G)))
 @example(triangle(theta0=(0.1, nextafter(1.0 - G, 1.0), 0.3)))
 @example(triangle(omega_init1=(1.1, 0.1, 2.0)))
+# A float node count in place of its rules, and of the node rules it would index.
+@example((Topology(3.0, triangle()[0].links), triangle(theta0=(1.0, 0.2, 0.3))[1]))
 def test_check_matches_the_reference_walk(case):
     topology, params = case
     assert check(topology, params) == reference_check(topology, params)

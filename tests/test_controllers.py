@@ -1,16 +1,20 @@
 """Controller behavior and admissibility checks."""
 
+import hashlib
+import json
 import math
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from afmsim.config import load_config
 from afmsim.controllers import (
     Controller,
     ControllerSpec,
     is_admissible,
     make_controllers,
 )
+from afmsim.engine import simulate
 
 
 def test_proportional_sum_of_occupancies():
@@ -207,6 +211,8 @@ _finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 @example(k_p=0.01, beta_ref=0.1, occupancies=[3, -7, 12], clamp=(-1.0, 1.0))
 @example(k_p=0.3, beta_ref=2.7, occupancies=[-5, 41, 9, 0], clamp=(-4.0, 4.0))
+# 0.0 left to right; a compensated sum (sum() from Python 3.12 on) gives 1.0.
+@example(k_p=1.0, beta_ref=0.0, occupancies=[10**16, 1, -(10**16)], clamp=None)
 @given(
     k_p=_finite,
     beta_ref=_finite,
@@ -218,8 +224,49 @@ def test_proportional_update_is_the_sum_in_measurement_order(k_p, beta_ref, occu
     # then the clamp; a sum taken in any other order or grouping rounds apart.
     y = tuple(enumerate(occupancies, start=2))
     ctrl = Controller(ControllerSpec(kind="proportional", k_p=k_p, beta_ref=beta_ref, clamp=clamp))
-    c = k_p * sum(occ - beta_ref for _, occ in y)
+    total = 0.0
+    for _, occ in y:
+        total += occ - beta_ref
+    c = k_p * total
     if clamp is not None:
         lo, hi = clamp
         c = lo if c < lo else hi if c > hi else c
     assert float.hex(ctrl.update(y)) == float.hex(c)
+
+
+# Four fully connected nodes: in-degree 3, so the proportional sum has three
+# fractional terms per step once beta_ref is 0.3.
+K4_BETA_REF = {
+    "topology": {
+        "n_nodes": 4,
+        "edges": [
+            {"a": a, "b": b, "latency": latency}
+            for (a, b), latency in {
+                (1, 2): 1.1, (1, 3): 1.7, (1, 4): 2.3, (2, 3): 1.1, (2, 4): 1.7, (3, 4): 1.1
+            }.items()
+        ],
+    },
+    "params": {
+        "p": 10,
+        "d": 2,
+        "omega_min": 0.1,
+        "epoch": -25.0,
+        "theta0": [0.1, 0.3, 0.5, 0.7],
+        "omega_u": [0.9, 1.3, 1.7, 2.1],
+        "beta0": 50,
+    },
+    "controller": {"kind": "proportional", "k_p": 0.01, "beta_ref": 0.3},
+    "run": {"t_max": 100.0, "output_grid": 0.5},
+}
+
+
+def test_proportional_run_is_the_same_on_every_python():
+    # The digest is that of Python 3.10 and 3.11. A compensated sum, as sum()
+    # of floats is from Python 3.12 on, rounds some steps of this run apart.
+    cfg = load_config(json.dumps(K4_BETA_REF))
+    samples = simulate(cfg.scenario, cfg.controller, cfg.run.t_max).samples
+    digest = hashlib.sha256()
+    for r in samples:
+        digest.update(repr((r.node, r.step, r.t_sample, r.correction)).encode())
+    assert len(samples) == 118
+    assert digest.hexdigest() == "fe21da08859c2028a97309b20543508f4b9a53a7fc38a4264fe85bc4b04b9726"

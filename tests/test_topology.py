@@ -347,23 +347,44 @@ def test_float_gearbox_is_a_wrong_type(gearbox):
         ("d", True, "params.d"),
         ("beta0", 1.5, "link (1,2) beta0"),
         ("beta0", float("nan"), "link (1,2) beta0"),
+        ("n_nodes", 3.0, "topology.n_nodes"),
+        ("n_nodes", True, "topology.n_nodes"),
     ],
 )
 def test_non_integer_count_is_a_wrong_type(field, value, subject):
-    # p, d and beta0 count ticks or frames; a hand-built float, even an
-    # integral one, is reported in place of that value's other rules instead
-    # of being sampled at a fractional tick or used as a fractional index.
+    # n_nodes, p, d and beta0 count nodes, ticks or frames; a hand-built float,
+    # even an integral one, is reported in place of that value's other rules
+    # instead of being sampled at a fractional tick or used as a fractional index.
     scenario = triangle3().scenario
-    params = scenario.params
+    topology, params = scenario.topology, scenario.params
     if field == "beta0":
         params = dataclasses.replace(params, beta0={**params.beta0, (1, 2): value})
+    elif field == "n_nodes":
+        topology = dataclasses.replace(topology, n_nodes=value)
     else:
         params = dataclasses.replace(params, **{field: value})
-    got = check(scenario.topology, params)
+    got = check(topology, params)
     assert [(v.name, v.subject) for v in got] == [("wrong_type", subject)]
     assert got[0].detail == f"expected an integer, got {value!r}"
     with pytest.raises(ValidationError, match="wrong_type"):
-        validate(scenario.topology, params)
+        validate(topology, params)
+
+
+def test_wrong_type_node_count_replaces_the_rules_that_read_it():
+    # No length or node id is judged against a node count of another type, and
+    # no node rule runs without one; the rules on the links' own fields still do.
+    scenario = triangle3().scenario
+    links = {**scenario.topology.links, (1, 4): Link(latency=-1.0)}
+    topology = Topology(3.0, links)
+    params = dataclasses.replace(
+        scenario.params, theta0=(1.0, 0.1), beta0={**scenario.params.beta0, (1, 4): 50}
+    )
+    got = [(v.name, v.subject) for v in check(topology, params)]
+    assert got == [
+        ("wrong_type", "topology.n_nodes"),
+        ("link_unpaired", "link (1,4)"),
+        ("latency_nonpositive", "link (1,4)"),
+    ]
 
 
 def test_wrong_type_beta0_replaces_its_capacity_rule():

@@ -3,7 +3,9 @@
 import copy
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,13 +35,14 @@ INITIAL_KNOTS = [(-25.0, 0.1 + 1.1 * -25.0), (0.0, 0.1), (2.0 / 1.1, 0.1 + 2.0)]
 # -- strategies --------------------------------------------------------------
 
 @st.composite
-def trajectories(draw):
-    """Random valid trajectories: slopes strictly above a random floor."""
+def trajectories(draw, appends=st.integers(1, 12)):
+    """Random valid trajectories: slopes strictly above a random floor, with
+    ``appends`` knots after the first."""
     min_slope = draw(st.floats(0.0, 2.0))
     t = draw(st.floats(-100.0, 100.0))
     ph = draw(st.floats(-100.0, 100.0))
     knots = [(t, ph)]
-    for _ in range(draw(st.integers(1, 12))):
+    for _ in range(draw(appends)):
         dt = draw(st.floats(0.01, 20.0))
         slope = min_slope + draw(st.floats(0.05, 4.0))
         t += dt
@@ -276,6 +279,49 @@ def test_eval_knots_exact_property(traj):
         assert traj.inverse(ph) == t
 
 
+def bisect_lookup(xs, ys, x):
+    """``y`` at ``x`` on the knots (``xs``, ``ys``) by one bisection over all
+    of them: ``eval`` with ``xs`` the times, ``inverse`` with ``xs`` the phases."""
+    if not xs[0] <= x <= xs[-1]:
+        raise DomainError(f"{x!r} outside [{xs[0]!r}, {xs[-1]!r}]")
+    i = bisect_right(xs, x) - 1
+    if x == xs[i]:
+        return ys[i]
+    return ys[i] + (x - xs[i]) * (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
+
+
+def outcome(lookup, x):
+    """The value of ``lookup(x)`` as hex, or the name of the error it raised."""
+    try:
+        return lookup(x).hex()
+    except DomainError:
+        return "DomainError"
+
+
+@given(trajectories(st.integers(0, 12)), st.data())
+def test_lookups_equal_a_bisect_only_reference(traj, data):
+    # Bit for bit, on trajectories of one knot and more: at the last two knots,
+    # at any knot, just below the last segment, anywhere in the domain and
+    # anywhere before its last segment, and just outside the domain.
+    for xs, ys, lookup in (
+        (traj.times, traj.phases, traj.eval),
+        (traj.phases, traj.times, traj.inverse),
+    ):
+        lo, hi = xs[0], xs[-1]
+        last = xs[max(len(xs) - 2, 0)]  # the last segment's start, or the one knot
+        points = [
+            last,
+            hi,
+            data.draw(st.sampled_from(xs)),
+            math.nextafter(last, -math.inf),
+            data.draw(st.floats(lo, hi)),
+            data.draw(st.floats(lo, last)),
+            math.nextafter(lo, -math.inf),
+            math.nextafter(hi, math.inf),
+            math.nan,
+        ]
+        for x in points:
+            assert outcome(lookup, x) == outcome(partial(bisect_lookup, xs, ys), x)
 
 
 # -- sweeps --------------------------------------------------------------------
