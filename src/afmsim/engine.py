@@ -27,11 +27,13 @@ order, with the same result. The least-advanced node is always ready, since
 ``t_sample`` lies before its domain end and so before every other domain end.
 
 A step reads no more than that: its own last knot (the phase at the end of
-its domain is stored there), its own phase at ``t_sample`` once for all its
-incoming buffers, and each in-neighbour's phase once. It floors its own phase
-once per gearbox, not once per buffer: once for each run of in-links (in
-ascending ``j``) that share a gearbox, so once in all when they share one.
-Each of those reads tests the trajectory's last segment before it bisects.
+its domain is stored there), its own sample point ``(t_sample, phase)`` in
+one lookup (``ClockTrajectory.point_at``), and each in-neighbour's phase
+once. Each in-link floors through the scalar floor of its gearbox
+(``phase.floor_of``), resolved once in ``init_state``; equal gearboxes share
+one floor, so the step floors its own phase once per run of in-links (in
+ascending ``j``) that share one, and once in all when they all do. Each of
+those reads tests the trajectory's last segment before it bisects.
 ``t_sample`` lies on the node's own last segment in every step after its
 first (the sample phase is ``d`` ticks before the last knot and ``p - d``
 after the one before), and an in-neighbour's read lands on the neighbour's
@@ -47,7 +49,7 @@ from operator import sub
 from typing import Iterator, NamedTuple
 
 from .controllers import Controller, ControllerSpec, is_admissible, make_controllers
-from .phase import Gearbox, resolve, scaled_floor, scaled_floors
+from .phase import Floor, floor_of, resolve, scaled_floors
 from .topology import Scenario
 from .trajectory import AdmissibilityError, ClockTrajectory, check_times, sweep_eval, sweep_slope
 
@@ -80,9 +82,10 @@ class SampleRecord(NamedTuple):
 class SystemState:
     """Everything the loop reads and writes while extending trajectories.
 
-    ``incoming[i]`` holds ``(j, lam, latency, gearbox)`` for every link
-    (j, i) into node i, in ascending ``j``, with the gearbox resolved by
-    ``phase.resolve``; it is fixed at ``init_state``.
+    ``incoming[i]`` holds ``(j, lam, latency, floor)`` for every link
+    (j, i) into node i, in ascending ``j``, with ``floor`` the link
+    gearbox's scalar floor (``phase.floor_of``), one object per gearbox; it
+    is fixed at ``init_state``.
     ``queue`` is a binary heap with one ``(max_dom, i)`` entry per node; the
     trajectories grow only through ``step``, which keeps it in sync. A node's
     next step index is its knot count less three: three initial knots, then
@@ -93,7 +96,7 @@ class SystemState:
     trajectories: dict[int, ClockTrajectory]
     controllers: dict[int, Controller]
     lam: dict[tuple[int, int], int]
-    incoming: dict[int, tuple[tuple[int, int, float, Gearbox], ...]]
+    incoming: dict[int, tuple[tuple[int, int, float, Floor], ...]]
     queue: list[tuple[float, int]]
     samples: list[SampleRecord] = field(default_factory=list)
 
@@ -136,10 +139,10 @@ def init_state(scenario: Scenario, controllers: list[Controller]) -> SystemState
     if len(controllers) != topo.n_nodes:
         raise ValueError("need exactly one controller per node")
     lam = compute_lambdas(scenario, trajectories)
-    incoming: dict[int, list[tuple[int, int, float, Gearbox]]] = {i: [] for i in topo.nodes()}
+    incoming: dict[int, list[tuple[int, int, float, Floor]]] = {i: [] for i in topo.nodes()}
     for (j, i) in topo.directed_links():  # sorted, so each list is in ascending j
         link = topo.links[(j, i)]
-        incoming[i].append((j, lam[(j, i)], link.latency, resolve(link.gearbox)))
+        incoming[i].append((j, lam[(j, i)], link.latency, floor_of(link.gearbox)))
     return SystemState(
         scenario=scenario,
         trajectories=trajectories,
@@ -164,20 +167,26 @@ def measure(state: SystemState, i: int, t: float) -> tuple[tuple[int, int], ...]
 
     The closed form of ``occupancy_series`` at one time: its scalar copy, run
     once per step, with node i's phase at t read once for all its buffers and
-    floored once per gearbox: again only where an in-link's gearbox differs
-    from the one before it. A domain error here means the scheduling order was
-    violated; the epoch constraint guarantees in-domain lookups for a correct
-    loop.
+    floored once per run of in-links that share one floor: again only where
+    an in-link's floor is not the one before it. A domain error here means
+    the scheduling order was violated; the epoch constraint guarantees
+    in-domain lookups for a correct loop.
     """
+    return _measure(state, i, t, state.trajectories[i].eval(t))
+
+
+def _measure(
+    state: SystemState, i: int, t: float, phase_i: float
+) -> tuple[tuple[int, int], ...]:
+    """``measure`` with node i's phase at t already read, as ``step`` has it."""
     trajectories = state.trajectories
-    phase_i = trajectories[i].eval(t)
     y = []
-    own_gearbox = None
-    for j, lam, latency, gearbox in state.incoming[i]:
-        if gearbox != own_gearbox:
-            own_gearbox = gearbox
-            own = scaled_floor(gearbox, phase_i)
-        y.append((j, scaled_floor(gearbox, trajectories[j].eval(t - latency)) - own + lam))
+    own_floor = None
+    for j, lam, latency, link_floor in state.incoming[i]:
+        if link_floor is not own_floor:
+            own_floor = link_floor
+            own = link_floor(phase_i)
+        y.append((j, link_floor(trajectories[j].eval(t - latency)) - own + lam))
     return tuple(y)
 
 
@@ -188,8 +197,8 @@ def step(state: SystemState) -> SampleRecord:
     traj = state.trajectories[i]
     k = len(traj.times) - 3  # init_state's three knots, then one per step
     s, phase_s = traj.times[-1], traj.phases[-1]  # last knot: phase theta0 + k*p + d
-    t_sample = traj.inverse(phase_s - par.d)
-    y = measure(state, i, t_sample)
+    t_sample, phase_sample = traj.point_at(phase_s - par.d)
+    y = _measure(state, i, t_sample, phase_sample)
     # A step that raises leaves the state as it found it, controller included.
     controller = state.controllers[i]
     saved = controller.state

@@ -6,10 +6,12 @@ Frame counts are pure functions of the clock trajectories. A directed link
     beta_ij(t) = floor(g * theta_i(t - l_ij)) - floor(g * theta_j(t)) + lam_ij
 
 with the conserved integer ``lam_ij`` fixed by the initial conditions. All
-floors go through ``scaled_floor``, or its list form ``scaled_floors`` with
-the same expression, so that every consumer shares one rounding path: the
-engine's ``measure`` (each controller sample) and ``occupancy_series`` (the
-link constants at time zero, the output grid, and the sample times that
+floors go through one rounding path: ``floor_of(g)``, the one scalar floor
+of a gearbox (``scaled_floor(g, x)`` is ``floor_of(g)(x)``), and its list
+form ``scaled_floors`` with the same expression. Every consumer shares it:
+the engine's ``measure`` (each controller sample, through the floors that
+``init_state`` resolves once per link) and ``occupancy_series`` (the link
+constants at time zero, the output grid, and the sample times that
 ``oracle.compare`` checks), and the frame-level oracle's tick windows. This
 is what makes beta(0) == beta0 and the cross-checks integer-exact. Every
 frame event is a crossing of an integer by a scaled phase, and
@@ -18,8 +20,10 @@ frame event is a crossing of an integer by a scaled phase, and
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
+from collections.abc import Callable
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -29,6 +33,8 @@ from .trajectory import ClockTrajectory
 # A gearbox's numerator and denominator as plain ints.
 Ratio = NamedTuple("Ratio", [("numerator", int), ("denominator", int)])
 Gearbox = Fraction | int | Ratio
+# The floor of a gearbox-scaled phase, as a function of the phase.
+Floor = Callable[[float], int]
 
 
 def resolve(gearbox: Gearbox) -> Gearbox:
@@ -38,20 +44,42 @@ def resolve(gearbox: Gearbox) -> Gearbox:
     return 1 if gearbox == 1 else Ratio(gearbox.numerator, gearbox.denominator)
 
 
-def scaled_floor(gearbox: Gearbox, phase: float) -> int:
-    """Floor of the gearbox-scaled phase; the one rounding path for all counters."""
+@functools.cache
+def _floor_of(gearbox: Gearbox) -> Floor:
+    """``floor_of`` for a resolved gearbox; each one is built once."""
     if gearbox == 1:
-        return math.floor(phase)
-    return math.floor(phase * gearbox.numerator / gearbox.denominator)
+        return math.floor
+    # A float times or over an int converts the int as ``float`` does, so
+    # float operands give the same values with float-only arithmetic.
+    num, den = float(gearbox.numerator), float(gearbox.denominator)
+    floor = math.floor
+
+    def floor_ratio(phase: float) -> int:
+        return floor(phase * num / den)
+
+    return floor_ratio
+
+
+def floor_of(gearbox: Gearbox) -> Floor:
+    """The floor of the ``gearbox``-scaled phase, as one function of the
+    phase: ``math.floor`` itself for a unit gearbox, else ``floor(phase *
+    num / den)`` with float ``num`` and ``den``, the expression of
+    ``scaled_floors``. Equal gearboxes share one function object, so a
+    caller can tell two floors apart by identity."""
+    return _floor_of(resolve(gearbox))
+
+
+def scaled_floor(gearbox: Gearbox, phase: float) -> int:
+    """Floor of the gearbox-scaled phase: ``floor_of(gearbox)(phase)``."""
+    return floor_of(gearbox)(phase)
 
 
 def scaled_floors(gearbox: Gearbox, phases: list[float]) -> list[int]:
     """``[scaled_floor(gearbox, p) for p in phases]``, with the gearbox test
-    and its numerator and denominator read once for the whole list."""
+    and its numerator and denominator read once for the whole list, and the
+    expression of ``floor_of`` written inline."""
     if gearbox == 1:
         return list(map(math.floor, phases))
-    # A float times or over an int converts the int as ``float`` does, so
-    # float operands give the same values with float-only arithmetic.
     num, den = float(gearbox.numerator), float(gearbox.denominator)
     floor = math.floor
     return [floor(p * num / den) for p in phases]

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, nextafter
+from math import isfinite
 from itertools import chain, repeat
 from functools import partial
-from operator import add, attrgetter, eq, ge, lt, mul
+from operator import add, attrgetter, eq, ge, le, lt, mul
 from typing import Mapping
 
 # Sampled phases must stay clear of frame boundaries at desk scale so that
@@ -128,8 +128,7 @@ _NODE_RULES = (
     ("initial_phase_nonpositive", "", "theta0", lt, 0.0, "theta0={theta0!r}"),
     ("value_out_of_range", "", "start", isfinite, None, _START),
     ("initial_phase_integral", "", "frac", lt, 0.0, "theta0={theta0!r} is an integer"),
-    # mid >= the guard: ``lt`` from the float just below it.
-    ("initial_phase_near_integral", "", "mid", lt, nextafter(FRACTIONAL_GUARD, 0.0), _NEAR),
+    ("initial_phase_near_integral", "", "mid", le, FRACTIONAL_GUARD, _NEAR),
     ("initial_phase_near_integral", "", "mid", ge, 1.0 - FRACTIONAL_GUARD, _NEAR),
     ("uncorrected_frequency_nonpositive", "", "omega_u", lt, 0.0, "omega_u={omega_u!r}"),
     ("initial_frequency_not_above_min", "", "omega_init1", lt, "omega_min", _ABOVE_MIN),
@@ -137,13 +136,13 @@ _NODE_RULES = (
 )
 _BETA0_RULES = (
     ("wrong_type", " beta0", "type", *_INT, "expected an integer, got {beta0!r}"),
-    ("beta0_negative", "", "read", lt, -1, "beta0={beta0}"),  # an int above -1
+    ("beta0_negative", "", "read", le, 0, "beta0={beta0}"),
     ("value_out_of_range", " beta0", "size", *_EXACT, _INEXACT),
     ("beta0_exceeds_capacity", "", "read", ge, "cap", "beta0={beta0} > capacity={cap}"),
 )
-# A bound (lt, ge) holds for a whole column exactly when it holds for the least
-# (lt) or the greatest (ge) value, and an equality when it counts them all.
-_EXTREME = {lt: min, ge: max}
+# A bound (lt, le, ge) holds for a whole column exactly when it holds for the least
+# (lt, le) or the greatest (ge) value, and an equality when it counts them all.
+_EXTREME = {lt: min, le: min, ge: max}
 
 
 def _failing(op, bound, values) -> list[int]:

@@ -103,6 +103,23 @@ class ClockTrajectory:
             return times[i]
         return times[i] + (phase - phases[i]) * (times[i + 1] - times[i]) / (phases[i + 1] - phases[i])
 
+    def point_at(self, phase: float) -> tuple[float, float]:
+        """``(t, eval(t))`` with ``t = inverse(phase)``, bit for bit, from one
+        last-segment test: the point where the clock shows ``phase``, its phase
+        read back at that time. Off the last segment, or where ``t`` rounds
+        onto a knot, it is ``inverse`` then ``eval``."""
+        phases = self.phases
+        i = len(phases) - 2
+        if phases[i] < phase < phases[i + 1]:
+            times = self.times
+            t0, p0 = times[i], phases[i]
+            dt, dp = times[i + 1] - t0, phases[i + 1] - p0
+            t = t0 + (phase - p0) * dt / dp
+            if t0 < t < times[i + 1]:
+                return t, p0 + (t - t0) * dp / dt
+        t = self.inverse(phase)
+        return t, self.eval(t)
+
     # -- growth ------------------------------------------------------------
 
     def append(self, t_next: float, phase_next: float) -> None:

@@ -26,7 +26,7 @@ from afmsim.engine import (
     simulate,
     step,
 )
-from afmsim.phase import Ratio, scaled_floor, scaled_floors, tick_times
+from afmsim.phase import Ratio, floor_of, resolve, scaled_floor, scaled_floors, tick_times
 from afmsim.topology import Link, SystemParams, Topology, validate
 from afmsim.trajectory import AdmissibilityError, ClockTrajectory, DomainError
 
@@ -65,17 +65,21 @@ def test_scaled_floors_agree_with_scaled_floor(gearbox, zero_spec):
     floors = [scaled_floor(gearbox, p) for p in phases]
     assert scaled_floors(gearbox, phases) == floors
     assert scaled_floors(gearbox, []) == []
-    # The form init_state resolves the link's gearbox into (the int 1 on a
-    # unit link, plain ints otherwise) floors and crosses bit for bit like
-    # the gearbox itself, and so do the int 1 and Fraction(1).
+    # The floor init_state resolves for the link gives scaled_floor bit for
+    # bit, and equal gearboxes (the int 1 and Fraction(1) on a unit link, the
+    # Fraction and its resolved Ratio otherwise) resolve to one object.
     sc = two_node_scenario(theta0=(0.3, 0.3))
     links = {
         ab: dataclasses.replace(lk, gearbox=Fraction(gearbox))
         for ab, lk in sc.topology.links.items()
     }
     sc = validate(dataclasses.replace(sc.topology, links=links), sc.params)
-    form = init_state(sc, make_controllers(zero_spec, 2)).incoming[2][0][3]
-    assert type(form) is (int if gearbox == 1 else Ratio)
+    link_floor = init_state(sc, make_controllers(zero_spec, 2)).incoming[2][0][3]
+    assert list(map(link_floor, phases)) == floors
+    twins = [1, Fraction(1)] if gearbox == 1 else [Ratio(gearbox.numerator, gearbox.denominator)]
+    assert all(floor_of(g) is link_floor for g in [gearbox, *twins])
+    assert (link_floor is math.floor) == (gearbox == 1)
+    form = resolve(gearbox)
     traj = ClockTrajectory(
         [(-30.0, -29.7), (0.0, 0.25), (5.0, math.nextafter(6.0, 0.0)), (9.0, 9.0), (14.0, 16.5)]
     )
@@ -272,17 +276,19 @@ def test_measure_ordering_and_values(triangle_cfg):
 
 def generator_measure(state, i, t):
     """``measure`` as a generator over the in-links that floors node i's own
-    phase once per in-link: the reference the loop in ``measure`` must equal."""
+    phase once per in-link, each with the gearbox of the link in the topology:
+    the reference the loop in ``measure`` must equal."""
     trajectories = state.trajectories
+    links = state.scenario.topology.links
     phase_i = trajectories[i].eval(t)
     return tuple(
         (
             j,
-            scaled_floor(gearbox, trajectories[j].eval(t - latency))
-            - scaled_floor(gearbox, phase_i)
+            scaled_floor(links[(j, i)].gearbox, trajectories[j].eval(t - latency))
+            - scaled_floor(links[(j, i)].gearbox, phase_i)
             + lam,
         )
-        for j, lam, latency, gearbox in state.incoming[i]
+        for j, lam, latency, _ in state.incoming[i]
     )
 
 
@@ -323,7 +329,7 @@ def test_measure_equals_the_generator_reference(make_cfg):
     sc = cfg.scenario
     state = init_state(sc, make_controllers(cfg.controller, sc.topology.n_nodes))
     if make_cfg is alternating_gears:
-        assert [g for *_, g in state.incoming[4]] == [Ratio(2, 1), 1, Ratio(2, 1)]
+        assert [f for *_, f in state.incoming[4]] == [floor_of(Ratio(2, 1)), math.floor, floor_of(2)]
     while state.queue[0][0] < 60.0:
         rec = step(state)
         reference = generator_measure(state, rec.node, rec.t_sample)

@@ -59,13 +59,16 @@ def called_names(tree):
 
 def test_engine_floors_phases_only_in_measure_and_occupancy_series():
     # The closed form has one scalar copy (``measure``, once per step) and one
-    # list copy (``occupancy_series``); the scalar helpers are gone. Every
-    # floor helper of ``phase`` counts.
+    # list copy (``occupancy_series``); the scalar helpers are gone. The
+    # scalar copy floors through the per-link floors that ``init_state``
+    # resolves once (``floor_of``), the list copy through ``scaled_floors``,
+    # and ``scaled_floor`` is not called at all. Every floor helper of
+    # ``phase`` counts.
     tree = ast.parse((SRC / "afmsim" / "engine.py").read_text(encoding="utf-8"))
-    floors = {"scaled_floor", "scaled_floors"}
+    floors = {"floor_of", "scaled_floor", "scaled_floors"}
     assert all(callable(getattr(phase, name)) for name in floors)
-    callers = {top for top, name in called_names(tree) if name in floors}
-    assert callers == {"measure", "occupancy_series"}
+    callers = {(top, name) for top, name in called_names(tree) if name in floors}
+    assert callers == {("init_state", "floor_of"), ("occupancy_series", "scaled_floors")}
     for name in ("buffer_occupancy", "link_occupancy"):
         assert name not in afmsim.__all__
         assert not hasattr(engine, name)
@@ -103,16 +106,21 @@ def test_the_pointwise_slope_and_the_step_counter_are_gone():
 def test_one_sweep_reads_phases_and_one_check_orders_times():
     # ``sweep_eval``, shifted by a latency for a source, is the one sweep that
     # reads phases, and ``trajectory.check_times`` the one order check: the
-    # pairwise test ``operator.le`` is imported by ``trajectory`` alone.
+    # pairwise order test, a ``map`` of ``le`` (``operator.le``) over a list,
+    # appears there alone.
     assert not hasattr(phase, "shifted_floors")
     assert not hasattr(trajectory, "_check_sweep")
     assert {"shifted_floors", "_check_sweep"}.isdisjoint(afmsim.__all__)
-    importers = set()
+    pairwise = set()
     for path in sorted((SRC / "afmsim").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and node.module == "operator":
-                if "le" in {alias.name for alias in node.names}:
-                    importers.add(path.stem)
-            elif isinstance(node, ast.Import) and "operator" in {a.name for a in node.names}:
-                importers.add(path.stem)
-    assert importers == {"trajectory"}
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "map"
+                    and node.args
+                    and getattr(node.args[0], "id", getattr(node.args[0], "attr", None)) == "le"
+                ):
+                    pairwise.add((path.stem, getattr(top, "name", None)))
+    assert pairwise == {("trajectory", "check_times")}

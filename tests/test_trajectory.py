@@ -290,22 +290,34 @@ def bisect_lookup(xs, ys, x):
     return ys[i] + (x - xs[i]) * (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
 
 
+def bisect_point(times, phases, x):
+    """``(inverse(x), eval(inverse(x)))`` with both lookups by ``bisect_lookup``."""
+    t = bisect_lookup(phases, times, x)
+    return t, bisect_lookup(times, phases, t)
+
+
 def outcome(lookup, x):
-    """The value of ``lookup(x)`` as hex, or the name of the error it raised."""
+    """The value of ``lookup(x)`` as hex (each value of a pair), or the name
+    of the error it raised."""
     try:
-        return lookup(x).hex()
+        y = lookup(x)
     except DomainError:
         return "DomainError"
+    return tuple(map(float.hex, y)) if type(y) is tuple else y.hex()
 
 
 @given(trajectories(st.integers(0, 12)), st.data())
 def test_lookups_equal_a_bisect_only_reference(traj, data):
     # Bit for bit, on trajectories of one knot and more: at the last two knots,
     # at any knot, just below the last segment, anywhere in the domain and
-    # anywhere before its last segment, and just outside the domain.
-    for xs, ys, lookup in (
-        (traj.times, traj.phases, traj.eval),
-        (traj.phases, traj.times, traj.inverse),
+    # anywhere before its last segment, and just outside the domain. The one
+    # lookup of a sample point (``point_at``) is also read at every knot phase
+    # and one ulp either side, where its time can round onto a knot, and on
+    # the first segment, the history that the loop's first step can land on.
+    for xs, reference, lookup in (
+        (traj.times, partial(bisect_lookup, traj.times, traj.phases), traj.eval),
+        (traj.phases, partial(bisect_lookup, traj.phases, traj.times), traj.inverse),
+        (traj.phases, partial(bisect_point, traj.times, traj.phases), traj.point_at),
     ):
         lo, hi = xs[0], xs[-1]
         last = xs[max(len(xs) - 2, 0)]  # the last segment's start, or the one knot
@@ -320,8 +332,13 @@ def test_lookups_equal_a_bisect_only_reference(traj, data):
             math.nextafter(hi, math.inf),
             math.nan,
         ]
+        if lookup == traj.point_at:
+            points += [
+                y for x in xs for y in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+            ]
+            points.append(data.draw(st.floats(lo, xs[min(1, len(xs) - 1)])))
         for x in points:
-            assert outcome(lookup, x) == outcome(partial(bisect_lookup, xs, ys), x)
+            assert outcome(lookup, x) == outcome(reference, x)
 
 
 # -- sweeps --------------------------------------------------------------------
