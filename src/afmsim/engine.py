@@ -4,9 +4,10 @@ Frame counts are differences of gearbox-scaled phase floors (``phase``),
 offset on a buffer by the conserved per-link integer of ``compute_lambdas``.
 ``measure`` writes that closed form for one time, once per step;
 ``occupancy_series`` writes it for a list of times. That list is checked
-once (``trajectory.check_times``); each node is then swept over it, and
-each source swept one latency back, by ``sweep_eval``, which checks only
-the two (shifted) ends of the list against the domain.
+once (``trajectory.check_times``); each node is then swept over it once for
+its phases and frequencies (``sweep_phase_slope``), and each source swept
+one latency back (``sweep_eval``). A sweep checks only the two (shifted)
+ends of the list against the domain.
 
 Each trajectory starts from three knots, ``(epoch, theta0 + omega_init2 *
 epoch)``, ``(0, theta0)`` and ``(d / omega_init1, theta0 + d)``: the history
@@ -51,7 +52,13 @@ from typing import Iterator, NamedTuple
 from .controllers import Controller, ControllerSpec, is_admissible, make_controllers
 from .phase import Floor, floor_of, resolve, scaled_floors
 from .topology import Scenario
-from .trajectory import AdmissibilityError, ClockTrajectory, check_times, sweep_eval, sweep_slope
+from .trajectory import (
+    AdmissibilityError,
+    ClockTrajectory,
+    check_times,
+    sweep_eval,
+    sweep_phase_slope,
+)
 
 
 @dataclass(frozen=True)
@@ -110,7 +117,7 @@ def compute_lambdas(
     its floors cancel exactly against the ones in later occupancy queries.
     """
     links = scenario.topology.links
-    _, series = occupancy_series(scenario, trajectories, dict.fromkeys(links, 0), [0.0])
+    _, _, series = occupancy_series(scenario, trajectories, dict.fromkeys(links, 0), [0.0])
     beta0 = scenario.params.beta0
     return {link: beta0[link] - beta[0] for link, beta, _ in series}
 
@@ -286,15 +293,22 @@ def occupancy_series(
     trajectories: dict[int, ClockTrajectory],
     lam: dict[tuple[int, int], int],
     ts: list[float],
-) -> tuple[dict[int, list[float]], Iterator[tuple[tuple[int, int], list[int], Iterator[int]]]]:
-    """The closed form at the ascending times ``ts``: each node's phases, and
-    an iterator over the directed links, in order, that builds and yields
-    ``(link, beta, gamma)`` one link at a time. Beta is a list; gamma is an
-    iterator, so a caller that reads only beta does not pay for it.
+) -> tuple[
+    dict[int, list[float]],
+    dict[int, list[float]],
+    Iterator[tuple[tuple[int, int], list[int], Iterator[int]]],
+]:
+    """The closed form at the ascending times ``ts``: each node's phases and
+    frequencies, and an iterator over the directed links, in order, that
+    builds and yields ``(link, beta, gamma)`` one link at a time. Beta is a
+    list; gamma is an iterator, so a caller that reads only beta does not pay
+    for it.
 
     ``ts`` is checked once (``check_times``): ascending and free of NaN.
-    Each trajectory is swept once over it (``sweep_eval``), which checks
-    only the two ends against that node's domain. The node phases are
+    Each trajectory is swept once over it (``sweep_phase_slope``), which
+    checks only the two ends against that node's domain and gives the
+    frequencies in the same walk, one float object per knot segment;
+    ``compare`` and ``compute_lambdas`` drop them. The node phases are
     floored as a whole list (``scaled_floors``) once per gearbox. The frames
     sent, the source's floors at ``ts`` less the latency, are one sweep
     shifted by the latency per run of consecutive links with one source,
@@ -304,7 +318,9 @@ def occupancy_series(
     """
     topo = scenario.topology
     check_times(ts)
-    theta = {i: sweep_eval(trajectories[i], ts) for i in topo.nodes()}
+    theta, omega = {}, {}
+    for i in topo.nodes():
+        theta[i], omega[i] = sweep_phase_slope(trajectories[i], ts)
     gears = {ab: resolve(link.gearbox) for ab, link in topo.links.items()}
     ends = {(i, g) for ab, g in gears.items() for i in ab}
     floors = {(i, g): scaled_floors(g, theta[i]) for i, g in ends}
@@ -319,16 +335,15 @@ def occupancy_series(
             beta = [s - c + lam_ab for s, c in zip(sent, floors[(b, g)])]
             yield (a, b), beta, map(sub, floors[(a, g)], sent)
 
-    return theta, links()
+    return theta, omega, links()
 
 
 def build_trace(state: SystemState, t_max: float, grid_dt: float) -> Trace:
     """Resample the finished state onto the output grid and collect fatal
     events; reads ``state`` without changing it.
 
-    Theta, beta and gamma are ``occupancy_series`` on the grid, the series
-    ``oracle.compare`` checks at the sample times; omega is one
-    ``sweep_slope`` per trajectory.
+    Theta, omega, beta and gamma are ``occupancy_series`` on the grid, the
+    series ``oracle.compare`` checks at the sample times.
     """
     topo = state.scenario.topology
     grid: list[float] = []
@@ -336,7 +351,7 @@ def build_trace(state: SystemState, t_max: float, grid_dt: float) -> Trace:
     while (t := k * grid_dt) <= t_max:
         grid.append(t)
         k += 1
-    theta, series = occupancy_series(state.scenario, state.trajectories, state.lam, grid)
+    theta, omega, series = occupancy_series(state.scenario, state.trajectories, state.lam, grid)
     beta, gamma = {}, {}
     for link, beta_ab, gamma_ab in series:
         beta[link], gamma[link] = beta_ab, list(gamma_ab)
@@ -345,7 +360,7 @@ def build_trace(state: SystemState, t_max: float, grid_dt: float) -> Trace:
         samples=list(state.samples),
         grid=grid,
         theta=theta,
-        omega={i: sweep_slope(state.trajectories[i], grid) for i in topo.nodes()},
+        omega=omega,
         beta=beta,
         gamma=gamma,
         fatal_events=_fatal_events(state, grid, beta),

@@ -259,8 +259,9 @@ def compare(
     lam = compute_lambdas(scenario, trajectories)
     ts = sorted(rec.t_sample for rec in trace.samples if rec.t_sample <= result.horizon)
     mismatches: list[Mismatch] = []
-    # Only the series: the node phases would be held for the whole link loop.
-    series = occupancy_series(scenario, trajectories, lam, ts)[1]
+    # Only the series: the node phases and frequencies would be held for the
+    # whole link loop.
+    series = occupancy_series(scenario, trajectories, lam, ts)[2]
     for link, formula, _ in series:
         oracle = result.links[link]._count(ts)
         if oracle != formula:

@@ -11,9 +11,10 @@ Floats are printed with 12 significant digits and a fixed "\n" terminator so
 repeated runs of the same config are byte-identical across platforms. The
 CSVs are reporting artifacts: occupancies are exact integers, but phases and
 frequencies round-trip only to the printed precision. ``write_trace`` checks
-every series' length before it opens the first file, then streams each
-table's blocks from one ``%`` template per block; omega, constant over a
-segment, is formatted once per run of one float object. Each file goes to a
+every series' length before it opens the first file, then fills each
+table's blocks from one ``%`` template per block and writes them joined,
+about ``_CHUNK_ROWS`` rows at a time; omega, constant over a segment, is
+formatted once per run of one float object. Each file goes to a
 temporary file first, and the trace's files are replaced only once all four
 are written, so a write that fails leaves an older trace whole.
 
@@ -27,9 +28,10 @@ blocks of ``buffers.csv`` must carry the ``t`` values of ``nodes.csv``; an
 event's kind must be ``overflow`` or ``underflow``, its link a key of
 ``buffers.csv`` and its time finite, and the events must come in the order
 of their times. A file that breaks this is a ``TraceError`` that names the
-file. The tables are read a chunk of rows at a time, with no per-row Python
-work: the field count is checked once per chunk, and each distinct
-occupancy text is parsed once per table.
+file. The tables are read a chunk of text at a time, cut after a whole
+block, with no per-row Python work: a chunk is split into fields in one go,
+the field count is checked once per chunk, and each distinct occupancy and
+omega text is parsed once per table.
 """
 
 from __future__ import annotations
@@ -83,6 +85,9 @@ def _table(name: str, grid: list[str], values: str, series: Iterable[tuple]) -> 
     return block, columns
 
 
+# Rows the writer joins and the reader splits at once, rounded to whole blocks.
+_CHUNK_ROWS = 1024
+
 # Compared by identity before the first value, so the first value starts a run.
 _NO_VALUE = object()
 
@@ -110,9 +115,12 @@ def write_trace(trace: Trace, out_dir: str | Path) -> dict[str, Path]:
     already in ``out_dir`` as it was, not mixed with files of its own, and
     leaves no temporary file behind.
 
-    The grid is formatted once for both tables. ``sweep_slope`` gives every
-    grid point of a segment the same omega object, so omega is formatted
-    once per run of that object.
+    The grid is formatted once for both tables. ``build_trace`` gives every
+    grid point of a knot segment the same omega object
+    (``trajectory.sweep_phase_slope``), so omega is formatted once per run
+    of that object. A table's blocks are joined and written in groups of
+    about ``_CHUNK_ROWS`` rows; a table with no rows per block, the
+    ``buffers.csv`` of a single node, is its header alone.
     """
     grid = list(map(_FORMAT.__mod__, trace.grid))
     tables = {
@@ -156,7 +164,11 @@ def write_trace(trace: Trace, out_dir: str | Path) -> dict[str, Path]:
         for name, (block, columns) in tables.items():
             with open(temps[name], "w", encoding="utf-8", newline="") as f:
                 f.write(_HEADERS[name] + "\n")
-                f.writelines(map(block.__mod__, zip(*columns)))
+                blocks = map(block.__mod__, zip(*columns))
+                # A block of no rows (one node's buffers.csv) fills nothing.
+                group = max(1, _CHUNK_ROWS // max(1, block.count("\n")))
+                while text := "".join(islice(blocks, group)):
+                    f.write(text)
         for name, text in texts.items():
             temps[name].write_text(text, encoding="utf-8", newline="")
         for name, temp in temps.items():
@@ -182,39 +194,41 @@ def _parsing(path: Path):
         raise TraceError(f"{path}: {exc}") from exc
 
 
-# Rows the reader holds and splits at once, rounded to whole blocks.
-_CHUNK_ROWS = 1024
-
-
-def _ints(memo: dict[str, int], texts: list[str]) -> Iterable[int]:
-    """``map(int, texts)``, parsing only the texts not yet in ``memo``, each
+def _parsed(parse: Callable[[str], object], memo: dict, texts: list[str]) -> Iterable:
+    """``map(parse, texts)``, parsing only the texts not yet in ``memo``, each
     once and in order of first occurrence, so the first bad text is named."""
     try:
         return list(map(memo.__getitem__, texts))
     except KeyError:
-        memo.update({text: int(text) for text in dict.fromkeys(texts) if text not in memo})
+        memo.update({text: parse(text) for text in dict.fromkeys(texts) if text not in memo})
         return map(memo.__getitem__, texts)
 
 
+_Convert = Callable[[list[str]], Iterable]
+
+
 def _read_table(
-    path: Path, convert: Callable[[list[str]], Iterable], grid: list[float] | None = None
+    path: Path, converts: tuple[_Convert, _Convert], grid: list[float] | None = None
 ) -> tuple[list[float], dict[tuple[int, ...], tuple[list, list]]]:
     """The ``t`` of each block and each key's two value columns, converted,
     from a table laid out as the module docstring says. Its header names the
     columns: ``t``, the integer key fields and two values. A ``grid`` given
     is the ``t`` of each block the table must have, and is returned as it is.
 
-    The first block gives the block size and the keys. The rows are then read
-    and split a chunk of whole blocks at a time, and each key's columns are
-    sliced out of the chunk by stride and converted by ``convert`` (occupancies
-    repeat, so ``read_trace`` gives ``_ints`` one memo for the whole table). A
-    row's last field keeps its "\n", which ``int`` and ``float`` allow.
+    The first block, read line by line, gives the block size and the keys.
+    The file's text is then read about ``_CHUNK_ROWS`` rows at a time and cut
+    after the last whole block; at the end of the file the rest is the last
+    chunk, and a final row without "\n" still counts as a row. A chunk is
+    split in one go, "\n" kept at the end of each row's last field (which
+    ``int`` and ``float`` allow), and each key's columns are sliced out of
+    it by stride and converted by ``converts``, one per value column.
 
     Every row has ``width`` fields exactly when the chunk splits into
-    ``len(chunk) * width`` fields and every "\n" of the chunk lies in a field
-    that ends a row, one at ``width - 1`` modulo ``width``. This is exact: a
-    line read from a file holds at most one "\n", at its end, and only the
-    file's last line may lack it. So the rows before each "\n" hold a
+    ``rows * width`` fields and every "\n" of the chunk lies in a field that
+    ends a row, one at ``width - 1`` modulo ``width``. This is exact: a
+    chunk's rows are cut at "\n", and the split ends a field after each
+    "\n", so a field holds at most one, at its end, and the field that holds
+    a row's "\n" is that row's last. So the rows before each "\n" hold a
     multiple of ``width`` fields, each row holds at least one field, and the
     total leaves room for no more than ``width`` per row.
     """
@@ -225,36 +239,57 @@ def _read_table(
     with open(path, encoding="utf-8") as f:
         if f.readline() != header + "\n":
             raise ValueError(f"the header is not {header!r}")
-        block = f.readline()
-        if not block:
+        line = f.readline()
+        if not line:
             return t, {}
-        t0 = block.partition(",")[0] + ","
-        block = [block]
-        rows = iter(f)
-        for line in rows:
-            if not line.startswith(t0):
-                rows = chain([line], rows)
-                break
+        t0 = line.partition(",")[0] + ","
+        block = []
+        while line.startswith(t0):
             block.append(line)
+            line = f.readline()
         size = len(block)
-        key_text = [line.split(",")[1 : 1 + n_key] for line in block]
+        key_text = [row.split(",")[1 : 1 + n_key] for row in block]
         keys = [tuple(map(int, text)) for text in key_text]
         if keys != sorted(set(keys)):
             raise ValueError("keys out of order in the first block")
-        rows = chain(block, rows)
+        # The text read but not yet split, from the first block on; a read
+        # takes about ``_CHUNK_ROWS`` rows as long as the first block's.
+        rest = "".join(block) + line
+        want = (len(rest) - len(line)) * max(1, _CHUNK_ROWS // size)
         del block
 
         series = {key: ([], []) for key in keys}
+        first_convert, second_convert = converts
         stride = size * width
-        step = size * max(1, _CHUNK_ROWS // size)
         done = 0
-        while chunk := list(islice(rows, step)):
-            joined = ",".join(chunk)
-            fields = joined.split(",")
+        while True:
+            more = f.read(want)
+            rest += more
+            newlines = rest.count("\n")
+            if more:
+                if newlines < size:
+                    # No whole block yet: read twice as much from now on, so
+                    # that a long row costs linear time, not quadratic.
+                    want *= 2
+                    continue
+                extra = newlines % size  # rows after the last whole block
+                cut = len(rest)
+                for _ in range(extra + 1):
+                    cut = rest.rfind("\n", 0, cut)
+                chunk, rest = rest[: cut + 1], rest[cut + 1 :]
+                rows = newlines = newlines - extra
+            elif rest:  # the end of the file
+                chunk, rest = rest, ""
+                rows = newlines + (not chunk.endswith("\n"))
+            else:
+                break
+            fields = chunk.replace("\n", "\n,").split(",")
+            if chunk.endswith("\n"):
+                fields.pop()  # the empty field after the last "\n"
             ends = "".join(fields[width - 1 :: width])
-            if len(fields) != len(chunk) * width or ends.count("\n") != joined.count("\n"):
+            if len(fields) != rows * width or ends.count("\n") != newlines:
                 raise ValueError(f"a row without exactly {width} fields")
-            if len(chunk) % size:
+            if rows % size:
                 raise ValueError(f"the rows do not fill blocks of {size} rows")
             ts = fields[::stride]
             for j, key in enumerate(keys):
@@ -265,8 +300,8 @@ def _read_table(
                     if fields[c::stride].count(text) != len(ts):
                         raise ValueError("a block's keys differ from the first block's")
                 first, second = series[key]
-                first.extend(convert(fields[at + n_key + 1 :: stride]))
-                second.extend(convert(fields[at + n_key + 2 :: stride]))
+                first.extend(first_convert(fields[at + n_key + 1 :: stride]))
+                second.extend(second_convert(fields[at + n_key + 2 :: stride]))
             blocks = list(map(float, ts))
             if not all(map(math.isfinite, blocks)):
                 raise ValueError("a block time is not finite")
@@ -292,7 +327,9 @@ def read_trace(trace_dir: str | Path) -> Trace:
     """
     d = Path(trace_dir)
     with _parsing(d / "nodes.csv"):
-        grid, series = _read_table(d / "nodes.csv", partial(map, float))
+        # Omega is constant over a knot segment, and its texts repeat.
+        omega_texts = partial(_parsed, float, {})
+        grid, series = _read_table(d / "nodes.csv", (partial(map, float), omega_texts))
         if not grid:
             raise ValueError("no rows after the header")
         if not all(map(math.isfinite, chain.from_iterable(chain(*series.values())))):
@@ -301,7 +338,8 @@ def read_trace(trace_dir: str | Path) -> Trace:
     omega = {i: om for (i,), (_, om) in series.items()}
 
     with _parsing(d / "buffers.csv"):
-        _, series = _read_table(d / "buffers.csv", partial(_ints, {}), grid)
+        occupancies = partial(_parsed, int, {})
+        _, series = _read_table(d / "buffers.csv", (occupancies, occupancies), grid)
     beta = {key: b for key, (b, _) in series.items()}
     gamma = {key: g for key, (_, g) in series.items()}
 

@@ -8,9 +8,10 @@ increasing in time and phase, and a segment slope (an instantaneous
 frequency) strictly above a configured floor, which keeps the function
 invertible and rules out Zeno behavior in the loop that extends it.
 
-A list of times is read in one sweep (``sweep_eval``, shifted back by a
-latency for a source, and ``sweep_slope``), after ``check_times`` has
-checked its order once.
+A list of times is read in one sweep, after ``check_times`` has checked its
+order once: ``sweep_phase_slope`` gives a node's phases and frequencies in
+one walk of its knots, and ``sweep_eval`` gives phases alone, shifted back
+by a latency for a source.
 """
 
 from __future__ import annotations
@@ -219,27 +220,39 @@ def sweep_eval(traj: ClockTrajectory, ts: list[float], shift: float = 0.0) -> li
     return out
 
 
-def sweep_slope(traj: ClockTrajectory, ts: list[float]) -> list[float]:
-    """The frequency at each of the checked ``ts``, in one pass: the slope
-    ``(p1 - p0) / (t1 - t0)`` of the segment that holds t, right-continuous at
-    knots (a knot takes the segment after it) and the last segment at the
-    domain end. A time outside the domain, or a single-knot trajectory, is a
-    ``DomainError``."""
+def sweep_phase_slope(traj: ClockTrajectory, ts: list[float]) -> tuple[list[float], list[float]]:
+    """``(sweep_eval(traj, ts), slopes)`` for checked ``ts``, in one pass.
+
+    The slope at t is ``(p1 - p0) / (t1 - t0)`` of the segment that holds t,
+    right-continuous at knots (a knot takes the segment after it) and the
+    last segment at the domain end. Each segment's slope is one float
+    object, shared by every time on it, the last knot included. A time
+    outside the domain, or a single-knot trajectory, is a ``DomainError``.
+    """
     if not ts:
-        return []
+        return [], []
     times, phases = traj.times, traj.phases
     _check_ends(times, ts[0], ts[-1])
     last = len(times) - 2  # index of the last segment
     if last < 0:
         raise DomainError("slope undefined for a single-knot trajectory")
     out: list[float] = []
-    append = out.append
+    slopes: list[float] = []
+    append, append_slope = out.append, slopes.append
     i = 0
-    t1 = times[0]
+    t1 = times[0]  # end of the current segment; the first time moves past it
     for t in ts:
         if t >= t1:
-            i = min(bisect_right(times, t, i) - 1, last)
-            t1 = times[i + 1] if i < last else math.inf
-            slope = (phases[i + 1] - phases[i]) / (times[i + 1] - times[i])
-        append(slope)
-    return out
+            i = bisect_right(times, t, i) - 1
+            if i <= last:
+                t0, p0 = times[i], phases[i]
+                t1 = times[i + 1]
+                dp, dt = phases[i + 1] - p0, t1 - t0
+                slope = dp / dt
+            else:  # t is the last knot; its slope is the last segment's
+                if t1 < t:  # not reached from the last segment
+                    slope = (phases[-1] - phases[last]) / (t - times[last])
+                t0, p0, t1 = t, phases[-1], math.inf
+        append(p0 if t == t0 else p0 + (t - t0) * dp / dt)
+        append_slope(slope)
+    return out, slopes

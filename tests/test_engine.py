@@ -98,7 +98,7 @@ def series_on_two_nodes(traj_1, traj_2, ts, latency=1.0, lam=0):
     trajectories and link constants, as ``beta`` and ``gamma`` by link."""
     sc = two_node_scenario(latency=latency)
     lams = dict.fromkeys(sc.topology.links, lam)
-    _, links = occupancy_series(sc, {1: traj_1, 2: traj_2}, lams, ts)
+    _, _, links = occupancy_series(sc, {1: traj_1, 2: traj_2}, lams, ts)
     beta, gamma = {}, {}
     for link, beta_ab, gamma_ab in links:
         beta[link], gamma[link] = beta_ab, list(gamma_ab)
@@ -174,7 +174,7 @@ def test_occupancy_series_shares_sends_only_between_like_links():
     trajs = {i: line(0.9 + 0.07 * i, 0.3 * i) for i in sc.topology.nodes()}
     lam = {ab: 3 * ab[0] - ab[1] for ab in sc.topology.links}
     ts = [0.37 * k for k in range(60)]
-    _, series = occupancy_series(sc, trajs, lam, ts)
+    _, _, series = occupancy_series(sc, trajs, lam, ts)
     for (a, b), beta, gamma in series:
         lk, src = sc.topology.links[(a, b)], trajs[a]
         assert beta == [
@@ -194,7 +194,7 @@ def test_occupancy_series_checks_its_times_once(monkeypatch):
     monkeypatch.setattr(engine, "check_times", lambda ts: calls.append(ts) or check(ts))
     ts = [0.37 * k for k in range(60)]
     for n in (1, 2):
-        _, series = occupancy_series(sc, trajs, lam, ts)
+        _, _, series = occupancy_series(sc, trajs, lam, ts)
         for _, _, gamma in series:
             list(gamma)
         assert calls == [ts] * n

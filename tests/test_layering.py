@@ -96,8 +96,8 @@ def test_the_one_time_occupancy_is_gone():
 
 
 def test_the_pointwise_slope_and_the_step_counter_are_gone():
-    # ``sweep_slope`` is the one slope reader, and a node's step index is its
-    # knot count less three, so neither needs a copy of its own.
+    # ``sweep_phase_slope`` is the one slope reader, and a node's step index
+    # is its knot count less three, so neither needs a copy of its own.
     assert not hasattr(ClockTrajectory, "slope_at")
     assert "steps" not in {f.name for f in dataclasses.fields(SystemState)}
     assert {"slope_at", "steps"}.isdisjoint(afmsim.__all__)

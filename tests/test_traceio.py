@@ -290,11 +290,16 @@ def test_read_trace_equals_reference_values(written):
 
 
 _BAD_BETA = ("2.5", "x", "1e3", "nan", "--1", "0x10", "seven")
+_BAD_OMEGA = ("1.2.3", "x", "1e", "--1", "0x10", "seven", "e5")
 
 
 def _with_beta(line, text):
     t, a, b, _, gamma = line.split(",")
     return f"{t},{a},{b},{text},{gamma}"
+
+
+def _with_omega(line, text):
+    return f"{line.rpartition(',')[0]},{text}\n"
 
 
 # Each: the file, its lines (the header is line 0) as damaged, and the reason
@@ -337,6 +342,36 @@ LAYOUT_ERRORS = {
             for k, line in enumerate(lines)
         ],
         "invalid literal for int() with base 10: '2.5'",
+    ),
+    # a different non-number omega on node 1 every 20 blocks, all in the
+    # first chunk (lines 1 to 480): the first in row order is named, with
+    # the "\n" that ends its row
+    "omega_not_a_number": (
+        "nodes.csv",
+        lambda lines: [
+            _with_omega(line, _BAD_OMEGA[k // 60]) if k % 60 == 31 and k < 420 else line
+            for k, line in enumerate(lines)
+        ],
+        "could not convert string to float: '1.2.3\\n'",
+    ),
+    # the same every 10 blocks of the third chunk (lines 934 on), after the
+    # first two chunks have filled the table's omega memo
+    "omega_not_a_number_in_third_chunk": (
+        "nodes.csv",
+        lambda lines: [
+            _with_omega(line, _BAD_OMEGA[(k - 994) // 30]) if k >= 994 and k % 30 == 4 else line
+            for k, line in enumerate(lines)
+        ],
+        "could not convert string to float: '1.2.3\\n'",
+    ),
+    # one bad text on every node 1 row of the first 20 blocks, then another
+    "omega_not_a_number_repeated": (
+        "nodes.csv",
+        lambda lines: [
+            _with_omega(line, "x" if k < 60 else "seven") if k % 3 == 1 and k < 120 else line
+            for k, line in enumerate(lines)
+        ],
+        "could not convert string to float: 'x\\n'",
     ),
     "short_row": (
         "nodes.csv", lambda lines: [*lines[:50], lines[50].partition(",")[2], *lines[51:]],
@@ -389,6 +424,7 @@ def test_read_trace_rejects_layout(tmp_path, case):
 LINE_ENDINGS = {
     "no_final_newline": lambda text: text[:-1],
     "crlf": lambda text: text.replace("\n", "\r\n"),
+    "cr": lambda text: text.replace("\n", "\r"),
 }
 
 
@@ -402,6 +438,18 @@ def test_read_trace_accepts_line_endings(tmp_path, case):
     back = read_trace(tmp_path)
     for field in ("grid", "theta", "omega", "beta", "gamma", "fatal_events"):
         assert _exact(getattr(back, field)) == _exact(getattr(original, field)), field
+
+
+def test_read_trace_is_the_same_at_every_chunk_size(tmp_path, monkeypatch):
+    # Rows of many lengths, read a chunk of text at a time: at some sizes a
+    # read ends exactly after a block, with no part of a block left over, and
+    # at some it holds less than one block. Each must read every row.
+    write_trace(run_config(triangle3(t_max=60.0)), tmp_path)
+    want = _exact(list(reference_read(tmp_path)[:5]))
+    for rows in range(1, 100):
+        monkeypatch.setattr(traceio, "_CHUNK_ROWS", rows)
+        back = read_trace(tmp_path)
+        assert _exact([back.grid, back.theta, back.omega, back.beta, back.gamma]) == want, rows
 
 
 def chunked_reference(path, grid=None):

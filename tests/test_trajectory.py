@@ -17,7 +17,7 @@ from afmsim.trajectory import (
     DomainError,
     check_times,
     sweep_eval,
-    sweep_slope,
+    sweep_phase_slope,
 )
 
 from conftest import slope_at
@@ -84,7 +84,7 @@ def test_slope_at_out_of_domain():
         with pytest.raises(DomainError):
             slope_at(traj, t)
         with pytest.raises(DomainError):
-            sweep_slope(traj, [t])
+            sweep_phase_slope(traj, [t])
 
 
 def test_eval_at_every_knot_is_exact():
@@ -240,7 +240,7 @@ def test_slope_at_is_right_continuous():
     assert slope_at(traj, 0.5) == 2.0
     assert slope_at(traj, 1.0) == 0.5  # knot takes the following segment
     assert slope_at(traj, 3.0) == 0.5  # domain end takes the last segment
-    assert sweep_slope(traj, [0.5, 1.0, 3.0]) == [2.0, 0.5, 0.5]
+    assert sweep_phase_slope(traj, [0.5, 1.0, 3.0])[1] == [2.0, 0.5, 0.5]
 
 
 # -- properties ----------------------------------------------------------------
@@ -353,13 +353,35 @@ def test_sweeps_equal_pointwise_lookups(traj, data):
     ts.sort()
     # bit for bit: float.hex tells -0.0 from 0.0
     assert [v.hex() for v in sweep_eval(traj, ts)] == [traj.eval(t).hex() for t in ts]
-    assert [v.hex() for v in sweep_slope(traj, ts)] == [slope_at(traj, t).hex() for t in ts]
+    phases, slopes = sweep_phase_slope(traj, ts)
+    assert [v.hex() for v in phases] == [traj.eval(t).hex() for t in ts]
+    assert [v.hex() for v in slopes] == [slope_at(traj, t).hex() for t in ts]
+
+
+@given(trajectories(), st.data())
+def test_one_slope_object_per_segment(traj, data):
+    # Every time on one knot segment gets the same float object, the last
+    # knot the last segment's, whether the sweep reaches the last knot from
+    # the last segment or from one before it: ``write_trace`` formats omega
+    # once per run of one object.
+    lo, hi = traj.times[0], traj.max_dom()
+    ts = sorted(data.draw(st.lists(st.floats(lo, hi), max_size=40)) + [*traj.times, hi])
+    slopes = sweep_phase_slope(traj, ts)[1]
+    last = len(traj.times) - 2
+    segments = [min(bisect_right(traj.times, t) - 1, last) for t in ts]
+    for k in range(1, len(ts)):
+        assert (slopes[k] is slopes[k - 1]) == (segments[k] == segments[k - 1]), ts[k]
+    # the last knot straight after the first, or alone
+    first, end = sweep_phase_slope(traj, [lo, hi])[1]
+    assert end.hex() == slope_at(traj, hi).hex()
+    assert (first is end) == (last == 0)
+    assert sweep_phase_slope(traj, [hi]) == ([traj.phases[-1]], [end])
 
 
 def test_sweeps_of_no_times_are_empty():
     assert sweep_eval(make([(0, 0), (1, 1)]), []) == []
-    assert sweep_slope(make([(0, 0), (1, 1)]), []) == []
-    assert sweep_slope(make([(0, 0)]), []) == []
+    assert sweep_phase_slope(make([(0, 0), (1, 1)]), []) == ([], [])
+    assert sweep_phase_slope(make([(0, 0)]), []) == ([], [])
 
 
 def test_sweeps_on_a_single_knot():
@@ -368,7 +390,7 @@ def test_sweeps_on_a_single_knot():
     with pytest.raises(DomainError):
         slope_at(traj, 2.0)
     with pytest.raises(DomainError):
-        sweep_slope(traj, [2.0])
+        sweep_phase_slope(traj, [2.0])
 
 
 @pytest.mark.parametrize(
@@ -387,7 +409,7 @@ def test_sweeps_out_of_domain(ts):
     with pytest.raises(DomainError):
         sweep_eval(traj, ts)
     with pytest.raises(DomainError):
-        sweep_slope(traj, ts)
+        sweep_phase_slope(traj, ts)
 
 
 # -- the one order check ---------------------------------------------------------
@@ -408,7 +430,7 @@ def test_sweeps_write_nothing():
     traj = make([(0, 0), (1, 1), (2, 3)])
     before = {name: copy.deepcopy(getattr(traj, name)) for name in ClockTrajectory.__slots__}
     sweep_eval(traj, [0.0, 0.5, 1.0, 2.0])
-    sweep_slope(traj, [0.0, 0.5, 1.0, 2.0])
+    sweep_phase_slope(traj, [0.0, 0.5, 1.0, 2.0])
     assert {name: getattr(traj, name) for name in ClockTrajectory.__slots__} == before
 
 
