@@ -242,8 +242,10 @@ def _read_table(
         line = f.readline()
         if not line:
             return t, {}
+        # The first row starts the first block even if it holds no ",".
         t0 = line.partition(",")[0] + ","
-        block = []
+        block = [line]
+        line = f.readline()
         while line.startswith(t0):
             block.append(line)
             line = f.readline()

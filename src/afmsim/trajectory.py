@@ -167,7 +167,10 @@ class ClockTrajectory:
 # to find the segment that holds it, instead of once per time. The phases
 # are exactly those of ``eval`` (same float expression, stored knot values at
 # knots, ``DomainError`` out of domain), and nothing is written to the
-# trajectory. A sweep takes a list that ``check_times`` has passed, so it
+# trajectory. ``sweep_eval`` and ``sweep_phase_slope`` each repeat ``eval``'s
+# expression, ``p0 if t == t0 else p0 + (t - t0) * dp / dt``, so a change to
+# it is made in both sweeps too (``test_sweeps_equal_pointwise_lookups`` pins
+# them to ``eval`` bit for bit). A sweep takes a list that ``check_times`` has passed, so it
 # checks only the list's two ends against the domain.
 
 

@@ -84,9 +84,10 @@ def closed_form_gamma(traj, t, latency, gearbox=1):
 
 
 def slope_at(traj, t):
-    """Frequency of ``traj`` at one time, the reference ``sweep_slope`` is
-    checked against: right-continuous at knots, the last segment at the
-    domain end, ``DomainError`` outside the domain or on a single knot."""
+    """Frequency of ``traj`` at one time, the reference the slopes of
+    ``sweep_phase_slope`` are checked against: right-continuous at knots, the
+    last segment at the domain end, ``DomainError`` outside the domain or on
+    a single knot."""
     times, phases = traj.times, traj.phases
     if not times[0] <= t <= times[-1]:
         raise DomainError(f"time {t!r} outside domain [{times[0]!r}, {times[-1]!r}]")

@@ -397,6 +397,16 @@ LAYOUT_ERRORS = {
         "nodes.csv", lambda lines: [*lines[:600], "\n", *lines[600:]],
         "a row without exactly 4 fields",
     ),
+    # a first row with no "," is still the first block, of one row
+    "first_row_blank": (
+        "nodes.csv", lambda lines: [lines[0], "\n", *lines[2:]], "a row without exactly 4 fields"
+    ),
+    "first_row_without_comma": (
+        "nodes.csv", lambda lines: [lines[0], "0\n", *lines[2:]], "a row without exactly 4 fields"
+    ),
+    "cut_after_first_field": (
+        "nodes.csv", lambda lines: [lines[0], "0"], "a row without exactly 4 fields"
+    ),
     "final_row_dropped": (
         "buffers.csv", lambda lines: lines[:-1], "the rows do not fill blocks of 6 rows"
     ),
