@@ -143,9 +143,9 @@ def _as_int(x) -> int | None:
     return x if type(x) is int else None
 
 
-def _as_gearbox(x) -> Fraction | None:
+def _as_gearbox(x) -> int | Fraction | None:
     """Accepts 2, [2, 1], or "2/1"; canonical form is the two-element list.
-    Every unit gearbox is ``_UNITY``."""
+    Every unit gearbox is ``_UNITY``; any other is a reduced Fraction."""
     if isinstance(x, str):
         # ASCII digits only: str.isdigit also passes '²', which int() rejects.
         match = re.fullmatch(r"\s*(-?[0-9]+)\s*/\s*([0-9]+)\s*", x)
@@ -173,8 +173,9 @@ _INTEGER = ("an integer", _as_int)
 _GEARBOX = ("an integer, [num, den], or 'num/den' with a nonzero den", _as_gearbox)
 _CLAMP = ("[low, high] with low <= high", _as_clamp)
 _OBJECT = ("an object", lambda x: x if isinstance(x, dict) else None)
-# The gearbox of a link that names none; a Fraction is immutable, so links share it.
-_UNITY = Fraction(1)
+# The one unit gearbox, also of a link that names none: the int 1, which the
+# floors and every (node, gearbox) key read at an int's cost.
+_UNITY = 1
 _NUMBER_TYPES = {int, float}  # what json.loads makes of a number; bool is its own type
 
 
@@ -265,7 +266,7 @@ class _Reader:
         beta0: dict[tuple[int, int], int] = {}
         shared: dict = {}
 
-        def link(latency: float, gearbox: Fraction) -> Link:
+        def link(latency: float, gearbox: int | Fraction) -> Link:
             # -0.0 == 0.0 as a key, so a zero (rejected later either way) is
             # keyed by its text; _UNITY is the one unit gearbox.
             key = latency if latency else repr(latency)

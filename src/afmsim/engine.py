@@ -31,7 +31,7 @@ A step reads no more than that: its own last knot (the phase at the end of
 its domain is stored there), its own sample point ``(t_sample, phase)`` in
 one lookup (``ClockTrajectory.point_at``), and each in-neighbour's phase
 once. Each in-link floors through the scalar floor of its gearbox
-(``phase.floor_of``), resolved once in ``init_state``; equal gearboxes share
+(``phase.floor_of``), looked up once in ``init_state``; equal gearboxes share
 one floor, so the step floors its own phase once per run of in-links (in
 ascending ``j``) that share one, and once in all when they all do. Each of
 those reads tests the trajectory's last segment before it bisects.
@@ -50,7 +50,7 @@ from operator import sub
 from typing import Iterator, NamedTuple
 
 from .controllers import Controller, ControllerSpec, is_admissible, make_controllers
-from .phase import Floor, floor_of, resolve, scaled_floors
+from .phase import Floor, floor_of, scaled_floors
 from .topology import Scenario
 from .trajectory import (
     AdmissibilityError,
@@ -309,26 +309,27 @@ def occupancy_series(
     checks only the two ends against that node's domain and gives the
     frequencies in the same walk, one float object per knot segment;
     ``compare`` and ``compute_lambdas`` drop them. The node phases are
-    floored as a whole list (``scaled_floors``) once per gearbox. The frames
-    sent, the source's floors at ``ts`` less the latency, are one sweep
-    shifted by the latency per run of consecutive links with one source,
-    latency and gearbox, held for that run only. This is the list copy of
-    the closed form: the output grid, the sample times of ``oracle.compare``
-    and the time zero of ``compute_lambdas`` read it.
+    floored as a whole list (``scaled_floors``) once per gearbox, keyed on
+    ``link.gearbox`` as config made it. The frames sent, the source's floors
+    at ``ts`` less the latency, are one sweep shifted by the latency per run
+    of consecutive links with one source, latency and gearbox, held for that
+    run only. This is the list copy of the closed form: the output grid, the
+    sample times of ``oracle.compare`` and the time zero of
+    ``compute_lambdas`` read it.
     """
     topo = scenario.topology
     check_times(ts)
     theta, omega = {}, {}
     for i in topo.nodes():
         theta[i], omega[i] = sweep_phase_slope(trajectories[i], ts)
-    gears = {ab: resolve(link.gearbox) for ab, link in topo.links.items()}
-    ends = {(i, g) for ab, g in gears.items() for i in ab}
+    ends = {(i, link.gearbox) for ab, link in topo.links.items() for i in ab}
     floors = {(i, g): scaled_floors(g, theta[i]) for i, g in ends}
 
     def links() -> Iterator[tuple[tuple[int, int], list[int], Iterator[int]]]:
         last = None
         for (a, b) in topo.directed_links():
-            g, latency, lam_ab = gears[(a, b)], topo.links[(a, b)].latency, lam[(a, b)]
+            link, lam_ab = topo.links[(a, b)], lam[(a, b)]
+            g, latency = link.gearbox, link.latency
             if (a, latency, g) != last:  # sorted links: a source's run of out-links
                 last = (a, latency, g)
                 sent = scaled_floors(g, sweep_eval(trajectories[a], ts, latency))

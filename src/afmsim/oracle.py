@@ -8,6 +8,8 @@ front, from the longest link latency before zero (so the work does not grow
 with the epoch), and each link slices three sorted time lists out of those:
 sends and consumptions (source and destination ticks in (0, horizon]) and
 arrivals (source ticks from one latency before zero, plus the latency). A
+clock is keyed on ``link.gearbox`` as config made it, and a window's ends
+are floored through ``phase.floor_of``, the engine's rounding path. A
 buffer's occupancy is then a plain count, written once in
 ``LinkReplay.occupancies``: the initial fill plus the arrivals so far minus
 the consumptions so far. It counts ascending times in one merge walk over
@@ -51,7 +53,7 @@ from operator import gt
 
 from .controllers import ControllerSpec
 from .engine import FatalEvent, Trace, compute_lambdas, occupancy_series, simulate
-from .phase import Gearbox, resolve, scaled_floor, tick_times
+from .phase import Gearbox, floor_of, tick_times
 from .topology import Scenario
 from .trajectory import ClockTrajectory, check_times
 
@@ -189,7 +191,7 @@ def replay(
     violations: list[FatalEvent] = []
     # No window starts before the longest latency.
     start = -max((link.latency for link in topo.links.values()), default=0.0)
-    clocks = {(i, resolve(link.gearbox)) for ab, link in topo.links.items() for i in ab}
+    clocks = {(i, link.gearbox) for ab, link in topo.links.items() for i in ab}
     ticks = {(i, g): tick_times(trajectories[i], g, start) for i, g in clocks}
 
     def window(node: int, g: Gearbox, s: float, t: float) -> list[float]:
@@ -198,14 +200,13 @@ def replay(
         m0, times = ticks[(node, g)]
         # start <= s <= 0 lie on the history segment, where scaled floors never
         # drop, so lo is not negative.
-        lo = scaled_floor(g, traj.eval(s)) + 1 - m0
-        hi = scaled_floor(g, traj.eval(t)) + 1 - m0
+        lo = floor_of(g)(traj.eval(s)) + 1 - m0
+        hi = floor_of(g)(traj.eval(t)) + 1 - m0
         return times[lo:hi]
 
     for (a, b) in topo.directed_links():
         link = topo.links[(a, b)]
-        g = resolve(link.gearbox)
-        lat = link.latency
+        g, lat = link.gearbox, link.latency
         # The window from -latency takes in the frames in flight at time zero.
         lr = LinkReplay(
             initial=scenario.params.beta0[(a, b)],

@@ -5,12 +5,13 @@ Frame counts are pure functions of the clock trajectories. A directed link
 
     beta_ij(t) = floor(g * theta_i(t - l_ij)) - floor(g * theta_j(t)) + lam_ij
 
-with the conserved integer ``lam_ij`` fixed by the initial conditions. All
-floors go through one rounding path: ``floor_of(g)``, the one scalar floor
-of a gearbox (``scaled_floor(g, x)`` is ``floor_of(g)(x)``), and its list
-form ``scaled_floors`` with the same expression. Every consumer shares it:
-the engine's ``measure`` (each controller sample, through the floors that
-``init_state`` resolves once per link) and ``occupancy_series`` (the link
+with the conserved integer ``lam_ij`` fixed by the initial conditions. A
+gearbox ``g`` comes as config reads it, the int 1 or a reduced ``Fraction``,
+and every reader here takes it as it is. All floors go through one rounding
+path: ``floor_of(g)``, the one scalar floor of a gearbox, and its list form
+``scaled_floors`` with the same expression. Every consumer shares it: the
+engine's ``measure`` (each controller sample, through the floors that
+``init_state`` looks up once per link) and ``occupancy_series`` (the link
 constants at time zero, the output grid, and the sample times that
 ``oracle.compare`` checks), and the frame-level oracle's tick windows. This
 is what makes beta(0) == beta0 and the cross-checks integer-exact. Every
@@ -25,33 +26,24 @@ import math
 from bisect import bisect_right
 from collections.abc import Callable
 from fractions import Fraction
-from typing import NamedTuple
 
 from .trajectory import ClockTrajectory
 
 
-# A gearbox's numerator and denominator as plain ints.
-Ratio = NamedTuple("Ratio", [("numerator", int), ("denominator", int)])
-Gearbox = Fraction | int | Ratio
+# The floors read a gearbox's numerator and denominator, which both forms have.
+Gearbox = int | Fraction
 # The floor of a gearbox-scaled phase, as a function of the phase.
 Floor = Callable[[float], int]
 
 
-def resolve(gearbox: Gearbox) -> Gearbox:
-    """The form of ``gearbox`` that the floors read without Fraction calls:
-    the int ``1`` for a unit gearbox, so they take their plain branch, else
-    its ``Ratio``. Both give the same floors and crossings as the Fraction."""
-    return 1 if gearbox == 1 else Ratio(gearbox.numerator, gearbox.denominator)
-
-
 @functools.cache
-def _floor_of(gearbox: Gearbox) -> Floor:
-    """``floor_of`` for a resolved gearbox; each one is built once."""
-    if gearbox == 1:
+def _floor_of(num: int, den: int) -> Floor:
+    """``floor_of`` for a gearbox's two ints; each floor is built once."""
+    if num == den:
         return math.floor
     # A float times or over an int converts the int as ``float`` does, so
     # float operands give the same values with float-only arithmetic.
-    num, den = float(gearbox.numerator), float(gearbox.denominator)
+    num, den = float(num), float(den)
     floor = math.floor
 
     def floor_ratio(phase: float) -> int:
@@ -65,18 +57,15 @@ def floor_of(gearbox: Gearbox) -> Floor:
     phase: ``math.floor`` itself for a unit gearbox, else ``floor(phase *
     num / den)`` with float ``num`` and ``den``, the expression of
     ``scaled_floors``. Equal gearboxes share one function object, so a
-    caller can tell two floors apart by identity."""
-    return _floor_of(resolve(gearbox))
-
-
-def scaled_floor(gearbox: Gearbox, phase: float) -> int:
-    """Floor of the gearbox-scaled phase: ``floor_of(gearbox)(phase)``."""
-    return floor_of(gearbox)(phase)
+    caller can tell two floors apart by identity: the cache is keyed on the
+    two ints, as ``functools.cache`` keys the int 2 by itself but
+    ``Fraction(2)`` by a wrapper that would make it a second floor."""
+    return _floor_of(gearbox.numerator, gearbox.denominator)
 
 
 def scaled_floors(gearbox: Gearbox, phases: list[float]) -> list[int]:
-    """``[scaled_floor(gearbox, p) for p in phases]``, with the gearbox test
-    and its numerator and denominator read once for the whole list, and the
+    """``list(map(floor_of(gearbox), phases))``, with the gearbox test and
+    its numerator and denominator read once for the whole list, and the
     expression of ``floor_of`` written inline."""
     if gearbox == 1:
         return list(map(math.floor, phases))
@@ -90,18 +79,18 @@ def tick_times(
 ) -> tuple[int, list[float]]:
     """``(m0, times)``: ``times[k]`` is when the gearbox-scaled phase reaches
     ``m0 + k``, for every integer the trajectory crosses after ``start``, so
-    ``m0 = scaled_floor(g, eval(start)) + 1``. This is the one place where a
+    ``m0 = floor_of(g)(eval(start)) + 1``. This is the one place where a
     crossing time is defined.
 
-    A segment holds the integers in ``(scaled_floor(g, p0), scaled_floor(g,
-    p1)]``, so the ticks in a time window (s, t] with ``start <= s`` are those
-    of the integers in ``(scaled_floor(g, eval(s)), scaled_floor(g,
-    eval(t))]``. The list starts at the segment that holds ``start``, so its
-    length does not grow with the history before it.
+    A segment holds the integers in ``(floor_of(g)(p0), floor_of(g)(p1)]``,
+    so the ticks in a time window (s, t] with ``start <= s`` are those of the
+    integers in ``(floor_of(g)(eval(s)), floor_of(g)(eval(t))]``. The list
+    starts at the segment that holds ``start``, so its length does not grow
+    with the history before it.
     """
     ts, ps = traj.times, traj.phases
     num, den = gearbox.numerator, gearbox.denominator
-    m_start = scaled_floor(gearbox, traj.eval(start))
+    m_start = floor_of(gearbox)(traj.eval(start))
     first = bisect_right(ts, start) - 1  # the segment that holds start
     floors = scaled_floors(gearbox, ps[first:])
     # One list over (segment, integer) pairs; ``for dt_dp in [...]`` binds

@@ -30,10 +30,13 @@ MAX_EXACT_INT = 2**53
 
 @dataclass(frozen=True)
 class Link:
-    """One directed link: latency in seconds, gearbox in frames per tick."""
+    """One directed link: latency in seconds, gearbox in frames per tick.
+
+    Config gives every unit gearbox as the int 1 and any other as a reduced
+    ``Fraction``; the floors, the engine and the replay read it as it is."""
 
     latency: float
-    gearbox: Fraction = Fraction(1)
+    gearbox: int | Fraction = 1
 
 
 @dataclass(frozen=True)
@@ -282,9 +285,8 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
         if lk is not run_of:
             run_of = lk
             # Only exact ratios are gearboxes; a float has no numerator to read.
-            # The identity test passes the usual Fraction at the lowest cost.
             g = lk.gearbox
-            gear_ok = type(g) is Fraction or isinstance(g, (int, Fraction))
+            gear_ok = isinstance(g, (int, Fraction))
             # A Fraction's numerator and denominator are properties: read them
             # once. A gearbox of the wrong type reads as 1/1, which has no guard.
             num, den = (g.numerator, g.denominator) if gear_ok else (1, 1)

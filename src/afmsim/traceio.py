@@ -24,8 +24,9 @@ with the header that ``write_trace`` writes, every row to have the table's
 number of fields, every block to list the same keys (node, or src and
 dst) in increasing order, and every row of a block to carry the same ``t``
 text, a finite number; every ``theta`` and ``omega`` must be finite; the
-blocks of ``buffers.csv`` must carry the ``t`` values of ``nodes.csv``; an
-event's kind must be ``overflow`` or ``underflow``, its link a key of
+blocks of ``buffers.csv`` must carry the ``t`` values of ``nodes.csv``, and
+each of its links must join two distinct nodes of ``nodes.csv``; an event's
+kind must be ``overflow`` or ``underflow``, its link a key of
 ``buffers.csv`` and its time finite, and the events must come in the order
 of their times. A file that breaks this is a ``TraceError`` that names the
 file. The tables are read a chunk of text at a time, cut after a whole
@@ -342,6 +343,10 @@ def read_trace(trace_dir: str | Path) -> Trace:
     with _parsing(d / "buffers.csv"):
         occupancies = partial(_parsed, int, {})
         _, series = _read_table(d / "buffers.csv", (occupancies, occupancies), grid)
+        for src, dst in series:
+            if src == dst or src not in theta or dst not in theta:
+                detail = "does not join two distinct nodes of nodes.csv"
+                raise ValueError(f"link {src},{dst} {detail}")
     beta = {key: b for key, (b, _) in series.items()}
     gamma = {key: g for key, (_, g) in series.items()}
 

@@ -14,7 +14,7 @@ from afmsim.cli import main as cli_main
 from afmsim.controllers import ControllerSpec, is_admissible, make_controllers
 from afmsim.engine import compute_lambdas, init_state, simulate, step
 from afmsim.oracle import rebuild_trajectories, verify_scenario
-from afmsim.phase import scaled_floor
+from afmsim.phase import floor_of
 from afmsim.scenarios import gearbox_pair, random_scenario, triangle3
 from afmsim.trajectory import AdmissibilityError
 
@@ -97,8 +97,8 @@ def test_criterion_3_lambda_invariance(scenario_set, equivalence_reports):
                 occ = closed_form_beta(trajs[a], trajs[b], lam[(a, b)], link.latency, t, link.gearbox)
                 recomputed = (
                     occ
-                    - scaled_floor(link.gearbox, trajs[a].eval(t - link.latency))
-                    + scaled_floor(link.gearbox, trajs[b].eval(t))
+                    - floor_of(link.gearbox)(trajs[a].eval(t - link.latency))
+                    + floor_of(link.gearbox)(trajs[b].eval(t))
                 )
                 assert recomputed == lam[(a, b)], (a, b, t)
                 checked += 1
@@ -304,7 +304,7 @@ def test_scaled_floors_never_drop_across_a_knot(scenario_set, equivalence_report
                 around = (math.nextafter(tk, -math.inf), tk, math.nextafter(tk, math.inf))
                 phases = [traj.eval(t) for t in around if first <= t <= last]
                 for g in gearboxes:
-                    floors = [scaled_floor(g, ph) for ph in phases]
+                    floors = [floor_of(g)(ph) for ph in phases]
                     assert floors == sorted(floors), (i, tk, g, phases)
                     checked += 1
     assert checked > 5000  # 5109 (knot, gearbox) pairs on this set

@@ -166,6 +166,22 @@ def test_geared_links_share_by_value():
     assert links[(1, 3)].gearbox == Fraction(1, 2) and links[(3, 1)].gearbox == 2
 
 
+def test_gearboxes_come_in_one_form():
+    # Every unit gearbox, however spelled or left out, is the int 1, and any
+    # other a reduced Fraction: the one form the floors and the replay read.
+    for form in ("1", "[1, 1]", "[3, 3]", '"2/2"', "null"):
+        text = MINIMAL.replace('"latency": 1.0}', '"latency": 1.0, "gearbox": %s}' % form)
+        links = load_config(text).scenario.topology.links
+        assert [(type(lk.gearbox), lk.gearbox) for lk in links.values()] == [(int, 1)] * 2
+    text = MINIMAL.replace('"latency": 1.0}', '"latency": 1.0, "gearbox_ab": [4, 2]}')
+    links = load_config(text.replace('"theta0": 0.5', '"theta0": 0.3')).scenario.topology.links
+    g = links[(1, 2)].gearbox
+    assert type(g) is Fraction and (g.numerator, g.denominator) == (2, 1)
+    assert type(links[(2, 1)].gearbox) is int
+    for lk in load_config(json.dumps(GEARED)).scenario.topology.links.values():
+        assert type(lk.gearbox) is (int if lk.gearbox == 1 else Fraction)
+
+
 def test_run_config_builds_the_canonical_form_once(monkeypatch):
     cfg = triangle3()
     calls = []

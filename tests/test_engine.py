@@ -26,7 +26,7 @@ from afmsim.engine import (
     simulate,
     step,
 )
-from afmsim.phase import Ratio, floor_of, resolve, scaled_floor, scaled_floors, tick_times
+from afmsim.phase import floor_of, scaled_floors, tick_times
 from afmsim.topology import Link, SystemParams, Topology, validate
 from afmsim.trajectory import AdmissibilityError, ClockTrajectory, DomainError
 
@@ -62,12 +62,12 @@ def test_scaled_floors_agree_with_scaled_floor(gearbox, zero_spec):
         for x in (float(m), m * gearbox.denominator / gearbox.numerator):
             phases += [math.nextafter(x, -math.inf), float(x), math.nextafter(x, math.inf)]
     phases += [rng.uniform(-100.0, 100.0) for _ in range(500)]
-    floors = [scaled_floor(gearbox, p) for p in phases]
+    floors = [floor_of(gearbox)(p) for p in phases]
     assert scaled_floors(gearbox, phases) == floors
     assert scaled_floors(gearbox, []) == []
-    # The floor init_state resolves for the link gives scaled_floor bit for
-    # bit, and equal gearboxes (the int 1 and Fraction(1) on a unit link, the
-    # Fraction and its resolved Ratio otherwise) resolve to one object.
+    # The floor init_state looks up for the link gives floor_of bit for bit,
+    # and equal gearboxes (the int and the Fraction of one whole number, such
+    # as 1 and Fraction(1), or 2 and Fraction(2)) share one object.
     sc = two_node_scenario(theta0=(0.3, 0.3))
     links = {
         ab: dataclasses.replace(lk, gearbox=Fraction(gearbox))
@@ -76,16 +76,15 @@ def test_scaled_floors_agree_with_scaled_floor(gearbox, zero_spec):
     sc = validate(dataclasses.replace(sc.topology, links=links), sc.params)
     link_floor = init_state(sc, make_controllers(zero_spec, 2)).incoming[2][0][3]
     assert list(map(link_floor, phases)) == floors
-    twins = [1, Fraction(1)] if gearbox == 1 else [Ratio(gearbox.numerator, gearbox.denominator)]
+    twins = [Fraction(gearbox)] + ([gearbox.numerator] if gearbox.denominator == 1 else [])
     assert all(floor_of(g) is link_floor for g in [gearbox, *twins])
     assert (link_floor is math.floor) == (gearbox == 1)
-    form = resolve(gearbox)
     traj = ClockTrajectory(
         [(-30.0, -29.7), (0.0, 0.25), (5.0, math.nextafter(6.0, 0.0)), (9.0, 9.0), (14.0, 16.5)]
     )
     m0, times = tick_times(traj, gearbox, -30.0)
-    for twin in [form, 1, Fraction(1)] if gearbox == 1 else [form]:
-        assert scaled_floors(twin, phases) == [scaled_floor(twin, p) for p in phases] == floors
+    for twin in twins:
+        assert scaled_floors(twin, phases) == [floor_of(twin)(p) for p in phases] == floors
         m0_twin, times_twin = tick_times(traj, twin, -30.0)
         assert m0_twin == m0
         assert list(map(float.hex, times_twin)) == list(map(float.hex, times))
@@ -237,7 +236,7 @@ def test_initial_conditions_shape(triangle_cfg):
 
 
 def test_beta_at_zero_equals_beta0(triangle_cfg, zero_spec):
-    # gearbox_pair and geared_triangle take the Ratio branch of the floors.
+    # gearbox_pair and geared_triangle take the non-unit branch of the floors.
     for sc, spec in (
         (triangle_cfg.scenario, triangle_cfg.controller),
         (two_node_scenario(omega_u=(1.3, 0.9), theta0=(0.25, 0.75), beta0=11), zero_spec),
@@ -284,8 +283,8 @@ def generator_measure(state, i, t):
     return tuple(
         (
             j,
-            scaled_floor(links[(j, i)].gearbox, trajectories[j].eval(t - latency))
-            - scaled_floor(links[(j, i)].gearbox, phase_i)
+            floor_of(links[(j, i)].gearbox)(trajectories[j].eval(t - latency))
+            - floor_of(links[(j, i)].gearbox)(phase_i)
             + lam,
         )
         for j, lam, latency, _ in state.incoming[i]
@@ -329,7 +328,7 @@ def test_measure_equals_the_generator_reference(make_cfg):
     sc = cfg.scenario
     state = init_state(sc, make_controllers(cfg.controller, sc.topology.n_nodes))
     if make_cfg is alternating_gears:
-        assert [f for *_, f in state.incoming[4]] == [floor_of(Ratio(2, 1)), math.floor, floor_of(2)]
+        assert [f for *_, f in state.incoming[4]] == [floor_of(Fraction(2)), math.floor, floor_of(2)]
     while state.queue[0][0] < 60.0:
         rec = step(state)
         reference = generator_measure(state, rec.node, rec.t_sample)
@@ -502,8 +501,8 @@ def test_conservation_and_lambda_invariance_at_random_times(triangle_cfg):
             # direct lambda recomputation at t
             recomputed = (
                 b_ab
-                - scaled_floor(1, state.trajectories[a].eval(t - lat_ab))
-                + scaled_floor(1, state.trajectories[b].eval(t))
+                - floor_of(1)(state.trajectories[a].eval(t - lat_ab))
+                + floor_of(1)(state.trajectories[b].eval(t))
             )
             assert recomputed == state.lam[(a, b)]
 

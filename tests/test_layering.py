@@ -61,11 +61,10 @@ def test_engine_floors_phases_only_in_measure_and_occupancy_series():
     # The closed form has one scalar copy (``measure``, once per step) and one
     # list copy (``occupancy_series``); the scalar helpers are gone. The
     # scalar copy floors through the per-link floors that ``init_state``
-    # resolves once (``floor_of``), the list copy through ``scaled_floors``,
-    # and ``scaled_floor`` is not called at all. Every floor helper of
-    # ``phase`` counts.
+    # looks up once (``floor_of``), the list copy through ``scaled_floors``.
+    # Both floor helpers of ``phase`` count.
     tree = ast.parse((SRC / "afmsim" / "engine.py").read_text(encoding="utf-8"))
-    floors = {"floor_of", "scaled_floor", "scaled_floors"}
+    floors = {"floor_of", "scaled_floors"}
     assert all(callable(getattr(phase, name)) for name in floors)
     callers = {(top, name) for top, name in called_names(tree) if name in floors}
     assert callers == {("init_state", "floor_of"), ("occupancy_series", "scaled_floors")}
@@ -95,6 +94,19 @@ def test_the_one_time_occupancy_is_gone():
     assert "occupancy" not in afmsim.__all__
 
 
+def test_the_gearbox_normal_forms_are_gone():
+    # Config gives a gearbox its one run-time form (the int 1, else a reduced
+    # Fraction), and the floors, the engine and the replay read it as it is:
+    # nothing converts it, and one scalar floor has one name.
+    for name in ("Ratio", "resolve", "scaled_floor"):
+        assert not hasattr(phase, name)
+        assert name not in afmsim.__all__
+    for module in ("engine", "oracle"):
+        tree = ast.parse((SRC / "afmsim" / f"{module}.py").read_text(encoding="utf-8"))
+        called = {name for _, name in called_names(tree)}
+        assert called.isdisjoint({"resolve", "Ratio", "Fraction"}), module
+
+
 def test_the_pointwise_slope_and_the_step_counter_are_gone():
     # ``sweep_phase_slope`` is the one slope reader, and a node's step index
     # is its knot count less three, so neither needs a copy of its own.
@@ -104,10 +116,11 @@ def test_the_pointwise_slope_and_the_step_counter_are_gone():
 
 
 def test_one_sweep_reads_phases_and_one_check_orders_times():
-    # ``sweep_eval``, shifted by a latency for a source, is the one sweep that
-    # reads phases, and ``trajectory.check_times`` the one order check: the
-    # pairwise order test, a ``map`` of ``le`` (``operator.le``) over a list,
-    # appears there alone.
+    # ``sweep_eval`` (shifted by a latency for a source) and
+    # ``sweep_phase_slope`` (a node's phases and slopes in one walk) are the
+    # sweeps that read phases, and ``trajectory.check_times`` the one order
+    # check: the pairwise order test, a ``map`` of ``le`` (``operator.le``)
+    # over a list, appears there alone.
     assert not hasattr(phase, "shifted_floors")
     assert not hasattr(trajectory, "_check_sweep")
     assert {"shifted_floors", "_check_sweep"}.isdisjoint(afmsim.__all__)

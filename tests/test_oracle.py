@@ -26,7 +26,7 @@ from afmsim.oracle import (
     replay,
     verify_scenario,
 )
-from afmsim.phase import scaled_floor, tick_times
+from afmsim.phase import floor_of, tick_times
 from afmsim.scenarios import gearbox_pair, random_scenario, triangle3
 from afmsim.topology import Link, SystemParams, Topology, validate
 from afmsim.trajectory import ClockTrajectory
@@ -529,8 +529,8 @@ def reference_crossings(traj, gearbox, phase_lo, phase_hi):
     """Crossing times of every integer the scaled phase passes in
     (phase_lo, phase_hi], computed per window over every segment."""
     num, den = gearbox.numerator, gearbox.denominator
-    lo_floor = scaled_floor(gearbox, phase_lo)
-    hi_floor = scaled_floor(gearbox, phase_hi)
+    lo_floor = floor_of(gearbox)(phase_lo)
+    hi_floor = floor_of(gearbox)(phase_hi)
     times = []
     ts, ps = traj.times, traj.phases
     for t0, p0, t1, p1 in zip(ts, ps, ts[1:], ps[1:]):
@@ -635,7 +635,7 @@ def test_received_count_matches_oracle_arrivals():
             t = rng.uniform(s, 39.0)
             counted = bisect_right(arrivals, t) - bisect_right(arrivals, s)
             # the frames sent over (s - lat, t - lat]
-            sent = scaled_floor(g, traj.eval(t - lat)) - scaled_floor(g, traj.eval(s - lat))
+            sent = floor_of(g)(traj.eval(t - lat)) - floor_of(g)(traj.eval(s - lat))
             assert counted == sent
 
 

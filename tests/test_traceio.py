@@ -302,6 +302,16 @@ def _with_omega(line, text):
     return f"{line.rpartition(',')[0]},{text}\n"
 
 
+def _relinked(lines, old, new):
+    """``buffers.csv`` lines with link ``old`` renamed ``new`` on every row,
+    each given as "src,dst"."""
+    out = []
+    for line in lines:
+        t, src, dst, rest = line.split(",", 3)
+        out.append(f"{t},{new},{rest}" if f"{src},{dst}" == old else line)
+    return out
+
+
 # Each: the file, its lines (the header is line 0) as damaged, and the reason
 # read_trace gives. The triangle3 trace has 401 blocks, in more than one chunk.
 LAYOUT_ERRORS = {
@@ -333,7 +343,7 @@ LAYOUT_ERRORS = {
         ],
         "invalid literal for int() with base 10: '2.5'",
     ),
-    # the same on link 1->2 every 10 blocks of the third chunk (lines 2041
+    # the same on link 1->2 every 10 blocks of the third chunk (lines 1699
     # on), after the first two chunks have filled the table's memo
     "beta_not_an_integer_in_third_chunk": (
         "buffers.csv",
@@ -409,6 +419,16 @@ LAYOUT_ERRORS = {
     ),
     "final_row_dropped": (
         "buffers.csv", lambda lines: lines[:-1], "the rows do not fill blocks of 6 rows"
+    ),
+    # links that no run writes: one to a node nodes.csv does not have, and a
+    # self-link; each keeps the keys of every block in order
+    "link_to_unknown_node": (
+        "buffers.csv", lambda lines: _relinked(lines, "3,2", "3,9"),
+        "link 3,9 does not join two distinct nodes of nodes.csv",
+    ),
+    "self_link": (
+        "buffers.csv", lambda lines: _relinked(lines, "1,2", "1,1"),
+        "link 1,1 does not join two distinct nodes of nodes.csv",
     ),
     # the theta of the last row
     "theta_not_finite": (

@@ -10,7 +10,7 @@ from functools import partial
 import pytest
 from hypothesis import given, strategies as st
 
-from afmsim.phase import Ratio, scaled_floor, scaled_floors
+from afmsim.phase import floor_of, scaled_floors
 from afmsim.trajectory import (
     AdmissibilityError,
     ClockTrajectory,
@@ -436,7 +436,7 @@ def test_sweeps_write_nothing():
 
 # -- the source read one latency back --------------------------------------------
 
-GEARBOXES = [1, Ratio(2, 1), Ratio(3, 2), Ratio(1, 2), Ratio(7, 5), Fraction(2, 3)]
+GEARBOXES = [1, Fraction(2), Fraction(3, 2), Fraction(1, 2), Fraction(7, 5), Fraction(2, 3)]
 
 
 def exact_shifts(points, latency):
@@ -457,7 +457,7 @@ def test_shifted_floors_equal_pointwise_floors(traj, gearbox, latency, data):
     knots = data.draw(st.lists(st.sampled_from(traj.times), max_size=8))
     ts += exact_shifts(knots + [lo, hi, hi], latency)
     ts = sorted(t for t in ts if lo <= t - latency <= hi)
-    want = [scaled_floor(gearbox, traj.eval(t - latency)) for t in ts]
+    want = [floor_of(gearbox)(traj.eval(t - latency)) for t in ts]
     phases = sweep_eval(traj, ts, latency)
     assert [v.hex() for v in phases] == [traj.eval(t - latency).hex() for t in ts]
     assert scaled_floors(gearbox, phases) == want
@@ -472,7 +472,7 @@ def test_shifted_floors_on_knots_and_repeats(gearbox, latency):
     traj = make([(-2.0, -3.0), (0.0, 0.0), (1.0, 2.0), (3.0, 3.0), (4.0, 6.0)])
     shifted = [-2.0, -2.0, -1.0, 0.0, 0.0, 0.5, 1.0, 2.0, 2.999, 3.0, 3.0, 4.0, 4.0]
     ts = [t + latency for t in shifted]
-    want = [scaled_floor(gearbox, traj.eval(t)) for t in shifted]
+    want = [floor_of(gearbox)(traj.eval(t)) for t in shifted]
     assert scaled_floors(gearbox, sweep_eval(traj, ts, latency)) == want
     assert scaled_floors(gearbox, sweep_eval(traj, [], latency)) == []
 
