@@ -221,7 +221,16 @@ def step(state: SystemState) -> SampleRecord:
                 step=k,
                 frequency=frequency,
             )
-        traj.append(s + par.p / frequency, phase_s + par.p)
+        t_next = s + par.p / frequency
+        if not t_next > s:  # a frequency so high that p / frequency is lost in s
+            raise AdmissibilityError(
+                f"admissibility violated at node {i} step {k}: frequency {frequency!r}"
+                f" gives the next knot time {t_next!r}, which does not exceed {s!r}",
+                node=i,
+                step=k,
+                frequency=frequency,
+            )
+        traj.append(t_next, phase_s + par.p)
     except Exception:
         controller.state = saved
         raise

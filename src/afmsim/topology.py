@@ -3,10 +3,10 @@
 Edges always come as a pair of directed links, one per direction, each with
 its own latency and optional gearbox (a rational frames-per-tick multiplier).
 ``check`` collects every violated constraint as a named violation instead of
-stopping at the first, so a config author sees the whole damage report. Each
-finite-value, per-node and ``beta0`` rule is stated once, scanned over a whole
-column before any value is walked; the rules on a link's own fields are
-decided once per run of one ``Link`` object.
+stopping at the first, so a config author sees the whole damage report. It
+walks the scalars, each node and each link once, one ``if`` per rule; the
+finite-value rule scans one whole column first, and the rules on a link's own
+fields are decided once per run of one ``Link`` object.
 """
 
 from __future__ import annotations
@@ -14,9 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite
-from itertools import chain, repeat
-from functools import partial
-from operator import add, attrgetter, eq, ge, le, lt, mul
 from typing import Mapping
 
 # Sampled phases must stay clear of frame boundaries at desk scale so that
@@ -114,86 +111,23 @@ class Scenario:
 
 _INEXACT = "magnitude above 2**53: not exact as a float"
 _PER_NODE = ("theta0", "omega_u", "omega_init1", "omega_init2")
-_latency = attrgetter("latency")
-# Of a type: p, d and beta0 count ticks or frames. Of an integer's magnitude:
-# float arithmetic on it neither rounds nor overflows.
-_INT, _EXACT = (eq, int), (ge, MAX_EXACT_INT)
-_is_int, _exact = partial(*_INT), partial(*_EXACT)
-
-# A rule table has a row (name, subject suffix, column, op, bound, detail) per rule,
-# in report order for one node or link. A rule holds for x when op(bound, x), or
-# op(x) if bound is None; a string bound names a scalar. The detail is formatted
-# with the column's name and value, the scalars and each column's value by name.
-_START = "history-start phase theta0 + omega_init2 * epoch = {start!r}"
-_NEAR = f"theta0={{theta0!r}} is within {FRACTIONAL_GUARD} of an integer"
-_ABOVE_MIN = "{0}={1!r} must exceed omega_min={omega_min!r}"
-_NODE_RULES = (
-    ("initial_phase_nonpositive", "", "theta0", lt, 0.0, "theta0={theta0!r}"),
-    ("value_out_of_range", "", "start", isfinite, None, _START),
-    ("initial_phase_integral", "", "frac", lt, 0.0, "theta0={theta0!r} is an integer"),
-    ("initial_phase_near_integral", "", "mid", le, FRACTIONAL_GUARD, _NEAR),
-    ("initial_phase_near_integral", "", "mid", ge, 1.0 - FRACTIONAL_GUARD, _NEAR),
-    ("uncorrected_frequency_nonpositive", "", "omega_u", lt, 0.0, "omega_u={omega_u!r}"),
-    ("initial_frequency_not_above_min", "", "omega_init1", lt, "omega_min", _ABOVE_MIN),
-    ("initial_frequency_not_above_min", "", "omega_init2", lt, "omega_min", _ABOVE_MIN),
-)
-_BETA0_RULES = (
-    ("wrong_type", " beta0", "type", *_INT, "expected an integer, got {beta0!r}"),
-    ("beta0_negative", "", "read", le, 0, "beta0={beta0}"),
-    ("value_out_of_range", " beta0", "size", *_EXACT, _INEXACT),
-    ("beta0_exceeds_capacity", "", "read", ge, "cap", "beta0={beta0} > capacity={cap}"),
-)
-# A bound (lt, le, ge) holds for a whole column exactly when it holds for the least
-# (lt, le) or the greatest (ge) value, and an equality when it counts them all.
-_EXTREME = {lt: min, le: min, ge: max}
-
-
-def _failing(op, bound, values) -> list[int]:
-    """Indexes of the values that break the rule, in order: the column is
-    scanned whole, and walked value by value only when the scan fails."""
-    extreme = _EXTREME.get(op)
-    if extreme:
-        holds = not values or op(bound, extreme(values))
-    elif op is eq:
-        holds = values.count(bound) == len(values)
-    else:
-        holds = all(map(op, values))
-    if holds:
-        return []
-    test = op if bound is None else partial(op, bound)
-    return [i for i, x in enumerate(values) if not test(x)]
-
-
-def _table(rows, columns, subject, ids, scalars) -> list[tuple]:
-    """(id, violation) for each value that breaks a row of a rule table, index-major,
-    then in row order; the subject is ``subject`` formatted with the id, then the suffix."""
-    found = []
-    for k, (_, _, col, op, bound, _) in enumerate(rows):
-        for i in _failing(op, scalars.get(bound, bound), columns[col]):
-            found.append((i, k))
-    found.sort()
-    out = []
-    for i, k in found:
-        name, suffix, col, _, _, detail = rows[k]
-        at = {c: values[i] for c, values in columns.items()}
-        text = detail.format(col, at[col], **scalars, **at)
-        out.append((ids[i], Violation(name, subject.format(ids[i]) + suffix, text)))
-    return out
 
 
 def check(topology: Topology, params: SystemParams) -> list[Violation]:
     """Collect every violated constraint of the model's well-posedness rules.
 
     Pure: the same inputs always produce the same report, in the same order:
-    the scalars, the per-node fields, then each link in sorted order, the
-    rules on its own fields before its ``beta0``. A subject string is
-    formatted only for a violation. See ``_NODE_RULES`` and ``_BETA0_RULES``.
+    the scalars, node by node, then each link in sorted order, the rules on
+    its own fields before its ``beta0``. A subject string is formatted only
+    for a violation. A value of another type than ``int`` where the model
+    counts (``n_nodes``, ``p``, ``d``, ``beta0``) is a ``wrong_type`` in
+    place of that value's other rules.
     """
     v: list[Violation] = []
     n = topology.n_nodes
     # An n_nodes of another type than int is reported in place of the rules that read it:
     # the node count, the per-node field lengths and the node ids of the links.
-    n_int = _is_int(type(n))
+    n_int = type(n) is int
     if not n_int:
         v.append(Violation("wrong_type", "topology.n_nodes", f"expected an integer, got {n!r}"))
     elif n < 1:
@@ -202,24 +136,30 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
     keys = sorted(links)
     lks = list(map(links.__getitem__, keys))
     per_node = [getattr(params, name) for name in _PER_NODE]
+    theta0, omega_u, omega_init1, omega_init2 = per_node
 
-    # NaN/inf poison every later comparison and floor: refuse them up front and skip
-    # the checks they would corrupt. The fields form one column, in report order.
-    finite = [params.omega_min, params.epoch, *chain(*per_node), *map(_latency, lks)]
-    not_finite = _failing(isfinite, None, finite)
-    if not_finite:
+    # NaN/inf poison every later comparison and floor: refuse them up front and
+    # skip the checks they would corrupt. The fields form one column, in report
+    # order, scanned whole and walked value by value only when the scan fails.
+    finite = [params.omega_min, params.epoch, *theta0, *omega_u, *omega_init1, *omega_init2]
+    finite += [lk.latency for lk in lks]
+    if not all(map(isfinite, finite)):
         subjects = ["params.omega_min", "params.epoch"]
         for f, vals in zip(_PER_NODE, per_node):
             subjects += [f"params.{f}[{i}]" for i in range(len(vals))]
         subjects += [f"link ({a},{b}) latency" for a, b in keys]
-        return v + [Violation("value_not_finite", subjects[i], repr(finite[i])) for i in not_finite]
+        bad = [(s, x) for s, x in zip(subjects, finite) if not isfinite(x)]
+        return v + [Violation("value_not_finite", s, repr(x)) for s, x in bad]
 
     cap = topology.buffer_capacity
     p, d, omega_min, epoch = params.p, params.d, params.omega_min, params.epoch
     if cap is not None and cap <= 0:
         v.append(Violation("capacity_nonpositive", "topology", f"buffer_capacity={cap}"))
+    # The replay counts frames against the capacity: bound it as p and d are.
+    if cap is not None and cap > MAX_EXACT_INT:
+        v.append(Violation("value_out_of_range", "topology.buffer_capacity", _INEXACT))
     # A p or d of another type than int is reported in place of its own rules.
-    p_int, d_int = _is_int(type(p)), _is_int(type(d))
+    p_int, d_int = type(p) is int, type(d) is int
     for subject, val, typed in (("params.p", p, p_int), ("params.d", d, d_int)):
         if not typed:
             v.append(Violation("wrong_type", subject, f"expected an integer, got {val!r}"))
@@ -230,7 +170,7 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
     if p_int and d_int and d >= p:
         v.append(Violation("delay_not_less_than_period", "params", f"d={d} must be < p={p}"))
     for subject, val, typed in (("params.p", p, p_int), ("params.d", d, d_int)):
-        if typed and not _exact(abs(val)):
+        if typed and abs(val) > MAX_EXACT_INT:
             v.append(Violation("value_out_of_range", subject, _INEXACT))
     if omega_min <= 0.0:
         v.append(Violation("omega_min_nonpositive", "params.omega_min", f"{omega_min!r}"))
@@ -245,37 +185,37 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
         v.append(Violation("param_length", f"params.{name}", detail))
     # Node-indexed rules would misindex a field of the wrong length, or of no known length.
     indexed = n_int and not wrong_length
-    if indexed:
-        theta0, _, _, omega_init2 = per_node
-        # The fractional part (exactly th - floor(th)); in ``mid`` an integral
-        # theta0 reads as mid-frame, so only initial_phase_integral names it.
-        fracs = [th % 1.0 for th in theta0]
-        columns = dict(zip(_PER_NODE, per_node), frac=fracs, mid=[f or 0.5 for f in fracs])
+    for i, th, w_u, w_1, w_2 in zip(range(1, n + 1), *per_node) if indexed else ():
+        if th <= 0.0:
+            v.append(Violation("initial_phase_nonpositive", f"node {i}", f"theta0={th!r}"))
         # Finite inputs can still give a non-finite phase where the history starts.
-        columns["start"] = list(map(add, theta0, map(mul, omega_init2, repeat(epoch))))
-        ids = range(1, len(theta0) + 1)  # the node ids, read from a field of length n_nodes
-        v += [f for _, f in _table(_NODE_RULES, columns, "node {}", ids, {"omega_min": omega_min})]
+        start = th + w_2 * epoch
+        if not isfinite(start):
+            detail = f"history-start phase theta0 + omega_init2 * epoch = {start!r}"
+            v.append(Violation("value_out_of_range", f"node {i}", detail))
+        frac = th % 1.0  # exactly th - floor(th)
+        if frac == 0.0:
+            detail = f"theta0={th!r} is an integer"
+            v.append(Violation("initial_phase_integral", f"node {i}", detail))
+        elif not FRACTIONAL_GUARD <= frac <= 1.0 - FRACTIONAL_GUARD:
+            detail = f"theta0={th!r} is within {FRACTIONAL_GUARD} of an integer"
+            v.append(Violation("initial_phase_near_integral", f"node {i}", detail))
+        if w_u <= 0.0:
+            detail = f"omega_u={w_u!r}"
+            v.append(Violation("uncorrected_frequency_nonpositive", f"node {i}", detail))
+        for name, w in (("omega_init1", w_1), ("omega_init2", w_2)):
+            if w <= omega_min:
+                detail = f"{name}={w!r} must exceed omega_min={omega_min!r}"
+                v.append(Violation("initial_frequency_not_above_min", f"node {i}", detail))
 
     beta0 = params.beta0
-    beta0_found: dict[tuple[int, int], list[Violation]] = {}
-    if beta0.keys() != links.keys():
+    beta0_ok = beta0.keys() == links.keys()
+    if not beta0_ok:
         missing, extra = sorted(links.keys() - beta0.keys()), sorted(beta0.keys() - links.keys())
         detail = f"missing={missing} extra={extra}"
         v.append(Violation("beta0_keys_mismatch", "params.beta0", detail))
-    else:
-        # Scanned in the order of ``beta0``, and filed by link. A value of another type than
-        # int is reported in place of its other rules, which read it as 0 and drop their findings.
-        ids, values = list(beta0), list(beta0.values())
-        types = list(map(type, values))
-        wrong = {ids[i] for i in _failing(*_INT, types)}
-        read = [0 if ab in wrong else x for ab, x in zip(ids, values)] if wrong else values
-        columns = {"beta0": values, "type": types, "read": read, "size": list(map(abs, read))}
-        rules = _BETA0_RULES if cap is not None else _BETA0_RULES[:-1]
-        for ab, found in _table(rules, columns, "link ({0[0]},{0[1]})", ids, {"cap": cap}):
-            if ab not in wrong or found.name == "wrong_type":
-                beta0_found.setdefault(ab, []).append(found)
     # The epoch bound needs d / omega_min: only a positive floor and an exact d give it meaning.
-    lag = d / omega_min if omega_min > 0.0 and d_int and _exact(abs(d)) else None
+    lag = d / omega_min if omega_min > 0.0 and d_int and abs(d) <= MAX_EXACT_INT else None
 
     # The rules on a link's own fields are decided once per run of one ``Link`` object in
     # the sorted walk; each link of the run reports the run's findings under its own subject.
@@ -305,7 +245,7 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
                 detail = f"epoch={epoch!r} must be <= {bound!r}"
                 found.append(("epoch_too_late", "", detail))
             geared = num != den and num > 0
-            gear_exact = geared and _exact(num) and _exact(den)
+            gear_exact = geared and num <= MAX_EXACT_INT and den <= MAX_EXACT_INT
 
         in_range = not n_int or (1 <= a <= n and 1 <= b <= n)
         if a == b:
@@ -320,8 +260,19 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
             for name, suffix, detail in found:
                 v.append(Violation(name, f"link ({a},{b}){suffix}", detail))
 
-        if beta0_found and ab in beta0_found:
-            v += beta0_found[ab]
+        if beta0_ok:
+            b0 = beta0[ab]
+            if type(b0) is not int:
+                detail = f"expected an integer, got {b0!r}"
+                v.append(Violation("wrong_type", f"link ({a},{b}) beta0", detail))
+            else:
+                if b0 < 0:
+                    v.append(Violation("beta0_negative", f"link ({a},{b})", f"beta0={b0}"))
+                if abs(b0) > MAX_EXACT_INT:
+                    v.append(Violation("value_out_of_range", f"link ({a},{b}) beta0", _INEXACT))
+                if cap is not None and b0 > cap:
+                    detail = f"beta0={b0} > capacity={cap}"
+                    v.append(Violation("beta0_exceeds_capacity", f"link ({a},{b})", detail))
 
         # Gearboxes scale the phases that get floored, so the same boundary
         # guard that applies to theta0 must hold for the scaled phases too.
@@ -331,7 +282,7 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
             v.append(Violation("value_out_of_range", f"link ({a},{b}) gearbox", _INEXACT))
             continue
         for node in (a, b) if indexed else ():
-            scaled = params.theta0[node - 1] * num / den
+            scaled = theta0[node - 1] * num / den
             if not isfinite(scaled):
                 detail = f"gearbox {g} scales node {node} theta0 to {scaled!r}"
                 v.append(Violation("value_out_of_range", f"link ({a},{b})", detail))

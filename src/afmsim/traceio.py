@@ -25,7 +25,8 @@ number of fields, every block to list the same keys (node, or src and
 dst) in increasing order, and every row of a block to carry the same ``t``
 text, a finite number; every ``theta`` and ``omega`` must be finite; the
 blocks of ``buffers.csv`` must carry the ``t`` values of ``nodes.csv``, and
-each of its links must join two distinct nodes of ``nodes.csv``; an event's
+each of its links must join two distinct nodes of ``nodes.csv`` and come
+with its reverse link; an event's
 kind must be ``overflow`` or ``underflow``, its link a key of
 ``buffers.csv`` and its time finite, and the events must come in the order
 of their times. A file that breaks this is a ``TraceError`` that names the
@@ -347,6 +348,10 @@ def read_trace(trace_dir: str | Path) -> Trace:
             if src == dst or src not in theta or dst not in theta:
                 detail = "does not join two distinct nodes of nodes.csv"
                 raise ValueError(f"link {src},{dst} {detail}")
+        # Every run writes both directions of an edge; summarize pairs them.
+        for src, dst in series:
+            if (dst, src) not in series:
+                raise ValueError(f"link {src},{dst} has no reverse link {dst},{src}")
     beta = {key: b for key, (b, _) in series.items()}
     gamma = {key: g for key, (_, g) in series.items()}
 

@@ -27,7 +27,8 @@ class DomainError(ValueError):
 
 
 class AdmissibilityError(RuntimeError):
-    """A frequency fell to or below the configured minimum."""
+    """A frequency fell to or below the configured minimum, or rose so high
+    that a step would not advance the knot time."""
 
     def __init__(
         self,

@@ -161,6 +161,12 @@ OVERSIZE_CONFIGS = {
         "value_out_of_range",
         "link (1,2) gearbox",
     ),
+    # beyond sys.maxsize, where the replay can no longer count to it
+    "buffer_capacity": (
+        bundled_with((("topology", "buffer_capacity"), 10**20)),
+        "value_out_of_range",
+        "topology.buffer_capacity",
+    ),
     "d": (bundled_with((("params", "d"), BIG)), "value_out_of_range", "params.d"),
     "p": (bundled_with((("params", "p"), BIG)), "value_out_of_range", "params.p"),
     "beta0_ab": (

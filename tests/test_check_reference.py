@@ -1,9 +1,10 @@
 """``check`` against a plain reference walk of every value and every link.
 
-``reference_check`` below is ``topology.check`` as it was written before it
-scanned whole fields and decided the rules on a link's own fields once per
-run of one shared ``Link``: it visits each node and each link and decides
-every rule there. An ``n_nodes``, ``p``, ``d`` or ``beta0`` that is not an
+``reference_check`` below visits each node and each link and decides every
+rule there. ``topology.check`` is the same walk with two more mechanisms: it
+decides the rules on a link's own fields once per run of one shared
+``Link``, and scans the finite-value rule over one whole column before it
+walks any value. An ``n_nodes``, ``p``, ``d`` or ``beta0`` that is not an
 ``int`` is a ``wrong_type`` in place of that value's other rules. The
 property draws small graphs (self links, unknown nodes, unpaired links), a
 pool of one to three ``Link`` objects that the links share, copy as equal
@@ -94,6 +95,8 @@ def reference_check(topology: Topology, params: SystemParams) -> list[Violation]
     p, d, omega_min, epoch = params.p, params.d, params.omega_min, params.epoch
     if cap is not None and cap <= 0:
         v.append(Violation("capacity_nonpositive", "topology", f"buffer_capacity={cap}"))
+    if cap is not None and cap > MAX_EXACT_INT:
+        v.append(Violation("value_out_of_range", "topology.buffer_capacity", _INEXACT))
     # A p or d of another type than int is reported in place of its own rules.
     p_int, d_int = type(p) is int, type(d) is int
     for subject, val, typed in (("params.p", p, p_int), ("params.d", d, d_int)):
@@ -340,7 +343,7 @@ def scenarios(draw):
         for kinds, k in zip([THETA0] + [frequencies] * 3, lengths)
     ]
 
-    cap = draw(draw(values(([None, 50], [10, 0, -1]))))
+    cap = draw(draw(values(([None, 50], [10, 0, -1, 2**53 + 1]))))
     beta0_values = ([0, 5, 10], [-1, 2**53, 2**53 + 1, -(2**53) - 1, nan, 1.5, -2.0, True, "5"])
     if cap is not None:
         beta0_values[1].extend([cap, cap + 1])

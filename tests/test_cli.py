@@ -143,6 +143,22 @@ def test_oversize_input_exits_two(tmp_path, capsys, command, case):
     assert expected in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [(("params", "omega_u"), [1.1, 1e308, 2.0]), (("controller", "beta_ref"), -1e308)],
+    ids=["omega_u", "beta_ref"],
+)
+def test_step_that_does_not_advance_time_exits_two(tmp_path, capsys, edit):
+    # The frequency is so high that s + p / frequency rounds back to s.
+    bad = tmp_path / "bad.json"
+    bad.write_text(bundled_with(edit))
+    code = main(["verify", "--config", str(bad), "--t-max", "20"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("admissibility error: admissibility violated at node ")
+    assert "does not exceed" in err
+
+
 def _lines_edited(edit):
     """A damage function that replaces the file's lines, header included, with
     ``edit(lines)``."""
@@ -182,6 +198,11 @@ def _lines_edited(edit):
         # node 1's theta and the last omega, values no run can write
         ("nodes.csv", lambda text: text.replace("\n0,1,0.1,", "\n0,1,nan,", 1)),
         ("nodes.csv", lambda text: text.rstrip("\n").rsplit(",", 1)[0] + ",inf\n"),
+        # every row of link 3->2, so edge 2--3 has one direction only
+        (
+            "buffers.csv",
+            _lines_edited(lambda lines: [x for x in lines if x.split(",")[1:3] != ["3", "2"]]),
+        ),
     ],
     ids=[
         "short_row",
@@ -205,6 +226,7 @@ def _lines_edited(edit):
         "block_time_nan",
         "theta_nan",
         "omega_inf",
+        "link_without_reverse",
     ],
 )
 def test_malformed_trace_exits_two(tmp_path, capsys, command, name, damage):

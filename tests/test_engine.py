@@ -388,12 +388,8 @@ def test_admissibility_halt_on_first_violating_step():
     assert err.value.frequency == pytest.approx(-0.9)
 
 
-@pytest.mark.parametrize(
-    "output, error",
-    [(-5.0, AdmissibilityError), (math.nan, AdmissibilityError), (1e300, ValueError)],
-    ids=["below-floor", "nan", "knot-time-stalls"],
-)
-def test_halted_step_leaves_controllers_unchanged(triangle_cfg, output, error):
+@pytest.mark.parametrize("output", [-5.0, math.nan, 1e300], ids=["below-floor", "nan", "knot-time-stalls"])
+def test_halted_step_leaves_controllers_unchanged(triangle_cfg, output):
     # A counting controller; its correction either sinks the frequency to or
     # below omega_min, or is so large that the next knot time does not advance.
     spec = ControllerSpec(
@@ -405,8 +401,9 @@ def test_halted_step_leaves_controllers_unchanged(triangle_cfg, output, error):
     sc = triangle_cfg.scenario
     state = init_state(sc, make_controllers(spec, sc.topology.n_nodes))  # unvetted
     queue = list(state.queue)
-    with pytest.raises(error):
+    with pytest.raises(AdmissibilityError) as err:
         step(state)
+    assert (err.value.node, err.value.step) == (3, 0)
     assert state.queue == queue
     assert {i: c.state for i, c in state.controllers.items()} == {1: 0, 2: 0, 3: 0}
     # The step counter is the knot count, so no knot was appended.

@@ -8,7 +8,7 @@ import sys
 from graphlib import TopologicalSorter
 
 import afmsim
-from afmsim import engine, oracle, phase, trajectory
+from afmsim import engine, oracle, phase, topology, trajectory
 from afmsim.engine import SystemState
 from afmsim.trajectory import ClockTrajectory
 
@@ -113,6 +113,13 @@ def test_the_pointwise_slope_and_the_step_counter_are_gone():
     assert not hasattr(ClockTrajectory, "slope_at")
     assert "steps" not in {f.name for f in dataclasses.fields(SystemState)}
     assert {"slope_at", "steps"}.isdisjoint(afmsim.__all__)
+
+
+def test_the_validation_rule_tables_are_gone():
+    # ``check`` states each rule as one ``if`` of one walk: no rule table
+    # and no interpreter that runs one.
+    for name in ("_NODE_RULES", "_BETA0_RULES", "_failing", "_table"):
+        assert not hasattr(topology, name)
 
 
 def test_one_sweep_reads_phases_and_one_check_orders_times():

@@ -312,6 +312,11 @@ def _relinked(lines, old, new):
     return out
 
 
+def _unlinked(lines, link):
+    """``buffers.csv`` lines without the rows of ``link``, given as "src,dst"."""
+    return [line for line in lines if ",".join(line.split(",")[1:3]) != link]
+
+
 # Each: the file, its lines (the header is line 0) as damaged, and the reason
 # read_trace gives. The triangle3 trace has 401 blocks, in more than one chunk.
 LAYOUT_ERRORS = {
@@ -429,6 +434,10 @@ LAYOUT_ERRORS = {
     "self_link": (
         "buffers.csv", lambda lines: _relinked(lines, "1,2", "1,1"),
         "link 1,1 does not join two distinct nodes of nodes.csv",
+    ),
+    # every row of link 3->2 dropped; each block keeps its keys in order
+    "link_without_reverse": (
+        "buffers.csv", lambda lines: _unlinked(lines, "3,2"), "link 2,3 has no reverse link 3,2"
     ),
     # the theta of the last row
     "theta_not_finite": (
