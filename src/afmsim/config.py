@@ -443,6 +443,8 @@ def load_config(text: str) -> ScenarioConfig:
         r.bad("run_t_max_nonpositive", "run.t_max", f"t_max={t_max!r}")
     if grid <= 0:
         r.bad("run_grid_nonpositive", "run.output_grid", f"output_grid={grid!r}")
+    elif t_max > 0:
+        r.violations += engine.check_grid(t_max, grid)
     run = RunSettings(t_max=t_max, output_grid=grid, seed=seed)
 
     if r.violations:

@@ -7,7 +7,10 @@ offset on a buffer by the conserved per-link integer of ``compute_lambdas``.
 once (``trajectory.check_times``); each node is then swept over it once for
 its phases and frequencies (``sweep_phase_slope``), and each source swept
 one latency back (``sweep_eval``). A sweep checks only the two (shifted)
-ends of the list against the domain.
+ends of the list against the domain. Where the list less the latency is the
+list itself from some index ``k`` on, float for float, as on the output grid
+of a latency that is a whole number of grid steps, the source is swept over
+its first ``k`` times only: its phases at the rest are its own sweep's.
 
 Each trajectory starts from three knots, ``(epoch, theta0 + omega_init2 *
 epoch)``, ``(0, theta0)`` and ``(d / omega_init1, theta0 + d)``: the history
@@ -45,13 +48,15 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import sub
 from typing import Iterator, NamedTuple
 
 from .controllers import Controller, ControllerSpec, is_admissible, make_controllers
 from .phase import Floor, floor_of, scaled_floors
-from .topology import Scenario
+from .topology import Scenario, ValidationError, Violation
 from .trajectory import (
     AdmissibilityError,
     ClockTrajectory,
@@ -297,6 +302,18 @@ def _fatal_events(
     return sorted(first.values(), key=lambda e: (e.t, e.link, e.kind))
 
 
+def _swept_count(ts: list[float], latency: float) -> int:
+    """How many of the times ``ts`` a source sweeps one latency back: ``k``
+    where ``ts[k:]`` less the latency is ``ts[:len(ts) - k]``, float for
+    float, so that its floors there are its own, already made; else all."""
+    n = len(ts)
+    k = bisect_left(ts, ts[0] + latency) if ts else 0
+    if k < n and ts[k] - latency == ts[0]:
+        if list(map(sub, ts[k:], repeat(latency))) == ts[: n - k]:
+            return k
+    return n
+
+
 def occupancy_series(
     scenario: Scenario,
     trajectories: dict[int, ClockTrajectory],
@@ -320,11 +337,17 @@ def occupancy_series(
     ``compare`` and ``compute_lambdas`` drop them. The node phases are
     floored as a whole list (``scaled_floors``) once per gearbox, keyed on
     ``link.gearbox`` as config made it. The frames sent, the source's floors
-    at ``ts`` less the latency, are one sweep shifted by the latency per run
-    of consecutive links with one source, latency and gearbox, held for that
-    run only. This is the list copy of the closed form: the output grid, the
-    sample times of ``oracle.compare`` and the time zero of
-    ``compute_lambdas`` read it.
+    at ``ts`` less the latency, are made once per run of consecutive links
+    with one source, latency and gearbox, and held for that run only. With
+    ``k`` the first index where ``ts[k] >= ts[0] + latency``: if ``ts[j] -
+    latency == ts[j - k]`` for every ``j >= k``, the frames sent at
+    ``ts[k:]`` are the source's own floors at ``ts[:n - k]``, since ``eval``
+    of one float is one phase, and only ``ts[:k]`` is swept shifted by the
+    latency (which still checks the shifted start against the domain);
+    otherwise all of ``ts`` is. That test is made once per latency. Either
+    way every value is a floor of ``scaled_floors``. This is the list copy
+    of the closed form: the output grid, the sample times of
+    ``oracle.compare`` and the time zero of ``compute_lambdas`` read it.
     """
     topo = scenario.topology
     check_times(ts)
@@ -334,6 +357,9 @@ def occupancy_series(
     ends = {(i, link.gearbox) for ab, link in topo.links.items() for i in ab}
     floors = {(i, g): scaled_floors(g, theta[i]) for i, g in ends}
 
+    n = len(ts)
+    swept: dict[float, int] = {}  # latency -> how many of ts a source sweeps
+
     def links() -> Iterator[tuple[tuple[int, int], list[int], Iterator[int]]]:
         last = None
         for (a, b) in topo.directed_links():
@@ -341,11 +367,32 @@ def occupancy_series(
             g, latency = link.gearbox, link.latency
             if (a, latency, g) != last:  # sorted links: a source's run of out-links
                 last = (a, latency, g)
-                sent = scaled_floors(g, sweep_eval(trajectories[a], ts, latency))
+                k = swept.get(latency)
+                if k is None:
+                    k = swept[latency] = _swept_count(ts, latency)
+                sent = scaled_floors(g, sweep_eval(trajectories[a], ts[:k], latency))
+                sent += floors[(a, g)][: n - k]
             beta = [s - c + lam_ab for s, c in zip(sent, floors[(b, g)])]
             yield (a, b), beta, map(sub, floors[(a, g)], sent)
 
     return theta, omega, links()
+
+
+# The output grid is held many times over: as the grid, as each node's theta
+# and omega, as each link's beta and gamma, then as CSV text. Past this many
+# points even a two-node trace needs over 10 GB of Python objects.
+MAX_GRID_POINTS = 10**8
+
+
+def check_grid(t_max: float, grid_dt: float) -> list[Violation]:
+    """The violation of an output grid of ``MAX_GRID_POINTS`` points or more,
+    for a positive ``t_max`` and ``grid_dt``; an empty list if there is none.
+    A quotient too large for a float is ``inf``, which fails too."""
+    steps = t_max / grid_dt
+    if steps < MAX_GRID_POINTS:
+        return []
+    detail = f"t_max / output_grid = {steps!r} grid points, not below {MAX_GRID_POINTS}"
+    return [Violation("value_out_of_range", "run.output_grid", detail)]
 
 
 def build_trace(state: SystemState, t_max: float, grid_dt: float) -> Trace:
@@ -356,11 +403,15 @@ def build_trace(state: SystemState, t_max: float, grid_dt: float) -> Trace:
     series ``oracle.compare`` checks at the sample times.
     """
     topo = state.scenario.topology
-    grid: list[float] = []
-    k = 0
-    while (t := k * grid_dt) <= t_max:
-        grid.append(t)
-        k += 1
+    # k * grid_dt grows with k, so the grid is every k * grid_dt <= t_max:
+    # n is the first k past t_max, found from the quotient and then stepped
+    # to the exact boundary.
+    n = int(t_max / grid_dt) + 1
+    while (n - 1) * grid_dt > t_max:
+        n -= 1
+    while n * grid_dt <= t_max:
+        n += 1
+    grid = [k * grid_dt for k in range(n)]
     theta, omega, series = occupancy_series(state.scenario, state.trajectories, state.lam, grid)
     beta, gamma = {}, {}
     for link, beta_ab, gamma_ab in series:
@@ -396,6 +447,8 @@ def simulate(
         raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
     if not (math.isfinite(grid_dt) and grid_dt > 0.0):
         raise ValueError(f"grid_dt must be positive and finite, got {grid_dt!r}")
+    if violations := check_grid(t_max, grid_dt):
+        raise ValidationError(violations)
     par = scenario.params
     verdict = is_admissible(controller, par.omega_u, par.omega_min)
     if not verdict.ok:

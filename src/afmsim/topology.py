@@ -113,6 +113,25 @@ _INEXACT = "magnitude above 2**53: not exact as a float"
 _PER_NODE = ("theta0", "omega_u", "omega_init1", "omega_init2")
 
 
+_TOO_LARGE = "expected a number, got a value too large for a float"
+
+
+def _not_finite(subject: str, x) -> Violation | None:
+    """The violation of one value of the finite-value column, if any:
+    ``value_not_finite`` for NaN or an infinity, and for a value that is no
+    float (an int too large for one, or not a number) the ``wrong_type``
+    that config loading reports. A value too large is not printed: an int of
+    more than 4300 digits has no ``repr``."""
+    try:
+        if isfinite(x):
+            return None
+    except OverflowError:
+        return Violation("wrong_type", subject, _TOO_LARGE)
+    except TypeError:
+        return Violation("wrong_type", subject, f"expected a number, got {x!r}")
+    return Violation("value_not_finite", subject, repr(x))
+
+
 def check(topology: Topology, params: SystemParams) -> list[Violation]:
     """Collect every violated constraint of the model's well-posedness rules.
 
@@ -120,8 +139,9 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
     the scalars, node by node, then each link in sorted order, the rules on
     its own fields before its ``beta0``. A subject string is formatted only
     for a violation. A value of another type than ``int`` where the model
-    counts (``n_nodes``, ``p``, ``d``, ``beta0``) is a ``wrong_type`` in
-    place of that value's other rules.
+    counts (``n_nodes``, ``buffer_capacity``, ``p``, ``d``, ``beta0``) is a
+    ``wrong_type`` in place of that value's other rules, and so is a value
+    of a float field that no float holds.
     """
     v: list[Violation] = []
     n = topology.n_nodes
@@ -140,19 +160,29 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
 
     # NaN/inf poison every later comparison and floor: refuse them up front and
     # skip the checks they would corrupt. The fields form one column, in report
-    # order, scanned whole and walked value by value only when the scan fails.
+    # order, scanned whole and walked value by value only when the scan fails,
+    # or raises on a value that is no float.
     finite = [params.omega_min, params.epoch, *theta0, *omega_u, *omega_init1, *omega_init2]
     finite += [lk.latency for lk in lks]
-    if not all(map(isfinite, finite)):
+    try:
+        all_finite = all(map(isfinite, finite))
+    except (OverflowError, TypeError):
+        all_finite = False
+    if not all_finite:
         subjects = ["params.omega_min", "params.epoch"]
         for f, vals in zip(_PER_NODE, per_node):
             subjects += [f"params.{f}[{i}]" for i in range(len(vals))]
         subjects += [f"link ({a},{b}) latency" for a, b in keys]
-        bad = [(s, x) for s, x in zip(subjects, finite) if not isfinite(x)]
-        return v + [Violation("value_not_finite", s, repr(x)) for s, x in bad]
+        found = map(_not_finite, subjects, finite)
+        return v + [violation for violation in found if violation is not None]
 
     cap = topology.buffer_capacity
     p, d, omega_min, epoch = params.p, params.d, params.omega_min, params.epoch
+    # A capacity of another type than int is reported in place of every rule that reads it.
+    if cap is not None and type(cap) is not int:
+        detail = f"expected an integer, got {cap!r}"
+        v.append(Violation("wrong_type", "topology.buffer_capacity", detail))
+        cap = None
     if cap is not None and cap <= 0:
         v.append(Violation("capacity_nonpositive", "topology", f"buffer_capacity={cap}"))
     # The replay counts frames against the capacity: bound it as p and d are.

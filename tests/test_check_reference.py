@@ -4,8 +4,10 @@
 rule there. ``topology.check`` is the same walk with two more mechanisms: it
 decides the rules on a link's own fields once per run of one shared
 ``Link``, and scans the finite-value rule over one whole column before it
-walks any value. An ``n_nodes``, ``p``, ``d`` or ``beta0`` that is not an
-``int`` is a ``wrong_type`` in place of that value's other rules. The
+walks any value. An ``n_nodes``, ``buffer_capacity``, ``p``, ``d`` or
+``beta0`` that is not an ``int`` is a ``wrong_type`` in place of that
+value's other rules, and so is a value of a float field that no float holds
+(an int too large for one, or not a number). The
 property draws small graphs (self links, unknown nodes, unpaired links), a
 pool of one to three ``Link`` objects that the links share, copy as equal
 objects, or take in turn, and values on both sides of every threshold; both
@@ -52,6 +54,22 @@ _PER_NODE = ("theta0", "omega_u", "omega_init1", "omega_init2")
 _latency = attrgetter("latency")
 
 
+def _no_float(x) -> str | None:
+    """Why ``x`` is no float, as the detail of its ``wrong_type``: an int too
+    large for one, which is not printed, or not a number; else None."""
+    try:
+        isfinite(x)
+    except OverflowError:
+        return "expected a number, got a value too large for a float"
+    except TypeError:
+        return f"expected a number, got {x!r}"
+    return None
+
+
+def _finite(x) -> bool:
+    return _no_float(x) is None and isfinite(x)
+
+
 def reference_check(topology: Topology, params: SystemParams) -> list[Violation]:
     """Collect every violated constraint of the model's well-posedness rules.
 
@@ -76,23 +94,33 @@ def reference_check(topology: Topology, params: SystemParams) -> list[Violation]
     # front and skip the value checks they would corrupt. A whole field is
     # scanned at once; only a field that fails is walked value by value.
     scalars = [("params.omega_min", params.omega_min), ("params.epoch", params.epoch)]
-    not_finite = [(subject, val) for subject, val in scalars if not isfinite(val)]
+    not_finite = [(subject, val) for subject, val in scalars if not _finite(val)]
     for name, vals in zip(_PER_NODE, per_node):
-        if not all(map(isfinite, vals)):
+        if not all(map(_finite, vals)):
             not_finite += [
-                (f"params.{name}[{i}]", val) for i, val in enumerate(vals) if not isfinite(val)
+                (f"params.{name}[{i}]", val) for i, val in enumerate(vals) if not _finite(val)
             ]
-    if not all(map(isfinite, map(_latency, links.values()))):
+    if not all(map(_finite, map(_latency, links.values()))):
         not_finite += [
             (f"link ({a},{b}) latency", lk.latency)
             for (a, b), lk in items
-            if not isfinite(lk.latency)
+            if not _finite(lk.latency)
         ]
     if not_finite:
-        return v + [Violation("value_not_finite", s, f"{val!r}") for s, val in not_finite]
+        return v + [
+            Violation("wrong_type", s, _no_float(val))
+            if _no_float(val)
+            else Violation("value_not_finite", s, f"{val!r}")
+            for s, val in not_finite
+        ]
 
     cap = topology.buffer_capacity
     p, d, omega_min, epoch = params.p, params.d, params.omega_min, params.epoch
+    # A capacity of another type than int is reported in place of every rule on it.
+    if cap is not None and type(cap) is not int:
+        detail = f"expected an integer, got {cap!r}"
+        v.append(Violation("wrong_type", "topology.buffer_capacity", detail))
+        cap = None
     if cap is not None and cap <= 0:
         v.append(Violation("capacity_nonpositive", "topology", f"buffer_capacity={cap}"))
     if cap is not None and cap > MAX_EXACT_INT:
@@ -277,6 +305,8 @@ THETA0 = (
     ],
 )
 NOT_FINITE = [nan, inf, -inf]
+# Values of a float field that no float holds.
+NO_FLOAT = [10**400, -(10**400), 10**5000, "x", None]
 
 
 @st.composite
@@ -343,9 +373,9 @@ def scenarios(draw):
         for kinds, k in zip([THETA0] + [frequencies] * 3, lengths)
     ]
 
-    cap = draw(draw(values(([None, 50], [10, 0, -1, 2**53 + 1]))))
+    cap = draw(draw(values(([None, 50], [10, 0, -1, 2**53 + 1, 100.0, nan, True]))))
     beta0_values = ([0, 5, 10], [-1, 2**53, 2**53 + 1, -(2**53) - 1, nan, 1.5, -2.0, True, "5"])
-    if cap is not None:
+    if type(cap) is int:
         beta0_values[1].extend([cap, cap + 1])
     beta0_value = draw(values(beta0_values))
     beta0 = {key: draw(beta0_value) for key in keys}
@@ -355,18 +385,19 @@ def scenarios(draw):
     elif keys_off == "extra":
         beta0[(n + 2, n + 3)] = 0
 
-    # Now and then one value that is not finite.
-    poison = draw(st.sampled_from([None] * 30 + list(range(6))))
+    # Now and then one value that is not finite, or no float at all.
+    poison = draw(st.sampled_from([None] * 30 + list(range(7))))
+    bad = st.sampled_from(NOT_FINITE + NO_FLOAT)
     if poison is None:
         pass
     elif poison < 4 and fields[poison]:
-        fields[poison][draw(st.integers(0, len(fields[poison]) - 1))] = draw(
-            st.sampled_from(NOT_FINITE)
-        )
+        fields[poison][draw(st.integers(0, len(fields[poison]) - 1))] = draw(bad)
     elif poison == 4 and keys:
-        links[keys[0]] = Link(draw(st.sampled_from(NOT_FINITE)), links[keys[0]].gearbox)
+        links[keys[0]] = Link(draw(bad), links[keys[0]].gearbox)
     elif poison == 5:
-        epoch = draw(st.sampled_from(NOT_FINITE))
+        epoch = draw(bad)
+    elif poison == 6:
+        omega_min = draw(bad)
 
     # Now and then a node count of another type, equal to n or not.
     n_nodes = draw(st.sampled_from([n] * 20 + [float(n), True]))
@@ -417,6 +448,13 @@ def triangle(gearbox=Fraction(1), **overrides):
 @example(triangle(omega_init1=(1.1, 0.1, 2.0)))
 # A float node count in place of its rules, and of the node rules it would index.
 @example((Topology(3.0, triangle()[0].links), triangle(theta0=(1.0, 0.2, 0.3))[1]))
+# Values of float fields that no float holds, each a wrong_type where the scan
+# raised; and a float capacity in place of its rules and of beta0's bound by it.
+@example(triangle(theta0=(10**400, 0.2, 0.3)))
+@example(triangle(omega_min=10**400, epoch=nan))
+@example(triangle(theta0=("x", 0.2, 0.3)))
+@example((replace(triangle()[0], buffer_capacity=100.0), triangle()[1]))
+@example((replace(triangle()[0], buffer_capacity=4.0), triangle()[1]))
 def test_check_matches_the_reference_walk(case):
     topology, params = case
     assert check(topology, params) == reference_check(topology, params)

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -77,6 +78,37 @@ def test_python_m_afmsim_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert "agree exactly" in done.stdout
+
+
+def _address_space_limit():
+    """In the child: at most 1 GiB of address space, so that a grid that
+    grows without bound raises MemoryError instead of taking the machine's."""
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_a_grid_no_machine_holds_exits_two(tmp_path, command):
+    # verify reads output_grid 1e-300 from a copy of the bundled config; run
+    # takes the bundled config with --grid 1e-300. Without the bound either
+    # grew its grid until memory ran out, so the run is a child process
+    # under an address-space limit.
+    if command == "verify":
+        bad = tmp_path / "grid.json"
+        bad.write_text(bundled_with((("run", "output_grid"), 1e-300)))
+        args = ["verify", "--config", str(bad)]
+    else:
+        args = ["run", "--config", BUNDLED, "--grid", "1e-300", "--out", str(tmp_path / "out")]
+    done = subprocess.run(
+        [sys.executable, "-m", "afmsim", *args],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        timeout=120,
+        preexec_fn=_address_space_limit,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("invalid scenario:\n  value_out_of_range @ run.output_grid: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_summarize_reads_written_trace(tmp_path, capsys):

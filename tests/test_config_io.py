@@ -414,6 +414,23 @@ def test_nonpositive_run_setting_is_its_only_violation(key, name, value):
     assert _violations(_minimal_with((("run", key), value))) == [(name, f"run.{key}")]
 
 
+@pytest.mark.parametrize(
+    "run",
+    [{"output_grid": 1e-300}, {"t_max": 1e308}, {"t_max": 5e7, "output_grid": 0.5}],
+    ids=["tiny_grid", "huge_t_max", "at_the_bound"],
+)
+def test_a_grid_no_machine_holds_is_a_named_violation(run):
+    # t_max / output_grid is bounded as a count of grid points; a quotient past
+    # binary64 is inf and fails the same bound.
+    edits = [(("run", key), value) for key, value in run.items()]
+    assert _violations(_minimal_with(*edits)) == [("value_out_of_range", "run.output_grid")]
+
+
+def test_the_grid_bound_needs_both_run_settings_positive():
+    edits = [(("run", "t_max"), -1.0), (("run", "output_grid"), 1e-300)]
+    assert _violations(_minimal_with(*edits)) == [("run_t_max_nonpositive", "run.t_max")]
+
+
 def test_invalid_omega_u_is_the_only_frequency_violation():
     violations = _violations(_minimal_with((("params", "omega_u"), "fast")))
     assert ("wrong_type", "params.omega_u") in violations

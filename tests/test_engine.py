@@ -27,7 +27,7 @@ from afmsim.engine import (
     step,
 )
 from afmsim.phase import floor_of, scaled_floors, tick_times
-from afmsim.topology import Link, SystemParams, Topology, validate
+from afmsim.topology import Link, SystemParams, Topology, ValidationError, validate
 from afmsim.trajectory import AdmissibilityError, ClockTrajectory, DomainError
 
 from conftest import (
@@ -197,6 +197,190 @@ def test_occupancy_series_checks_its_times_once(monkeypatch):
         for _, _, gamma in series:
             list(gamma)
         assert calls == [ts] * n
+
+
+def wiggly(seed, t_lo=-30.0, t_hi=45.0):
+    """A trajectory over [t_lo, t_hi] or a little more, with knots at irregular
+    times and slopes between 0.6 and 2.4."""
+    rng = random.Random(seed)
+    t, phase = t_lo, rng.uniform(0.1, 0.9)
+    knots = [(t, phase)]
+    while t < t_hi:
+        dt = rng.uniform(0.05, 1.5)
+        t, phase = t + dt, phase + dt * rng.uniform(0.6, 2.4)
+        knots.append((t, phase))
+    return ClockTrajectory(knots)
+
+
+def fan_scenario(latency):
+    """Node 1 feeds 2 over a unit gearbox and 3 over 3/2, and 2 feeds 3 over
+    1/2, each link with its reverse and all at one latency."""
+    gears = {(1, 2): 1, (1, 3): Fraction(3, 2), (2, 3): Fraction(1, 2)}
+    links = {}
+    for (a, b), g in gears.items():
+        links[(a, b)] = links[(b, a)] = Link(latency, g)
+    n = 3
+    return validate(
+        Topology(n_nodes=n, links=links),
+        SystemParams(
+            p=10, d=2, omega_min=0.1, epoch=-25.0, theta0=(0.3, 0.4, 0.6),
+            omega_u=(1.0,) * n, omega_init1=(1.0,) * n, omega_init2=(1.0,) * n,
+            beta0=dict.fromkeys(links, 7),
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "ts, latency, reused",
+    [
+        ([0.5 * k for k in range(80)], 1.0, 2),
+        ([0.5 * (k // 2) for k in range(160)], 1.5, 6),  # each time twice
+        ([0.25 * k for k in range(160)], 2.5, 10),
+        ([3.0 + 0.5 * k for k in range(60)], 1.0, 2),
+        # Near misses, swept whole: 3 * 0.1 is not 0.3, and 2 * 0.1 is 0.2
+        # but 3 * 0.1 - 0.2 is not 0.1; the steps of 1/3 do not add up either.
+        ([0.1 * k for k in range(300)], 0.3, None),
+        ([0.1 * k for k in range(300)], 0.2, None),
+        ([0.1 * k for k in range(300)], 1.0, None),
+        ([k * (1 / 3) for k in range(120)], 1.0, None),
+        ([0.5 * k for k in range(2)], 1.0, None),  # the latency outlasts the list
+    ],
+    ids=[
+        "half_latency_2_steps", "half_repeated", "quarter_latency_10_steps", "half_from_3",
+        "tenth_latency_0.3", "tenth_latency_0.2", "tenth_latency_1", "third_latency_1",
+        "shorter_than_latency",
+    ],
+)
+def test_occupancy_series_reuses_the_source_floors_on_whole_step_latencies(
+    monkeypatch, ts, latency, reused
+):
+    # Where ts less the latency is ts itself from index k on, each source is
+    # swept only over its first k times; the rest of its sends are its own
+    # floors. Either way the counts are the closed form's at every time.
+    sc = fan_scenario(latency)
+    trajs = {i: wiggly(i) for i in sc.topology.nodes()}
+    lam = {ab: 3 * ab[0] - ab[1] for ab in sc.topology.links}
+    swept = []
+    sweep = engine.sweep_eval
+    monkeypatch.setattr(
+        engine, "sweep_eval", lambda traj, ts, shift: swept.append(len(ts)) or sweep(traj, ts, shift)
+    )
+    _, _, series = occupancy_series(sc, trajs, lam, ts)
+    for (a, b), beta, gamma in series:
+        lk, src = sc.topology.links[(a, b)], trajs[a]
+        assert beta == [
+            closed_form_beta(src, trajs[b], lam[(a, b)], latency, t, lk.gearbox) for t in ts
+        ], (a, b)
+        assert list(gamma) == [closed_form_gamma(src, t, latency, lk.gearbox) for t in ts], (a, b)
+    # One run of links per (source, gearbox), each swept once.
+    assert swept == [len(ts) if reused is None else reused] * 6
+
+
+def test_a_source_before_the_epoch_is_a_domain_error_on_the_reuse_path():
+    # The first k shifted times are still swept, so their start is still
+    # checked against the source's domain.
+    sc = fan_scenario(1.0)
+    trajs = {i: wiggly(i, t_lo=-0.5) for i in sc.topology.nodes()}
+    lam = dict.fromkeys(sc.topology.links, 0)
+    _, _, series = occupancy_series(sc, trajs, lam, [0.5 * k for k in range(20)])
+    with pytest.raises(DomainError, match="time -1.0 outside domain"):
+        next(series)
+
+
+def test_a_grid_of_whole_latency_steps_sweeps_each_source_over_its_first_steps(monkeypatch):
+    # triangle3's latencies are 1.0 and its grid 0.5, as in the benchmark's
+    # tri-run: each of the three sources is swept over two grid times, not
+    # the whole grid, and the series are those of every other run.
+    cfg = triangle3()
+    sc = cfg.scenario
+    state = init_state(sc, make_controllers(cfg.controller, sc.topology.n_nodes))
+    while state.queue[0][0] < 60.0:
+        step(state)
+    swept = []
+    sweep = engine.sweep_eval
+    monkeypatch.setattr(
+        engine, "sweep_eval", lambda traj, ts, shift: swept.append(len(ts)) or sweep(traj, ts, shift)
+    )
+    trace = build_trace(state, 60.0, 0.5)
+    assert len(trace.grid) == 121
+    assert swept == [2, 2, 2]
+    assert trace == simulate(sc, cfg.controller, 60.0, grid_dt=0.5)
+
+
+def old_grid(t_max, grid_dt):
+    """The output grid as a loop that appends ``k * grid_dt`` while it is at
+    most ``t_max``."""
+    grid = []
+    k = 0
+    while (t := k * grid_dt) <= t_max:
+        grid.append(t)
+        k += 1
+    return grid
+
+
+@pytest.fixture(scope="module")
+def triangle_to_101():
+    cfg = triangle3()
+    sc = cfg.scenario
+    state = init_state(sc, make_controllers(cfg.controller, sc.topology.n_nodes))
+    while state.queue[0][0] < 101.0:
+        step(state)
+    return state
+
+
+@pytest.mark.parametrize(
+    "t_max, grid_dt",
+    [
+        (1.0, 0.1),
+        (1.0, 0.3),
+        (1.0, 1 / 3),
+        (0.3, 0.1),  # 3 * 0.1 is above 0.3
+        (1.7, 0.1),  # 1.7 / 0.1 rounds up to 17, and 17 * 0.1 is above 1.7
+        (4.3, 0.1),  # 4.3 / 0.1 rounds down below 43, and 43 * 0.1 is 4.3
+        (100.0, 0.1),
+        (2.0, 1 / 3),
+        (10.0, 0.5),
+        (math.nextafter(10.0, 0.0), 0.5),
+        (math.nextafter(10.0, math.inf), 0.5),
+        (math.nextafter(2.0, 0.0), 1 / 3),
+        (math.nextafter(2.0, math.inf), 1 / 3),
+        (0.05, 0.1),  # the grid is the time zero alone
+        (100.0, 7.0),
+    ],
+)
+def test_the_grid_is_every_step_up_to_t_max(triangle_to_101, t_max, grid_dt):
+    grid = build_trace(triangle_to_101, t_max, grid_dt).grid
+    assert list(map(float.hex, grid)) == list(map(float.hex, old_grid(t_max, grid_dt)))
+
+
+def test_check_grid_bounds_the_grid_point_count():
+    assert engine.check_grid(10000.0, 0.5) == []
+    assert engine.check_grid(math.nextafter(5e7, 0.0), 0.5) == []
+    for t_max, grid_dt in ((5e7, 0.5), (100.0, 1e-300), (1e308, 1e-300)):
+        (violation,) = engine.check_grid(t_max, grid_dt)
+        assert (violation.name, violation.subject) == ("value_out_of_range", "run.output_grid")
+        steps = t_max / grid_dt
+        assert violation.detail == (
+            f"t_max / output_grid = {steps!r} grid points, not below {engine.MAX_GRID_POINTS}"
+        )
+
+
+@pytest.mark.parametrize("t_max, grid_dt", [(100.0, 1e-300), (1e308, 0.5), (2e8, 1.0)])
+def test_simulate_rejects_a_grid_no_machine_holds_before_it_runs(
+    triangle_cfg, monkeypatch, t_max, grid_dt
+):
+    # The bound is checked with the other arguments, before the loop: a run
+    # that reached build_trace would first step to t_max, then build the grid
+    # until memory ran out.
+    def no_run(*args):
+        raise AssertionError("simulate started the run")
+
+    monkeypatch.setattr(engine, "init_state", no_run)
+    with pytest.raises(ValidationError) as caught:
+        simulate(triangle_cfg.scenario, triangle_cfg.controller, t_max, grid_dt=grid_dt)
+    assert [(v.name, v.subject) for v in caught.value.violations] == [
+        ("value_out_of_range", "run.output_grid")
+    ]
 
 
 # -- initialization --------------------------------------------------------------

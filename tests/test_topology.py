@@ -13,6 +13,7 @@ from afmsim.topology import (
     SystemParams,
     Topology,
     ValidationError,
+    Violation,
     check,
     validate,
 )
@@ -191,6 +192,46 @@ def test_non_finite_values_rejected_not_crashed():
     assert "value_not_finite" in names(violations)
 
 
+_TOO_LARGE = "expected a number, got a value too large for a float"
+
+
+@pytest.mark.parametrize(
+    "field, value, subject, detail",
+    [
+        ("theta0", 10**400, "params.theta0[0]", _TOO_LARGE),
+        ("omega_min", 10**400, "params.omega_min", _TOO_LARGE),
+        ("omega_min", 10**5000, "params.omega_min", _TOO_LARGE),  # more digits than repr gives
+        ("theta0", "x", "params.theta0[0]", "expected a number, got 'x'"),
+        ("omega_u", None, "params.omega_u[0]", "expected a number, got None"),
+    ],
+    ids=[
+        "huge_int_theta0", "huge_int_omega_min", "5000_digit_omega_min", "string_theta0",
+        "none_omega_u",
+    ],
+)
+def test_value_no_float_holds_is_a_wrong_type(field, value, subject, detail):
+    # A hand-built float field can hold an int too large for a float, or no
+    # number at all; the finite-value scan reports it as config loading does,
+    # a wrong_type, instead of raising OverflowError or TypeError.
+    params = triangle_params(**{field: value if field == "omega_min" else (value, 0.5, 0.5)})
+    got = check(triangle_topology(), params)
+    assert got == [Violation("wrong_type", subject, detail)]
+    with pytest.raises(ValidationError, match="wrong_type"):
+        validate(triangle_topology(), params)
+
+
+def test_no_float_and_non_finite_values_are_reported_in_column_order():
+    links = dict(triangle_topology().links)
+    links[(2, 1)] = Link(latency=10**400)
+    params = triangle_params(epoch=float("nan"), theta0=(0.1, "x", 0.1))
+    got = [(v.name, v.subject) for v in check(Topology(3, links), params)]
+    assert got == [
+        ("value_not_finite", "params.epoch"),
+        ("wrong_type", "params.theta0[1]"),
+        ("wrong_type", "link (2,1) latency"),
+    ]
+
+
 def test_check_is_pure():
     topo, params = triangle_topology(), triangle_params(epoch=-1.0)
     assert check(topo, params) == check(topo, params)
@@ -349,18 +390,23 @@ def test_float_gearbox_is_a_wrong_type(gearbox):
         ("beta0", float("nan"), "link (1,2) beta0"),
         ("n_nodes", 3.0, "topology.n_nodes"),
         ("n_nodes", True, "topology.n_nodes"),
+        ("buffer_capacity", 100.0, "topology.buffer_capacity"),
+        ("buffer_capacity", float("nan"), "topology.buffer_capacity"),
+        ("buffer_capacity", 1.5, "topology.buffer_capacity"),
     ],
 )
 def test_non_integer_count_is_a_wrong_type(field, value, subject):
-    # n_nodes, p, d and beta0 count nodes, ticks or frames; a hand-built float,
-    # even an integral one, is reported in place of that value's other rules
-    # instead of being sampled at a fractional tick or used as a fractional index.
+    # n_nodes, buffer_capacity, p, d and beta0 count nodes, ticks or frames; a
+    # hand-built float, even an integral one, is reported in place of that
+    # value's other rules instead of being sampled at a fractional tick or used
+    # as a fractional index. A capacity of 1.5 is below every beta0, but its
+    # wrong type replaces the capacity rule of each beta0 too.
     scenario = triangle3().scenario
     topology, params = scenario.topology, scenario.params
     if field == "beta0":
         params = dataclasses.replace(params, beta0={**params.beta0, (1, 2): value})
-    elif field == "n_nodes":
-        topology = dataclasses.replace(topology, n_nodes=value)
+    elif field in ("n_nodes", "buffer_capacity"):
+        topology = dataclasses.replace(topology, **{field: value})
     else:
         params = dataclasses.replace(params, **{field: value})
     got = check(topology, params)
