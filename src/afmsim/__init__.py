@@ -29,7 +29,6 @@ from .engine import (
     Trace,
     compute_lambdas,
     init_state,
-    measure,
     simulate,
     step,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "load_config",
     "load_config_file",
     "make_controllers",
-    "measure",
     "read_trace",
     "replay",
     "run_config",

@@ -34,12 +34,14 @@ from . import engine
 from .controllers import ControllerSpec
 from .topology import (
     MAX_EXACT_INT,
+    MAX_NODES,
     Link,
     Scenario,
     SystemParams,
     Topology,
     ValidationError,
     Violation,
+    too_many_nodes,
     validate,
 )
 
@@ -383,8 +385,12 @@ def load_config(text: str) -> ScenarioConfig:
     capacity = None
     if topo_raw is not None:
         n_nodes = r.value(topo_raw, "n_nodes", "topology.", _INTEGER, default=0)
-        if abs(n_nodes) > MAX_EXACT_INT:  # before a scalar is broadcast to n_nodes values
+        # Before a scalar is broadcast to n_nodes values.
+        if abs(n_nodes) > MAX_EXACT_INT:
             r.bad("value_out_of_range", "topology.n_nodes", "magnitude above 2**53")
+            n_nodes = None
+        elif n_nodes >= MAX_NODES:
+            r.bad("value_out_of_range", "topology.n_nodes", too_many_nodes(n_nodes))
             n_nodes = None
         capacity = r.value(topo_raw, "buffer_capacity", "topology.", _INTEGER, required=False)
         edges_raw = topo_raw.get("edges")

@@ -2,7 +2,7 @@
 
 Frame counts are differences of gearbox-scaled phase floors (``phase``),
 offset on a buffer by the conserved per-link integer of ``compute_lambdas``.
-``measure`` writes that closed form for one time, once per step;
+``step`` writes that closed form for one time, its sample time;
 ``occupancy_series`` writes it for a list of times. That list is checked
 once (``trajectory.check_times``); each node is then swept over it once for
 its phases and frequencies (``sweep_phase_slope``), and each source swept
@@ -37,11 +37,15 @@ once. Each in-link floors through the scalar floor of its gearbox
 (``phase.floor_of``), looked up once in ``init_state``; equal gearboxes share
 one floor, so the step floors its own phase once per run of in-links (in
 ascending ``j``) that share one, and once in all when they all do. Each of
-those reads tests the trajectory's last segment before it bisects.
-``t_sample`` lies on the node's own last segment in every step after its
-first (the sample phase is ``d`` ticks before the last knot and ``p - d``
-after the one before), and an in-neighbour's read lands on the neighbour's
-last segment when the latency is short against a sample period.
+those reads tests the trajectory's last segment, then the one before it,
+and bisects only when both miss. ``t_sample`` lies on the node's own last
+segment in every step after its first (the sample phase is ``d`` ticks
+before the last knot and ``p - d`` after the one before). An in-neighbour's
+read lands on one of the neighbour's last two segments almost always: the
+neighbour's domain ends no earlier than the reader's, and least-advanced-first
+puts the knot before its last at or before the reader's domain end, so a
+read one latency back from ``t_sample`` misses both only when the latency is
+long against a sample period.
 """
 
 from __future__ import annotations
@@ -173,35 +177,6 @@ def select_node(state: SystemState) -> int:
     return state.queue[0][1]
 
 
-def measure(state: SystemState, i: int, t: float) -> tuple[tuple[int, int], ...]:
-    """Occupancies of node i's incoming buffers at wall time t, ordered by
-    ascending neighbor id.
-
-    The closed form of ``occupancy_series`` at one time: its scalar copy, run
-    once per step, with node i's phase at t read once for all its buffers and
-    floored once per run of in-links that share one floor: again only where
-    an in-link's floor is not the one before it. A domain error here means
-    the scheduling order was violated; the epoch constraint guarantees
-    in-domain lookups for a correct loop.
-    """
-    return _measure(state, i, t, state.trajectories[i].eval(t))
-
-
-def _measure(
-    state: SystemState, i: int, t: float, phase_i: float
-) -> tuple[tuple[int, int], ...]:
-    """``measure`` with node i's phase at t already read, as ``step`` has it."""
-    trajectories = state.trajectories
-    y = []
-    own_floor = None
-    for j, lam, latency, link_floor in state.incoming[i]:
-        if link_floor is not own_floor:
-            own_floor = link_floor
-            own = link_floor(phase_i)
-        y.append((j, link_floor(trajectories[j].eval(t - latency)) - own + lam))
-    return tuple(y)
-
-
 def step(state: SystemState) -> SampleRecord:
     """One loop iteration: extend the least-advanced node by one knot."""
     i = select_node(state)
@@ -210,7 +185,20 @@ def step(state: SystemState) -> SampleRecord:
     k = len(traj.times) - 3  # init_state's three knots, then one per step
     s, phase_s = traj.times[-1], traj.phases[-1]  # last knot: phase theta0 + k*p + d
     t_sample, phase_sample = traj.point_at(phase_s - par.d)
-    y = _measure(state, i, t_sample, phase_sample)
+    # The measurement: the closed form of ``occupancy_series`` at t_sample, its
+    # scalar copy. Node i's own phase is floored once per run of in-links that
+    # share one floor: again only where an in-link's floor is not the one
+    # before it. Each in-neighbour is read once, one latency back; a domain
+    # error there means the scheduling order was violated.
+    trajectories = state.trajectories
+    y = []
+    own_floor = None
+    for j, lam, latency, link_floor in state.incoming[i]:
+        if link_floor is not own_floor:
+            own_floor = link_floor
+            own = link_floor(phase_sample)
+        y.append((j, link_floor(trajectories[j].eval(t_sample - latency)) - own + lam))
+    y = tuple(y)
     # A step that raises leaves the state as it found it, controller included.
     controller = state.controllers[i]
     saved = controller.state

@@ -54,7 +54,7 @@ from operator import gt
 from .controllers import ControllerSpec
 from .engine import FatalEvent, Trace, compute_lambdas, occupancy_series, simulate
 from .phase import Gearbox, floor_of, tick_times
-from .topology import Scenario
+from .topology import Scenario, ValidationError, Violation
 from .trajectory import ClockTrajectory, check_times
 
 
@@ -156,6 +156,14 @@ def _first_unpaired(events: list[float], partners: list[float], shift: int) -> f
     return events[i] if i < len(events) else None
 
 
+# Each tick is a float in its clock's list, 32 bytes with its list slot, and
+# the links that read the clock slice it again into their sends, arrivals and
+# consumptions. Past this many ticks the clock lists alone need over 3 GB, and
+# no machine holds the replay, as with a grid of ``engine.MAX_GRID_POINTS``
+# points.
+MAX_REPLAY_TICKS = 10**8
+
+
 @dataclass
 class ReplayResult:
     links: dict[tuple[int, int], LinkReplay]
@@ -192,6 +200,19 @@ def replay(
     # No window starts before the longest latency.
     start = -max((link.latency for link in topo.links.values()), default=0.0)
     clocks = {(i, link.gearbox) for ab, link in topo.links.items() for i in ab}
+    # A clock's tick list holds one time per integer its scaled phase crosses
+    # from start to its last knot: count them from the floors at the two ends
+    # before listing any.
+    n_ticks = sum(
+        floor_of(g)(trajectories[i].phases[-1]) - floor_of(g)(trajectories[i].eval(start))
+        for i, g in clocks
+    )
+    if n_ticks >= MAX_REPLAY_TICKS:
+        detail = (
+            f"the clocks tick {n_ticks} times from t={start!r} to their last knots,"
+            f" not below {MAX_REPLAY_TICKS}"
+        )
+        raise ValidationError([Violation("value_out_of_range", "replay", detail)])
     ticks = {(i, g): tick_times(trajectories[i], g, start) for i, g in clocks}
 
     def window(node: int, g: Gearbox, s: float, t: float) -> list[float]:

@@ -10,7 +10,7 @@ gearbox ``g`` comes as config reads it, the int 1 or a reduced ``Fraction``,
 and every reader here takes it as it is. All floors go through one rounding
 path: ``floor_of(g)``, the one scalar floor of a gearbox, and its list form
 ``scaled_floors`` with the same expression. Every consumer shares it: the
-engine's ``measure`` (each controller sample, through the floors that
+engine's ``step`` (each controller sample, through the floors that
 ``init_state`` looks up once per link) and ``occupancy_series`` (the link
 constants at time zero, the output grid, and the sample times that
 ``oracle.compare`` checks), and the frame-level oracle's tick windows. This

@@ -24,6 +24,27 @@ FRACTIONAL_GUARD = 1e-6
 # den, occupancies); a float holds every integer exactly only up to 2**53.
 MAX_EXACT_INT = 2**53
 
+# A fresh state holds about 760 bytes per node before its first step, and
+# config broadcasts a scalar per-node value to n_nodes values. At this many
+# nodes a run needs over 7 GB before it starts, which no machine holds, as
+# with a grid of ``engine.MAX_GRID_POINTS`` points.
+MAX_NODES = 10**7
+
+# An int prints in full up to this many bits, about 600 digits: below 640,
+# the least limit Python's int-to-str conversion can be set to, so no report
+# depends on that setting.
+_SHOWN_BITS = 2000
+
+
+def _shown(x: int) -> str:
+    """``str(x)`` for an int, or, past ``_SHOWN_BITS`` bits, its sign and bit
+    length: under the default limit, an int of more than 4300 digits has no
+    ``str``."""
+    bits = x.bit_length()
+    if bits <= _SHOWN_BITS:
+        return str(x)
+    return f"{'-' if x < 0 else ''}<{bits}-bit integer>"
+
 
 @dataclass(frozen=True)
 class Link:
@@ -116,6 +137,12 @@ _PER_NODE = ("theta0", "omega_u", "omega_init1", "omega_init2")
 _TOO_LARGE = "expected a number, got a value too large for a float"
 
 
+def too_many_nodes(n: int) -> str:
+    """The detail of the ``value_out_of_range`` of an ``n_nodes`` of
+    ``MAX_NODES`` or more."""
+    return f"n_nodes={_shown(n)}, not below {MAX_NODES}"
+
+
 def _not_finite(subject: str, x) -> Violation | None:
     """The violation of one value of the finite-value column, if any:
     ``value_not_finite`` for NaN or an infinity, and for a value that is no
@@ -151,7 +178,9 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
     if not n_int:
         v.append(Violation("wrong_type", "topology.n_nodes", f"expected an integer, got {n!r}"))
     elif n < 1:
-        v.append(Violation("node_count_nonpositive", "topology", f"n_nodes={n}"))
+        v.append(Violation("node_count_nonpositive", "topology", f"n_nodes={_shown(n)}"))
+    elif n >= MAX_NODES:
+        v.append(Violation("value_out_of_range", "topology.n_nodes", too_many_nodes(n)))
     links = topology.links
     keys = sorted(links)
     lks = list(map(links.__getitem__, keys))
@@ -184,7 +213,7 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
         v.append(Violation("wrong_type", "topology.buffer_capacity", detail))
         cap = None
     if cap is not None and cap <= 0:
-        v.append(Violation("capacity_nonpositive", "topology", f"buffer_capacity={cap}"))
+        v.append(Violation("capacity_nonpositive", "topology", f"buffer_capacity={_shown(cap)}"))
     # The replay counts frames against the capacity: bound it as p and d are.
     if cap is not None and cap > MAX_EXACT_INT:
         v.append(Violation("value_out_of_range", "topology.buffer_capacity", _INEXACT))
@@ -194,11 +223,12 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
         if not typed:
             v.append(Violation("wrong_type", subject, f"expected an integer, got {val!r}"))
     if p_int and p <= 0:
-        v.append(Violation("period_nonpositive", "params.p", f"p={p}"))
+        v.append(Violation("period_nonpositive", "params.p", f"p={_shown(p)}"))
     if d_int and d <= 0:
-        v.append(Violation("delay_nonpositive", "params.d", f"d={d}"))
+        v.append(Violation("delay_nonpositive", "params.d", f"d={_shown(d)}"))
     if p_int and d_int and d >= p:
-        v.append(Violation("delay_not_less_than_period", "params", f"d={d} must be < p={p}"))
+        detail = f"d={_shown(d)} must be < p={_shown(p)}"
+        v.append(Violation("delay_not_less_than_period", "params", detail))
     for subject, val, typed in (("params.p", p, p_int), ("params.d", d, d_int)):
         if typed and abs(val) > MAX_EXACT_INT:
             v.append(Violation("value_out_of_range", subject, _INEXACT))
@@ -211,7 +241,7 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
         [(f, len(vals)) for f, vals in zip(_PER_NODE, per_node) if len(vals) != n] if n_int else []
     )
     for name, got in wrong_length:
-        detail = f"expected {n} per-node values, got {got}"
+        detail = f"expected {_shown(n)} per-node values, got {got}"
         v.append(Violation("param_length", f"params.{name}", detail))
     # Node-indexed rules would misindex a field of the wrong length, or of no known length.
     indexed = n_int and not wrong_length
@@ -270,7 +300,8 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
                 found.append(("wrong_type", " gearbox", detail))
             # A Fraction's denominator is positive, so its numerator has its sign.
             elif num <= 0:
-                found.append(("gearbox_nonpositive", "", f"gearbox={g}"))
+                shown = _shown(num) if den == 1 else f"{_shown(num)}/{_shown(den)}"
+                found.append(("gearbox_nonpositive", "", f"gearbox={shown}"))
             if lag is not None and epoch > (bound := -(latency + lag)):
                 detail = f"epoch={epoch!r} must be <= {bound!r}"
                 found.append(("epoch_too_late", "", detail))
@@ -281,7 +312,7 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
         if a == b:
             v.append(Violation("self_link", f"link ({a},{b})", "links must join distinct nodes"))
         elif not in_range:
-            detail = f"node ids must be in 1..{n}"
+            detail = f"node ids must be in 1..{_shown(n)}"
             v.append(Violation("link_unknown_node", f"link ({a},{b})", detail))
         else:
             if (b, a) not in links:
@@ -297,11 +328,11 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
                 v.append(Violation("wrong_type", f"link ({a},{b}) beta0", detail))
             else:
                 if b0 < 0:
-                    v.append(Violation("beta0_negative", f"link ({a},{b})", f"beta0={b0}"))
+                    v.append(Violation("beta0_negative", f"link ({a},{b})", f"beta0={_shown(b0)}"))
                 if abs(b0) > MAX_EXACT_INT:
                     v.append(Violation("value_out_of_range", f"link ({a},{b}) beta0", _INEXACT))
                 if cap is not None and b0 > cap:
-                    detail = f"beta0={b0} > capacity={cap}"
+                    detail = f"beta0={_shown(b0)} > capacity={_shown(cap)}"
                     v.append(Violation("beta0_exceeds_capacity", f"link ({a},{b})", detail))
 
         # Gearboxes scale the phases that get floored, so the same boundary

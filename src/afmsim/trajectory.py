@@ -49,9 +49,11 @@ class ClockTrajectory:
 
     Knot times and phases are kept in parallel sorted lists. A lookup tests
     the last segment first, where the simulation loop mostly reads, and
-    otherwise bisects the knots before it. It writes nothing, so every read
-    is a pure function of the knots. Evaluation at a knot returns the stored
-    knot value exactly.
+    otherwise bisects the knots before it. ``eval`` tests the segment before
+    the last one too, before it bisects: the loop's reads of a neighbour one
+    latency back land on one of those two almost always. A lookup writes
+    nothing, so every read is a pure function of the knots. Evaluation at a
+    knot returns the stored knot value exactly.
     """
 
     __slots__ = ("times", "phases", "min_slope")
@@ -78,11 +80,16 @@ class ClockTrajectory:
         times = self.times
         i = len(times) - 2  # the last segment, [times[i], times[i + 1])
         if not times[i] <= t < times[i + 1]:
-            if not times[0] <= t <= times[-1]:
+            # The segment before it; ``i > 0`` keeps a one-knot trajectory
+            # (i = -1) from reading times[-2].
+            if i > 0 and times[i - 1] <= t < times[i]:
+                i -= 1
+            elif not times[0] <= t <= times[-1]:
                 raise DomainError(f"time {t!r} outside domain [{times[0]!r}, {times[-1]!r}]")
-            if t == times[-1]:  # also the one knot of a single-knot trajectory
+            elif t == times[-1]:  # also the one knot of a single-knot trajectory
                 return self.phases[-1]
-            i = bisect_right(times, t, 0, i) - 1
+            else:
+                i = bisect_right(times, t, 0, i) - 1
         phases = self.phases
         if t == times[i]:
             return phases[i]

@@ -62,7 +62,7 @@ def geared_triangle():
 
 
 # The closed form one value at a time, the reference the engine's two copies
-# (``measure`` per step, ``occupancy_series`` per list of times) are checked
+# (in ``step``, per step; ``occupancy_series`` per list of times) are checked
 # against. It floors ``ClockTrajectory.eval`` itself, not through ``phase``.
 
 def _frames(gearbox, phase):
@@ -188,6 +188,12 @@ OVERSIZE_CONFIGS = {
     ),
     "n_nodes_inexact": (
         bundled_with((("topology", "n_nodes"), 2**53 + 1), (("params", "theta0"), 0.1)),
+        "value_out_of_range",
+        "topology.n_nodes",
+    ),
+    # exact, but a state of that many nodes needs over 7 GB before its first step
+    "n_nodes_at_the_bound": (
+        bundled_with((("topology", "n_nodes"), 10**7), (("params", "theta0"), 0.1)),
         "value_out_of_range",
         "topology.n_nodes",
     ),

@@ -7,8 +7,9 @@ decides the rules on a link's own fields once per run of one shared
 walks any value. An ``n_nodes``, ``buffer_capacity``, ``p``, ``d`` or
 ``beta0`` that is not an ``int`` is a ``wrong_type`` in place of that
 value's other rules, and so is a value of a float field that no float holds
-(an int too large for one, or not a number). The
-property draws small graphs (self links, unknown nodes, unpaired links), a
+(an int too large for one, or not a number). An ``n_nodes`` of
+``MAX_NODES`` or more is out of range, and an int too long to print is
+reported by its sign and bit length. The property draws small graphs (self links, unknown nodes, unpaired links), a
 pool of one to three ``Link`` objects that the links share, copy as equal
 objects, or take in turn, and values on both sides of every threshold; both
 walks must give the same violations, names, subjects and details, in the
@@ -20,11 +21,13 @@ from fractions import Fraction
 from math import floor, inf, isfinite, nan, nextafter
 from operator import attrgetter
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from afmsim.topology import (
     FRACTIONAL_GUARD,
     MAX_EXACT_INT,
+    MAX_NODES,
     Link,
     SystemParams,
     Topology,
@@ -48,6 +51,14 @@ def _exact(x: int) -> bool:
 
 
 _INEXACT = "magnitude above 2**53: not exact as a float"
+
+
+def _shown(x: int) -> str:
+    """``str(x)``, or for an int of more than 2000 bits (past which some
+    setting of Python's int-to-str limit refuses it) its sign and bit length."""
+    if -(2**2000) < x < 2**2000:
+        return str(x)
+    return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit integer>"
 
 
 _PER_NODE = ("theta0", "omega_u", "omega_init1", "omega_init2")
@@ -85,7 +96,10 @@ def reference_check(topology: Topology, params: SystemParams) -> list[Violation]
     if not n_int:
         v.append(Violation("wrong_type", "topology.n_nodes", f"expected an integer, got {n!r}"))
     elif n < 1:
-        v.append(Violation("node_count_nonpositive", "topology", f"n_nodes={n}"))
+        v.append(Violation("node_count_nonpositive", "topology", f"n_nodes={_shown(n)}"))
+    elif n >= MAX_NODES:
+        detail = f"n_nodes={n}, not below {MAX_NODES}"
+        v.append(Violation("value_out_of_range", "topology.n_nodes", detail))
     links = topology.links
     items = sorted(links.items())
     per_node = [getattr(params, name) for name in _PER_NODE]
@@ -122,7 +136,7 @@ def reference_check(topology: Topology, params: SystemParams) -> list[Violation]
         v.append(Violation("wrong_type", "topology.buffer_capacity", detail))
         cap = None
     if cap is not None and cap <= 0:
-        v.append(Violation("capacity_nonpositive", "topology", f"buffer_capacity={cap}"))
+        v.append(Violation("capacity_nonpositive", "topology", f"buffer_capacity={_shown(cap)}"))
     if cap is not None and cap > MAX_EXACT_INT:
         v.append(Violation("value_out_of_range", "topology.buffer_capacity", _INEXACT))
     # A p or d of another type than int is reported in place of its own rules.
@@ -131,11 +145,12 @@ def reference_check(topology: Topology, params: SystemParams) -> list[Violation]
         if not typed:
             v.append(Violation("wrong_type", subject, f"expected an integer, got {val!r}"))
     if p_int and p <= 0:
-        v.append(Violation("period_nonpositive", "params.p", f"p={p}"))
+        v.append(Violation("period_nonpositive", "params.p", f"p={_shown(p)}"))
     if d_int and d <= 0:
-        v.append(Violation("delay_nonpositive", "params.d", f"d={d}"))
+        v.append(Violation("delay_nonpositive", "params.d", f"d={_shown(d)}"))
     if p_int and d_int and d >= p:
-        v.append(Violation("delay_not_less_than_period", "params", f"d={d} must be < p={p}"))
+        detail = f"d={_shown(d)} must be < p={_shown(p)}"
+        v.append(Violation("delay_not_less_than_period", "params", detail))
     for subject, val, typed in (("params.p", p, p_int), ("params.d", d, d_int)):
         if typed and not _exact(val):
             v.append(Violation("value_out_of_range", subject, _INEXACT))
@@ -149,7 +164,9 @@ def reference_check(topology: Topology, params: SystemParams) -> list[Violation]
     ]
     for name, got in wrong_length:
         v.append(
-            Violation("param_length", f"params.{name}", f"expected {n} per-node values, got {got}")
+            Violation(
+                "param_length", f"params.{name}", f"expected {_shown(n)} per-node values, got {got}"
+            )
         )
     # Node-indexed checks would misindex a field of the wrong length.
     indexed = n_int and not wrong_length
@@ -215,7 +232,7 @@ def reference_check(topology: Topology, params: SystemParams) -> list[Violation]
         if a == b:
             v.append(Violation("self_link", f"link ({a},{b})", "links must join distinct nodes"))
         elif not in_range:
-            detail = f"node ids must be in 1..{n}"
+            detail = f"node ids must be in 1..{_shown(n)}"
             v.append(Violation("link_unknown_node", f"link ({a},{b})", detail))
         else:
             if (b, a) not in links:
@@ -230,7 +247,8 @@ def reference_check(topology: Topology, params: SystemParams) -> list[Violation]
                 v.append(Violation("wrong_type", f"link ({a},{b}) gearbox", detail))
             # A Fraction's denominator is positive, so its numerator has its sign.
             elif num <= 0:
-                v.append(Violation("gearbox_nonpositive", f"link ({a},{b})", f"gearbox={g}"))
+                shown = _shown(num) if den == 1 else f"{_shown(num)}/{_shown(den)}"
+                v.append(Violation("gearbox_nonpositive", f"link ({a},{b})", f"gearbox={shown}"))
             if lag is not None and epoch > (bound := -(latency + lag)):
                 detail = f"epoch={epoch!r} must be <= {bound!r}"
                 v.append(Violation("epoch_too_late", f"link ({a},{b})", detail))
@@ -242,11 +260,11 @@ def reference_check(topology: Topology, params: SystemParams) -> list[Violation]
                 v.append(Violation("wrong_type", f"link ({a},{b}) beta0", detail))
             else:
                 if b0 < 0:
-                    v.append(Violation("beta0_negative", f"link ({a},{b})", f"beta0={b0}"))
+                    v.append(Violation("beta0_negative", f"link ({a},{b})", f"beta0={_shown(b0)}"))
                 if not _exact(b0):
                     v.append(Violation("value_out_of_range", f"link ({a},{b}) beta0", _INEXACT))
                 if cap is not None and b0 > cap:
-                    detail = f"beta0={b0} > capacity={cap}"
+                    detail = f"beta0={_shown(b0)} > capacity={_shown(cap)}"
                     v.append(Violation("beta0_exceeds_capacity", f"link ({a},{b})", detail))
 
         # Gearboxes scale the phases that get floored, so the same boundary
@@ -278,13 +296,22 @@ def reference_check(topology: Topology, params: SystemParams) -> list[Violation]
 
 
 G = FRACTIONAL_GUARD
+# An int too long for Python's default int-to-str limit (4300 digits).
+LONG = 10**5000
 # Each field's values come as (breaking no rule, breaking one); a drawn
 # field keeps to the first list seven times in eight, so whole scenarios
 # that pass every scan are drawn too.
 LATENCIES = ([1.0, 0.5, 2.0], [-1.0, -0.0, 0.0])
 GEARBOXES = (
     [Fraction(1), 1, 2, Fraction(3, 2), Fraction(1, 2)],
-    [Fraction(0), Fraction(-1), 2.0, Fraction(2**60 + 1, 2**60), Fraction(3, 2**54)],
+    [
+        Fraction(0),
+        Fraction(-1),
+        2.0,
+        Fraction(2**60 + 1, 2**60),
+        Fraction(3, 2**54),
+        Fraction(-LONG, 3),
+    ],
 )
 # theta0 on both sides of the guard around an integer, and values whose
 # 3/2, 1/2 or 2 scaling lands on a frame boundary.
@@ -352,8 +379,8 @@ def scenarios(draw):
             chosen[key] = draw(st.sampled_from(pool))
     links = {key: chosen[key] for key in keys}
 
-    p = draw(draw(values(([10], [0, 3, 2**53 + 1, 10.5, 10.0, True]))))
-    d = draw(draw(values(([2], [0, 10, 2**53 + 1, 2.5, 2.0, False]))))
+    p = draw(draw(values(([10], [0, 3, 2**53 + 1, 10.5, 10.0, True, -LONG]))))
+    d = draw(draw(values(([2], [0, 10, 2**53 + 1, 2.5, 2.0, False, -LONG]))))
     omega_min = draw(draw(values(([0.1, 0.5], [0.0]))))
     # The epoch at, just inside and just outside each link's bound.
     epochs = [-25.0, -1.0, 0.0]
@@ -373,8 +400,11 @@ def scenarios(draw):
         for kinds, k in zip([THETA0] + [frequencies] * 3, lengths)
     ]
 
-    cap = draw(draw(values(([None, 50], [10, 0, -1, 2**53 + 1, 100.0, nan, True]))))
-    beta0_values = ([0, 5, 10], [-1, 2**53, 2**53 + 1, -(2**53) - 1, nan, 1.5, -2.0, True, "5"])
+    cap = draw(draw(values(([None, 50], [10, 0, -1, 2**53 + 1, 100.0, nan, True, -LONG]))))
+    beta0_values = (
+        [0, 5, 10],
+        [-1, 2**53, 2**53 + 1, -(2**53) - 1, nan, 1.5, -2.0, True, "5", -LONG],
+    )
     if type(cap) is int:
         beta0_values[1].extend([cap, cap + 1])
     beta0_value = draw(values(beta0_values))
@@ -399,8 +429,9 @@ def scenarios(draw):
     elif poison == 6:
         omega_min = draw(bad)
 
-    # Now and then a node count of another type, equal to n or not.
-    n_nodes = draw(st.sampled_from([n] * 20 + [float(n), True]))
+    # Now and then a node count of another type, equal to n or not, one at or
+    # just below the bound, or one too long to print.
+    n_nodes = draw(st.sampled_from([n] * 20 + [float(n), True, MAX_NODES - 1, MAX_NODES, -LONG]))
     topology = Topology(n_nodes=n_nodes, links=links, buffer_capacity=cap)
     params = SystemParams(p, d, omega_min, epoch, *map(tuple, fields), beta0=beta0)
     return topology, params
@@ -433,6 +464,14 @@ def triangle(gearbox=Fraction(1), **overrides):
     return Topology(n_nodes=3, links=links), replace(params, **overrides)
 
 
+def long_triangle(x):
+    """The triangle with ``p``, ``d``, ``buffer_capacity``, ``n_nodes`` and
+    every ``beta0`` at ``x``."""
+    topology, params = triangle()
+    params = replace(params, p=x, d=x, beta0=dict.fromkeys(params.beta0, x))
+    return replace(topology, n_nodes=x, buffer_capacity=x), params
+
+
 @settings(max_examples=300)
 @given(scenarios())
 @example(ring(-1.0))
@@ -455,9 +494,51 @@ def triangle(gearbox=Fraction(1), **overrides):
 @example(triangle(theta0=("x", 0.2, 0.3)))
 @example((replace(triangle()[0], buffer_capacity=100.0), triangle()[1]))
 @example((replace(triangle()[0], buffer_capacity=4.0), triangle()[1]))
+# Node counts at and just below the bound.
+@example((replace(triangle()[0], n_nodes=MAX_NODES), triangle()[1]))
+@example((replace(triangle()[0], n_nodes=MAX_NODES - 1), triangle()[1]))
 def test_check_matches_the_reference_walk(case):
     topology, params = case
     assert check(topology, params) == reference_check(topology, params)
+
+
+# Ints too long to print in every rule that prints one, a gearbox's numerator
+# among them. Hypothesis prints its explicit examples, which it cannot do for
+# these, so they are plain cases.
+@pytest.mark.parametrize(
+    "case",
+    [
+        long_triangle(-LONG),
+        (triangle()[0], triangle(d=LONG, p=LONG - 1)[1]),
+        triangle(gearbox=Fraction(-LONG, 3)),
+    ],
+    ids=["every_int_field", "d_not_below_p", "gearbox_numerator"],
+)
+def test_check_matches_the_reference_walk_on_ints_too_long_to_print(case):
+    assert check(*case) == reference_check(*case)
+
+
+def test_an_int_too_long_to_print_is_shown_by_its_bit_length():
+    # Each rule reports as it does for an int it can print, under the same
+    # names and subjects in the same order; only the value is shown shorter.
+    long, short = check(*long_triangle(-LONG)), check(*long_triangle(-(2**53) - 1))
+    assert [(v.name, v.subject) for v in long] == [(v.name, v.subject) for v in short]
+    details = {v.detail for v in long}
+    assert "p=-<16610-bit integer>" in details
+    assert "d=-<16610-bit integer> must be < p=-<16610-bit integer>" in details
+    assert "n_nodes=-<16610-bit integer>" in details
+    assert "beta0=-<16610-bit integer>" in details
+    assert "buffer_capacity=-<16610-bit integer>" in details
+    gear = check(*triangle(gearbox=Fraction(-LONG, 3)))
+    assert {v.detail for v in gear} == {"gearbox=-<16610-bit integer>/3"}
+
+
+def test_a_node_count_at_the_bound_is_out_of_range():
+    topology, params = triangle()
+    assert check(replace(topology, n_nodes=MAX_NODES - 1), params)[0].name == "param_length"
+    found = check(replace(topology, n_nodes=MAX_NODES), params)[0]
+    assert (found.name, found.subject) == ("value_out_of_range", "topology.n_nodes")
+    assert found.detail == f"n_nodes={MAX_NODES}, not below {MAX_NODES}"
 
 
 def test_a_shared_link_reports_under_each_link():

@@ -111,6 +111,45 @@ def test_a_grid_no_machine_holds_exits_two(tmp_path, command):
     assert not (tmp_path / "out").exists()
 
 
+# Copies of the bundled config that no machine holds, each with the start of
+# the violation that must reject it. A node count of 10**8, with scalar
+# per-node fields that loading would broadcast to that many values. A history
+# so steep that the replay would list about 9e15 ticks of node 1 from one
+# latency before zero; the zero controller keeps the loop itself short.
+OUT_OF_REACH = {
+    "n_nodes": (
+        [(("topology", "n_nodes"), 10**8)]
+        + [(("params", key), 1.1) for key in ("omega_u", "omega_init1", "omega_init2")]
+        + [(("params", "theta0"), 0.1)],
+        "value_out_of_range @ topology.n_nodes: n_nodes=100000000, not below 10000000",
+    ),
+    "replay_ticks": (
+        [(("params", "omega_init2"), [2**53 + 1, 1.4, 2.0]), (("controller", "kind"), "zero")],
+        "value_out_of_range @ replay: the clocks tick ",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_REACH))
+def test_a_run_no_machine_holds_exits_two(tmp_path, case):
+    # Without the bounds, loading broadcast 10**8 values per field, and the
+    # replay listed ticks until memory ran out: so each runs as a child under
+    # an address-space limit, and with a timeout.
+    edits, start = OUT_OF_REACH[case]
+    bad = tmp_path / f"{case}.json"
+    bad.write_text(bundled_with(*edits))
+    done = subprocess.run(
+        [sys.executable, "-m", "afmsim", "verify", "--config", str(bad), "--t-max", "20"],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        timeout=60,
+        preexec_fn=_address_space_limit,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(f"invalid scenario:\n  {start}")
+
+
 def test_summarize_reads_written_trace(tmp_path, capsys):
     out = tmp_path / "trace"
     main(["run", "--config", BUNDLED, "--t-max", "20", "--out", str(out)])

@@ -533,12 +533,14 @@ def test_per_node_value_of_wrong_type_with_no_nodes(case):
 @st.composite
 def _hostile_documents(draw):
     """A valid document with up to three fields replaced by hostile values."""
-    # Per-node shorthands allocate n_nodes entries, so keep it small, or beyond
-    # 2**53 in magnitude, where loading rejects it before allocating.
+    # Per-node shorthands allocate n_nodes entries, so keep it small, or at the
+    # node bound and beyond, where loading rejects it before allocating.
     doc = _valid_document(
         draw(
             st.just(3)
-            | st.sampled_from([0, 1, 2, 4, 5, 6, None, True, 2.5, "3", 2**53 + 1, -(10**400)])
+            | st.sampled_from(
+                [0, 1, 2, 4, 5, 6, None, True, 2.5, "3", 10**7, 10**8, 2**53 + 1, -(10**400)]
+            )
         )
     )
     for path in draw(st.lists(st.sampled_from(_PATHS), max_size=3)):

@@ -20,7 +20,6 @@ from afmsim.engine import (
     build_trace,
     compute_lambdas,
     init_state,
-    measure,
     occupancy_series,
     select_node,
     simulate,
@@ -453,14 +452,18 @@ def test_init_state_requires_one_controller_per_node(triangle_cfg):
 def test_measure_ordering_and_values(triangle_cfg):
     sc = triangle_cfg.scenario
     state = init_state(sc, make_controllers(triangle_cfg.controller, 3))
-    y = measure(state, 1, 0.0)
+    # Node 1's first step samples at (or within a few ulps of) t=0.
+    while (rec := step(state)).node != 1:
+        pass
+    y = rec.measurement
     assert y == ((2, 50), (3, 50))
 
 
 def generator_measure(state, i, t):
-    """``measure`` as a generator over the in-links that floors node i's own
-    phase once per in-link, each with the gearbox of the link in the topology:
-    the reference the loop in ``measure`` must equal."""
+    """Node i's measurement at wall time t, as a generator over the in-links
+    that floors node i's own phase once per in-link, each with the gearbox of
+    the link in the topology: the reference the loop in ``step`` must
+    equal."""
     trajectories = state.trajectories
     links = state.scenario.topology.links
     phase_i = trajectories[i].eval(t)
@@ -516,7 +519,7 @@ def test_measure_equals_the_generator_reference(make_cfg):
     while state.queue[0][0] < 60.0:
         rec = step(state)
         reference = generator_measure(state, rec.node, rec.t_sample)
-        assert rec.measurement == measure(state, rec.node, rec.t_sample) == reference
+        assert rec.measurement == reference
         assert type(rec.measurement) is tuple
         assert all(type(j) is int and type(occ) is int for j, occ in rec.measurement)
 

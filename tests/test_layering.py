@@ -58,7 +58,7 @@ def called_names(tree):
 
 
 def test_engine_floors_phases_only_in_measure_and_occupancy_series():
-    # The closed form has one scalar copy (``measure``, once per step) and one
+    # The closed form has one scalar copy (in ``step``, once per step) and one
     # list copy (``occupancy_series``); the scalar helpers are gone. The
     # scalar copy floors through the per-link floors that ``init_state``
     # looks up once (``floor_of``), the list copy through ``scaled_floors``.
@@ -92,6 +92,15 @@ def test_the_one_time_occupancy_is_gone():
     # The replay reads every occupancy through ``LinkReplay.occupancies``.
     assert not hasattr(oracle.LinkReplay, "occupancy")
     assert "occupancy" not in afmsim.__all__
+
+
+def test_the_measure_wrappers_are_gone():
+    # ``step`` writes the scalar copy of the closed form in its own body, so
+    # neither the public wrapper nor the helper it wrapped is left.
+    for name in ("measure", "_measure"):
+        assert not hasattr(engine, name)
+        assert not hasattr(afmsim, name)
+        assert name not in afmsim.__all__
 
 
 def test_the_gearbox_normal_forms_are_gone():

@@ -28,7 +28,7 @@ from afmsim.oracle import (
 )
 from afmsim.phase import floor_of, tick_times
 from afmsim.scenarios import gearbox_pair, random_scenario, triangle3
-from afmsim.topology import Link, SystemParams, Topology, validate
+from afmsim.topology import Link, SystemParams, Topology, ValidationError, validate
 from afmsim.trajectory import ClockTrajectory
 
 from conftest import (
@@ -112,6 +112,38 @@ def test_replay_tick_work_does_not_grow_with_the_epoch(monkeypatch):
         replay(trajs, sc, 10.0)
         ticks[epoch] = sum(counted)
     assert ticks[-1e6] == ticks[-25.0] > 0
+
+
+def test_replay_bounds_the_ticks_it_would_list(monkeypatch):
+    # The count from the floors at each clock's two ends is the number of
+    # ticks the lists would hold: at that many the replay refuses to list
+    # them, one below it lists them all.
+    counted = []
+
+    def counting(*args):
+        m0, times = tick_times(*args)
+        counted.append(len(times))
+        return m0, times
+
+    monkeypatch.setattr(oracle, "tick_times", counting)
+    cfg = triangle3()
+    sc = cfg.scenario
+    trajs = rebuild_trajectories(simulate(sc, cfg.controller, 10.0), sc)
+    replay(trajs, sc, 10.0)
+    n_ticks = sum(counted)
+    counted.clear()
+    monkeypatch.setattr(oracle, "MAX_REPLAY_TICKS", n_ticks)
+    with pytest.raises(ValidationError) as err:
+        replay(trajs, sc, 10.0)
+    assert counted == []
+    (violation,) = err.value.violations
+    assert (violation.name, violation.subject) == ("value_out_of_range", "replay")
+    assert violation.detail == (
+        f"the clocks tick {n_ticks} times from t=-1.0 to their last knots, not below {n_ticks}"
+    )
+    monkeypatch.setattr(oracle, "MAX_REPLAY_TICKS", n_ticks + 1)
+    replay(trajs, sc, 10.0)
+    assert sum(counted) == n_ticks
 
 
 # -- replay basics ----------------------------------------------------------------

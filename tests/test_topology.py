@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from afmsim.controllers import ControllerSpec, make_controllers
-from afmsim.engine import init_state, measure
+from afmsim.engine import init_state, step
 from afmsim.scenarios import triangle3
 from afmsim.topology import (
     Link,
@@ -238,12 +238,17 @@ def test_check_is_pure():
 
 
 def test_neighbors_ordering():
-    # measure reports incoming buffers by ascending neighbor id, whatever the
-    # link insertion order; at t=0 each occupancy is the link's beta0
+    # A step's measurement lists incoming buffers by ascending neighbor id,
+    # whatever the link insertion order; each node's first one is sampled at
+    # (or within a few ulps of) t=0, where each occupancy is the link's beta0
     def first_measurements(topology, beta0):
         scenario = validate(topology, triangle_params(beta0=beta0))
         state = init_state(scenario, make_controllers(ControllerSpec(kind="zero"), 3))
-        return {i: measure(state, i, 0.0) for i in topology.nodes()}
+        first = {}
+        while len(first) < topology.n_nodes:
+            rec = step(state)
+            first.setdefault(rec.node, rec.measurement)
+        return first
 
     tri = triangle_topology()
     assert first_measurements(tri, {k: 50 for k in tri.links})[1] == ((2, 50), (3, 50))

@@ -10,7 +10,11 @@ from functools import partial
 import pytest
 from hypothesis import given, strategies as st
 
+from afmsim import trajectory
+from afmsim.controllers import make_controllers
+from afmsim.engine import init_state, step
 from afmsim.phase import floor_of, scaled_floors
+from afmsim.scenarios import triangle3
 from afmsim.trajectory import (
     AdmissibilityError,
     ClockTrajectory,
@@ -309,7 +313,8 @@ def outcome(lookup, x):
 @given(trajectories(st.integers(0, 12)), st.data())
 def test_lookups_equal_a_bisect_only_reference(traj, data):
     # Bit for bit, on trajectories of one knot and more: at the last two knots,
-    # at any knot, just below the last segment, anywhere in the domain and
+    # at any knot, just below the last segment, on the segment before it,
+    # anywhere in the domain and
     # anywhere before its last segment, and just outside the domain. The one
     # lookup of a sample point (``point_at``) is also read at every knot phase
     # and one ulp either side, where its time can round onto a knot, and on
@@ -321,11 +326,13 @@ def test_lookups_equal_a_bisect_only_reference(traj, data):
     ):
         lo, hi = xs[0], xs[-1]
         last = xs[max(len(xs) - 2, 0)]  # the last segment's start, or the one knot
+        before = xs[max(len(xs) - 3, 0)]  # the start of the segment before it
         points = [
             last,
             hi,
             data.draw(st.sampled_from(xs)),
             math.nextafter(last, -math.inf),
+            data.draw(st.floats(before, last)),
             data.draw(st.floats(lo, hi)),
             data.draw(st.floats(lo, last)),
             math.nextafter(lo, -math.inf),
@@ -339,6 +346,62 @@ def test_lookups_equal_a_bisect_only_reference(traj, data):
             points.append(data.draw(st.floats(lo, xs[min(1, len(xs) - 1)])))
         for x in points:
             assert outcome(lookup, x) == outcome(reference, x)
+
+
+def spread_knots(n, seed):
+    """``n`` knots of uneven spacing and slope, from t = -3."""
+    rng = random.Random(seed)
+    knots, t, ph = [], -3.0, 0.25
+    for _ in range(n):
+        knots.append((t, ph))
+        dt = rng.uniform(0.1, 2.0)
+        t, ph = t + dt, ph + dt * rng.uniform(0.2, 3.0)
+    return knots
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12])
+def test_eval_equals_a_bisection_on_every_segment(n):
+    # ``eval`` tests the last segment, then the one before it, and bisects
+    # only when both miss: each path gives the bisection's value, bit for
+    # bit. On each segment: its start, one ulp either side of it, an
+    # interior time and one ulp below its end; then the two domain ends and
+    # the times just outside them.
+    traj = make(spread_knots(n, seed=n))
+    times = traj.times
+    reference = partial(bisect_lookup, times, traj.phases)
+    lo, hi = times[0], times[-1]
+    points = [lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf), math.nan]
+    on = {}  # segment index, counted from the last one (0), -> times read there
+    for k, (t0, t1) in enumerate(zip(times, times[1:])):
+        inside = [t0, math.nextafter(t0, math.inf), (t0 + t1) / 2, math.nextafter(t1, -math.inf)]
+        on[len(times) - 2 - k] = inside
+        points += inside + [math.nextafter(t0, -math.inf)]
+    assert sorted(on) == list(range(n - 1))  # last, the one before, earlier ones
+    for t in points:
+        assert outcome(traj.eval, t) == outcome(reference, t)
+    for t in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf), math.nan):
+        with pytest.raises(DomainError):
+            traj.eval(t)
+
+
+def test_the_loop_bisects_only_off_the_last_two_segments(monkeypatch):
+    # On the bundled triangle to T=200, every in-neighbour read but three
+    # lands on the neighbour's last segment or the one before it, and each
+    # step's own sample point on its last: three bisections in the loop,
+    # where a lookup that tests the last segment alone makes 145.
+    cfg = triangle3(t_max=200.0)
+    sc = cfg.scenario
+    state = init_state(sc, make_controllers(cfg.controller, sc.topology.n_nodes))
+    calls = []
+
+    def counting_bisect_right(*args):
+        calls.append(args)
+        return bisect_right(*args)
+
+    monkeypatch.setattr(trajectory, "bisect_right", counting_bisect_right)
+    while state.queue[0][0] < 200.0:
+        step(state)
+    assert len(calls) == 3
 
 
 # -- sweeps --------------------------------------------------------------------
