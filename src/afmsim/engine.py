@@ -33,19 +33,18 @@ order, with the same result. The least-advanced node is always ready, since
 A step reads no more than that: its own last knot (the phase at the end of
 its domain is stored there), its own sample point ``(t_sample, phase)`` in
 one lookup (``ClockTrajectory.point_at``), and each in-neighbour's phase
-once. Each in-link floors through the scalar floor of its gearbox
-(``phase.floor_of``), looked up once in ``init_state``; equal gearboxes share
-one floor, so the step floors its own phase once per run of in-links (in
-ascending ``j``) that share one, and once in all when they all do. Each of
-those reads tests the trajectory's last segment, then the one before it,
-and bisects only when both miss. ``t_sample`` lies on the node's own last
-segment in every step after its first (the sample phase is ``d`` ticks
-before the last knot and ``p - d`` after the one before). An in-neighbour's
-read lands on one of the neighbour's last two segments almost always: the
-neighbour's domain ends no earlier than the reader's, and least-advanced-first
-puts the knot before its last at or before the reader's domain end, so a
-read one latency back from ``t_sample`` misses both only when the latency is
-long against a sample period.
+once. Each in-link floors both phases through the scalar floor of its
+gearbox (``phase.floor_of``), looked up once per link in ``init_state``, as
+the closed form reads. ``point_at`` tests the node's own last segment
+first, and ``t_sample`` lies on it in every step after its first (the sample
+phase is ``d`` ticks before the last knot and ``p - d`` after the one
+before). An in-neighbour's read through ``eval`` tests the neighbour's last
+segment, then the one before it, and bisects only when both miss. It lands
+on one of those two almost always: the neighbour's domain ends no earlier
+than the reader's, and least-advanced-first puts the knot before its last at
+or before the reader's domain end, so a read one latency back from
+``t_sample`` misses both only when the latency is long against a sample
+period.
 """
 
 from __future__ import annotations
@@ -100,8 +99,8 @@ class SystemState:
 
     ``incoming[i]`` holds ``(j, lam, latency, floor)`` for every link
     (j, i) into node i, in ascending ``j``, with ``floor`` the link
-    gearbox's scalar floor (``phase.floor_of``), one object per gearbox; it
-    is fixed at ``init_state``.
+    gearbox's scalar floor (``phase.floor_of``); it is fixed at
+    ``init_state``.
     ``queue`` is a binary heap with one ``(max_dom, i)`` entry per node; the
     trajectories grow only through ``step``, which keeps it in sync. A node's
     next step index is its knot count less three: three initial knots, then
@@ -186,18 +185,14 @@ def step(state: SystemState) -> SampleRecord:
     s, phase_s = traj.times[-1], traj.phases[-1]  # last knot: phase theta0 + k*p + d
     t_sample, phase_sample = traj.point_at(phase_s - par.d)
     # The measurement: the closed form of ``occupancy_series`` at t_sample, its
-    # scalar copy. Node i's own phase is floored once per run of in-links that
-    # share one floor: again only where an in-link's floor is not the one
-    # before it. Each in-neighbour is read once, one latency back; a domain
+    # scalar copy. Each in-neighbour is read once, one latency back; a domain
     # error there means the scheduling order was violated.
     trajectories = state.trajectories
     y = []
-    own_floor = None
     for j, lam, latency, link_floor in state.incoming[i]:
-        if link_floor is not own_floor:
-            own_floor = link_floor
-            own = link_floor(phase_sample)
-        y.append((j, link_floor(trajectories[j].eval(t_sample - latency)) - own + lam))
+        y.append(
+            (j, link_floor(trajectories[j].eval(t_sample - latency)) - link_floor(phase_sample) + lam)
+        )
     y = tuple(y)
     # A step that raises leaves the state as it found it, controller included.
     controller = state.controllers[i]

@@ -21,7 +21,6 @@ frame event is a crossing of an integer by a scaled phase, and
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_right
 from collections.abc import Callable
@@ -36,31 +35,22 @@ Gearbox = int | Fraction
 Floor = Callable[[float], int]
 
 
-@functools.cache
-def _floor_of(num: int, den: int) -> Floor:
-    """``floor_of`` for a gearbox's two ints; each floor is built once."""
-    if num == den:
+def floor_of(gearbox: Gearbox) -> Floor:
+    """The floor of the ``gearbox``-scaled phase, as one function of the
+    phase: ``math.floor`` itself for a unit gearbox, else ``floor(phase *
+    num / den)`` with float ``num`` and ``den``, the expression of
+    ``scaled_floors``."""
+    if gearbox == 1:
         return math.floor
     # A float times or over an int converts the int as ``float`` does, so
     # float operands give the same values with float-only arithmetic.
-    num, den = float(num), float(den)
+    num, den = float(gearbox.numerator), float(gearbox.denominator)
     floor = math.floor
 
     def floor_ratio(phase: float) -> int:
         return floor(phase * num / den)
 
     return floor_ratio
-
-
-def floor_of(gearbox: Gearbox) -> Floor:
-    """The floor of the ``gearbox``-scaled phase, as one function of the
-    phase: ``math.floor`` itself for a unit gearbox, else ``floor(phase *
-    num / den)`` with float ``num`` and ``den``, the expression of
-    ``scaled_floors``. Equal gearboxes share one function object, so a
-    caller can tell two floors apart by identity: the cache is keyed on the
-    two ints, as ``functools.cache`` keys the int 2 by itself but
-    ``Fraction(2)`` by a wrapper that would make it a second floor."""
-    return _floor_of(gearbox.numerator, gearbox.denominator)
 
 
 def scaled_floors(gearbox: Gearbox, phases: list[float]) -> list[int]:

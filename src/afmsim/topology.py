@@ -37,13 +37,27 @@ _SHOWN_BITS = 2000
 
 
 def _shown(x: int) -> str:
-    """``str(x)`` for an int, or, past ``_SHOWN_BITS`` bits, its sign and bit
-    length: under the default limit, an int of more than 4300 digits has no
-    ``str``."""
-    bits = x.bit_length()
-    if bits <= _SHOWN_BITS:
-        return str(x)
-    return f"{'-' if x < 0 else ''}<{bits}-bit integer>"
+    """``str(x)``, or for an int of more than ``_SHOWN_BITS`` bits its sign and
+    bit length: under the default limit, an int of more than 4300 digits has
+    no ``str``."""
+    if isinstance(x, int) and (bits := x.bit_length()) > _SHOWN_BITS:
+        return f"{'-' if x < 0 else ''}<{bits}-bit integer>"
+    return str(x)
+
+
+def _link(a: int, b: int) -> str:
+    """The subject of link (a, b), its node ids shown by ``_shown``."""
+    return f"link ({_shown(a)},{_shown(b)})"
+
+
+def _keys(keys: list) -> str:
+    """``str(keys)`` for sorted link keys, the ids of each pair shown by
+    ``_shown``; a key that is not a pair prints as its ``repr``."""
+    shown = (
+        f"({_shown(k[0])}, {_shown(k[1])})" if type(k) is tuple and len(k) == 2 else repr(k)
+        for k in keys
+    )
+    return f"[{', '.join(shown)}]"
 
 
 @dataclass(frozen=True)
@@ -201,7 +215,7 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
         subjects = ["params.omega_min", "params.epoch"]
         for f, vals in zip(_PER_NODE, per_node):
             subjects += [f"params.{f}[{i}]" for i in range(len(vals))]
-        subjects += [f"link ({a},{b}) latency" for a, b in keys]
+        subjects += [f"{_link(a, b)} latency" for a, b in keys]
         found = map(_not_finite, subjects, finite)
         return v + [violation for violation in found if violation is not None]
 
@@ -272,7 +286,7 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
     beta0_ok = beta0.keys() == links.keys()
     if not beta0_ok:
         missing, extra = sorted(links.keys() - beta0.keys()), sorted(beta0.keys() - links.keys())
-        detail = f"missing={missing} extra={extra}"
+        detail = f"missing={_keys(missing)} extra={_keys(extra)}"
         v.append(Violation("beta0_keys_mismatch", "params.beta0", detail))
     # The epoch bound needs d / omega_min: only a positive floor and an exact d give it meaning.
     lag = d / omega_min if omega_min > 0.0 and d_int and abs(d) <= MAX_EXACT_INT else None
@@ -310,46 +324,46 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
 
         in_range = not n_int or (1 <= a <= n and 1 <= b <= n)
         if a == b:
-            v.append(Violation("self_link", f"link ({a},{b})", "links must join distinct nodes"))
+            v.append(Violation("self_link", _link(a, b), "links must join distinct nodes"))
         elif not in_range:
             detail = f"node ids must be in 1..{_shown(n)}"
-            v.append(Violation("link_unknown_node", f"link ({a},{b})", detail))
+            v.append(Violation("link_unknown_node", _link(a, b), detail))
         else:
             if (b, a) not in links:
-                detail = f"reverse link ({b},{a}) missing"
-                v.append(Violation("link_unpaired", f"link ({a},{b})", detail))
+                detail = f"reverse {_link(b, a)} missing"
+                v.append(Violation("link_unpaired", _link(a, b), detail))
             for name, suffix, detail in found:
-                v.append(Violation(name, f"link ({a},{b}){suffix}", detail))
+                v.append(Violation(name, f"{_link(a, b)}{suffix}", detail))
 
         if beta0_ok:
             b0 = beta0[ab]
             if type(b0) is not int:
                 detail = f"expected an integer, got {b0!r}"
-                v.append(Violation("wrong_type", f"link ({a},{b}) beta0", detail))
+                v.append(Violation("wrong_type", f"{_link(a, b)} beta0", detail))
             else:
                 if b0 < 0:
-                    v.append(Violation("beta0_negative", f"link ({a},{b})", f"beta0={_shown(b0)}"))
+                    v.append(Violation("beta0_negative", _link(a, b), f"beta0={_shown(b0)}"))
                 if abs(b0) > MAX_EXACT_INT:
-                    v.append(Violation("value_out_of_range", f"link ({a},{b}) beta0", _INEXACT))
+                    v.append(Violation("value_out_of_range", f"{_link(a, b)} beta0", _INEXACT))
                 if cap is not None and b0 > cap:
                     detail = f"beta0={_shown(b0)} > capacity={_shown(cap)}"
-                    v.append(Violation("beta0_exceeds_capacity", f"link ({a},{b})", detail))
+                    v.append(Violation("beta0_exceeds_capacity", _link(a, b), detail))
 
         # Gearboxes scale the phases that get floored, so the same boundary
         # guard that applies to theta0 must hold for the scaled phases too.
         if not geared or not in_range:
             continue
         if not gear_exact:
-            v.append(Violation("value_out_of_range", f"link ({a},{b}) gearbox", _INEXACT))
+            v.append(Violation("value_out_of_range", f"{_link(a, b)} gearbox", _INEXACT))
             continue
         for node in (a, b) if indexed else ():
             scaled = theta0[node - 1] * num / den
             if not isfinite(scaled):
                 detail = f"gearbox {g} scales node {node} theta0 to {scaled!r}"
-                v.append(Violation("value_out_of_range", f"link ({a},{b})", detail))
+                v.append(Violation("value_out_of_range", _link(a, b), detail))
             elif not FRACTIONAL_GUARD <= scaled % 1.0 <= 1.0 - FRACTIONAL_GUARD:
                 detail = f"gearbox {g} puts node {node} scaled phase {scaled!r} on a frame boundary"
-                v.append(Violation("gearbox_phase_boundary", f"link ({a},{b})", detail))
+                v.append(Violation("gearbox_phase_boundary", _link(a, b), detail))
     return v
 
 

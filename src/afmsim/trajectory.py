@@ -47,13 +47,14 @@ class AdmissibilityError(RuntimeError):
 class ClockTrajectory:
     """Clock phase as a piecewise-linear, strictly increasing function of time.
 
-    Knot times and phases are kept in parallel sorted lists. A lookup tests
-    the last segment first, where the simulation loop mostly reads, and
-    otherwise bisects the knots before it. ``eval`` tests the segment before
-    the last one too, before it bisects: the loop's reads of a neighbour one
-    latency back land on one of those two almost always. A lookup writes
-    nothing, so every read is a pure function of the knots. Evaluation at a
-    knot returns the stored knot value exactly.
+    Knot times and phases are kept in parallel sorted lists. ``eval`` and
+    ``point_at``, the simulation loop's lookups, test the last segment first,
+    where the loop mostly reads; ``eval`` then tests the segment before it,
+    since the loop's reads of a neighbour one latency back land on one of
+    those two almost always. Otherwise a lookup bisects the knots, as
+    ``inverse`` always does. A lookup writes nothing, so every read is a pure
+    function of the knots. Evaluation at a knot returns the stored knot value
+    exactly.
     """
 
     __slots__ = ("times", "phases", "min_slope")
@@ -98,16 +99,12 @@ class ClockTrajectory:
     def inverse(self, phase: float) -> float:
         """The unique wall time at which the clock shows ``phase``."""
         phases = self.phases
-        i = len(phases) - 2
-        if not phases[i] <= phase < phases[i + 1]:
-            if not phases[0] <= phase <= phases[-1]:
-                raise DomainError(
-                    f"phase {phase!r} outside range [{phases[0]!r}, {phases[-1]!r}]"
-                )
-            if phase == phases[-1]:
-                return self.times[-1]
-            i = bisect_right(phases, phase, 0, i) - 1
+        if not phases[0] <= phase <= phases[-1]:
+            raise DomainError(f"phase {phase!r} outside range [{phases[0]!r}, {phases[-1]!r}]")
         times = self.times
+        if phase == phases[-1]:  # also the one knot of a single-knot trajectory
+            return times[-1]
+        i = bisect_right(phases, phase) - 1
         if phase == phases[i]:
             return times[i]
         return times[i] + (phase - phases[i]) * (times[i + 1] - times[i]) / (phases[i + 1] - phases[i])

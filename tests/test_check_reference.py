@@ -61,6 +61,16 @@ def _shown(x: int) -> str:
     return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit integer>"
 
 
+def _subject(a: int, b: int) -> str:
+    return f"link ({_shown(a)},{_shown(b)})"
+
+
+def _pairs(keys) -> str:
+    """A sorted list of link keys as ``repr`` prints pairs of ints, each id
+    through ``_shown``."""
+    return "[" + ", ".join(f"({_shown(a)}, {_shown(b)})" for a, b in keys) + "]"
+
+
 _PER_NODE = ("theta0", "omega_u", "omega_init1", "omega_init2")
 _latency = attrgetter("latency")
 
@@ -116,7 +126,7 @@ def reference_check(topology: Topology, params: SystemParams) -> list[Violation]
             ]
     if not all(map(_finite, map(_latency, links.values()))):
         not_finite += [
-            (f"link ({a},{b}) latency", lk.latency)
+            (f"{_subject(a, b)} latency", lk.latency)
             for (a, b), lk in items
             if not _finite(lk.latency)
         ]
@@ -213,7 +223,7 @@ def reference_check(topology: Topology, params: SystemParams) -> list[Violation]
     if not beta0_ok:
         missing = sorted(links.keys() - beta0.keys())
         extra = sorted(beta0.keys() - links.keys())
-        detail = f"missing={missing} extra={extra}"
+        detail = f"missing={_pairs(missing)} extra={_pairs(extra)}"
         v.append(Violation("beta0_keys_mismatch", "params.beta0", detail))
     # The epoch bound needs d / omega_min, which only a positive floor and an
     # exact d make meaningful.
@@ -230,49 +240,49 @@ def reference_check(topology: Topology, params: SystemParams) -> list[Violation]
         # once. A gearbox of the wrong type reads as 1/1, which has no guard.
         num, den = (g.numerator, g.denominator) if gear_ok else (1, 1)
         if a == b:
-            v.append(Violation("self_link", f"link ({a},{b})", "links must join distinct nodes"))
+            v.append(Violation("self_link", _subject(a, b), "links must join distinct nodes"))
         elif not in_range:
             detail = f"node ids must be in 1..{_shown(n)}"
-            v.append(Violation("link_unknown_node", f"link ({a},{b})", detail))
+            v.append(Violation("link_unknown_node", _subject(a, b), detail))
         else:
             if (b, a) not in links:
-                detail = f"reverse link ({b},{a}) missing"
-                v.append(Violation("link_unpaired", f"link ({a},{b})", detail))
+                detail = f"reverse {_subject(b, a)} missing"
+                v.append(Violation("link_unpaired", _subject(a, b), detail))
             latency = lk.latency
             if latency <= 0.0:
                 detail = f"latency={latency!r}"
-                v.append(Violation("latency_nonpositive", f"link ({a},{b})", detail))
+                v.append(Violation("latency_nonpositive", _subject(a, b), detail))
             if not gear_ok:
                 detail = f"expected an int or a Fraction, got {g!r}"
-                v.append(Violation("wrong_type", f"link ({a},{b}) gearbox", detail))
+                v.append(Violation("wrong_type", f"{_subject(a, b)} gearbox", detail))
             # A Fraction's denominator is positive, so its numerator has its sign.
             elif num <= 0:
                 shown = _shown(num) if den == 1 else f"{_shown(num)}/{_shown(den)}"
-                v.append(Violation("gearbox_nonpositive", f"link ({a},{b})", f"gearbox={shown}"))
+                v.append(Violation("gearbox_nonpositive", _subject(a, b), f"gearbox={shown}"))
             if lag is not None and epoch > (bound := -(latency + lag)):
                 detail = f"epoch={epoch!r} must be <= {bound!r}"
-                v.append(Violation("epoch_too_late", f"link ({a},{b})", detail))
+                v.append(Violation("epoch_too_late", _subject(a, b), detail))
 
         if beta0_ok:
             b0 = beta0[ab]
             if type(b0) is not int:
                 detail = f"expected an integer, got {b0!r}"
-                v.append(Violation("wrong_type", f"link ({a},{b}) beta0", detail))
+                v.append(Violation("wrong_type", f"{_subject(a, b)} beta0", detail))
             else:
                 if b0 < 0:
-                    v.append(Violation("beta0_negative", f"link ({a},{b})", f"beta0={_shown(b0)}"))
+                    v.append(Violation("beta0_negative", _subject(a, b), f"beta0={_shown(b0)}"))
                 if not _exact(b0):
-                    v.append(Violation("value_out_of_range", f"link ({a},{b}) beta0", _INEXACT))
+                    v.append(Violation("value_out_of_range", f"{_subject(a, b)} beta0", _INEXACT))
                 if cap is not None and b0 > cap:
                     detail = f"beta0={_shown(b0)} > capacity={_shown(cap)}"
-                    v.append(Violation("beta0_exceeds_capacity", f"link ({a},{b})", detail))
+                    v.append(Violation("beta0_exceeds_capacity", _subject(a, b), detail))
 
         # Gearboxes scale the phases that get floored, so the same boundary
         # guard that applies to theta0 must hold for the scaled phases too.
         if num == den or num <= 0 or not in_range:
             continue
         if not (_exact(num) and _exact(den)):
-            v.append(Violation("value_out_of_range", f"link ({a},{b}) gearbox", _INEXACT))
+            v.append(Violation("value_out_of_range", f"{_subject(a, b)} gearbox", _INEXACT))
             continue
         for node in (a, b) if indexed else ():
             scaled = params.theta0[node - 1] * num / den
@@ -280,7 +290,7 @@ def reference_check(topology: Topology, params: SystemParams) -> list[Violation]
                 v.append(
                     Violation(
                         "value_out_of_range",
-                        f"link ({a},{b})",
+                        _subject(a, b),
                         f"gearbox {g} scales node {node} theta0 to {scaled!r}",
                     )
                 )
@@ -288,7 +298,7 @@ def reference_check(topology: Topology, params: SystemParams) -> list[Violation]
                 v.append(
                     Violation(
                         "gearbox_phase_boundary",
-                        f"link ({a},{b})",
+                        _subject(a, b),
                         f"gearbox {g} puts node {node} scaled phase {scaled!r} on a frame boundary",
                     )
                 )
@@ -472,6 +482,16 @@ def long_triangle(x):
     return replace(topology, n_nodes=x, buffer_capacity=x), params
 
 
+def long_id_triangle(beta0=True, latency=1.0):
+    """The triangle with links (LONG, 1) and (1, LONG) of this latency, with
+    ``beta0`` entries for them or without."""
+    topology, params = triangle()
+    lk = Link(latency=latency)
+    links = {**topology.links, (LONG, 1): lk, (1, LONG): lk}
+    fill = dict.fromkeys(links, 5) if beta0 else params.beta0
+    return replace(topology, links=links), replace(params, beta0=fill)
+
+
 @settings(max_examples=300)
 @given(scenarios())
 @example(ring(-1.0))
@@ -511,8 +531,18 @@ def test_check_matches_the_reference_walk(case):
         long_triangle(-LONG),
         (triangle()[0], triangle(d=LONG, p=LONG - 1)[1]),
         triangle(gearbox=Fraction(-LONG, 3)),
+        long_id_triangle(),
+        long_id_triangle(beta0=False),
+        long_id_triangle(latency=nan),
     ],
-    ids=["every_int_field", "d_not_below_p", "gearbox_numerator"],
+    ids=[
+        "every_int_field",
+        "d_not_below_p",
+        "gearbox_numerator",
+        "link_node_id",
+        "link_node_id_without_beta0",
+        "link_node_id_latency",
+    ],
 )
 def test_check_matches_the_reference_walk_on_ints_too_long_to_print(case):
     assert check(*case) == reference_check(*case)
@@ -531,6 +561,31 @@ def test_an_int_too_long_to_print_is_shown_by_its_bit_length():
     assert "buffer_capacity=-<16610-bit integer>" in details
     gear = check(*triangle(gearbox=Fraction(-LONG, 3)))
     assert {v.detail for v in gear} == {"gearbox=-<16610-bit integer>/3"}
+
+
+def test_a_node_id_too_long_to_print_is_shown_by_its_bit_length():
+    long = "<16610-bit integer>"
+    found = [(v.name, v.subject, v.detail) for v in check(*long_id_triangle())]
+    assert found == [
+        ("link_unknown_node", "link (1,%s)" % long, "node ids must be in 1..3"),
+        ("link_unknown_node", "link (%s,1)" % long, "node ids must be in 1..3"),
+    ]
+    keys = check(*long_id_triangle(beta0=False))[0]
+    assert keys.name == "beta0_keys_mismatch"
+    assert keys.detail == f"missing=[(1, {long}), ({long}, 1)] extra=[]"
+    subjects = [v.subject for v in check(*long_id_triangle(latency=nan))]
+    assert subjects == [f"link (1,{long}) latency", f"link ({long},1) latency"]
+    # Ordinary ids print as before, the key lists as ``repr`` prints them,
+    # and a key that is not a pair as its own ``repr``.
+    topology, params = triangle()
+    beta0 = {**params.beta0, 5: 0}
+    del beta0[(1, 2)]
+    (keys,) = check(topology, replace(params, beta0=beta0))
+    assert keys.detail == "missing=[(1, 2)] extra=[5]"
+    links = {(1, 2): Link(latency=1.0)}
+    (unpaired,) = check(replace(topology, links=links), replace(params, beta0={(1, 2): 5}))
+    assert (unpaired.name, unpaired.subject) == ("link_unpaired", "link (1,2)")
+    assert unpaired.detail == "reverse link (2,1) missing"
 
 
 def test_a_node_count_at_the_bound_is_out_of_range():

@@ -65,8 +65,8 @@ def test_scaled_floors_agree_with_scaled_floor(gearbox, zero_spec):
     assert scaled_floors(gearbox, phases) == floors
     assert scaled_floors(gearbox, []) == []
     # The floor init_state looks up for the link gives floor_of bit for bit,
-    # and equal gearboxes (the int and the Fraction of one whole number, such
-    # as 1 and Fraction(1), or 2 and Fraction(2)) share one object.
+    # and so does the floor of each equal gearbox (the int and the Fraction
+    # of one whole number, such as 1 and Fraction(1), or 2 and Fraction(2)).
     sc = two_node_scenario(theta0=(0.3, 0.3))
     links = {
         ab: dataclasses.replace(lk, gearbox=Fraction(gearbox))
@@ -76,7 +76,7 @@ def test_scaled_floors_agree_with_scaled_floor(gearbox, zero_spec):
     link_floor = init_state(sc, make_controllers(zero_spec, 2)).incoming[2][0][3]
     assert list(map(link_floor, phases)) == floors
     twins = [Fraction(gearbox)] + ([gearbox.numerator] if gearbox.denominator == 1 else [])
-    assert all(floor_of(g) is link_floor for g in [gearbox, *twins])
+    assert all(list(map(floor_of(g), phases)) == floors for g in [gearbox, *twins])
     assert (link_floor is math.floor) == (gearbox == 1)
     traj = ClockTrajectory(
         [(-30.0, -29.7), (0.0, 0.25), (5.0, math.nextafter(6.0, 0.0)), (9.0, 9.0), (14.0, 16.5)]
@@ -515,7 +515,12 @@ def test_measure_equals_the_generator_reference(make_cfg):
     sc = cfg.scenario
     state = init_state(sc, make_controllers(cfg.controller, sc.topology.n_nodes))
     if make_cfg is alternating_gears:
-        assert [f for *_, f in state.incoming[4]] == [floor_of(Fraction(2)), math.floor, floor_of(2)]
+        # Node 4's in-links floor through gearbox 2, the unit floor and gearbox 2.
+        phases = [x for m in range(-8, 9) for x in (math.nextafter(m / 2, -math.inf), m / 2)]
+        doubled = [math.floor(2 * p) for p in phases]
+        floors = [list(map(f, phases)) for *_, f in state.incoming[4]]
+        assert floors == [doubled, list(map(math.floor, phases)), doubled]
+        assert floors == [list(map(f, phases)) for f in (floor_of(Fraction(2)), math.floor, floor_of(2))]
     while state.queue[0][0] < 60.0:
         rec = step(state)
         reference = generator_measure(state, rec.node, rec.t_sample)

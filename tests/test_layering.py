@@ -116,6 +116,34 @@ def test_the_gearbox_normal_forms_are_gone():
         assert called.isdisjoint({"resolve", "Ratio", "Fraction"}), module
 
 
+def definition(module, name):
+    """The top-level function or method ``name`` of ``afmsim.<module>``, parsed."""
+    tree = ast.parse((SRC / "afmsim" / f"{module}.py").read_text(encoding="utf-8"))
+    return next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+def test_the_floor_identity_and_the_last_segment_inverse_are_gone():
+    # A step floors node i's own phase once per in-link, through that link's
+    # floor, so no floor is told apart by identity: ``floor_of`` builds a
+    # plain function each call, with no cache behind it, and ``step`` has no
+    # ``is`` test. ``inverse`` bisects on every lookup, with no last-segment
+    # test (a ``len`` of the knots) before it.
+    assert not hasattr(phase, "_floor_of")
+    assert not hasattr(phase, "functools")
+    assert not hasattr(phase.floor_of, "cache_info")
+    step = definition("engine", "step")
+    ops = {type(op) for node in ast.walk(step) if isinstance(node, ast.Compare) for op in node.ops}
+    assert ops.isdisjoint({ast.Is, ast.IsNot})
+    assert "own_floor" not in {node.id for node in ast.walk(step) if isinstance(node, ast.Name)}
+    inverse = definition("trajectory", "inverse")
+    called = {getattr(node.func, "id", None) for node in ast.walk(inverse) if isinstance(node, ast.Call)}
+    assert "len" not in called and "bisect_right" in called
+
+
 def test_the_pointwise_slope_and_the_step_counter_are_gone():
     # ``sweep_phase_slope`` is the one slope reader, and a node's step index
     # is its knot count less three, so neither needs a copy of its own.
