@@ -7,8 +7,8 @@ broadcasts scalar shorthands (per-node and per-link values may be given
 once), resolves per-direction link fields, and then applies every
 well-posedness check. The schema reader reports all its violations together,
 each with the path of the offending field; only a document it accepts goes on
-to the constraint checks of ``topology.validate``, which report all theirs
-together, each naming a field, a node or a link (``link (1,2)``). The
+to the model's rules (``topology.rules``), which report all theirs together,
+each naming a field, a node or a link (``link (1,2)``). The
 canonical form emitted by ``to_dict`` is fully resolved, so two configs that
 mean the same scenario fingerprint the same.
 
@@ -41,8 +41,8 @@ from .topology import (
     Topology,
     ValidationError,
     Violation,
+    rules,
     too_many_nodes,
-    validate,
 )
 
 
@@ -350,6 +350,13 @@ class _Reader:
             beta0[ab] = b0_ab
             beta0[ba] = b0_ba
         return links, beta0
+
+
+def validate(topology: Topology, params: SystemParams) -> Scenario:
+    """``topology.validate`` less its typed walk: the reader makes only well-typed values."""
+    if violations := rules(topology, params):
+        raise ValidationError(violations)
+    return Scenario(topology=topology, params=params)
 
 
 def load_config(text: str) -> ScenarioConfig:

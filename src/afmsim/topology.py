@@ -3,10 +3,13 @@
 Edges always come as a pair of directed links, one per direction, each with
 its own latency and optional gearbox (a rational frames-per-tick multiplier).
 ``check`` collects every violated constraint as a named violation instead of
-stopping at the first, so a config author sees the whole damage report. It
-walks the scalars, each node and each link once, one ``if`` per rule; the
-finite-value rule scans one whole column first, and the rules on a link's own
-fields are decided once per run of one ``Link`` object.
+stopping at the first, so a config author sees the whole damage report. Types
+are checked once, first: a value of a type that config never makes is a
+``wrong_type``, reported alone. Then ``rules`` walks the scalars, each node
+and each link once, one ``if`` per rule and no type test; the finite-value
+rule scans one whole column first, and the rules on a link's own fields are
+decided once per run of one ``Link`` object. Config loading calls ``rules``
+directly, since its reader makes only well-typed values.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite
-from typing import Mapping
 
 # Sampled phases must stay clear of frame boundaries at desk scale so that
 # floor computations are never decided by rounding noise.
@@ -38,9 +40,8 @@ _SHOWN_BITS = 2000
 
 def _shown(x: int) -> str:
     """``str(x)``, or for an int of more than ``_SHOWN_BITS`` bits its sign and
-    bit length: under the default limit, an int of more than 4300 digits has
-    no ``str``."""
-    if isinstance(x, int) and (bits := x.bit_length()) > _SHOWN_BITS:
+    bit length: by default an int of more than 4300 digits has no ``str``."""
+    if (bits := x.bit_length()) > _SHOWN_BITS:
         return f"{'-' if x < 0 else ''}<{bits}-bit integer>"
     return str(x)
 
@@ -51,21 +52,18 @@ def _link(a: int, b: int) -> str:
 
 
 def _keys(keys: list) -> str:
-    """``str(keys)`` for sorted link keys, the ids of each pair shown by
-    ``_shown``; a key that is not a pair prints as its ``repr``."""
-    shown = (
-        f"({_shown(k[0])}, {_shown(k[1])})" if type(k) is tuple and len(k) == 2 else repr(k)
-        for k in keys
-    )
-    return f"[{', '.join(shown)}]"
+    """``str(keys)`` for sorted link keys, each id shown by ``_shown``."""
+    return f"[{', '.join(f'({_shown(a)}, {_shown(b)})' for a, b in keys)}]"
 
 
 @dataclass(frozen=True)
 class Link:
     """One directed link: latency in seconds, gearbox in frames per tick.
 
-    Config gives every unit gearbox as the int 1 and any other as a reduced
-    ``Fraction``; the floors, the engine and the replay read it as it is."""
+    ``check`` requires a ``float`` latency and an ``int`` or ``Fraction``
+    gearbox, as exact types: a bool is no int. Config gives every unit
+    gearbox as the int 1 and any other as a reduced ``Fraction``; the floors,
+    the engine and the replay read it as it is."""
 
     latency: float
     gearbox: int | Fraction = 1
@@ -79,10 +77,13 @@ class Topology:
     contains (j, i) whenever it contains (i, j). ``buffer_capacity`` of None
     means unbounded elastic buffers (analysis runs); a bounded capacity turns
     occupancy excursions into fatal trace events.
+
+    ``check`` requires exact types: ``n_nodes`` an ``int``, ``links`` a ``dict``
+    from ``tuple`` pairs of ``int`` to ``Link``, a capacity of None or an ``int``.
     """
 
     n_nodes: int
-    links: Mapping[tuple[int, int], Link]
+    links: dict[tuple[int, int], Link]
     buffer_capacity: int | None = None
 
     def nodes(self) -> range:
@@ -102,6 +103,10 @@ class SystemParams:
 
     Per-node tuples are indexed by node id - 1. ``beta0`` maps each directed
     link (i, j) to the initial occupancy of the buffer at node j fed by i.
+
+    ``check`` requires exact types: ``int`` ``p`` and ``d``, ``float`` ``omega_min``
+    and ``epoch``, per-node fields that are each a ``tuple`` or ``list`` of
+    ``float``, and a ``beta0`` ``dict`` from pairs of ``int`` to ``int``.
     """
 
     p: int
@@ -112,7 +117,7 @@ class SystemParams:
     omega_u: tuple[float, ...]
     omega_init1: tuple[float, ...]
     omega_init2: tuple[float, ...]
-    beta0: Mapping[tuple[int, int], int]
+    beta0: dict[tuple[int, int], int]
 
 
 @dataclass(frozen=True)
@@ -148,50 +153,74 @@ _INEXACT = "magnitude above 2**53: not exact as a float"
 _PER_NODE = ("theta0", "omega_u", "omega_init1", "omega_init2")
 
 
-_TOO_LARGE = "expected a number, got a value too large for a float"
-
-
 def too_many_nodes(n: int) -> str:
-    """The detail of the ``value_out_of_range`` of an ``n_nodes`` of
-    ``MAX_NODES`` or more."""
+    """The ``value_out_of_range`` detail of an ``n_nodes`` of ``MAX_NODES`` or more."""
     return f"n_nodes={_shown(n)}, not below {MAX_NODES}"
 
 
-def _not_finite(subject: str, x) -> Violation | None:
-    """The violation of one value of the finite-value column, if any:
-    ``value_not_finite`` for NaN or an infinity, and for a value that is no
-    float (an int too large for one, or not a number) the ``wrong_type``
-    that config loading reports. A value too large is not printed: an int of
-    more than 4300 digits has no ``repr``."""
-    try:
-        if isfinite(x):
-            return None
-    except OverflowError:
-        return Violation("wrong_type", subject, _TOO_LARGE)
-    except TypeError:
-        return Violation("wrong_type", subject, f"expected a number, got {x!r}")
-    return Violation("value_not_finite", subject, repr(x))
+def _typed(topology: Topology, params: SystemParams) -> list[Violation]:
+    """Every value of a type that config loading never makes, as a
+    ``wrong_type``; types are exact, so a bool is no int and an int no float.
+    The walk takes the fields in the order the dataclasses declare them, a
+    per-node field value by value, a mapping entry by entry in its own order.
+    A key that is no pair of ints is named by its position (``keys[0]``), and
+    its value is not read. A detail names the type found, never the value."""
+    v: list[Violation] = []
+
+    def want(subject: str, x, kind: str, *types: type) -> bool:
+        """Whether ``x`` has one of ``types``; if not, its ``wrong_type``,
+        which names a tuple's item types too (``tuple[int, str]``)."""
+        if type(x) not in types:
+            got = type(x).__name__
+            got += f"[{', '.join(type(i).__name__ for i in x)}]" if type(x) is tuple else ""
+            v.append(Violation("wrong_type", subject, f"expected {kind}, got {got}"))
+        return type(x) in types
+
+    def entries(subject: str, mapping):
+        """The entries of a dict keyed by pairs of ints."""
+        if want(subject, mapping, "a dict", dict):
+            for pos, (key, x) in enumerate(mapping.items()):
+                if type(key) is tuple and len(key) == 2 and type(key[0]) is type(key[1]) is int:
+                    yield key, x
+                else:  # no type is a pair of ints: always a wrong_type
+                    want(f"{subject} keys[{pos}]", key, "a pair of ints")
+
+    want("topology.n_nodes", topology.n_nodes, "an int", int)
+    for ab, lk in entries("topology.links", topology.links):
+        if want(_link(*ab), lk, "a Link", Link):
+            want(f"{_link(*ab)} latency", lk.latency, "a float", float)
+            want(f"{_link(*ab)} gearbox", lk.gearbox, "an int or a Fraction", int, Fraction)
+    want("topology.buffer_capacity", topology.buffer_capacity, "None or an int", type(None), int)
+    want("params.p", params.p, "an int", int)
+    want("params.d", params.d, "an int", int)
+    want("params.omega_min", params.omega_min, "a float", float)
+    want("params.epoch", params.epoch, "a float", float)
+    for name in _PER_NODE:
+        vals = getattr(params, name)
+        if want(f"params.{name}", vals, "a tuple or list of floats", tuple, list):
+            for i, x in enumerate(vals):
+                want(f"params.{name}[{i}]", x, "a float", float)
+    for ab, b0 in entries("params.beta0", params.beta0):
+        want(f"{_link(*ab)} beta0", b0, "an int", int)
+    return v
 
 
 def check(topology: Topology, params: SystemParams) -> list[Violation]:
-    """Collect every violated constraint of the model's well-posedness rules.
+    """Collect every violated constraint: the ``wrong_type`` violations of
+    ``_typed`` alone if there are any, else those of ``rules``."""
+    return _typed(topology, params) or rules(topology, params)
 
+
+def rules(topology: Topology, params: SystemParams) -> list[Violation]:
+    """Collect every violated constraint of the model's well-posedness rules
+    on values of the types ``check`` requires, ints of any size included.
     Pure: the same inputs always produce the same report, in the same order:
     the scalars, node by node, then each link in sorted order, the rules on
-    its own fields before its ``beta0``. A subject string is formatted only
-    for a violation. A value of another type than ``int`` where the model
-    counts (``n_nodes``, ``buffer_capacity``, ``p``, ``d``, ``beta0``) is a
-    ``wrong_type`` in place of that value's other rules, and so is a value
-    of a float field that no float holds.
-    """
+    its own fields before its ``beta0``. A subject is formatted only for a
+    violation."""
     v: list[Violation] = []
     n = topology.n_nodes
-    # An n_nodes of another type than int is reported in place of the rules that read it:
-    # the node count, the per-node field lengths and the node ids of the links.
-    n_int = type(n) is int
-    if not n_int:
-        v.append(Violation("wrong_type", "topology.n_nodes", f"expected an integer, got {n!r}"))
-    elif n < 1:
+    if n < 1:
         v.append(Violation("node_count_nonpositive", "topology", f"n_nodes={_shown(n)}"))
     elif n >= MAX_NODES:
         v.append(Violation("value_out_of_range", "topology.n_nodes", too_many_nodes(n)))
@@ -203,63 +232,45 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
 
     # NaN/inf poison every later comparison and floor: refuse them up front and
     # skip the checks they would corrupt. The fields form one column, in report
-    # order, scanned whole and walked value by value only when the scan fails,
-    # or raises on a value that is no float.
+    # order, scanned whole and walked value by value only when the scan fails.
     finite = [params.omega_min, params.epoch, *theta0, *omega_u, *omega_init1, *omega_init2]
     finite += [lk.latency for lk in lks]
-    try:
-        all_finite = all(map(isfinite, finite))
-    except (OverflowError, TypeError):
-        all_finite = False
-    if not all_finite:
+    if not all(map(isfinite, finite)):
         subjects = ["params.omega_min", "params.epoch"]
         for f, vals in zip(_PER_NODE, per_node):
             subjects += [f"params.{f}[{i}]" for i in range(len(vals))]
         subjects += [f"{_link(a, b)} latency" for a, b in keys]
-        found = map(_not_finite, subjects, finite)
-        return v + [violation for violation in found if violation is not None]
+        found = zip(subjects, finite)
+        return v + [Violation("value_not_finite", s, repr(x)) for s, x in found if not isfinite(x)]
 
     cap = topology.buffer_capacity
     p, d, omega_min, epoch = params.p, params.d, params.omega_min, params.epoch
-    # A capacity of another type than int is reported in place of every rule that reads it.
-    if cap is not None and type(cap) is not int:
-        detail = f"expected an integer, got {cap!r}"
-        v.append(Violation("wrong_type", "topology.buffer_capacity", detail))
-        cap = None
     if cap is not None and cap <= 0:
         v.append(Violation("capacity_nonpositive", "topology", f"buffer_capacity={_shown(cap)}"))
     # The replay counts frames against the capacity: bound it as p and d are.
     if cap is not None and cap > MAX_EXACT_INT:
         v.append(Violation("value_out_of_range", "topology.buffer_capacity", _INEXACT))
-    # A p or d of another type than int is reported in place of its own rules.
-    p_int, d_int = type(p) is int, type(d) is int
-    for subject, val, typed in (("params.p", p, p_int), ("params.d", d, d_int)):
-        if not typed:
-            v.append(Violation("wrong_type", subject, f"expected an integer, got {val!r}"))
-    if p_int and p <= 0:
+    if p <= 0:
         v.append(Violation("period_nonpositive", "params.p", f"p={_shown(p)}"))
-    if d_int and d <= 0:
+    if d <= 0:
         v.append(Violation("delay_nonpositive", "params.d", f"d={_shown(d)}"))
-    if p_int and d_int and d >= p:
+    if d >= p:
         detail = f"d={_shown(d)} must be < p={_shown(p)}"
         v.append(Violation("delay_not_less_than_period", "params", detail))
-    for subject, val, typed in (("params.p", p, p_int), ("params.d", d, d_int)):
-        if typed and abs(val) > MAX_EXACT_INT:
+    for subject, val in (("params.p", p), ("params.d", d)):
+        if abs(val) > MAX_EXACT_INT:
             v.append(Violation("value_out_of_range", subject, _INEXACT))
     if omega_min <= 0.0:
         v.append(Violation("omega_min_nonpositive", "params.omega_min", f"{omega_min!r}"))
     if epoch >= 0.0:
         v.append(Violation("epoch_nonnegative", "params.epoch", f"epoch={epoch!r}"))
 
-    wrong_length = (
-        [(f, len(vals)) for f, vals in zip(_PER_NODE, per_node) if len(vals) != n] if n_int else []
-    )
+    wrong_length = [(f, len(vals)) for f, vals in zip(_PER_NODE, per_node) if len(vals) != n]
     for name, got in wrong_length:
         detail = f"expected {_shown(n)} per-node values, got {got}"
         v.append(Violation("param_length", f"params.{name}", detail))
-    # Node-indexed rules would misindex a field of the wrong length, or of no known length.
-    indexed = n_int and not wrong_length
-    for i, th, w_u, w_1, w_2 in zip(range(1, n + 1), *per_node) if indexed else ():
+    # Node-indexed rules would misindex a field of the wrong length.
+    for i, th, w_u, w_1, w_2 in zip(range(1, n + 1), *per_node) if not wrong_length else ():
         if th <= 0.0:
             v.append(Violation("initial_phase_nonpositive", f"node {i}", f"theta0={th!r}"))
         # Finite inputs can still give a non-finite phase where the history starts.
@@ -289,7 +300,7 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
         detail = f"missing={_keys(missing)} extra={_keys(extra)}"
         v.append(Violation("beta0_keys_mismatch", "params.beta0", detail))
     # The epoch bound needs d / omega_min: only a positive floor and an exact d give it meaning.
-    lag = d / omega_min if omega_min > 0.0 and d_int and abs(d) <= MAX_EXACT_INT else None
+    lag = d / omega_min if omega_min > 0.0 and abs(d) <= MAX_EXACT_INT else None
 
     # The rules on a link's own fields are decided once per run of one ``Link`` object in
     # the sorted walk; each link of the run reports the run's findings under its own subject.
@@ -298,31 +309,23 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
         a, b = ab
         if lk is not run_of:
             run_of = lk
-            # Only exact ratios are gearboxes; a float has no numerator to read.
             g = lk.gearbox
-            gear_ok = isinstance(g, (int, Fraction))
-            # A Fraction's numerator and denominator are properties: read them
-            # once. A gearbox of the wrong type reads as 1/1, which has no guard.
-            num, den = (g.numerator, g.denominator) if gear_ok else (1, 1)
-            # (name, subject suffix, detail) of each rule the link breaks.
+            num, den = g.numerator, g.denominator  # a Fraction's properties: read once
+            # (name, detail) of each rule the link breaks.
             found = []
-            latency = lk.latency
-            if latency <= 0.0:
-                found.append(("latency_nonpositive", "", f"latency={latency!r}"))
-            if not gear_ok:
-                detail = f"expected an int or a Fraction, got {g!r}"
-                found.append(("wrong_type", " gearbox", detail))
+            if lk.latency <= 0.0:
+                found.append(("latency_nonpositive", f"latency={lk.latency!r}"))
             # A Fraction's denominator is positive, so its numerator has its sign.
-            elif num <= 0:
+            if num <= 0:
                 shown = _shown(num) if den == 1 else f"{_shown(num)}/{_shown(den)}"
-                found.append(("gearbox_nonpositive", "", f"gearbox={shown}"))
-            if lag is not None and epoch > (bound := -(latency + lag)):
+                found.append(("gearbox_nonpositive", f"gearbox={shown}"))
+            if lag is not None and epoch > (bound := -(lk.latency + lag)):
                 detail = f"epoch={epoch!r} must be <= {bound!r}"
-                found.append(("epoch_too_late", "", detail))
+                found.append(("epoch_too_late", detail))
             geared = num != den and num > 0
             gear_exact = geared and num <= MAX_EXACT_INT and den <= MAX_EXACT_INT
 
-        in_range = not n_int or (1 <= a <= n and 1 <= b <= n)
+        in_range = 1 <= a <= n and 1 <= b <= n
         if a == b:
             v.append(Violation("self_link", _link(a, b), "links must join distinct nodes"))
         elif not in_range:
@@ -332,22 +335,18 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
             if (b, a) not in links:
                 detail = f"reverse {_link(b, a)} missing"
                 v.append(Violation("link_unpaired", _link(a, b), detail))
-            for name, suffix, detail in found:
-                v.append(Violation(name, f"{_link(a, b)}{suffix}", detail))
+            for name, detail in found:
+                v.append(Violation(name, _link(a, b), detail))
 
         if beta0_ok:
             b0 = beta0[ab]
-            if type(b0) is not int:
-                detail = f"expected an integer, got {b0!r}"
-                v.append(Violation("wrong_type", f"{_link(a, b)} beta0", detail))
-            else:
-                if b0 < 0:
-                    v.append(Violation("beta0_negative", _link(a, b), f"beta0={_shown(b0)}"))
-                if abs(b0) > MAX_EXACT_INT:
-                    v.append(Violation("value_out_of_range", f"{_link(a, b)} beta0", _INEXACT))
-                if cap is not None and b0 > cap:
-                    detail = f"beta0={_shown(b0)} > capacity={_shown(cap)}"
-                    v.append(Violation("beta0_exceeds_capacity", _link(a, b), detail))
+            if b0 < 0:
+                v.append(Violation("beta0_negative", _link(a, b), f"beta0={_shown(b0)}"))
+            if abs(b0) > MAX_EXACT_INT:
+                v.append(Violation("value_out_of_range", f"{_link(a, b)} beta0", _INEXACT))
+            if cap is not None and b0 > cap:
+                detail = f"beta0={_shown(b0)} > capacity={_shown(cap)}"
+                v.append(Violation("beta0_exceeds_capacity", _link(a, b), detail))
 
         # Gearboxes scale the phases that get floored, so the same boundary
         # guard that applies to theta0 must hold for the scaled phases too.
@@ -356,7 +355,7 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
         if not gear_exact:
             v.append(Violation("value_out_of_range", f"{_link(a, b)} gearbox", _INEXACT))
             continue
-        for node in (a, b) if indexed else ():
+        for node in (a, b) if not wrong_length else ():
             scaled = theta0[node - 1] * num / den
             if not isfinite(scaled):
                 detail = f"gearbox {g} scales node {node} theta0 to {scaled!r}"
@@ -368,7 +367,7 @@ def check(topology: Topology, params: SystemParams) -> list[Violation]:
 
 
 def validate(topology: Topology, params: SystemParams) -> Scenario:
-    """Return an immutable scenario, or raise with the full violation list."""
+    """Return an immutable scenario, or raise with ``check``'s violation list."""
     violations = check(topology, params)
     if violations:
         raise ValidationError(violations)

@@ -909,10 +909,21 @@ INTEGRATOR = ControllerSpec(
 )
 
 
+BUNDLED = {"triangle3": triangle3, "gearbox_pair": gearbox_pair}
+
+
 @settings(deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.booleans())
-def test_any_ready_order_property(scenario_seed, order_seed, integrate):
-    cfg = random_scenario(random.Random(scenario_seed))
+@given(
+    st.sampled_from(sorted(BUNDLED)) | st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_any_ready_order_property(scenario, order_seed, integrate):
+    # A bundled config by name, or a random scenario by its seed.
+    if scenario in BUNDLED:
+        cfg = BUNDLED[scenario]()
+    else:
+        cfg = random_scenario(random.Random(scenario))
     if integrate:
         cfg = dataclasses.replace(cfg, controller=INTEGRATOR)
     state, _ = run_in_random_ready_order(cfg, 100.0, random.Random(order_seed))

@@ -181,3 +181,20 @@ def test_one_sweep_reads_phases_and_one_check_orders_times():
                 ):
                     pairwise.add((path.stem, getattr(top, "name", None)))
     assert pairwise == {("trajectory", "check_times")}
+
+
+def test_types_are_checked_once_ahead_of_the_rules():
+    # ``_typed`` is the one type test of ``topology``: the rules and their
+    # helpers call no ``type`` or ``isinstance``, and nothing there catches
+    # an exception, since the finite-value scan reads only floats. The
+    # per-rule type defences are gone. The config path runs the rules alone,
+    # as its reader makes only the types ``_typed`` accepts.
+    for name in ("_TOO_LARGE", "_not_finite"):
+        assert not hasattr(topology, name)
+    tree = ast.parse((SRC / "afmsim" / "topology.py").read_text(encoding="utf-8"))
+    tests = {(top, name) for top, name in called_names(tree) if name in ("type", "isinstance")}
+    assert {top for top, _ in tests} == {"_typed"}
+    assert not any(isinstance(node, (ast.Try, ast.ExceptHandler)) for node in ast.walk(tree))
+    config = ast.parse((SRC / "afmsim" / "config.py").read_text(encoding="utf-8"))
+    called = {name for _, name in called_names(config)}
+    assert "rules" in called and called.isdisjoint({"check", "_typed"})
